@@ -1,11 +1,12 @@
 """Closed-form channel quantities.
 
 The single-eigenvalue marginal density of the channel spectrum, the ergodic
-capacity in both parameter regimes (a Gauss-Jacobi integral when
-``mt + mr <= m``, otherwise ``k`` unfaded single-mode capacities plus the
-capacity of the complementary channel), single-input outage through the
-incomplete beta function, the rate-reduction map for ``k > 0``, and the
-optimal diversity-multiplexing frontier.
+capacity in both parameter regimes (an integral on SNR-graded
+Gauss-Legendre panels when ``mt + mr <= m``, otherwise ``k`` unfaded
+single-mode capacities plus the capacity of the complementary channel),
+single-input outage through the incomplete beta function, the
+rate-reduction map for ``k > 0``, and the optimal diversity-multiplexing
+frontier.
 
 All rates are in bits (log base 2) and all SNRs are linear; dB conversion
 belongs to the CLI boundary.
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import ChannelDims
+from .errors import NumericalError
 from .specfun import (
     gauss_jacobi_rule,
     inv_reg_inc_beta,
@@ -35,17 +37,23 @@ __all__ = [
     "rho_norm",
     "outage_rate_reduction",
     "dmt_optimal_curve",
-    "CAPACITY_QUAD_EXTRA_NODES",
+    "graded_integral",
 ]
 
-# The capacity integrand is (polynomial of degree 2(m_min - 1)) times
-# log(1 + rho*lam).  The log factor has a branch point at -1/rho, which
-# crowds the interval as rho grows, so a fixed node count cannot hold a
-# uniform tolerance; the integral is evaluated with doubling node counts
-# until two consecutive rules agree to _QUAD_RTOL.
-CAPACITY_QUAD_EXTRA_NODES = 32
+# The k = 0 capacity integrand is a polynomial of degree
+# 2(m_min - 1) + alpha + beta times log(1 + rho*lam), whose branch point at
+# -1/rho crowds [0, 1] as rho grows, so one Gauss rule on [0, 1] needs more
+# nodes the higher the SNR.  graded_integral instead cuts [0, 1] into
+# Gauss-Legendre panels [0, e], [e, 4e], [4e, 16e], ... with e = 1/rho:
+# every panel then sits at a fixed relative distance from the branch point
+# and converges at the same geometric rate whatever rho is (Trefethen,
+# Approximation Theory and Approximation Practice, ch. 19).  A panel takes
+# degree//2 + _PANEL_EXTRA_NODES nodes; the sum is repeated with
+# _PANEL_CHECK_NODES more per panel, and a disagreement beyond _QUAD_RTOL
+# raises NumericalError rather than returning an unconverged value.
 _QUAD_RTOL = 1e-13
-_QUAD_MAX_NODES = 4096
+_PANEL_EXTRA_NODES = 16
+_PANEL_CHECK_NODES = 8
 
 
 def _density_series(dims: ChannelDims, lam: np.ndarray) -> np.ndarray:
@@ -74,33 +82,67 @@ def eigen_density(dims: ChannelDims, lam):
     return out
 
 
-def _capacity_integral(dims: ChannelDims, rho: float) -> float:
-    def evaluate(n):
-        rule = gauss_jacobi_rule(n, dims.alpha, dims.beta)
-        series = _density_series(dims, rule.nodes)
-        return rule.integrate(np.log2(1.0 + rho * rule.nodes) * series)
+def graded_integral(
+    f, edge: float, degree: int, ratio: float = 4.0, floor: float = 0.0
+) -> float:
+    """Integral of ``f`` over [0, 1] on geometrically graded Gauss-Legendre panels.
 
-    n = dims.m_min + CAPACITY_QUAD_EXTRA_NODES
-    value = evaluate(n)
-    while n < _QUAD_MAX_NODES:
-        n *= 2
-        refined = evaluate(n)
-        if abs(refined - value) <= _QUAD_RTOL * max(1.0, abs(refined)):
-            return refined
-        value = refined
+    The panel edges are 0, edge, edge*ratio, edge*ratio^2, ... below 1, then
+    1 (a single panel when ``edge >= 1``).  This suits an integrand whose
+    only non-polynomial feature has length scale ``edge`` and sits at or
+    next to 0.  ``degree`` is the degree of the integrand's polynomial
+    factor and sets the nodes per panel; ``f`` maps an array of points to
+    an array of values.  :class:`NumericalError` is raised when the sum
+    moves by more than ``_QUAD_RTOL * max(floor, |value|)`` on adding
+    nodes to every panel, or is not finite.
+    """
+    if not (edge > 0.0 and ratio > 1.0):
+        raise ValueError(f"need edge > 0 and ratio > 1, got edge={edge}, ratio={ratio}")
+    edges = [0.0]
+    while edge < 1.0:
+        edges.append(edge)
+        edge *= ratio
+    edges.append(1.0)
+    lo = np.asarray(edges[:-1])[:, None]
+    width = np.diff(edges)[:, None]
+
+    def panel_sum(n: int) -> float:
+        rule = gauss_jacobi_rule(n, 0, 0)
+        return float(np.sum(width * rule.weights * f(lo + width * rule.nodes)))
+
+    n = degree // 2 + _PANEL_EXTRA_NODES
+    coarse = panel_sum(n)
+    value = panel_sum(n + _PANEL_CHECK_NODES)
+    if not abs(value - coarse) <= _QUAD_RTOL * max(floor, abs(value)):
+        raise NumericalError(
+            f"graded quadrature did not converge on {len(edges) - 1} panels: "
+            f"{n} and {n + _PANEL_CHECK_NODES} nodes per panel give {coarse!r} and {value!r}"
+        )
     return value
+
+
+def _capacity_integral(dims: ChannelDims, rho: float) -> float:
+    def integrand(lam):
+        weight = lam**dims.alpha * (1.0 - lam) ** dims.beta
+        return np.log1p(rho * lam) / math.log(2.0) * weight * _density_series(dims, lam)
+
+    degree = 2 * (dims.m_min - 1) + dims.alpha + dims.beta
+    return graded_integral(integrand, 1.0 / rho, degree, floor=1.0)
 
 
 def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
     """Ergodic capacity in bits per channel use at per-mode SNR ``rho``.
 
-    For ``mt + mr <= m`` this is the Gauss-Jacobi evaluation of the spectral
-    integral; otherwise ``k`` single-mode capacities are pinned at
-    ``log2(1 + rho)`` and the remainder is the capacity of the complementary
+    For ``mt + mr <= m`` this is the spectral integral on SNR-graded
+    Gauss-Legendre panels (see :func:`graded_integral`); it raises
+    :class:`NumericalError` when more nodes move the value by over 1e-13
+    relative, or by over 1e-13 bits where the capacity is below 1 bit.
+    Otherwise ``k`` single-mode capacities are pinned at ``log2(1 + rho)``
+    and the remainder is the capacity of the complementary
     ``(m - mr, m - mt, m)`` channel, which vanishes when mt or mr equals m.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 0")
     if rho == 0.0:
         return 0.0
     if dims.k > 0:

@@ -279,17 +279,18 @@ def mc_repetition_error(
     return _estimate(_gather(cfg, chunk), cfg)
 
 
-def repetition_error_tail(dims: ChannelDims, rho: float, n_nodes: int = 400) -> float:
+def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     """Deterministic repetition-scheme error for single-eigenvalue spectra.
 
     Integrates the exact conditional QPSK symbol error against the spectral
     density (after peeling off the k pinned eigenvalues when k > 0), which
     stays accurate in tails far beyond Monte-Carlo reach.  Requires the
     effective interior spectrum to be one-dimensional, i.e. ``m_min == 1``
-    after the k > 0 reduction.
+    after the k > 0 reduction.  Raises :class:`NumericalError` when the
+    quadrature does not settle to a relative 1e-13.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 0")
     if dims.k > 0:
         shift = float(dims.k)
         mt_res, mr_res = dims.m - dims.mr, dims.m - dims.mt
@@ -305,19 +306,18 @@ def repetition_error_tail(dims: ChannelDims, rho: float, n_nodes: int = 400) -> 
             "use mc_repetition_error for wider channels"
         )
 
-    def integrand(lam):
-        return qpsk_symbol_error(rho * (shift + lam)) * analytic.eigen_density(residual, lam)
+    # In lam the symbol error has a sqrt(lam) branch point at 0; in u =
+    # sqrt(lam) the integrand is smooth and decays like exp(-rho u^2 / 2).
+    # Ratio-2 panels in u from 1/sqrt(rho) are the ratio-4 panels in lam
+    # from 1/rho that the capacity integral uses.
+    def integrand(u):
+        lam = u * u
+        density = analytic.eigen_density(residual, lam)
+        return 2.0 * u * qpsk_symbol_error(rho * (shift + lam)) * density
 
-    # split where the exponential factor has died off; beyond it the
-    # integrand is below ~1e-26 in relative terms
-    split = min(1.0, 120.0 / rho) if rho > 0 else 1.0
-    x1, w1 = np.polynomial.legendre.leggauss(n_nodes)
-    total = 0.5 * split * float(w1 @ integrand(0.5 * split * (x1 + 1.0)))
-    if split < 1.0:
-        x2, w2 = np.polynomial.legendre.leggauss(64)
-        half = 0.5 * (1.0 - split)
-        total += half * float(w2 @ integrand(split + half * (x2 + 1.0)))
-    return total
+    degree = 2 * (residual.alpha + residual.beta) + 1
+    edge = 1.0 / math.sqrt(rho) if rho > 0.0 else 1.0
+    return analytic.graded_integral(integrand, edge, degree, ratio=2.0)
 
 
 def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimate:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from jacobi_fading import analytic
 from jacobi_fading.analytic import (
     dmt_optimal_curve,
     eigen_density,
@@ -15,6 +16,8 @@ from jacobi_fading.analytic import (
     rho_norm,
 )
 from jacobi_fading.ensembles import ChannelDims
+from jacobi_fading.errors import NumericalError
+from jacobi_fading.simulate import repetition_error_tail
 
 
 def test_density_trivial_dims():
@@ -61,6 +64,45 @@ def test_capacity_siso_closed_form():
     want = ((1 + rho) * math.log(1 + rho) - rho) / (rho * math.log(2))
     assert ergodic_capacity(ChannelDims(1, 1, 2), rho) == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(2.3626, abs=1e-4)
+
+
+@pytest.mark.parametrize("rho_db", [60.0, 90.0, 120.0])
+def test_capacity_siso_closed_form_high_snr(rho_db):
+    rho = 10.0 ** (rho_db / 10)
+    want = ((1 + rho) * math.log(1 + rho) - rho) / (rho * math.log(2))
+    assert ergodic_capacity(ChannelDims(1, 1, 2), rho) == pytest.approx(want, rel=1e-13)
+
+
+def test_capacity_pinned_high_snr_closed_form():
+    # (2,2,3) = log2(1 + rho) + C(1,1,3); the (1,1,3) density is 2(1 - lam),
+    # and with a = 1 + rho its integral against ln(1 + rho*lam) is
+    # 2/rho^2 * (a^2 ln(a) / 2 - 3 a^2 / 4 + a - 1/4)
+    rho = 1e12
+    a = 1.0 + rho
+    c113 = 2.0 / rho**2 * (0.5 * a * a * math.log(a) - 0.75 * a * a + a - 0.25) / math.log(2)
+    want = math.log2(1 + rho) + c113
+    assert ergodic_capacity(ChannelDims(2, 2, 3), rho) == pytest.approx(want, rel=1e-13)
+
+
+def test_graded_quadrature_raises_when_unconverged(monkeypatch):
+    # too few nodes per panel: the check sum disagrees and must raise, never
+    # fall through with the unconverged value
+    monkeypatch.setattr(analytic, "_PANEL_EXTRA_NODES", 1)
+    with pytest.raises(NumericalError):
+        ergodic_capacity(ChannelDims(1, 1, 2), 1e12)
+    with pytest.raises(NumericalError):
+        repetition_error_tail(ChannelDims(1, 2, 3), 1e4)
+    monkeypatch.undo()
+    with pytest.raises(NumericalError):
+        analytic.graded_integral(lambda x: np.full_like(x, np.nan), 0.5, 0)
+
+
+def test_capacity_rejects_non_finite_snr():
+    for rho in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError):
+            ergodic_capacity(ChannelDims(1, 1, 2), rho)
+        with pytest.raises(ValueError):
+            repetition_error_tail(ChannelDims(1, 2, 3), rho)
 
 
 def test_capacity_fully_unitary():

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from jacobi_fading import analytic
 from jacobi_fading.cli import _parse_grid, main
 
 
@@ -51,6 +52,22 @@ def test_ergodic_analytic(tmp_path):
     )
     for row in read_rows(out):
         assert float(row["capacity_normalized"]) >= 2.0
+
+
+def test_ergodic_analytic_at_120_db(tmp_path):
+    args = ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "120", "--method", "analytic"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    assert len(read_rows(out)) == 1
+
+
+def test_quadrature_failure_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analytic, "_PANEL_EXTRA_NODES", 1)
+    args = ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "120", "--method", "analytic"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 1
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_ergodic_mc_agrees_with_analytic(tmp_path):
