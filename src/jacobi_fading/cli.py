@@ -55,7 +55,12 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    if not math.isfinite(db):
+        raise ValueError(f"an SNR must be a finite number of dB, got {db!r}")
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{db!r} dB is beyond the float range") from None
 
 
 def _linear_to_db(x: float) -> float:
@@ -393,7 +398,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        out = args.fn(args)
+        with simulate._shared_draws():
+            out = args.fn(args)
         text = out.render()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

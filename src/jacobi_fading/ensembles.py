@@ -228,25 +228,35 @@ def draw_channel(
     )
 
 
-def _clamp01(lams: np.ndarray) -> np.ndarray:
+def _count_clamp(lams: np.ndarray) -> None:
     global _clamp_warnings
     over = max(float(np.max(lams, initial=0.0)) - 1.0, 0.0)
     under = max(-float(np.min(lams, initial=1.0)), 0.0)
     if max(over, under) > _CLAMP_WARN_TOL:
         _clamp_warnings += 1
-    return np.clip(lams, 0.0, 1.0)
+
+
+def snap_endpoints(lams: np.ndarray, tol: float) -> np.ndarray:
+    """Clamp eigenvalues to [0, 1] and snap those within ``tol`` of an endpoint onto it.
+
+    Works elementwise on any shape.  Raises :class:`NumericalError` on a
+    non-finite value, which clamping would otherwise pass on.
+    """
+    if not np.all(np.isfinite(lams)):
+        raise NumericalError("eigensolver returned non-finite eigenvalues")
+    lams = np.clip(lams, 0.0, 1.0)
+    return np.where(lams >= 1.0 - tol, 1.0, np.where(lams <= tol, 0.0, lams))
 
 
 def classify_spectrum(lams: np.ndarray, tol: float = DEFAULT_UNIT_TOL) -> SpectrumSample:
     """Sort, clamp to [0, 1], snap values within ``tol`` of an endpoint, count."""
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3]")
-    lams = np.sort(_clamp01(np.asarray(lams, dtype=float)))
-    if np.any(~np.isfinite(lams)):
-        raise NumericalError("eigensolver returned non-finite eigenvalues")
-    unit = lams >= 1.0 - tol
-    zero = lams <= tol
-    lams = np.where(unit, 1.0, np.where(zero, 0.0, lams))
+    lams = np.asarray(lams, dtype=float)
+    _count_clamp(lams)
+    lams = np.sort(snap_endpoints(lams, tol))
+    unit = lams == 1.0
+    zero = lams == 0.0
     counts = (int(unit.sum()), int(len(lams) - unit.sum() - zero.sum()), int(zero.sum()))
     return SpectrumSample(lambdas=lams, counts=counts, tol=tol)
 

@@ -7,6 +7,12 @@ counter-based stream keyed by ``(master_seed, tag, t)`` (see
 chunks of trials are scheduled, never which variates a trial sees, and
 chunk results are combined in a fixed order.
 
+Because the stream of an experiment does not depend on rho or r, every
+point of a curve sees the same channels (common random numbers).  Inside a
+:func:`_shared_draws` block, which the CLI opens around each invocation,
+the rho- and r-independent draws of an experiment are made once and every
+point reduces that one array; outside it, every call draws afresh.
+
 Channel spectra are sampled through the isometry shortcut: the first
 ``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
 obtained by phase-fixed QR of an ``m x m_min`` Ginibre block, which is far
@@ -17,13 +23,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc
 
 from . import analytic
-from .ensembles import DEFAULT_UNIT_TOL, ChannelDims, phase_fixed_qr
+from .ensembles import DEFAULT_UNIT_TOL, ChannelDims, phase_fixed_qr, snap_endpoints
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
 
@@ -52,6 +60,10 @@ __all__ = [
 # always partitioned the same way and partial results combined in order.
 _CHUNK = 8192
 
+# Memo of sample sets, set only inside a _shared_draws block.  A context
+# variable, not a module global, so nothing outlives the block.
+_SHARED: ContextVar[dict | None] = ContextVar("jacobi_fading_shared_draws", default=None)
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -78,14 +90,20 @@ class McEstimate:
     seed: int
 
 
-def _gather(cfg: McConfig, chunk_fn) -> np.ndarray:
-    """Evaluate chunk_fn(lo, hi) over the fixed chunk grid, threaded if asked."""
+def _gather(cfg: McConfig, chunk_fn):
+    """Evaluate chunk_fn(lo, hi) over the fixed chunk grid, threaded if asked.
+
+    chunk_fn returns an array, or a tuple of arrays that are joined
+    componentwise.
+    """
     spans = [(lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)]
     if cfg.workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             parts = list(pool.map(lambda span: chunk_fn(*span), spans))
     else:
         parts = [chunk_fn(lo, hi) for lo, hi in spans]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
     return np.concatenate(parts, axis=0)
 
 
@@ -98,9 +116,33 @@ def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
     return McEstimate(value=mean, stderr=stderr, trials=len(values), seed=cfg.master_seed)
 
 
-def _snap_block(lam: np.ndarray, tol: float) -> np.ndarray:
-    lam = np.clip(lam, 0.0, 1.0)
-    return np.where(lam >= 1.0 - tol, 1.0, np.where(lam <= tol, 0.0, lam))
+@contextmanager
+def _shared_draws():
+    """Within this block, draw each sample set once and share it.
+
+    A sample set is identified by everything that decides its values: the
+    stream key(s), which hash seed, tag and dims, the trial count and the
+    snapping tolerance.  Worker count is left out since it never changes
+    results.  Shared arrays are read-only, so no caller can alter another's.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _drawn(ident: tuple, draw):
+    """draw(), or the result of an identical earlier draw in a shared block."""
+    memo = _SHARED.get()
+    if memo is None:
+        return draw()
+    if ident not in memo:
+        arrays = draw()
+        for a in arrays if isinstance(arrays, tuple) else (arrays,):
+            a.flags.writeable = False
+        memo[ident] = arrays
+    return memo[ident]
 
 
 def _spectra_chunk(dims: ChannelDims, key, tol: float, lo: int, hi: int) -> np.ndarray:
@@ -108,7 +150,14 @@ def _spectra_chunk(dims: ChannelDims, key, tol: float, lo: int, hi: int) -> np.n
     z = complex_normals(key, lo, hi, dims.m * cols).reshape(hi - lo, dims.m, cols)
     block = phase_fixed_qr(z)[:, :rows, :]
     gram = np.einsum("bij,bik->bjk", block.conj(), block)
-    return _snap_block(np.linalg.eigvalsh(gram), tol)
+    return snap_endpoints(np.linalg.eigvalsh(gram), tol)
+
+
+def _spectra(dims: ChannelDims, cfg: McConfig, key, tol: float = DEFAULT_UNIT_TOL) -> np.ndarray:
+    return _drawn(
+        ("spectra", key, dims, cfg.trials, tol),
+        lambda: _gather(cfg, lambda lo, hi: _spectra_chunk(dims, key, tol, lo, hi)),
+    )
 
 
 def sample_spectra(
@@ -123,7 +172,7 @@ def sample_spectra(
     at ``tol`` exactly as in :func:`jacobi_fading.ensembles.classify_spectrum`.
     """
     key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
-    return _gather(cfg, lambda lo, hi: _spectra_chunk(dims, key, tol, lo, hi))
+    return _spectra(dims, cfg, key, tol)
 
 
 def sample_jacobi_spectra_wishart(
@@ -152,7 +201,7 @@ def sample_jacobi_spectra_wishart(
             raise NumericalError("Wishart sum numerically singular")
         inv_sqrt = np.einsum("bij,bj,bkj->bik", v, 1.0 / np.sqrt(w), v.conj())
         ratio = np.einsum("bij,bjk,bkl->bil", inv_sqrt, a, inv_sqrt)
-        return _snap_block(np.linalg.eigvalsh(ratio), tol)
+        return snap_endpoints(np.linalg.eigvalsh(ratio), tol)
 
     return _gather(cfg, chunk)
 
@@ -167,17 +216,12 @@ def sample_wishart_spectra(
         g = complex_normals(key, lo, hi, rows * cols).reshape(hi - lo, rows, cols)
         return np.linalg.eigvalsh(np.einsum("bij,bik->bjk", g.conj(), g))
 
-    return _gather(cfg, chunk)
+    return _drawn(("wishart", key, rows, cols, cfg.trials), lambda: _gather(cfg, chunk))
 
 
 def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
     key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
-
-    def chunk(lo, hi):
-        lam = _spectra_chunk(dims, key, DEFAULT_UNIT_TOL, lo, hi)
-        return np.sum(np.log2(1.0 + rho * lam), axis=1)
-
-    return _gather(cfg, chunk)
+    return np.sum(np.log2(1.0 + rho * _spectra(dims, cfg, key)), axis=1)
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
@@ -246,12 +290,8 @@ def mc_repetition_error(
         raise ValueError("rho must be >= 0")
     if method == "conditional":
         key = stream_key(cfg.master_seed, f"rep-cond:{dims.mt},{dims.mr},{dims.m}")
-
-        def chunk(lo, hi):
-            lam = _spectra_chunk(dims, key, DEFAULT_UNIT_TOL, lo, hi)
-            return qpsk_symbol_error(rho * np.sum(lam, axis=1))
-
-        return _estimate(_gather(cfg, chunk), cfg)
+        lam = _spectra(dims, cfg, key)
+        return _estimate(qpsk_symbol_error(rho * np.sum(lam, axis=1)), cfg)
     if method != "count":
         raise ValueError("method must be 'conditional' or 'count'")
 
@@ -271,12 +311,15 @@ def mc_repetition_error(
         u = uniforms(ks, lo, hi, 2)
         re_sign = np.where(u[:, 0] < 0.5, -1.0, 1.0)
         im_sign = np.where(u[:, 1] < 0.5, -1.0, 1.0)
-        symbol = (re_sign + 1j * im_sign) / math.sqrt(2.0)
-        decision = math.sqrt(rho) * gain * symbol + combined_noise
-        err = (np.sign(decision.real) != re_sign) | (np.sign(decision.imag) != im_sign)
-        return err.astype(float)
+        return gain, combined_noise, re_sign, im_sign
 
-    return _estimate(_gather(cfg, chunk), cfg)
+    gain, combined_noise, re_sign, im_sign = _drawn(
+        ("count", kch, kz, ks, dims, cfg.trials), lambda: _gather(cfg, chunk)
+    )
+    symbol = (re_sign + 1j * im_sign) / math.sqrt(2.0)
+    decision = math.sqrt(rho) * gain * symbol + combined_noise
+    err = (np.sign(decision.real) != re_sign) | (np.sign(decision.imag) != im_sign)
+    return _estimate(err.astype(float), cfg)
 
 
 def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
@@ -333,13 +376,8 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     dims = ChannelDims(2, 2, m)
     key = stream_key(cfg.master_seed, f"alamouti:{m}")
     threshold = r * math.log2(rho)
-
-    def chunk(lo, hi):
-        lam = _spectra_chunk(dims, key, DEFAULT_UNIT_TOL, lo, hi)
-        gain = np.sum(lam, axis=1)  # ||H11||_F^2
-        return (np.log2(1.0 + rho * gain) < threshold).astype(float)
-
-    return _estimate(_gather(cfg, chunk), cfg)
+    gain = np.sum(_spectra(dims, cfg, key), axis=1)  # ||H11||_F^2
+    return _estimate((np.log2(1.0 + rho * gain) < threshold).astype(float), cfg)
 
 
 def estimate_diversity_slope(points) -> float:

@@ -7,8 +7,9 @@ import math
 
 import pytest
 
-from jacobi_fading import analytic
+from jacobi_fading import analytic, simulate
 from jacobi_fading.cli import _parse_grid, main
+from jacobi_fading.ensembles import ChannelDims
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -181,6 +182,18 @@ def test_usage_error_bad_dims(tmp_path, capsys):
     assert "mt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rho_db, method", [("4000", "analytic"), ("inf", "mc"), ("nan", "mc")])
+def test_snr_out_of_range_exits_2(tmp_path, capsys, rho_db, method):
+    code, out = run_cli(
+        ["ergodic", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", rho_db, "--method", method,
+         "--trials", "100"],
+        tmp_path,
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -230,3 +243,64 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr().out
     assert captured.splitlines()[0] == "r,d,infinite_below"
     assert len(captured.splitlines()) == 6
+
+
+# (fixed arguments, grid option, grid points) of every Monte-Carlo subcommand
+MC_GRIDS = [
+    (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--method", "mc"], "--rho-db", ["0", "10", "20"]),
+    (["outage", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10"], "--r", ["0.5", "1", "1.5"]),
+    (["alamouti", "--m", "4", "--r", "0.5"], "--rho-db", ["0", "10", "20"]),
+    (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--method", "conditional"], "--rho-db", ["0", "5", "10"]),
+    (["repetition", "--mt", "2", "--mr", "1", "--m", "3", "--method", "count"], "--rho-db", ["0", "5", "10"]),
+    (["rayleigh", "--mt", "2", "--mr", "2", "--m", "4,8"], "--rho-bar-db", ["10", "20"]),
+]
+
+
+@pytest.mark.parametrize(
+    "fixed, option, points",
+    MC_GRIDS,
+    ids=["ergodic", "outage", "alamouti", "repetition-conditional", "repetition-count", "rayleigh"],
+)
+def test_grid_rows_match_points_run_alone(tmp_path, fixed, option, points):
+    # a grid shares one sample set across its points; each point alone
+    # draws it afresh, and both must give the same bytes
+    mc = ["--trials", "20000", "--seed", "5"]  # three chunks, the last partial
+    _, grid_out = run_cli(fixed + [option, ",".join(points)] + mc + ["--workers", "2"], tmp_path, "grid.csv")
+    grid_lines = grid_out.read_text().splitlines()
+    alone = []
+    for i, point in enumerate(points):
+        _, out = run_cli(fixed + [option, point] + mc, tmp_path, f"p{i}.csv")
+        alone += out.read_text().splitlines()[1:]
+    assert len(grid_lines) > len(points)
+    assert grid_lines[1:] == alone
+
+
+def test_sample_sets_are_drawn_once_per_invocation(tmp_path, monkeypatch):
+    draws = []
+    real = simulate.complex_normals
+
+    def counting(key, lo, hi, n):
+        draws.append((key, lo, hi, n))
+        return real(key, lo, hi, n)
+
+    monkeypatch.setattr(simulate, "complex_normals", counting)
+    chunks = 3  # 20000 trials
+    for args, per_chunk in (
+        (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:20:5", "--method", "mc"], 1),
+        (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "0:20:5", "--method", "count"], 2),
+    ):
+        draws.clear()
+        args = args + ["--trials", "20000"]
+        run_cli(args, tmp_path)
+        assert len(draws) == chunks * per_chunk == len(set(draws))
+        # a second invocation shares nothing with the first
+        run_cli(args, tmp_path)
+        assert draws[len(draws) // 2:] == draws[: len(draws) // 2]
+        assert len(draws) == 2 * chunks * per_chunk
+    # library calls outside the CLI draw afresh on every call
+    draws.clear()
+    cfg = simulate.McConfig(trials=20000)
+    dims = ChannelDims(2, 2, 4)
+    first = simulate.mc_ergodic_capacity(dims, 10.0, cfg)
+    assert simulate.mc_ergodic_capacity(dims, 10.0, cfg) == first
+    assert len(draws) == 2 * chunks

@@ -14,9 +14,11 @@ from jacobi_fading.ensembles import (
     sample_ginibre,
     sample_haar_unitary,
     sample_jacobi_spectrum_wishart,
+    snap_endpoints,
     squared_singular_values,
     verify_pinned_spectrum,
 )
+from jacobi_fading.errors import NumericalError
 from jacobi_fading.simulate import McConfig, ks_distance, sample_spectra
 
 
@@ -174,6 +176,17 @@ def test_classify_spectrum_snaps_and_counts():
     assert s.lambdas[-2] == 1.0 and s.lambdas[-1] == 1.0
     with pytest.raises(ValueError):
         classify_spectrum(np.array([0.5]), tol=0.1)
+
+
+def test_batched_snapping_is_the_classify_rule():
+    batch = np.array([[1.0 - 1e-12, 0.5, 1e-12], [-1e-15, 1.0 + 1e-15, 0.25]])
+    for row, snapped in zip(batch, snap_endpoints(batch, 1e-9)):
+        np.testing.assert_array_equal(np.sort(snapped), classify_spectrum(row, 1e-9).lambdas)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalError):
+            snap_endpoints(np.array([[0.5, bad]]), 1e-9)
+        with pytest.raises(NumericalError):
+            classify_spectrum(np.array([0.5, bad]))
 
 
 def test_wishart_jacobi_scalar_is_uniform():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jacobi_fading import simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
 from jacobi_fading.ensembles import ChannelDims
 from jacobi_fading.simulate import (
@@ -44,6 +45,18 @@ def test_worker_count_never_changes_results():
         one = fn(McConfig(trials=30_000, master_seed=3, workers=1))
         many = fn(McConfig(trials=30_000, master_seed=3, workers=8))
         assert one.value == many.value and one.stderr == many.stderr
+
+
+def test_shared_draws_keyed_by_everything_that_decides_them():
+    with simulate._shared_draws():
+        base = sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1))
+        assert sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1, workers=2)) is base
+        assert not base.flags.writeable
+        assert len(sample_spectra(DIMS_224, McConfig(trials=6_000, master_seed=1))) == 6_000
+        assert not np.array_equal(sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=2)), base)
+        coarse = sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1), tol=1e-3)
+        assert np.count_nonzero(coarse == 0.0) > np.count_nonzero(base == 0.0)
+    assert sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1)).flags.writeable
 
 
 def test_mc_capacity_matches_analytic():
