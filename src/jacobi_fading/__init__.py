@@ -25,7 +25,6 @@ from .ensembles import (
     draw_channel,
     sample_ginibre,
     sample_haar_unitary,
-    sample_jacobi_spectrum_wishart,
     squared_singular_values,
     verify_pinned_spectrum,
 )
@@ -53,6 +52,7 @@ from .simulate import (
     qpsk_symbol_error,
     rayleigh_compare,
     repetition_error_tail,
+    sample_jacobi_spectra_wishart,
     sample_spectra,
 )
 from .specfun import (
@@ -83,7 +83,6 @@ __all__ = [
     "draw_channel",
     "sample_ginibre",
     "sample_haar_unitary",
-    "sample_jacobi_spectrum_wishart",
     "squared_singular_values",
     "verify_pinned_spectrum",
     "jacobi_poly",
@@ -98,6 +97,7 @@ __all__ = [
     "outage_rate_reduction",
     "dmt_optimal_curve",
     "sample_spectra",
+    "sample_jacobi_spectra_wishart",
     "mc_ergodic_capacity",
     "mc_outage",
     "mc_repetition_error",

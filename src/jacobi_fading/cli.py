@@ -130,7 +130,7 @@ def _cmd_outage(args) -> _Output:
         r_values = [rb / norm for rb in _parse_grid(args.rate_bits)]
     rows = []
     for r in r_values:
-        if dims.k > 0 and r < dims.k:
+        if dims.k > 0 and 0.0 <= r < dims.k:
             # guaranteed in-rate: the pinned subspace alone carries r streams
             rows.append([r, 0.0, 0.0])
             continue

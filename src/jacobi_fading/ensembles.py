@@ -32,22 +32,10 @@ __all__ = [
     "draw_channel",
     "squared_singular_values",
     "classify_spectrum",
-    "sample_jacobi_spectrum_wishart",
     "verify_pinned_spectrum",
-    "clamp_warning_count",
 ]
 
 DEFAULT_UNIT_TOL = 1e-9
-
-# Eigenvalues pushed back into [0, 1] by more than this are counted as
-# clamp warnings (solver backward error should stay orders below it).
-_CLAMP_WARN_TOL = 1e-10
-_clamp_warnings = 0
-
-
-def clamp_warning_count() -> int:
-    """Number of eigenvalues clamped into [0, 1] by more than 1e-10 so far."""
-    return _clamp_warnings
 
 
 @dataclass(frozen=True)
@@ -228,14 +216,6 @@ def draw_channel(
     )
 
 
-def _count_clamp(lams: np.ndarray) -> None:
-    global _clamp_warnings
-    over = max(float(np.max(lams, initial=0.0)) - 1.0, 0.0)
-    under = max(-float(np.min(lams, initial=1.0)), 0.0)
-    if max(over, under) > _CLAMP_WARN_TOL:
-        _clamp_warnings += 1
-
-
 def snap_endpoints(lams: np.ndarray, tol: float) -> np.ndarray:
     """Clamp eigenvalues to [0, 1] and snap those within ``tol`` of an endpoint onto it.
 
@@ -252,9 +232,7 @@ def classify_spectrum(lams: np.ndarray, tol: float = DEFAULT_UNIT_TOL) -> Spectr
     """Sort, clamp to [0, 1], snap values within ``tol`` of an endpoint, count."""
     if not (0.0 < tol <= 1e-3):
         raise ValueError("tol must lie in (0, 1e-3]")
-    lams = np.asarray(lams, dtype=float)
-    _count_clamp(lams)
-    lams = np.sort(snap_endpoints(lams, tol))
+    lams = np.sort(snap_endpoints(np.asarray(lams, dtype=float), tol))
     unit = lams == 1.0
     zero = lams == 0.0
     counts = (int(unit.sum()), int(len(lams) - unit.sum() - zero.sum()), int(zero.sum()))
@@ -277,37 +255,6 @@ def squared_singular_values(
     when mt > mr), clamps into [0, 1], and classifies against ``tol``.
     """
     return classify_spectrum(gram_eigenvalues(real.h11), tol)
-
-
-def sample_jacobi_spectrum_wishart(
-    m1: int, m2: int, n: int, rng: np.random.Generator, tol: float = DEFAULT_UNIT_TOL
-) -> SpectrumSample:
-    """Spectrum of the Jacobi ensemble J(m1, m2, n) built from two Wisharts.
-
-    Forms A = G1^+ G1 and B = G2^+ G2 from independent Ginibre blocks and
-    returns the eigenvalues of the symmetrized ratio
-    ``(A+B)^(-1/2) A (A+B)^(-1/2)``, which shares the spectrum of the more
-    familiar ``A (A+B)^(-1)`` while staying Hermitian for the solver.
-    """
-    global _clamp_warnings
-    if n == 0:
-        return SpectrumSample(np.empty(0), (0, 0, 0), tol)
-    if m1 < n or m2 < n:
-        raise ValueError("need m1 >= n and m2 >= n")
-    for _ in range(4):
-        g1 = sample_ginibre(m1, n, rng)
-        g2 = sample_ginibre(m2, n, rng)
-        a = g1.conj().T @ g1
-        s = a + g2.conj().T @ g2
-        w, v = np.linalg.eigh(s)
-        if np.min(w) > 0.0:
-            inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-            return classify_spectrum(
-                np.linalg.eigvalsh(inv_sqrt @ a @ inv_sqrt), tol
-            )
-        # a singular sum has probability zero; resample and count the event
-        _clamp_warnings += 1
-    raise NumericalError("A + B numerically singular in repeated draws")
 
 
 def verify_pinned_spectrum(real: ChannelRealization, tol: float = DEFAULT_UNIT_TOL) -> PinnedSpectrumReport:

@@ -2,16 +2,16 @@
 
 Every trial of an experiment owns a private stream addressed by
 ``(master_seed, experiment tag, trial index)``: the seed and tag are hashed
-into a 128-bit Philox-4x64 key, and the trial index selects a disjoint
-2^64-block window of the counter space.  Draws for a whole batch of trials
-are therefore a pure function of those coordinates, independent of worker
-count, scheduling, or which trials were drawn before.
+into a 128-bit Philox-4x64 key, and trial ``t`` of an experiment drawing
+``B`` Philox blocks (4 words each) per trial reads the contiguous block
+range ``[t*B, (t+1)*B)`` of the ``numpy.random.Philox`` stream under that
+key (numpy increments its counter before each block, so block ``b`` sits
+at counter ``b + 1``).  Draws for a whole batch of trials are therefore one
+native call and a pure function of those coordinates, independent of
+worker count, scheduling, or which trials were drawn before.
 
-The generator is Philox-4x64 with 10 rounds, evaluated here vectorised over
-counters; it produces bit-identical words to ``numpy.random.Philox`` for the
-same key and counter (covered by tests).  Gaussian variates are derived by
-Box-Muller so that each trial consumes a fixed, position-addressable number
-of counter words.
+Gaussian variates are derived by Box-Muller so that each trial consumes a
+fixed, position-addressable number of counter words.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-_M0 = 0xD2E7470EE14C6C93
-_M1 = 0xCA5A826395121157
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-_MASK64 = (1 << 64) - 1
-_MASK32 = np.uint64(0xFFFFFFFF)
-_ROUNDS = 10
 
 _TWO_M53 = 2.0 ** -53
 
@@ -40,56 +32,17 @@ def stream_key(master_seed: int, tag: str) -> tuple[int, int]:
     )
 
 
-def _mulhilo(const: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 64x64 -> 128 bit product of a constant with a uint64 array."""
-    a = np.uint64(const)
-    lo = a * x  # wraps mod 2^64 by design
-    a_lo = a & _MASK32
-    a_hi = a >> np.uint64(32)
-    x_lo = x & _MASK32
-    x_hi = x >> np.uint64(32)
-    t = a_lo * x_lo
-    mid1 = a_hi * x_lo + (t >> np.uint64(32))
-    mid2 = a_lo * x_hi + (mid1 & _MASK32)
-    hi = a_hi * x_hi + (mid1 >> np.uint64(32)) + (mid2 >> np.uint64(32))
-    return hi, lo
-
-
-def philox_4x64(key: tuple[int, int], counters: np.ndarray) -> np.ndarray:
-    """Run Philox-4x64-10 on an (n, 4) uint64 counter array.
-
-    Returns the (n, 4) uint64 output words, matching ``numpy.random.Philox``
-    word for word.
-    """
-    x0 = counters[:, 0].copy()
-    x1 = counters[:, 1].copy()
-    x2 = counters[:, 2].copy()
-    x3 = counters[:, 3].copy()
-    k0, k1 = key
-    for r in range(_ROUNDS):
-        rk0 = np.uint64((k0 + r * _W0) & _MASK64)
-        rk1 = np.uint64((k1 + r * _W1) & _MASK64)
-        hi0, lo0 = _mulhilo(_M0, x0)
-        hi1, lo1 = _mulhilo(_M1, x2)
-        x0 = hi1 ^ x1 ^ rk0
-        x1 = lo1
-        x2 = hi0 ^ x3 ^ rk1
-        x3 = lo0
-    return np.stack([x0, x1, x2, x3], axis=1)
-
-
 def _trial_words(key: tuple[int, int], lo: int, hi: int, words_per_trial: int) -> np.ndarray:
     """Philox words for trials [lo, hi), shape (hi-lo, words_per_trial).
 
-    Trial ``t`` reads blocks ``j = 0, 1, ...`` at counter ``(j, t, 0, 0)``,
-    so the streams of distinct trials never overlap.
+    Trial ``t`` owns the ``B = ceil(words_per_trial / 4)`` blocks starting
+    at block ``t*B``, so the streams of distinct trials never overlap; the
+    padding words of a trial's last block are dropped.
     """
-    n = hi - lo
     blocks = (words_per_trial + 3) // 4
-    counters = np.zeros((n * blocks, 4), dtype=np.uint64)
-    counters[:, 0] = np.tile(np.arange(blocks, dtype=np.uint64), n)
-    counters[:, 1] = np.repeat(np.arange(lo, hi, dtype=np.uint64), blocks)
-    words = philox_4x64(key, counters).reshape(n, blocks * 4)
+    # a uint64 array: numpy reads a tuple of ints >= 2**63 through float64
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=lo * blocks)
+    words = bitgen.random_raw((hi - lo) * blocks * 4).reshape(hi - lo, blocks * 4)
     return words[:, :words_per_trial]
 
 

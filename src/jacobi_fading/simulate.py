@@ -145,10 +145,14 @@ def _drawn(ident: tuple, draw):
     return memo[ident]
 
 
+def _isometry_block(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
+    """First m_max rows of a Haar m x m_min isometry per trial, (hi-lo, m_max, m_min)."""
+    z = complex_normals(key, lo, hi, dims.m * dims.m_min).reshape(hi - lo, dims.m, dims.m_min)
+    return phase_fixed_qr(z)[:, : dims.m_max, :]
+
+
 def _spectra_chunk(dims: ChannelDims, key, tol: float, lo: int, hi: int) -> np.ndarray:
-    cols, rows = dims.m_min, dims.m_max
-    z = complex_normals(key, lo, hi, dims.m * cols).reshape(hi - lo, dims.m, cols)
-    block = phase_fixed_qr(z)[:, :rows, :]
+    block = _isometry_block(dims, key, lo, hi)
     gram = np.einsum("bij,bik->bjk", block.conj(), block)
     return snap_endpoints(np.linalg.eigvalsh(gram), tol)
 
@@ -248,9 +252,11 @@ def mc_outage(
     if (r is None) == (rate_bits is None):
         raise ValueError("give exactly one of r or rate_bits")
     if r is not None:
-        if r < 0.0:
-            raise ValueError("r must be >= 0")
+        if not 0.0 <= r < math.inf:
+            raise ValueError("r must be finite and >= 0")
         rate_bits = r * math.log2(1.0 + rho)
+    elif not math.isfinite(rate_bits):
+        raise ValueError("rate_bits must be finite")
     mi = _log_det_values(dims, rho, cfg, "mc-outage")
     return _estimate((mi < rate_bits).astype(float), cfg)
 
@@ -298,12 +304,11 @@ def mc_repetition_error(
     kch = stream_key(cfg.master_seed, f"rep-count:ch:{dims.mt},{dims.mr},{dims.m}")
     kz = stream_key(cfg.master_seed, f"rep-count:noise:{dims.mt},{dims.mr},{dims.m}")
     ks = stream_key(cfg.master_seed, f"rep-count:sym:{dims.mt},{dims.mr},{dims.m}")
-    mt, mr, m = dims.mt, dims.mr, dims.m
+    mt, mr = dims.mt, dims.mr
 
     def chunk(lo, hi):
         nb = hi - lo
-        z = complex_normals(kch, lo, hi, m * dims.m_min).reshape(nb, m, dims.m_min)
-        block = phase_fixed_qr(z)[:, : dims.m_max, :]
+        block = _isometry_block(dims, kch, lo, hi)
         h = block if mt <= mr else block.conj().transpose(0, 2, 1)  # (nb, mr, mt)
         gain = np.sum(np.abs(h) ** 2, axis=(1, 2))
         noise = complex_normals(kz, lo, hi, mt * mr).reshape(nb, mt, mr)
@@ -373,6 +378,8 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
         raise ValueError("m must be >= 2 (the scheme addresses 2x2 modes)")
     if rho <= 0.0:
         raise ValueError("rho must be > 0")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("r must be finite and >= 0")
     dims = ChannelDims(2, 2, m)
     key = stream_key(cfg.master_seed, f"alamouti:{m}")
     threshold = r * math.log2(rho)

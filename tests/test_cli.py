@@ -194,6 +194,24 @@ def test_snr_out_of_range_exits_2(tmp_path, capsys, rho_db, method):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["alamouti", "--m", "4", "--r", "nan", "--rho-db", "10"],
+        ["alamouti", "--m", "4", "--r", "inf", "--rho-db", "10"],
+        ["alamouti", "--m", "4", "--r=-0.5", "--rho-db", "10"],
+        ["outage", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", "10", "--r", "nan"],
+        ["outage", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", "10", "--rate-bits", "inf"],
+        ["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "10", "--r=-1"],
+    ],
+)
+def test_bad_rate_exits_2(tmp_path, capsys, args):
+    code, out = run_cli(args + ["--trials", "100"], tmp_path)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

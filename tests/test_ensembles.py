@@ -13,13 +13,12 @@ from jacobi_fading.ensembles import (
     phase_fixed_qr,
     sample_ginibre,
     sample_haar_unitary,
-    sample_jacobi_spectrum_wishart,
     snap_endpoints,
     squared_singular_values,
     verify_pinned_spectrum,
 )
 from jacobi_fading.errors import NumericalError
-from jacobi_fading.simulate import McConfig, ks_distance, sample_spectra
+from jacobi_fading.simulate import McConfig, ks_distance, sample_jacobi_spectra_wishart, sample_spectra
 
 
 def test_dims_derived_quantities():
@@ -190,17 +189,14 @@ def test_batched_snapping_is_the_classify_rule():
 
 
 def test_wishart_jacobi_scalar_is_uniform():
-    rng = np.random.default_rng(10)
-    vals = [sample_jacobi_spectrum_wishart(1, 1, 1, rng).lambdas[0] for _ in range(20_000)]
+    vals = sample_jacobi_spectra_wishart(1, 1, 1, McConfig(trials=20_000, master_seed=10))[:, 0]
     assert abs(np.mean(vals) - 0.5) < 0.011  # uniform mean, ~5 sigma margin
-    assert ks_distance(np.asarray(vals), np.random.default_rng(1).uniform(size=20_000)) < 0.02
+    assert ks_distance(vals, np.random.default_rng(1).uniform(size=20_000)) < 0.02
 
 
-def test_wishart_jacobi_empty_and_validation():
-    s = sample_jacobi_spectrum_wishart(3, 3, 0, np.random.default_rng(0))
-    assert len(s.lambdas) == 0 and s.counts == (0, 0, 0)
+def test_wishart_jacobi_validation():
     with pytest.raises(ValueError):
-        sample_jacobi_spectrum_wishart(1, 3, 2, np.random.default_rng(0))
+        sample_jacobi_spectra_wishart(1, 3, 2, McConfig(trials=10))
 
 
 @pytest.mark.parametrize(

@@ -1,31 +1,26 @@
-"""Counter-based stream: exact kernel match against numpy, stream layout."""
+"""Counter-based stream: layout on numpy's Philox, batch independence, moments."""
 
 import numpy as np
 
 from jacobi_fading import philox
 
 
-def test_kernel_matches_numpy_philox_exactly():
-    key = (0x0123456789ABCDEF, 0xFEDCBA9876543210)
-    # numpy pre-increments the counter before generating each block, so its
-    # first output block sits at counter 1
-    ref = np.random.Philox(key=np.array(key, dtype=np.uint64)).random_raw(32)
-    counters = np.zeros((8, 4), dtype=np.uint64)
-    counters[:, 0] = np.arange(1, 9)
-    mine = philox.philox_4x64(key, counters).ravel()
-    assert np.array_equal(ref, mine)
-
-
-def test_kernel_matches_numpy_at_high_counter_words():
+def test_trial_blocks_are_contiguous_numpy_philox_ranges():
+    # trial t owns blocks [t*B, (t+1)*B) of numpy's Philox stream, B = n/4
     key = philox.stream_key(123, "somewhere")
-    for trial in (0, 1, 2**40, 2**63):
-        ref = np.random.Philox(
-            key=np.array(key, dtype=np.uint64), counter=trial << 64
-        ).random_raw(4)
-        c = np.zeros((1, 4), dtype=np.uint64)
-        c[0, 0] = 1
-        c[0, 1] = trial
-        assert np.array_equal(ref, philox.philox_4x64(key, c).ravel())
+    # a uint64 array: numpy reads a tuple of ints >= 2**63 through float64
+    np_key = np.array(key, dtype=np.uint64)
+    for lo, hi, n in ((0, 5, 8), (7, 19, 4), (2**40, 2**40 + 3, 12)):
+        raw = np.random.Philox(key=np_key, counter=lo * n // 4).random_raw((hi - lo) * n)
+        ref = ((raw.reshape(hi - lo, n) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        assert np.array_equal(philox.uniforms(key, lo, hi, n), ref)
+
+
+def test_trial_padding_words_are_dropped():
+    # n = 6 rounds up to B = 2 blocks per trial; the last 2 words are unused
+    key = philox.stream_key(5, "pad")
+    padded = philox.uniforms(key, 3, 10, 8)
+    assert np.array_equal(philox.uniforms(key, 3, 10, 6), padded[:, :6])
 
 
 def test_stream_key_depends_on_seed_and_tag():
