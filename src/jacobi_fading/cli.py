@@ -32,7 +32,10 @@ __all__ = ["main"]
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive when step divides), 'a,b,c', or 'x'."""
+    """Parse 'start:stop:step' (inclusive when step divides), 'a,b,c', or 'x'.
+
+    A grid with no points is a usage error, not an empty table.
+    """
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
@@ -46,12 +49,20 @@ def _parse_grid(text: str) -> list[float]:
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
     if "," in text:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in text.split(",") if p.strip()]
+        if not values:
+            raise ValueError(f"grid {text!r} has no points")
+        return values
     return [float(text)]
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(round(v)) for v in _parse_grid(text)]
+    """Parse a grid of mode counts: every value a whole number >= 1."""
+    values = _parse_grid(text)
+    for v in values:
+        if not (v.is_integer() and v >= 1):
+            raise ValueError(f"mode counts must be whole numbers >= 1, got {v!r} in {text!r}")
+    return [int(v) for v in values]
 
 
 def _db_to_linear(db: float) -> float:
@@ -151,6 +162,8 @@ def _cmd_rho_norm(args) -> _Output:
             for eps in eps_list:
                 rn = analytic.rho_norm(mr, m, eps)
                 rows.append([m, mr, mr / m, eps, _linear_to_db(rn)])
+    if not rows:
+        raise ValueError(f"no --mr value {args.mr!r} is <= any --m value {args.m!r}")
     return _Output(["m", "mr", "mr_over_m", "epsilon", "rho_norm_db"], rows)
 
 

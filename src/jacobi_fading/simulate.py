@@ -13,10 +13,21 @@ point of a curve sees the same channels (common random numbers).  Inside a
 the rho- and r-independent draws of an experiment are made once and every
 point reduces that one array; outside it, every call draws afresh.
 
-Channel spectra are sampled through the isometry shortcut: the first
-``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
-obtained by phase-fixed QR of an ``m x m_min`` Ginibre block, which is far
-cheaper than orthogonalizing the full matrix for large m.
+The spectral estimators (ergodic capacity, outage, the Alamouti and
+conditional repetition errors, and the Jacobi side of the Rayleigh
+comparison) depend on a channel only through its squared singular values,
+so they draw the spectrum, not the channel.  The interior spectrum follows
+the Jacobi ensemble J(n; a, b), with density proportional to
+``prod lam^a (1-lam)^b * Vandermonde(lam)^2``, which by Edelman & Sutton
+(Found. Comput. Math. 8, 2008; the beta = 2 case) is the law of the
+squared singular values of a real ``n x n`` upper-bidiagonal matrix whose
+entries are products of independent Beta variates.  Each trial turns
+``2n - 1`` uniforms into those variates by the inverse Beta CDF, so its
+cost does not depend on m.  Pinned eigenvalues (k > 0) are appended
+exactly.  :func:`sample_spectra` and the ``count`` repetition method still
+draw channels: the first ``m_min`` columns of a Haar unitary are a
+uniformly distributed isometry, obtained by phase-fixed QR of an
+``m x m_min`` Ginibre block.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import betaincinv, erfc
 
 from . import analytic
 from .ensembles import DEFAULT_UNIT_TOL, ChannelDims, phase_fixed_qr, snap_endpoints
@@ -157,11 +168,54 @@ def _spectra_chunk(dims: ChannelDims, key, tol: float, lo: int, hi: int) -> np.n
     return snap_endpoints(np.linalg.eigvalsh(gram), tol)
 
 
-def _spectra(dims: ChannelDims, cfg: McConfig, key, tol: float = DEFAULT_UNIT_TOL) -> np.ndarray:
-    return _drawn(
-        ("spectra", key, dims, cfg.trials, tol),
-        lambda: _gather(cfg, lambda lo, hi: _spectra_chunk(dims, key, tol, lo, hi)),
-    )
+def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> np.ndarray:
+    """Ascending J(n; a, b) spectra of trials [lo, hi), shape (hi-lo, n).
+
+    Trial t reads 2n-1 uniforms: columns 0..n-1 give c_j^2 ~ Beta(a+j, b+j)
+    for j = n..1, and columns n..2n-2 give c'_j^2 ~ Beta(j, a+b+1+j) for
+    j = n-1..1.  The upper-bidiagonal B has diagonal c_n, c_{n-1} s'_{n-1},
+    ..., c_1 s'_1 and superdiagonal -s_n c'_{n-1}, ..., -s_2 c'_1, with
+    s = sqrt(1 - c^2); the spectrum is that of B^T B.
+    """
+    u = uniforms(key, lo, hi, 2 * n - 1)
+    j = np.arange(n, 0, -1)
+    c2 = betaincinv(a + j, b + j, u[:, :n])
+    if n == 1:
+        return c2
+    cp2 = betaincinv(j[1:], a + b + 1 + j[1:], u[:, n:])
+    diag = np.sqrt(c2)
+    diag[:, 1:] *= np.sqrt(1.0 - cp2)
+    sup = -np.sqrt((1.0 - c2[:, :-1]) * cp2)
+    if n == 2:
+        p, q, r = diag[:, 0] ** 2, diag[:, 0] * sup[:, 0], sup[:, 0] ** 2 + diag[:, 1] ** 2
+        lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
+        # det / lam_max keeps the small eigenvalue's relative accuracy
+        return np.stack(((diag[:, 0] * diag[:, 1]) ** 2 / lam_max, lam_max), axis=1)
+    gram = np.zeros((hi - lo, n, n))
+    i = np.arange(n)
+    gram[:, i, i] = diag**2
+    gram[:, i[1:], i[1:]] += sup**2
+    gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = diag[:, :-1] * sup
+    return np.linalg.eigvalsh(gram)
+
+
+def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
+    """Ascending snapped spectra of cfg.trials channels, drawn from the bidiagonal model.
+
+    For k = 0 the spectrum is J(m_min; alpha, beta).  For k > 0 it is the
+    (m-mr, m-mt, m) channel's spectrum J(m - m_max; alpha, k) followed by
+    k exact ones, and nothing is drawn when m_max = m.
+    """
+    k = dims.k
+    n = dims.m_min if k == 0 else dims.m - dims.m_max
+    b = dims.beta if k == 0 else k
+
+    def chunk(lo, hi):
+        lams = _bidiagonal_chunk(n, dims.alpha, b, key, lo, hi) if n else np.empty((hi - lo, 0))
+        lams = np.concatenate([lams, np.ones((hi - lo, k))], axis=1)
+        return snap_endpoints(lams, DEFAULT_UNIT_TOL)
+
+    return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
 
 
 def sample_spectra(
@@ -176,7 +230,10 @@ def sample_spectra(
     at ``tol`` exactly as in :func:`jacobi_fading.ensembles.classify_spectrum`.
     """
     key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
-    return _spectra(dims, cfg, key, tol)
+    return _drawn(
+        ("spectra", key, dims, cfg.trials, tol),
+        lambda: _gather(cfg, lambda lo, hi: _spectra_chunk(dims, key, tol, lo, hi)),
+    )
 
 
 def sample_jacobi_spectra_wishart(
@@ -225,7 +282,7 @@ def sample_wishart_spectra(
 
 def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
     key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
-    return np.sum(np.log2(1.0 + rho * _spectra(dims, cfg, key)), axis=1)
+    return np.sum(np.log2(1.0 + rho * _model_spectra(dims, cfg, key)), axis=1)
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
@@ -296,7 +353,7 @@ def mc_repetition_error(
         raise ValueError("rho must be >= 0")
     if method == "conditional":
         key = stream_key(cfg.master_seed, f"rep-cond:{dims.mt},{dims.mr},{dims.m}")
-        lam = _spectra(dims, cfg, key)
+        lam = _model_spectra(dims, cfg, key)
         return _estimate(qpsk_symbol_error(rho * np.sum(lam, axis=1)), cfg)
     if method != "count":
         raise ValueError("method must be 'conditional' or 'count'")
@@ -383,7 +440,7 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     dims = ChannelDims(2, 2, m)
     key = stream_key(cfg.master_seed, f"alamouti:{m}")
     threshold = r * math.log2(rho)
-    gain = np.sum(_spectra(dims, cfg, key), axis=1)  # ||H11||_F^2
+    gain = np.sum(_model_spectra(dims, cfg, key), axis=1)  # ||H11||_F^2
     return _estimate((np.log2(1.0 + rho * gain) < threshold).astype(float), cfg)
 
 
@@ -463,7 +520,8 @@ def rayleigh_compare(
     for m in m_list:
         dims = ChannelDims(mt, mr, m)
         rho = rho_bar * m / mt
-        lam = sample_spectra(dims, cfg, tag=f"raycmp:jacobi:{m}")
+        key = stream_key(cfg.master_seed, f"raycmp:jacobi:{mt},{mr},{m}")
+        lam = _model_spectra(dims, cfg, key)
         rows.append(
             RayleighComparison(
                 m=m,

@@ -212,6 +212,25 @@ def test_bad_rate_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", ","],
+        ["rho-norm", "--m", "0", "--epsilon", "1e-3"],
+        ["rho-norm", "--m", "-4", "--epsilon", "1e-3"],
+        ["rho-norm", "--m", "4", "--mr", "2.6", "--epsilon", "1e-3"],
+        ["rho-norm", "--m", "4", "--mr", "5", "--epsilon", "1e-3"],
+        ["rayleigh", "--mt", "2", "--mr", "2", "--m", "8.7", "--rho-bar-db", "20"],
+        ["rayleigh", "--mt", "2", "--mr", "2", "--m", ",", "--rho-bar-db", "20"],
+    ],
+)
+def test_bad_grid_or_mode_list_exits_2(tmp_path, capsys, args):
+    code, out = run_cli(args, tmp_path)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -295,17 +314,24 @@ def test_grid_rows_match_points_run_alone(tmp_path, fixed, option, points):
 
 def test_sample_sets_are_drawn_once_per_invocation(tmp_path, monkeypatch):
     draws = []
-    real = simulate.complex_normals
 
-    def counting(key, lo, hi, n):
-        draws.append((key, lo, hi, n))
-        return real(key, lo, hi, n)
+    def counting(name):
+        real = getattr(simulate, name)
 
-    monkeypatch.setattr(simulate, "complex_normals", counting)
+        def draw(key, lo, hi, n):
+            draws.append((name, key, lo, hi, n))
+            return real(key, lo, hi, n)
+
+        return draw
+
+    for name in ("complex_normals", "uniforms"):
+        monkeypatch.setattr(simulate, name, counting(name))
     chunks = 3  # 20000 trials
     for args, per_chunk in (
+        # the spectrum model: one uniforms draw per chunk
         (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:20:5", "--method", "mc"], 1),
-        (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "0:20:5", "--method", "count"], 2),
+        # channel, noise and symbol signs per chunk
+        (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "0:20:5", "--method", "count"], 3),
     ):
         draws.clear()
         args = args + ["--trials", "20000"]

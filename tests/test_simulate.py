@@ -8,6 +8,7 @@ import pytest
 from jacobi_fading import simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
 from jacobi_fading.ensembles import ChannelDims
+from jacobi_fading.philox import stream_key
 from jacobi_fading.simulate import (
     McConfig,
     estimate_diversity_slope,
@@ -57,6 +58,52 @@ def test_shared_draws_keyed_by_everything_that_decides_them():
         coarse = sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1), tol=1e-3)
         assert np.count_nonzero(coarse == 0.0) > np.count_nonzero(base == 0.0)
     assert sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1)).flags.writeable
+
+
+@pytest.mark.parametrize("mt, mr, m", [(1, 3, 8), (3, 2, 4), (2, 2, 3), (4, 4, 6), (2, 2, 64), (4, 4, 8)])
+def test_bidiagonal_model_matches_haar_spectra(mt, mr, m):
+    # alpha > 0, mt > mr, k > 0, m = 64 and m_min = 4 against truncated-Haar channels
+    dims = ChannelDims(mt, mr, m)
+    cfg = McConfig(trials=100_000, master_seed=4, workers=2)
+    haar = sample_spectra(dims, cfg)
+    model = simulate._model_spectra(dims, cfg, stream_key(4, "model-vs-haar"))
+    assert model.shape == haar.shape
+    for i in range(dims.m_min):
+        assert ks_distance(model[:, i], haar[:, i]) < 0.01
+
+
+@pytest.mark.parametrize("mt, mr, m", [(2, 2, 2), (2, 3, 3)])
+def test_bidiagonal_model_pinned_dims_draw_nothing(mt, mr, m, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("an all-pinned spectrum needs no variates")
+
+    monkeypatch.setattr(simulate, "uniforms", no_draw)
+    lam = simulate._model_spectra(ChannelDims(mt, mr, m), McConfig(trials=1_000), stream_key(0, "pinned"))
+    assert lam.shape == (1_000, min(mt, mr))
+    assert np.all(lam == 1.0)
+
+
+def test_spectral_estimators_draw_words_flat_in_m(monkeypatch):
+    sizes = []
+    real = simulate.uniforms
+
+    def counting(key, lo, hi, n):
+        sizes.append(n)
+        return real(key, lo, hi, n)
+
+    def no_channels(*args):
+        raise AssertionError("spectral estimators draw no channels")
+
+    monkeypatch.setattr(simulate, "uniforms", counting)
+    monkeypatch.setattr(simulate, "complex_normals", no_channels)
+    cfg = McConfig(trials=1_000)
+    for m in (8, 64):
+        mc_ergodic_capacity(ChannelDims(2, 2, m), 10.0, cfg)
+    assert sizes[0] == sizes[1] == 3  # 2n - 1 uniforms per trial for n = 2
+    mc_outage(ChannelDims(2, 2, 3), 100.0, cfg, r=1.5)
+    mc_alamouti_outage(4, 100.0, 0.5, cfg)
+    mc_repetition_error(ChannelDims(1, 2, 3), 10.0, cfg, method="conditional")
+    assert sizes[2:] == [1, 3, 1]
 
 
 def test_mc_capacity_matches_analytic():

@@ -13,6 +13,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
+from jacobi_fading.errors import NumericalError
 from jacobi_fading.specfun import (
     gauss_jacobi_rule,
     inv_reg_inc_beta,
@@ -182,6 +183,13 @@ def test_inverse_deep_tail():
         assert x == pytest.approx(eps, rel=1e-9)
         x2 = inv_reg_inc_beta(eps, 2, 2)
         assert reg_inc_beta(x2, 2, 2) == pytest.approx(eps, rel=1e-6, abs=1e-12)
+
+
+def test_non_finite_result_raises():
+    with pytest.raises(NumericalError):
+        reg_inc_beta(0.5, 1, math.nan)
+    with pytest.raises(NumericalError):
+        inv_reg_inc_beta(0.5, math.nan, 1)
 
 
 def test_invalid_arguments_raise():
