@@ -27,18 +27,29 @@ slots of each conveyed scalar, so the combined gain ``rho * ||H11||_F^2``
 is at least ``rho * k >= rho`` for every realization; the closing measures
 are rescaled to amplitude ``sqrt(rho)`` and their (better than unit) noise
 is passed through unnormalized.
+
+A frame is one batched pass.  Every variate comes from the counter-based
+core (:mod:`.philox`) in one call per role (channel, symbols, noise,
+dither, closing-channel, closing-noise), keyed ``stream_key(seed,
+"feedback:<role>")`` with the use or closing-window index as the trial
+index, so use i's variates depend on its position only.  All channels are
+drawn and completed in one stacked QR and one stacked ``eigh``; since use i
+depends only on use i - l, the relay recurrence and the backward peeling
+each step l uses at a time, and everything else is vectorized over the
+frame.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import ChannelDims, haar_isometry
+from .ensembles import ChannelDims, phase_fixed_qr
 from .errors import NumericalError
-from .philox import stream_key
+from .philox import complex_normals, stream_key, uniforms
 
 __all__ = [
     "SchemeConfig",
@@ -78,12 +89,16 @@ class SchemeConfig:
     def __post_init__(self):
         if self.dims.k < 1:
             raise ValueError("the scheme requires mt + mr > m")
+        for name in ("n_uses", "delay"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.delay < 1:
             raise ValueError("delay must be >= 1")
         if self.n_uses <= self.delay:
             raise ValueError("n_uses must exceed the feedback delay")
-        if self.rho <= 0.0:
-            raise ValueError("rho must be > 0")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError("rho must be finite and > 0")
         if self.modulation not in ("qpsk", "gaussian"):
             raise ValueError("modulation must be 'qpsk' or 'gaussian'")
 
@@ -149,58 +164,99 @@ class SchemeReport:
 def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     """Complete the block's columns to an isometry: H21 with H21^+H21 = I - H11^+H11.
 
-    Returns the (m - mr) x mt completion built from the eigendecomposition
-    of ``I - H11^+ H11``, its rows ordered by decreasing eigenvalue and each
-    eigenvector's largest entry rotated to the positive real axis, so both
-    ends of the link compute the identical matrix from H11 alone.
+    ``h11`` is one mr x mt block or a stack of them with shape (n, mr, mt).
+    Returns the (m - mr) x mt completion of each block, built from the
+    eigendecomposition of ``I - H11^+ H11``, its rows ordered by decreasing
+    eigenvalue and each eigenvector's largest entry rotated to the positive
+    real axis, so both ends of the link compute the identical matrix from
+    H11 alone.  A single block is computed as a one-row stack.
     """
-    mr, mt = h11.shape
-    if (mr, mt) != (dims.mr, dims.mt):
+    h11 = np.asarray(h11)
+    if h11.ndim not in (2, 3) or h11.shape[-2:] != (dims.mr, dims.mt):
         raise ValueError("h11 shape does not match dims")
     if dims.k < 1:
         raise ValueError("a zero-padded completion needs mt + mr > m")
-    s = dims.m - dims.mr
-    residual = np.eye(mt) - h11.conj().T @ h11
+    if h11.ndim == 2:
+        return complete_unitary(h11[None], dims)[0]
+    mt, k, s = dims.mt, dims.k, dims.m - dims.mr
+    residual = np.eye(mt) - h11.conj().swapaxes(-1, -2) @ h11
     w, v = np.linalg.eigh(residual)
-    if w[0] < -1e-9:
+    if np.any(w[:, 0] < -1e-9):
         raise NumericalError("I - H11^+H11 has a significantly negative eigenvalue")
     w = np.clip(w, 0.0, None)
     if s == 0:
-        if w[-1] > 1e-9:
+        if np.any(w[:, -1] > 1e-9):
             raise NumericalError("columns are not orthonormal but no completion rows remain")
-        return np.zeros((0, mt), dtype=complex)
-    # eigh sorts ascending: the top s eigenvalues carry the whole residual
-    if mt > s and w[mt - s - 1] > 1e-9:
+        return np.zeros((len(h11), 0, mt), dtype=complex)
+    # eigh sorts ascending and s = mt - k: the top s eigenvalues carry the whole residual
+    if np.any(w[:, k - 1] > 1e-9):
         raise NumericalError("residual rank exceeds the available completion rows")
-    h21 = np.zeros((s, mt), dtype=complex)
-    for row, j in enumerate(range(mt - 1, mt - s - 1, -1)):
-        vec = v[:, j]
-        pivot = vec[np.argmax(np.abs(vec))]
-        if pivot != 0.0:
-            vec = vec * (pivot.conjugate() / abs(pivot))
-        h21[row] = math.sqrt(w[j]) * vec.conj()
-    return h21
+    top = v[:, :, ::-1][:, :, :s]  # one eigenvector column per completion row
+    # a unit eigenvector's largest entry is at least 1/sqrt(mt) in modulus
+    pivot = np.take_along_axis(top, np.argmax(np.abs(top), axis=1)[:, None, :], axis=1)
+    phase = pivot.conj() / np.abs(pivot)
+    return (np.sqrt(w[:, None, ::-1][:, :, :s]) * (top * phase).conj()).swapaxes(1, 2)
 
 
-def _draw_symbols(gen: np.random.Generator, count: int, modulation: str) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0, dtype=complex)
-    if modulation == "qpsk":
-        bits = gen.integers(0, 2, size=(count, 2))
-        return ((2.0 * bits[:, 0] - 1.0) + 1j * (2.0 * bits[:, 1] - 1.0)) / math.sqrt(2.0)
-    z = gen.standard_normal(count) + 1j * gen.standard_normal(count)
-    return z / math.sqrt(2.0)
+@dataclass(frozen=True)
+class _FrameDraws:
+    """Every random variate of one frame, row i belonging to use (or closing window) i."""
+
+    channels: np.ndarray          # (n, mr, mt), or (1, mr, mt) for a held realization
+    symbols: np.ndarray           # (n, k + s): k new symbols, then one reclaim symbol per slot
+    noise: np.ndarray             # (n, mr)
+    dither: np.ndarray            # (n, s) CN(0, 1), scaled by the pad deviation
+    closing_channels: np.ndarray  # (l * s, mr, mt)
+    closing_noise: np.ndarray     # (l * s, mt, mr)
 
 
-def _role_gen(master_seed: int, role: str) -> np.random.Generator:
-    key = np.array(stream_key(master_seed, f"feedback:{role}"), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _isometry_tops(key: tuple[int, int], count: int, dims: ChannelDims) -> np.ndarray:
+    """The top mr rows of ``count`` Haar m x mt isometries, one per trial index."""
+    g = complex_normals(key, 0, count, dims.m * dims.mt).reshape(count, dims.m, dims.mt)
+    return phase_fixed_qr(g)[:, :dims.mr, :]
 
 
-def _cn_vector(gen: np.random.Generator, count: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0, dtype=complex)
-    return (gen.standard_normal(count) + 1j * gen.standard_normal(count)) / math.sqrt(2.0)
+def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
+    """Draw a frame's variates from the counter-based core, one call per role.
+
+    Each role reads its own stream ``stream_key(seed, "feedback:<role>")``
+    with the use (or closing window) index as the trial index, so use i's
+    variates depend on its position only.  Every use is allotted k + s
+    symbols (2(k + s) uniforms for QPSK, one bit each), so relay slot e
+    carries symbol k + e when it is reclaimed, and the symbol goes unused
+    otherwise.
+    """
+    dims, n = cfg.dims, cfg.n_uses
+    k, s = dims.k, dims.m - dims.mr
+    windows = cfg.delay * s
+
+    def key(role: str) -> tuple[int, int]:
+        return stream_key(cfg.master_seed, f"feedback:{role}")
+
+    if cfg.fresh_channel_each_use:
+        channels = _isometry_tops(key("channel"), n, dims)
+        closing_channels = _isometry_tops(key("closing-channel"), windows, dims)
+    else:
+        channels = _isometry_tops(key("channel"), 1, dims)
+        closing_channels = np.repeat(channels, windows, axis=0)
+    if cfg.modulation == "qpsk":
+        bits = uniforms(key("symbols"), 0, n, 2 * (k + s)) > 0.5
+        symbols = ((2.0 * bits[:, 0::2] - 1.0) + 1j * (2.0 * bits[:, 1::2] - 1.0)) / math.sqrt(2.0)
+    else:
+        symbols = complex_normals(key("symbols"), 0, n, k + s)
+    closing_noise = complex_normals(key("closing-noise"), 0, windows, dims.mt * dims.mr)
+    return _FrameDraws(
+        channels=channels,
+        symbols=symbols,
+        noise=complex_normals(key("noise"), 0, n, dims.mr),
+        dither=complex_normals(key("dither"), 0, n, s),
+        closing_channels=closing_channels,
+        closing_noise=closing_noise.reshape(windows, dims.mt, dims.mr),
+    )
+
+
+def _hermitian(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
@@ -210,152 +266,101 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     vectors through the repetition sub-scheme, peels backwards, and reports
     per-stream SNRs, combined-noise statistics, rate, power, and (for QPSK)
     the bit error rate.
+
+    All variates are drawn first (:func:`_draw_frame`).  Use i depends only
+    on use i - l, so the forward relay recurrence and the backward peeling
+    each step l uses at a time, and every other stage is one batched pass.
     """
     dims, n, l, rho = cfg.dims, cfg.n_uses, cfg.delay, cfg.rho
-    mt, mr, m, k = dims.mt, dims.mr, dims.m, dims.k
-    s = m - mr
+    mt, k = dims.mt, dims.k
+    s = dims.m - dims.mr
     sqrt_rho = math.sqrt(rho)
+    draws = _draw_frame(cfg)
 
-    gen_ch = _role_gen(cfg.master_seed, "channel")
-    gen_sym = _role_gen(cfg.master_seed, "symbols")
-    gen_noise = _role_gen(cfg.master_seed, "noise")
-    gen_dither = _role_gen(cfg.master_seed, "dither")
-    gen_close_ch = _role_gen(cfg.master_seed, "closing-channel")
-    gen_close_z = _role_gen(cfg.master_seed, "closing-noise")
-
-    channels = np.empty((n, mr, mt), dtype=complex)
-    completions = np.empty((n, s, mt), dtype=complex)
-    xs = np.empty((n, mt), dtype=complex)
-    ys = np.empty((n, mr), dtype=complex)
-    new_syms = np.empty((n, k), dtype=complex)
-    relay_content = np.zeros((n, s), dtype=complex)
-    dither = np.zeros((n, s), dtype=complex)
-    extra_mask = np.zeros((n, s), dtype=bool)
-    extra_syms = np.zeros((n, s), dtype=complex)
-    cond_power = np.empty((n, mt))
-    sigmas = np.empty((n, mt, mt), dtype=complex)  # conditional covariances given channels
-
-    held_h11 = held_h21 = None
+    h11 = draws.channels
+    h21 = complete_unitary(h11, dims)
+    gram11 = _hermitian(h11) @ h11
+    deviation = np.max(np.abs(gram11 + _hermitian(h21) @ h21 - np.eye(mt)), axis=(1, 2))
+    if np.any(deviation > _COMBINE_TOL):
+        bad = int(np.argmax(deviation > _COMBINE_TOL))
+        raise NumericalError(f"completion at use {bad} fails the combining identity")
     if not cfg.fresh_channel_each_use:
-        held_h11 = haar_isometry(m, mt, gen_ch)[:mr, :]
-        held_h21 = complete_unitary(held_h11, dims)
+        h11, h21, gram11 = (np.repeat(a, n, axis=0) for a in (h11, h21, gram11))
 
-    for i in range(n):
-        if cfg.fresh_channel_each_use:
-            h11 = haar_isometry(m, mt, gen_ch)[:mr, :]
-            h21 = complete_unitary(h11, dims)
-        else:
-            h11, h21 = held_h11, held_h21
-        stacked_gram = h11.conj().T @ h11 + h21.conj().T @ h21
-        if np.max(np.abs(stacked_gram - np.eye(mt))) > _COMBINE_TOL:
-            raise NumericalError(f"completion at use {i} fails the combining identity")
-        channels[i] = h11
-        completions[i] = h21
+    # relay of use i goes through the completion of use i - l; the first l
+    # uses relay through a zero completion, i.e. relay nothing
+    prev_h21 = np.zeros_like(h21)
+    prev_h21[l:] = h21[:-l]
+    if cfg.reclaim_zero_rows:
+        extra_mask = np.linalg.norm(prev_h21, axis=2) < _ZERO_ROW_TOL
+    else:
+        extra_mask = np.zeros((n, s), dtype=bool)
+    # A reclaimed slot relays nothing (its completion row is gated to zero)
+    # and carries its new symbol as a unit-variance pad, which leaves it
+    # uncorrelated with the other slots and at unit power.
+    relay = prev_h21 * ~extra_mask[:, :, None]
+    relay_h = _hermitian(relay)
+    pad_gate = np.where(extra_mask | cfg.pad_relay_power, 1.0, 0.0)
+    pad_fill = np.where(extra_mask, draws.symbols[:, k:], draws.dither)
 
-        a = _draw_symbols(gen_sym, k, cfg.modulation)
-        new_syms[i] = a
-        if i >= l:
-            w_rel = completions[i - l] @ xs[i - l]
-            c_rel = completions[i - l] @ sigmas[i - l] @ completions[i - l].conj().T
-        else:
-            w_rel = np.zeros(s, dtype=complex)
-            c_rel = np.zeros((s, s), dtype=complex)
-        relay_content[i] = w_rel
-
-        if cfg.reclaim_zero_rows:
-            if i < l:
-                mask = np.ones(s, dtype=bool)
-            else:
-                mask = np.linalg.norm(completions[i - l], axis=1) < _ZERO_ROW_TOL
-        else:
-            mask = np.zeros(s, dtype=bool)
-        extra_mask[i] = mask
-
-        if cfg.pad_relay_power:
-            pad_var = np.clip(1.0 - np.diag(c_rel).real, 0.0, None)
-        else:
-            pad_var = np.zeros(s)
-        pad_var = np.where(mask, 0.0, pad_var)
-        pad = np.sqrt(pad_var) * _cn_vector(gen_dither, s)
-        dither[i] = pad
-
-        extra = _draw_symbols(gen_sym, int(mask.sum()), cfg.modulation)
-        slot = w_rel + pad
-        slot[mask] = extra
-        extra_syms[i, mask] = extra
-
-        cov_slot = c_rel + np.diag(pad_var)
-        cov_slot[mask, :] = 0.0
-        cov_slot[:, mask] = 0.0
-        cov_slot[mask, mask] = 1.0
-        sigma = np.zeros((mt, mt), dtype=complex)
-        sigma[:k, :k] = np.eye(k)
-        sigma[k:, k:] = cov_slot
-        sigmas[i] = sigma
-        cond_power[i] = np.diag(sigma).real
-
-        x = np.concatenate([a, slot])
-        xs[i] = x
-        ys[i] = sqrt_rho * h11 @ x + _cn_vector(gen_noise, mr)
+    # forward recurrence: row l + i of xs and sig holds use i, rows < l the zero past
+    xs = np.zeros((n + l, mt), dtype=complex)
+    xs[l:, :k] = draws.symbols[:, :k]
+    sig = np.zeros((n + l, mt, mt), dtype=complex)  # conditional covariances given channels
+    sig[l:, :k, :k] = np.eye(k)
+    pad = np.empty((n, s), dtype=complex)
+    for b in range(0, n, l):
+        e = min(b + l, n)
+        c_rel = relay[b:e] @ sig[b:e] @ relay_h[b:e]
+        c_diag = c_rel.reshape(e - b, s * s)[:, ::s + 1]  # a writable view of the diagonals
+        pad_var = np.maximum(1.0 - c_diag.real, 0.0) * pad_gate[b:e]
+        pad[b:e] = np.sqrt(pad_var) * pad_fill[b:e]
+        c_diag += pad_var
+        xs[b + l:e + l, k:] = (relay[b:e] @ xs[b:e, :, None])[:, :, 0] + pad[b:e]
+        sig[b + l:e + l, k:, k:] = c_rel
+    relay_content = (prev_h21 @ xs[:n, :, None])[:, :, 0]
+    dither = np.where(extra_mask, 0.0, pad)
+    xs, sig = xs[l:], sig[l:]
+    cond_power = np.diagonal(sig, axis1=1, axis2=2).real.copy()
+    ys = ((sqrt_rho * h11) @ xs[:, :, None])[:, :, 0] + draws.noise
 
     # closing: convey the l outstanding completion projections, one scalar
-    # per repetition window of mt uses on a held realization
-    side_meas: list[np.ndarray | None] = [None] * n
-    side_cov: list[np.ndarray | None] = [None] * n
-    overhead = 0
-    min_gain = math.inf
-    for j in range(n - l, n):
-        w_close = completions[j] @ xs[j]
-        meas = np.zeros(s, dtype=complex)
-        var = np.zeros(s)
-        for e in range(s):
-            if cfg.fresh_channel_each_use:
-                hc = haar_isometry(m, mt, gen_close_ch)[:mr, :]
-            else:
-                hc = held_h11
-            gain = float(np.sum(np.abs(hc) ** 2))
-            if gain < k - 1e-9:
-                raise NumericalError("closing window gain fell below the pinned bound k")
-            min_gain = min(min_gain, gain)
-            zc = _cn_vector(gen_close_z, mt * mr).reshape(mt, mr)
-            combined_noise = complex(np.einsum("ij,ji->", hc.conj(), zc))
-            meas[e] = sqrt_rho * w_close[e] + combined_noise / gain
-            var[e] = 1.0 / gain
-            overhead += mt
-        side_meas[j] = meas
-        side_cov[j] = np.diag(var)
-    if math.isinf(min_gain):
-        min_gain = float("nan")  # s == 0: no closing needed
+    # per repetition window of mt uses on a held realization; window
+    # (j - n + l) * s + e carries entry e of use j's projection
+    hc = draws.closing_channels
+    gain = np.sum(np.abs(hc) ** 2, axis=(1, 2))
+    if np.any(gain < k - 1e-9):
+        raise NumericalError("closing window gain fell below the pinned bound k")
+    min_gain = float(np.min(gain)) if s else float("nan")  # s == 0: no closing needed
+    combined_noise = np.einsum("wij,wji->w", hc.conj(), draws.closing_noise)
+    w_close = (h21[n - l:] @ xs[n - l:, :, None])[:, :, 0]
+    overhead = l * s * mt
 
-    # backward peeling
-    stream_meas = np.empty((n, k), dtype=complex)
-    noise_all = np.empty((n, mt), dtype=complex)
-    cond_cov_sum = np.zeros((mt, mt), dtype=complex)
-    cond_var_stream = np.empty((n, k))
-    extra_meas: list[complex] = []
-    extra_sent: list[complex] = []
-    for i in range(n - 1, -1, -1):
-        v = side_meas[i] if s else np.zeros(0, dtype=complex)
-        cov_v = side_cov[i] if s else np.zeros((0, 0))
-        h11, h21 = channels[i], completions[i]
-        y_tilde = h11.conj().T @ ys[i] + h21.conj().T @ v
-        cov_z = h11.conj().T @ h11 + h21.conj().T @ (cov_v @ h21)
-        noise_all[i] = y_tilde - sqrt_rho * xs[i]
-        stream_meas[i] = y_tilde[:k]
-        cond_var_stream[i] = np.diag(cov_z).real[:k]
-        cond_cov_sum += cov_z
-        for e in np.nonzero(extra_mask[i])[0]:
-            extra_meas.append(complex(y_tilde[k + e]))
-            extra_sent.append(complex(extra_syms[i, e]))
-        if i >= l:
-            v_prev = y_tilde[k:] - sqrt_rho * dither[i]
-            v_prev[extra_mask[i]] = 0.0  # zero completion rows: never combined
-            side_meas[i - l] = v_prev
-            side_cov[i - l] = cov_z[k:, k:]
+    # backward peeling: use i combines with the side measure of its relay,
+    # read from slots k: of use i + l (its known dither removed, reclaimed
+    # slots never combined).  Rows n.. of y_pad and cov_pad hold the closing
+    # measures in those slots; row i < n holds use i's combined output.
+    y_pad = np.zeros((n + l, mt), dtype=complex)
+    cov_pad = np.zeros((n + l, mt, mt), dtype=complex)
+    y_pad[n:, k:] = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s)
+    cov_pad[n:, k:, k:] = (1.0 / gain).reshape(l, s, 1) * np.eye(s)
+    keep = np.ones((n, s))
+    keep[:n - l] = ~extra_mask[l:]
+    offset = np.zeros((n, s), dtype=complex)
+    offset[:n - l] = sqrt_rho * dither[l:]
+    h21h = _hermitian(h21)
+    h21h_kept = h21h * keep[:, None, :]
+    base = ((_hermitian(h11) @ ys[:, :, None]) - h21h_kept @ offset[:, :, None])[:, :, 0]
+    for e in range(n, 0, -l):
+        b = max(e - l, 0)
+        y_pad[b:e] = base[b:e] + (h21h_kept[b:e] @ y_pad[b + l:e + l, k:, None])[:, :, 0]
+        cov_pad[b:e] = gram11[b:e] + h21h[b:e] @ (cov_pad[b + l:e + l, k:, k:] @ h21[b:e])
+    y_tilde, cov_z = y_pad[:n], cov_pad[:n]
 
     # measurements
-    mean_cond_cov = cond_cov_sum / n
-    noise_cov_error = float(np.max(np.abs(mean_cond_cov - np.eye(mt))))
+    noise_all = y_tilde - sqrt_rho * xs
+    cond_var_stream = np.diagonal(cov_z, axis1=1, axis2=2).real[:, :k]
+    noise_cov_error = float(np.max(np.abs(np.sum(cov_z, axis=0) / n - np.eye(mt))))
     emp_cov = noise_all.conj().T @ noise_all / n
     noise_cov_error_emp = float(np.max(np.abs(emp_cov - np.eye(mt))))
 
@@ -372,26 +377,24 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     else:
         max_corr = 0.0
 
+    new_syms = draws.symbols[:, :k]
+    n_extra = int(np.count_nonzero(extra_mask))
     ber = None
     if cfg.modulation == "qpsk":
-        sent = new_syms.ravel()
-        meas = stream_meas.ravel()
-        if extra_meas:
-            sent = np.concatenate([sent, np.array(extra_sent)])
-            meas = np.concatenate([meas, np.array(extra_meas)])
+        sent = np.concatenate([new_syms.ravel(), draws.symbols[:, k:][extra_mask]])
+        meas = np.concatenate([y_tilde[:, :k].ravel(), y_tilde[:, k:][extra_mask]])
         bit_errs = np.sum(np.sign(meas.real) != np.sign(sent.real))
         bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
         ber = float(bit_errs / (2 * len(sent)))
 
-    n_extra = len(extra_meas)
     per_use_rate = math.log2(1.0 + rho)
     achieved_rate = (k * n + n_extra) * per_use_rate / (n + overhead)
     mi_streams = float(np.sum(np.log2(1.0 + rho / cond_var_stream)))
     mi_per_use = mi_streams / (n + overhead)
 
     trace = FrameTrace(
-        channels=channels,
-        completions=completions,
+        channels=h11,
+        completions=h21,
         transmitted=xs,
         new_symbols=new_syms,
         relay_content=relay_content,

@@ -1,11 +1,16 @@
 """Zero-outage feedback scheme: completion algebra and end-to-end runs."""
 
 import math
+import runpy
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from jacobi_fading import feedback
 from jacobi_fading.ensembles import ChannelDims, draw_channel
+from jacobi_fading.errors import NumericalError
 from jacobi_fading.feedback import (
     SchemeConfig,
     complete_unitary,
@@ -15,6 +20,7 @@ from jacobi_fading.feedback import (
 from jacobi_fading.simulate import qpsk_bit_error
 
 DIMS_223 = ChannelDims(2, 2, 3)
+DEMO = Path(__file__).resolve().parents[1] / "demos" / "zero_outage_feedback.py"
 
 
 def test_completion_builds_isometry():
@@ -59,6 +65,29 @@ def test_completion_rejects_impossible_input():
         complete_unitary(np.zeros((2, 2), dtype=complex), ChannelDims(2, 2, 4))
 
 
+def test_completion_of_a_stack_matches_single_blocks():
+    dims = ChannelDims(3, 3, 4)
+    rng = np.random.default_rng(4)
+    h11 = np.stack([draw_channel(dims, rng).h11 for _ in range(50)])
+    stack = complete_unitary(h11, dims)
+    assert stack.shape == (50, 1, 3)
+    singles = np.stack([complete_unitary(h, dims) for h in h11])
+    assert np.max(np.abs(stack - singles)) < 1e-14
+    assert np.array_equal(complete_unitary(h11, dims), stack)
+    # each row's largest entry sits on the positive real axis
+    pivots = np.take_along_axis(stack, np.argmax(np.abs(stack), axis=2)[:, :, None], axis=2)
+    assert np.all(pivots.real > 0.0) and np.all(np.abs(pivots.imag) < 1e-15)
+
+
+def test_completion_rejects_any_bad_block_in_a_stack():
+    h11 = np.stack([draw_channel(DIMS_223, np.random.default_rng(5)).h11] * 3)
+    h11[1] = 0.0  # residual rank 2 > m - mr = 1
+    with pytest.raises(NumericalError):
+        complete_unitary(h11, DIMS_223)
+    with pytest.raises(ValueError):
+        complete_unitary(h11[None], DIMS_223)
+
+
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig(dims=ChannelDims(2, 2, 4))  # k = 0
@@ -68,6 +97,29 @@ def test_scheme_config_validation():
         SchemeConfig(dims=DIMS_223, rho=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(dims=DIMS_223, modulation="qam")
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"rho": math.nan},
+        {"rho": math.inf},
+        {"rho": -math.inf},
+        {"n_uses": 20.5},
+        {"n_uses": 20.0},
+        {"n_uses": True},
+        {"delay": True},
+        {"delay": 1.5},
+    ],
+)
+def test_scheme_config_rejects_non_finite_snr_and_non_integer_counts(bad):
+    with pytest.raises(ValueError):
+        SchemeConfig(dims=DIMS_223, **bad)
+
+
+def test_scheme_config_accepts_numpy_integers():
+    cfg = SchemeConfig(dims=DIMS_223, n_uses=np.int64(20), delay=np.int32(2))
+    assert run_feedback_scheme(cfg).trace.transmitted.shape == (20, 2)
 
 
 def test_scheme_delivers_unfaded_streams():
@@ -187,3 +239,192 @@ def test_power_check_report():
     # mode 0 is exactly 1 too
     assert chk.per_mode_power_empirical[0] == pytest.approx(1.0, abs=1e-12)
     assert abs(chk.per_mode_power_empirical[1] - 1.0) < 0.15
+
+
+def _reference_frame(cfg):
+    """The scheme one channel use at a time, fed the batched run's own draws.
+
+    This is the per-use algorithm the batched recurrences replace: each use
+    completes its block, relays the l-uses-old vector with its exact
+    conditional covariance, pads or reclaims the relay slots, and the
+    receiver peels backwards one use at a time.
+    """
+    d = feedback._draw_frame(cfg)
+    dims, n, l, rho = cfg.dims, cfg.n_uses, cfg.delay, cfg.rho
+    mt, mr, k = dims.mt, dims.mr, dims.k
+    s = dims.m - mr
+    sqrt_rho = math.sqrt(rho)
+
+    channels = np.empty((n, mr, mt), dtype=complex)
+    completions = np.empty((n, s, mt), dtype=complex)
+    xs = np.empty((n, mt), dtype=complex)
+    ys = np.empty((n, mr), dtype=complex)
+    relay_content = np.zeros((n, s), dtype=complex)
+    dither = np.zeros((n, s), dtype=complex)
+    extra_mask = np.zeros((n, s), dtype=bool)
+    extra_syms = np.zeros((n, s), dtype=complex)
+    cond_power = np.empty((n, mt))
+    sigmas = np.empty((n, mt, mt), dtype=complex)
+    for i in range(n):
+        h11 = d.channels[i if cfg.fresh_channel_each_use else 0]
+        h21 = complete_unitary(h11, dims)
+        channels[i] = h11
+        completions[i] = h21
+        a = d.symbols[i, :k]
+        if i >= l:
+            w_rel = completions[i - l] @ xs[i - l]
+            c_rel = completions[i - l] @ sigmas[i - l] @ completions[i - l].conj().T
+        else:
+            w_rel = np.zeros(s, dtype=complex)
+            c_rel = np.zeros((s, s), dtype=complex)
+        relay_content[i] = w_rel
+        if cfg.reclaim_zero_rows:
+            if i < l:
+                mask = np.ones(s, dtype=bool)
+            else:
+                mask = np.linalg.norm(completions[i - l], axis=1) < feedback._ZERO_ROW_TOL
+        else:
+            mask = np.zeros(s, dtype=bool)
+        extra_mask[i] = mask
+        if cfg.pad_relay_power:
+            pad_var = np.clip(1.0 - np.diag(c_rel).real, 0.0, None)
+        else:
+            pad_var = np.zeros(s)
+        pad_var = np.where(mask, 0.0, pad_var)
+        pad = np.sqrt(pad_var) * d.dither[i]
+        dither[i] = pad
+        extra = d.symbols[i, k:][mask]
+        slot = w_rel + pad
+        slot[mask] = extra
+        extra_syms[i, mask] = extra
+        cov_slot = c_rel + np.diag(pad_var)
+        cov_slot[mask, :] = 0.0
+        cov_slot[:, mask] = 0.0
+        cov_slot[mask, mask] = 1.0
+        sigma = np.zeros((mt, mt), dtype=complex)
+        sigma[:k, :k] = np.eye(k)
+        sigma[k:, k:] = cov_slot
+        sigmas[i] = sigma
+        cond_power[i] = np.diag(sigma).real
+        x = np.concatenate([a, slot])
+        xs[i] = x
+        ys[i] = sqrt_rho * h11 @ x + d.noise[i]
+
+    side_meas = [None] * n
+    side_cov = [None] * n
+    for j in range(n - l, n):
+        w_close = completions[j] @ xs[j]
+        meas = np.zeros(s, dtype=complex)
+        var = np.zeros(s)
+        for e in range(s):
+            window = (j - (n - l)) * s + e
+            hc = d.closing_channels[window]
+            gain = float(np.sum(np.abs(hc) ** 2))
+            combined_noise = complex(np.einsum("ij,ji->", hc.conj(), d.closing_noise[window]))
+            meas[e] = sqrt_rho * w_close[e] + combined_noise / gain
+            var[e] = 1.0 / gain
+        side_meas[j] = meas
+        side_cov[j] = np.diag(var)
+
+    stream_meas = np.empty((n, k), dtype=complex)
+    cond_cov_sum = np.zeros((mt, mt), dtype=complex)
+    cond_var_stream = np.empty((n, k))
+    extra_meas, extra_sent = [], []
+    for i in range(n - 1, -1, -1):
+        v = side_meas[i] if s else np.zeros(0, dtype=complex)
+        cov_v = side_cov[i] if s else np.zeros((0, 0))
+        h11, h21 = channels[i], completions[i]
+        y_tilde = h11.conj().T @ ys[i] + h21.conj().T @ v
+        cov_z = h11.conj().T @ h11 + h21.conj().T @ (cov_v @ h21)
+        stream_meas[i] = y_tilde[:k]
+        cond_var_stream[i] = np.diag(cov_z).real[:k]
+        cond_cov_sum += cov_z
+        for e in np.nonzero(extra_mask[i])[0]:
+            extra_meas.append(complex(y_tilde[k + e]))
+            extra_sent.append(complex(extra_syms[i, e]))
+        if i >= l:
+            v_prev = y_tilde[k:] - sqrt_rho * dither[i]
+            v_prev[extra_mask[i]] = 0.0
+            side_meas[i - l] = v_prev
+            side_cov[i - l] = cov_z[k:, k:]
+
+    ber = None
+    if cfg.modulation == "qpsk":
+        sent = np.concatenate([d.symbols[:, :k].ravel(), np.array(extra_sent, dtype=complex)])
+        meas = np.concatenate([stream_meas.ravel(), np.array(extra_meas, dtype=complex)])
+        bit_errs = np.sum(np.sign(meas.real) != np.sign(sent.real))
+        bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
+        ber = float(bit_errs / (2 * len(sent)))
+    trace = feedback.FrameTrace(
+        channels=channels,
+        completions=completions,
+        transmitted=xs,
+        new_symbols=d.symbols[:, :k],
+        relay_content=relay_content,
+        dither=dither,
+        extra_mask=extra_mask,
+        cond_mode_power=cond_power,
+    )
+    return SimpleNamespace(
+        per_stream_snr=rho / np.mean(cond_var_stream, axis=0),
+        noise_cov_error=float(np.max(np.abs(cond_cov_sum / n - np.eye(mt)))),
+        ber=ber,
+        trace=trace,
+    )
+
+
+TRACE_FIELDS = (
+    "channels", "completions", "transmitted", "new_symbols",
+    "relay_content", "dither", "cond_mode_power",
+)
+
+
+@pytest.mark.parametrize(
+    "dims, overrides",
+    [
+        (DIMS_223, {"delay": 1}),
+        (DIMS_223, {"delay": 4}),
+        (DIMS_223, {"delay": 1, "fresh_channel_each_use": False}),
+        (DIMS_223, {"delay": 4, "fresh_channel_each_use": False}),
+        (DIMS_223, {"delay": 4, "reclaim_zero_rows": True}),
+        (DIMS_223, {"delay": 4, "pad_relay_power": False}),
+        (DIMS_223, {"delay": 1, "modulation": "gaussian"}),
+        (ChannelDims(3, 3, 4), {"delay": 4}),  # k = 2
+        (ChannelDims(3, 3, 4), {"delay": 1, "reclaim_zero_rows": True, "pad_relay_power": False}),
+        (ChannelDims(2, 3, 3), {"delay": 2}),  # mr = m: no completion rows, no closing
+    ],
+)
+def test_batched_frame_matches_per_use_reference(dims, overrides):
+    # 203 uses: not a multiple of 4, so the last forward and first backward blocks are partial
+    cfg = SchemeConfig(dims=dims, n_uses=203, rho=10.0, master_seed=17, **overrides)
+    got = run_feedback_scheme(cfg)
+    want = _reference_frame(cfg)
+    np.testing.assert_allclose(got.per_stream_snr, want.per_stream_snr, rtol=0, atol=1e-12)
+    assert abs(got.noise_cov_error - want.noise_cov_error) < 1e-12
+    assert got.ber == want.ber
+    for name in TRACE_FIELDS:
+        np.testing.assert_allclose(
+            getattr(got.trace, name), getattr(want.trace, name), rtol=0, atol=1e-12, err_msg=name
+        )
+    assert np.array_equal(got.trace.extra_mask, want.trace.extra_mask)
+
+
+@pytest.mark.parametrize("delay", [1, 4])
+def test_use_variates_depend_on_position_only(delay):
+    short = run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=100, delay=delay, master_seed=3))
+    long = run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=200, delay=delay, master_seed=3))
+    for name in ("channels", "completions", "transmitted"):
+        assert np.array_equal(getattr(short.trace, name), getattr(long.trace, name)[:100]), name
+
+
+def test_both_ends_compute_the_same_completion():
+    rep = run_feedback_scheme(SchemeConfig(dims=ChannelDims(4, 4, 6), n_uses=300, delay=2))
+    # the receiver recomputes the completions from the channel blocks alone
+    receiver = complete_unitary(rep.trace.channels, ChannelDims(4, 4, 6))
+    assert np.array_equal(receiver, rep.trace.completions)
+
+
+def test_zero_outage_demo_runs(capsys):
+    runpy.run_path(str(DEMO), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "staleness sweep" in out and "two pinned streams" in out
