@@ -145,13 +145,11 @@ def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
         raise ValueError("rho must be finite and >= 0")
     if rho == 0.0:
         return 0.0
-    if dims.k > 0:
-        cap = dims.k * math.log2(1.0 + rho)
-        mt_res, mr_res = dims.m - dims.mr, dims.m - dims.mt
-        if mt_res >= 1 and mr_res >= 1:
-            cap += ergodic_capacity(ChannelDims(mt_res, mr_res, dims.m), rho)
-        return cap
-    return _capacity_integral(dims, rho)
+    if dims.k == 0:
+        return _capacity_integral(dims, rho)
+    cap = dims.k * math.log2(1.0 + rho)
+    rest = dims.complement
+    return cap if rest is None else cap + ergodic_capacity(rest, rho)
 
 
 def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:
@@ -204,11 +202,7 @@ def outage_rate_reduction(
         raise ValueError("outage_rate_reduction requires mt + mr > m")
     if r < 0.0:
         raise ValueError("r must be >= 0")
-    r_tilde = max(r - dims.k, 0.0)
-    mt_res, mr_res = dims.m - dims.mr, dims.m - dims.mt
-    if mt_res == 0 or mr_res == 0:
-        return None, r_tilde
-    return ChannelDims(mt_res, mr_res, dims.m), r_tilde
+    return dims.complement, max(r - dims.k, 0.0)
 
 
 @dataclass(frozen=True)
@@ -242,7 +236,8 @@ def dmt_optimal_curve(dims: ChannelDims) -> DmtCurve:
     For ``mt + mr <= m`` it connects ``(j, (mt - j)(mr - j))`` for integer
     ``j  = 0 .. m_min`` and does not depend on m.  For ``k > 0`` diversity is
     unbounded below ``r = k`` and the finite branch is the complementary
-    channel's curve shifted right by k.
+    channel's curve shifted right by k (the single vertex (k, 0) when mt or
+    mr equals m).
     """
     if dims.k == 0:
         verts = tuple(
@@ -250,12 +245,8 @@ def dmt_optimal_curve(dims: ChannelDims) -> DmtCurve:
             for j in range(dims.m_min + 1)
         )
         return DmtCurve(vertices=verts, infinite_below=0.0)
-    mt_res, mr_res = dims.m - dims.mr, dims.m - dims.mt
-    if mt_res == 0 or mr_res == 0:
-        return DmtCurve(vertices=((float(dims.k), 0.0),), infinite_below=float(dims.k))
-    n_res = min(mt_res, mr_res)
-    verts = tuple(
-        (float(dims.k + j), float((mt_res - j) * (mr_res - j)))
-        for j in range(n_res + 1)
+    rest = dims.complement
+    finite = dmt_optimal_curve(rest).vertices if rest is not None else ((0.0, 0.0),)
+    return DmtCurve(
+        vertices=tuple((dims.k + r, d) for r, d in finite), infinite_below=float(dims.k)
     )
-    return DmtCurve(vertices=verts, infinite_below=float(dims.k))

@@ -42,11 +42,16 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid {text!r} needs a finite start, stop and step")
         if step <= 0.0:
             raise ValueError("grid step must be > 0")
         if stop < start:
             raise ValueError("grid stop must be >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ValueError(f"grid {text!r} has too many points to count")
+        count = int(math.floor(span + 1e-9)) + 1
         return [start + i * step for i in range(count)]
     if "," in text:
         values = [float(p) for p in text.split(",") if p.strip()]
@@ -210,14 +215,8 @@ def _cmd_alamouti(args) -> _Output:
 
 
 def _cmd_feedback(args) -> _Output:
-    dims = _dims_from_args(args)
-    if dims.k == 0:
-        raise ValueError(
-            f"the feedback scheme needs mt + mr > m (k >= 1); "
-            f"got mt={dims.mt}, mr={dims.mr}, m={dims.m} so k=0"
-        )
     cfg = feedback.SchemeConfig(
-        dims=dims,
+        dims=_dims_from_args(args),
         n_uses=args.uses,
         delay=args.delay,
         rho=_db_to_linear(args.rho_db),

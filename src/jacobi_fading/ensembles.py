@@ -14,6 +14,7 @@ identical (dims, seed) always reproduce identical realizations.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "PinnedSpectrumReport",
     "sample_ginibre",
     "sample_haar_unitary",
-    "haar_isometry",
     "phase_fixed_qr",
     "draw_channel",
     "squared_singular_values",
@@ -36,6 +36,14 @@ __all__ = [
 ]
 
 DEFAULT_UNIT_TOL = 1e-9
+
+
+def require_integers(obj, *names: str) -> None:
+    """Raise ValueError unless each named attribute of obj is an integer (not a bool)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +63,7 @@ class ChannelDims:
     m: int
 
     def __post_init__(self):
-        for name in ("mt", "mr", "m"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
+        require_integers(self, "mt", "mr", "m")
         if not (1 <= self.mt <= self.m):
             raise ValueError(f"need 1 <= mt <= m, got mt={self.mt}, m={self.m}")
         if not (1 <= self.mr <= self.m):
@@ -86,6 +91,17 @@ class ChannelDims:
     def beta(self) -> int:
         """Weight exponent m - mt - mr (negative exactly when k > 0)."""
         return self.m - self.mt - self.mr
+
+    @property
+    def complement(self) -> "ChannelDims | None":
+        """The complementary (m - mr, m - mt, m) channel, None when mt or mr equals m.
+
+        When k > 0 the spectrum is k exact ones followed by this channel's
+        spectrum; its (m_min, alpha, beta) are (m - m_max, alpha, k).
+        """
+        if self.m in (self.mt, self.mr):
+            return None
+        return ChannelDims(self.m - self.mr, self.m - self.mt, self.m)
 
     def transposed(self) -> "ChannelDims":
         """Swap transmitter and receiver roles."""
@@ -188,13 +204,6 @@ def sample_haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     return phase_fixed_qr(sample_ginibre(m, m, rng))
 
 
-def haar_isometry(m: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """First ``cols`` columns of a Haar unitary (a uniform m x cols isometry)."""
-    if not (1 <= cols <= m):
-        raise ValueError("need 1 <= cols <= m")
-    return phase_fixed_qr(sample_ginibre(m, cols, rng))
-
-
 def draw_channel(
     dims: ChannelDims, rng: np.random.Generator, keep_full: bool = False
 ) -> ChannelRealization:
@@ -240,10 +249,10 @@ def classify_spectrum(lams: np.ndarray, tol: float = DEFAULT_UNIT_TOL) -> Spectr
 
 
 def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the smaller Gram form of the block (unsorted, unclamped)."""
-    mr, mt = h11.shape
-    block = h11 if mt <= mr else h11.conj().T
-    return np.linalg.eigvalsh(block.conj().T @ block)
+    """Ascending eigenvalues of the smaller Gram form of one block or a stack (unclamped)."""
+    mr, mt = h11.shape[-2:]
+    block = h11 if mt <= mr else h11.conj().swapaxes(-1, -2)
+    return np.linalg.eigvalsh(np.einsum("...ij,...ik->...jk", block.conj(), block))
 
 
 def squared_singular_values(

@@ -42,14 +42,14 @@ frame.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import ChannelDims, phase_fixed_qr
+from .ensembles import ChannelDims, require_integers
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
+from .simulate import channel_blocks
 
 __all__ = [
     "SchemeConfig",
@@ -88,11 +88,8 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.dims.k < 1:
-            raise ValueError("the scheme requires mt + mr > m")
-        for name in ("n_uses", "delay"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            raise ValueError(f"the feedback scheme needs mt + mr > m (k >= 1), got {self.dims}")
+        require_integers(self, "n_uses", "delay")
         if self.delay < 1:
             raise ValueError("delay must be >= 1")
         if self.n_uses <= self.delay:
@@ -210,12 +207,6 @@ class _FrameDraws:
     closing_noise: np.ndarray     # (l * s, mt, mr)
 
 
-def _isometry_tops(key: tuple[int, int], count: int, dims: ChannelDims) -> np.ndarray:
-    """The top mr rows of ``count`` Haar m x mt isometries, one per trial index."""
-    g = complex_normals(key, 0, count, dims.m * dims.mt).reshape(count, dims.m, dims.mt)
-    return phase_fixed_qr(g)[:, :dims.mr, :]
-
-
 def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
     """Draw a frame's variates from the counter-based core, one call per role.
 
@@ -234,10 +225,10 @@ def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
         return stream_key(cfg.master_seed, f"feedback:{role}")
 
     if cfg.fresh_channel_each_use:
-        channels = _isometry_tops(key("channel"), n, dims)
-        closing_channels = _isometry_tops(key("closing-channel"), windows, dims)
+        channels = channel_blocks(dims, key("channel"), 0, n)
+        closing_channels = channel_blocks(dims, key("closing-channel"), 0, windows)
     else:
-        channels = _isometry_tops(key("channel"), 1, dims)
+        channels = channel_blocks(dims, key("channel"), 0, 1)
         closing_channels = np.repeat(channels, windows, axis=0)
     if cfg.modulation == "qpsk":
         bits = uniforms(key("symbols"), 0, n, 2 * (k + s)) > 0.5

@@ -24,10 +24,10 @@ squared singular values of a real ``n x n`` upper-bidiagonal matrix whose
 entries are products of independent Beta variates.  Each trial turns
 ``2n - 1`` uniforms into those variates by the inverse Beta CDF, so its
 cost does not depend on m.  Pinned eigenvalues (k > 0) are appended
-exactly.  :func:`sample_spectra` and the ``count`` repetition method still
-draw channels: the first ``m_min`` columns of a Haar unitary are a
-uniformly distributed isometry, obtained by phase-fixed QR of an
-``m x m_min`` Ginibre block.
+exactly.  :func:`sample_spectra`, the ``count`` repetition method and the
+feedback scheme still draw channels, all through :func:`channel_blocks`:
+the first ``m_min`` columns of a Haar unitary are a uniformly distributed
+isometry, obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
 """
 
 from __future__ import annotations
@@ -42,7 +42,9 @@ import numpy as np
 from scipy.special import betaincinv, erfc
 
 from . import analytic
-from .ensembles import DEFAULT_UNIT_TOL, ChannelDims, phase_fixed_qr, snap_endpoints
+from .ensembles import (
+    DEFAULT_UNIT_TOL, ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integers, snap_endpoints
+)
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
 
@@ -50,6 +52,7 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "RayleighComparison",
+    "channel_blocks",
     "sample_spectra",
     "sample_jacobi_spectra_wishart",
     "sample_wishart_spectra",
@@ -85,6 +88,7 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
+        require_integers(self, "trials", "master_seed", "workers")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -132,9 +136,9 @@ def _shared_draws():
     """Within this block, draw each sample set once and share it.
 
     A sample set is identified by everything that decides its values: the
-    stream key(s), which hash seed, tag and dims, the trial count and the
-    snapping tolerance.  Worker count is left out since it never changes
-    results.  Shared arrays are read-only, so no caller can alter another's.
+    stream key(s), which hash seed, tag and dims, and the trial count.
+    Worker count is left out since it never changes results.  Shared arrays
+    are read-only, so no caller can alter another's.
     """
     token = _SHARED.set({})
     try:
@@ -156,16 +160,16 @@ def _drawn(ident: tuple, draw):
     return memo[ident]
 
 
-def _isometry_block(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
-    """First m_max rows of a Haar m x m_min isometry per trial, (hi-lo, m_max, m_min)."""
+def channel_blocks(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
+    """Channel blocks H11 of trials [lo, hi), shape (hi-lo, mr, mt).
+
+    Trial t reads m * m_min complex normals: the first m_max rows of the
+    phase-fixed QR of that m x m_min Ginibre block are the top-left block
+    of a Haar unitary, conjugate-transposed when mt > mr.
+    """
     z = complex_normals(key, lo, hi, dims.m * dims.m_min).reshape(hi - lo, dims.m, dims.m_min)
-    return phase_fixed_qr(z)[:, : dims.m_max, :]
-
-
-def _spectra_chunk(dims: ChannelDims, key, tol: float, lo: int, hi: int) -> np.ndarray:
-    block = _isometry_block(dims, key, lo, hi)
-    gram = np.einsum("bij,bik->bjk", block.conj(), block)
-    return snap_endpoints(np.linalg.eigvalsh(gram), tol)
+    top = phase_fixed_qr(z)[:, : dims.m_max, :]
+    return top if dims.mt <= dims.mr else top.conj().swapaxes(1, 2)
 
 
 def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> np.ndarray:
@@ -203,54 +207,43 @@ def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
     """Ascending snapped spectra of cfg.trials channels, drawn from the bidiagonal model.
 
     For k = 0 the spectrum is J(m_min; alpha, beta).  For k > 0 it is the
-    (m-mr, m-mt, m) channel's spectrum J(m - m_max; alpha, k) followed by
-    k exact ones, and nothing is drawn when m_max = m.
+    complementary channel's spectrum followed by k exact ones, and nothing
+    is drawn when there is no complementary channel (m_max = m).
     """
-    k = dims.k
-    n = dims.m_min if k == 0 else dims.m - dims.m_max
-    b = dims.beta if k == 0 else k
+    core = dims if dims.k == 0 else dims.complement
 
     def chunk(lo, hi):
-        lams = _bidiagonal_chunk(n, dims.alpha, b, key, lo, hi) if n else np.empty((hi - lo, 0))
-        lams = np.concatenate([lams, np.ones((hi - lo, k))], axis=1)
+        lams = np.ones((hi - lo, dims.k))
+        if core is not None:
+            interior = _bidiagonal_chunk(core.m_min, core.alpha, core.beta, key, lo, hi)
+            lams = np.concatenate([interior, lams], axis=1)
         return snap_endpoints(lams, DEFAULT_UNIT_TOL)
 
     return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
 
 
-def sample_spectra(
-    dims: ChannelDims,
-    cfg: McConfig,
-    tag: str = "spectra",
-    tol: float = DEFAULT_UNIT_TOL,
-) -> np.ndarray:
+def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     """Ascending squared singular values for cfg.trials fresh channels.
 
     Shape (trials, m_min); values clamped to [0, 1] with endpoint snapping
-    at ``tol`` exactly as in :func:`jacobi_fading.ensembles.classify_spectrum`.
+    exactly as in :func:`jacobi_fading.ensembles.classify_spectrum`.
     """
-    key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
-    return _drawn(
-        ("spectra", key, dims, cfg.trials, tol),
-        lambda: _gather(cfg, lambda lo, hi: _spectra_chunk(dims, key, tol, lo, hi)),
-    )
+    key = stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}")
+
+    def chunk(lo, hi):
+        return snap_endpoints(gram_eigenvalues(channel_blocks(dims, key, lo, hi)), DEFAULT_UNIT_TOL)
+
+    return _drawn(("spectra", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
 
 
-def sample_jacobi_spectra_wishart(
-    m1: int,
-    m2: int,
-    n: int,
-    cfg: McConfig,
-    tag: str = "wishart-jacobi",
-    tol: float = DEFAULT_UNIT_TOL,
-) -> np.ndarray:
+def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np.ndarray:
     """Spectra of J(m1, m2, n) built from Wishart pairs, shape (trials, n)."""
     if n < 1:
         raise ValueError("n must be >= 1 (empty spectra carry no information)")
     if m1 < n or m2 < n:
         raise ValueError("need m1 >= n and m2 >= n")
-    key1 = stream_key(cfg.master_seed, f"{tag}:g1:{m1},{m2},{n}")
-    key2 = stream_key(cfg.master_seed, f"{tag}:g2:{m1},{m2},{n}")
+    key1 = stream_key(cfg.master_seed, f"wishart-jacobi:g1:{m1},{m2},{n}")
+    key2 = stream_key(cfg.master_seed, f"wishart-jacobi:g2:{m1},{m2},{n}")
 
     def chunk(lo, hi):
         g1 = complex_normals(key1, lo, hi, m1 * n).reshape(hi - lo, m1, n)
@@ -262,7 +255,7 @@ def sample_jacobi_spectra_wishart(
             raise NumericalError("Wishart sum numerically singular")
         inv_sqrt = np.einsum("bij,bj,bkj->bik", v, 1.0 / np.sqrt(w), v.conj())
         ratio = np.einsum("bij,bjk,bkl->bil", inv_sqrt, a, inv_sqrt)
-        return snap_endpoints(np.linalg.eigvalsh(ratio), tol)
+        return snap_endpoints(np.linalg.eigvalsh(ratio), DEFAULT_UNIT_TOL)
 
     return _gather(cfg, chunk)
 
@@ -287,8 +280,8 @@ def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> n
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
     """Empirical mean of log2 det(I + rho * H11^+ H11) over fresh draws (bits)."""
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 0")
     return _estimate(_log_det_values(dims, rho, cfg, "mc-ergodic"), cfg)
 
 
@@ -304,8 +297,8 @@ def mc_outage(
     The rate is either a multiplexing ratio ``r`` (so R = r * log2(1 + rho))
     or an absolute ``rate_bits``; exactly one must be given.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be > 0")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be finite and > 0")
     if (r is None) == (rate_bits is None):
         raise ValueError("give exactly one of r or rate_bits")
     if r is not None:
@@ -349,8 +342,8 @@ def mc_repetition_error(
     variance.  For deep tails dominated by near-zero eigenvalues see
     :func:`repetition_error_tail`.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 0")
     if method == "conditional":
         key = stream_key(cfg.master_seed, f"rep-cond:{dims.mt},{dims.mr},{dims.m}")
         lam = _model_spectra(dims, cfg, key)
@@ -361,14 +354,11 @@ def mc_repetition_error(
     kch = stream_key(cfg.master_seed, f"rep-count:ch:{dims.mt},{dims.mr},{dims.m}")
     kz = stream_key(cfg.master_seed, f"rep-count:noise:{dims.mt},{dims.mr},{dims.m}")
     ks = stream_key(cfg.master_seed, f"rep-count:sym:{dims.mt},{dims.mr},{dims.m}")
-    mt, mr = dims.mt, dims.mr
 
     def chunk(lo, hi):
-        nb = hi - lo
-        block = _isometry_block(dims, kch, lo, hi)
-        h = block if mt <= mr else block.conj().transpose(0, 2, 1)  # (nb, mr, mt)
+        h = channel_blocks(dims, kch, lo, hi)
         gain = np.sum(np.abs(h) ** 2, axis=(1, 2))
-        noise = complex_normals(kz, lo, hi, mt * mr).reshape(nb, mt, mr)
+        noise = complex_normals(kz, lo, hi, dims.mt * dims.mr).reshape(hi - lo, dims.mt, dims.mr)
         combined_noise = np.einsum("bij,bji->b", h.conj(), noise)
         u = uniforms(ks, lo, hi, 2)
         re_sign = np.where(u[:, 0] < 0.5, -1.0, 1.0)
@@ -396,15 +386,10 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     """
     if not 0.0 <= rho < math.inf:
         raise ValueError("rho must be finite and >= 0")
-    if dims.k > 0:
-        shift = float(dims.k)
-        mt_res, mr_res = dims.m - dims.mr, dims.m - dims.mt
-        if mt_res == 0 or mr_res == 0:
-            return float(qpsk_symbol_error(rho * shift))
-        residual = ChannelDims(mt_res, mr_res, dims.m)
-    else:
-        shift = 0.0
-        residual = dims
+    shift = float(dims.k)
+    residual = dims if dims.k == 0 else dims.complement
+    if residual is None:
+        return float(qpsk_symbol_error(rho * shift))
     if residual.m_min != 1:
         raise ValueError(
             "tail evaluation requires an effective single-eigenvalue spectrum; "
@@ -433,8 +418,8 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     """
     if m < 2:
         raise ValueError("m must be >= 2 (the scheme addresses 2x2 modes)")
-    if rho <= 0.0:
-        raise ValueError("rho must be > 0")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be finite and > 0")
     if not 0.0 <= r < math.inf:
         raise ValueError("r must be finite and >= 0")
     dims = ChannelDims(2, 2, m)

@@ -32,6 +32,9 @@ def test_grid_parsing():
         _parse_grid("0:10:-1")
     with pytest.raises(ValueError):
         _parse_grid("0:10")
+    for text in ("0:inf:1", "nan:1:1", "0:1e300:1e-300"):
+        with pytest.raises(ValueError, match=f"grid '{text}'"):
+            _parse_grid(text)
 
 
 def test_ergodic_analytic(tmp_path):
@@ -222,6 +225,12 @@ def test_bad_rate_exits_2(tmp_path, capsys, args):
         ["rho-norm", "--m", "4", "--mr", "5", "--epsilon", "1e-3"],
         ["rayleigh", "--mt", "2", "--mr", "2", "--m", "8.7", "--rho-bar-db", "20"],
         ["rayleigh", "--mt", "2", "--mr", "2", "--m", ",", "--rho-bar-db", "20"],
+        ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:inf:1"],
+        ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "nan:1:1"],
+        ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:1:nan"],
+        ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "-inf:0:1"],
+        ["outage", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10", "--r", "0:1e300:1e-300"],
+        ["rho-norm", "--m", "4", "--mr", "1:inf:1", "--epsilon", "1e-3"],
     ],
 )
 def test_bad_grid_or_mode_list_exits_2(tmp_path, capsys, args):

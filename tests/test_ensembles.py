@@ -9,7 +9,7 @@ from jacobi_fading.ensembles import (
     SpectrumSample,
     classify_spectrum,
     draw_channel,
-    haar_isometry,
+    gram_eigenvalues,
     phase_fixed_qr,
     sample_ginibre,
     sample_haar_unitary,
@@ -27,6 +27,31 @@ def test_dims_derived_quantities():
     d = ChannelDims(3, 2, 4)
     assert (d.k, d.m_min, d.m_max, d.alpha, d.beta) == (1, 2, 3, 1, -1)
     assert d.transposed() == ChannelDims(2, 3, 4)
+
+
+@pytest.mark.parametrize(
+    "mt, mr, m, want",
+    [
+        (3, 3, 3, None),  # mt = mr = m
+        (2, 3, 3, None),  # mr = m
+        (4, 3, 4, None),  # mt = m
+        (2, 2, 3, (1, 1, 3)),
+        (3, 3, 4, (1, 1, 4)),
+        (3, 2, 4, (2, 1, 4)),
+        (4, 4, 6, (2, 2, 6)),
+        (5, 2, 6, (4, 1, 6)),
+        (2, 2, 4, (2, 2, 4)),  # k = 0: still the H22 block
+    ],
+)
+def test_complement_table(mt, mr, m, want):
+    d = ChannelDims(mt, mr, m)
+    if want is None:
+        assert d.complement is None
+        return
+    c = d.complement
+    assert c == ChannelDims(*want)
+    if d.k > 0:
+        assert (c.m_min, c.alpha, c.beta) == (m - d.m_max, d.alpha, d.k)
 
 
 def test_dims_eigenvalue_count_partition():
@@ -224,8 +249,10 @@ def test_verify_pinned_spectrum_contract_errors():
         verify_pinned_spectrum(draw_channel(ChannelDims(2, 2, 3), rng, keep_full=False))
 
 
-def test_haar_isometry_columns():
+@pytest.mark.parametrize("mt, mr, m", [(2, 3, 6), (3, 2, 6), (2, 2, 3), (4, 1, 5)])
+def test_stacked_gram_eigenvalues_match_per_block_calls(mt, mr, m):
     rng = np.random.default_rng(13)
-    q = haar_isometry(6, 2, rng)
-    assert q.shape == (6, 2)
-    assert np.max(np.abs(q.conj().T @ q - np.eye(2))) < 1e-12
+    stack = np.array([draw_channel(ChannelDims(mt, mr, m), rng).h11 for _ in range(50)])
+    want = np.array([gram_eigenvalues(h) for h in stack])
+    assert want.shape == (50, min(mt, mr))
+    np.testing.assert_allclose(gram_eigenvalues(stack), want, rtol=0, atol=1e-14)

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from jacobi_fading import simulate
+from jacobi_fading import philox, simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
-from jacobi_fading.ensembles import ChannelDims
+from jacobi_fading.ensembles import ChannelDims, phase_fixed_qr
 from jacobi_fading.philox import stream_key
 from jacobi_fading.simulate import (
     McConfig,
@@ -55,8 +55,6 @@ def test_shared_draws_keyed_by_everything_that_decides_them():
         assert not base.flags.writeable
         assert len(sample_spectra(DIMS_224, McConfig(trials=6_000, master_seed=1))) == 6_000
         assert not np.array_equal(sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=2)), base)
-        coarse = sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1), tol=1e-3)
-        assert np.count_nonzero(coarse == 0.0) > np.count_nonzero(base == 0.0)
     assert sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1)).flags.writeable
 
 
@@ -263,3 +261,59 @@ def test_mc_config_validation():
         McConfig(trials=0)
     with pytest.raises(ValueError):
         McConfig(trials=10, workers=0)
+    for bad in (
+        {"trials": True},
+        {"trials": 1000.5},
+        {"trials": 1000.0},
+        {"trials": 10, "workers": 1.5},
+        {"trials": 10, "workers": True},
+        {"trials": 10, "master_seed": 1.5},
+        {"trials": 10, "master_seed": False},
+        {"trials": 10, "master_seed": "3"},
+    ):
+        with pytest.raises(ValueError):
+            McConfig(**bad)
+    cfg = McConfig(trials=np.int64(10), master_seed=np.int32(3), workers=np.int16(2))
+    assert mc_ergodic_capacity(DIMS_224, 10.0, cfg) == mc_ergodic_capacity(DIMS_224, 10.0, McConfig(10, 3))
+
+
+@pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda rho, cfg: mc_ergodic_capacity(DIMS_224, rho, cfg),
+        lambda rho, cfg: mc_outage(DIMS_224, rho, cfg, r=0.5),
+        lambda rho, cfg: mc_outage(DIMS_224, rho, cfg, rate_bits=1.0),
+        lambda rho, cfg: mc_alamouti_outage(4, rho, 0.5, cfg),
+        lambda rho, cfg: mc_repetition_error(ChannelDims(1, 2, 3), rho, cfg),
+        lambda rho, cfg: mc_repetition_error(ChannelDims(1, 2, 3), rho, cfg, method="count"),
+    ],
+)
+def test_mc_estimators_reject_non_finite_snr(estimate, rho):
+    with pytest.raises(ValueError, match="finite"):
+        estimate(rho, McConfig(trials=10))
+
+
+@pytest.mark.parametrize("mt, mr, m", [(1, 3, 8), (2, 2, 3), (2, 3, 3), (3, 3, 5)])
+def test_channel_blocks_match_the_feedback_isometry_draw(mt, mr, m):
+    # the draw the feedback scheme made for mt <= mr before channel_blocks
+    # became the one truncated-Haar draw: top mr rows of Haar m x mt isometries
+    dims = ChannelDims(mt, mr, m)
+    key = stream_key(9, "blocks")
+    g = philox.complex_normals(key, 0, 300, dims.m * dims.mt).reshape(300, dims.m, dims.mt)
+    want = phase_fixed_qr(g)[:, :dims.mr, :]
+    assert np.array_equal(simulate.channel_blocks(dims, key, 0, 300), want)
+    assert np.array_equal(simulate.channel_blocks(dims, key, 120, 300), want[120:])
+
+
+@pytest.mark.parametrize("mt, mr, m", [(3, 2, 4), (4, 3, 5), (5, 2, 6), (3, 1, 3)])
+def test_channel_blocks_wide_channel_shape_and_pinned_ones(mt, mr, m):
+    dims = ChannelDims(mt, mr, m)
+    key = stream_key(9, "wide")
+    h = simulate.channel_blocks(dims, key, 0, 500)
+    assert h.shape == (500, mr, mt)
+    # the same draw as the transposed channel's, conjugate-transposed
+    assert np.array_equal(h, simulate.channel_blocks(dims.transposed(), key, 0, 500).conj().swapaxes(1, 2))
+    sv = np.linalg.svd(h, compute_uv=False)  # descending, mr per block
+    assert np.max(np.abs(sv[:, : dims.k] - 1.0)) < 1e-12
+    assert np.max(sv) < 1.0 + 1e-12
