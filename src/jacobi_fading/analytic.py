@@ -160,11 +160,13 @@ def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:
     """
     if mr < 1 or m < mr + 1:
         raise ValueError("need m >= mr + 1 >= 2")
-    if rate_bits < 0.0:
-        raise ValueError("rate_bits must be >= 0")
+    if not 0.0 <= rate_bits < math.inf:
+        raise ValueError("rate_bits must be finite and >= 0")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be finite and >= 0")
     if rate_bits == 0.0:
         return 0.0
-    if rho <= 0.0:
+    if rho == 0.0:
         return 1.0
     x = math.expm1(rate_bits * math.log(2.0)) / rho
     if x >= 1.0:
@@ -200,8 +202,8 @@ def outage_rate_reduction(
     """
     if dims.k <= 0:
         raise ValueError("outage_rate_reduction requires mt + mr > m")
-    if r < 0.0:
-        raise ValueError("r must be >= 0")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("r must be finite and >= 0")
     return dims.complement, max(r - dims.k, 0.0)
 
 
@@ -219,8 +221,8 @@ class DmtCurve:
 
     def diversity(self, r: float) -> float:
         """Evaluate d*(r); inf below the threshold, 0 beyond the last vertex."""
-        if r < 0.0:
-            raise ValueError("r must be >= 0")
+        if not 0.0 <= r < math.inf:
+            raise ValueError("r must be finite and >= 0")
         if r < self.infinite_below:
             return math.inf
         rs = [v[0] for v in self.vertices]

@@ -21,13 +21,14 @@ the Jacobi ensemble J(n; a, b), with density proportional to
 ``prod lam^a (1-lam)^b * Vandermonde(lam)^2``, which by Edelman & Sutton
 (Found. Comput. Math. 8, 2008; the beta = 2 case) is the law of the
 squared singular values of a real ``n x n`` upper-bidiagonal matrix whose
-entries are products of independent Beta variates.  Each trial turns
-``2n - 1`` uniforms into those variates by the inverse Beta CDF, so its
-cost does not depend on m.  Pinned eigenvalues (k > 0) are appended
-exactly.  :func:`sample_spectra`, the ``count`` repetition method and the
-feedback scheme still draw channels, all through :func:`channel_blocks`:
-the first ``m_min`` columns of a Haar unitary are a uniformly distributed
-isometry, obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
+entries are products of independent Beta variates.  Every Beta parameter
+there is an integer, so each variate is exactly a product of uniform
+powers; a trial reads ``n^2 + n*min(a, b)`` uniforms, a fixed count that
+does not grow with m.  Pinned eigenvalues (k > 0) are appended exactly.
+:func:`sample_spectra`, the ``count`` repetition method and the feedback
+scheme still draw channels, all through :func:`channel_blocks`: the first
+``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
+obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv, erfc
+from scipy.special import erfc
 
 from . import analytic
 from .ensembles import (
@@ -172,24 +173,47 @@ def channel_blocks(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
     return top if dims.mt <= dims.mr else top.conj().swapaxes(1, 2)
 
 
+def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Beta(p_j, q_j) variates x and 1 - x from uniforms, each of shape (trials, len(p)).
+
+    For integers r = min(p, q) and s = max(p, q), the product of
+    U_i^(1/(s+i)) over i < r is Beta(s, r): if X ~ Beta(a, b) and
+    Y ~ Beta(a+b, c) are independent then XY ~ Beta(a, b+c) (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. IX), and U^(1/s) is
+    Beta(s, 1).  Beta(p, q) is that product when p >= q and one minus it
+    otherwise.  Variate j reads the next r_j columns of ``u``; with
+    L = sum log(U_i)/(s+i), the pair is exp(L) and -expm1(L), so neither
+    side loses accuracy to cancellation.
+    """
+    r, s = np.minimum(p, q), np.maximum(p, q)
+    starts = np.cumsum(r) - r
+    divisor = np.repeat(s - starts, r) + np.arange(r.sum())
+    log_x = np.add.reduceat(np.log(u) / divisor, starts, axis=1)
+    big, small = np.exp(log_x), -np.expm1(log_x)
+    flip = p < q
+    return np.where(flip, small, big), np.where(flip, big, small)
+
+
 def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> np.ndarray:
     """Ascending J(n; a, b) spectra of trials [lo, hi), shape (hi-lo, n).
 
-    Trial t reads 2n-1 uniforms: columns 0..n-1 give c_j^2 ~ Beta(a+j, b+j)
-    for j = n..1, and columns n..2n-2 give c'_j^2 ~ Beta(j, a+b+1+j) for
+    Trial t reads n^2 + n*min(a, b) uniforms, turned into Beta variates as
+    products of uniform powers (:func:`_beta_variates`): c_j^2 ~
+    Beta(a+j, b+j) for j = n..1, then c'_j^2 ~ Beta(j, a+b+1+j) for
     j = n-1..1.  The upper-bidiagonal B has diagonal c_n, c_{n-1} s'_{n-1},
     ..., c_1 s'_1 and superdiagonal -s_n c'_{n-1}, ..., -s_2 c'_1, with
-    s = sqrt(1 - c^2); the spectrum is that of B^T B.
+    s^2 = 1 - c^2; the spectrum is that of B^T B.
     """
-    u = uniforms(key, lo, hi, 2 * n - 1)
     j = np.arange(n, 0, -1)
-    c2 = betaincinv(a + j, b + j, u[:, :n])
+    p = np.concatenate([a + j, j[1:]])
+    q = np.concatenate([b + j, a + b + 1 + j[1:]])
+    x, y = _beta_variates(p, q, uniforms(key, lo, hi, n * n + n * min(a, b)))
+    c2, s2, cp2, sp2 = x[:, :n], y[:, :n], x[:, n:], y[:, n:]
     if n == 1:
         return c2
-    cp2 = betaincinv(j[1:], a + b + 1 + j[1:], u[:, n:])
     diag = np.sqrt(c2)
-    diag[:, 1:] *= np.sqrt(1.0 - cp2)
-    sup = -np.sqrt((1.0 - c2[:, :-1]) * cp2)
+    diag[:, 1:] *= np.sqrt(sp2)
+    sup = -np.sqrt(s2[:, :-1] * cp2)
     if n == 2:
         p, q, r = diag[:, 0] ** 2, diag[:, 0] * sup[:, 0], sup[:, 0] ** 2 + diag[:, 1] ** 2
         lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)

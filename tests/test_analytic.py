@@ -190,6 +190,26 @@ def test_outage_single_mode_validation():
         outage_single_mode(2, 2, 1.0, 10.0)  # needs m >= mr + 1
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: outage_rate_reduction(ChannelDims(2, 2, 3), math.nan), "r must be finite"),
+        (lambda: outage_rate_reduction(ChannelDims(2, 2, 3), math.inf), "r must be finite"),
+        (lambda: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(math.nan), "r must be finite"),
+        (lambda: dmt_optimal_curve(ChannelDims(2, 2, 3)).diversity(math.inf), "r must be finite"),
+        (lambda: outage_single_mode(1, 2, 1.0, math.inf), "rho must be finite"),
+        (lambda: outage_single_mode(1, 2, 1.0, math.nan), "rho must be finite"),
+        (lambda: outage_single_mode(1, 2, 1.0, -1.0), "rho must be finite and >= 0"),
+        (lambda: outage_single_mode(1, 2, math.nan, 10.0), "rate_bits must be finite"),
+        (lambda: outage_single_mode(1, 2, math.inf, 10.0), "rate_bits must be finite"),
+        (lambda: outage_single_mode(1, 2, -1.0, 10.0), "rate_bits must be finite and >= 0"),
+    ],
+)
+def test_closed_forms_reject_non_finite_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_rho_norm_values():
     for eps in (1e-5, 1e-3, 0.1):
         assert rho_norm(4, 4, eps) == 1.0

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from jacobi_fading import philox, simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
@@ -97,11 +98,27 @@ def test_spectral_estimators_draw_words_flat_in_m(monkeypatch):
     cfg = McConfig(trials=1_000)
     for m in (8, 64):
         mc_ergodic_capacity(ChannelDims(2, 2, m), 10.0, cfg)
-    assert sizes[0] == sizes[1] == 3  # 2n - 1 uniforms per trial for n = 2
+    # n^2 + n*min(a, b) uniforms per trial: J(2; 0, m - 4) reads 4 whatever m is
+    assert sizes[0] == sizes[1] == 4
     mc_outage(ChannelDims(2, 2, 3), 100.0, cfg, r=1.5)
     mc_alamouti_outage(4, 100.0, 0.5, cfg)
     mc_repetition_error(ChannelDims(1, 2, 3), 10.0, cfg, method="conditional")
-    assert sizes[2:] == [1, 3, 1]
+    assert sizes[2:] == [1, 4, 1]
+    mc_ergodic_capacity(ChannelDims(4, 4, 8), 10.0, cfg)
+    assert sizes[5:] == [16]
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (4, 4), (3, 7), (7, 3), (2, 62), (62, 2)])
+def test_beta_variates_from_uniform_products(p, q):
+    u = philox.uniforms(stream_key(9, f"beta:{p},{q}"), 0, 100_000, min(p, q))
+    x, y = simulate._beta_variates(np.array([p]), np.array([q]), u)
+    assert x.shape == y.shape == (100_000, 1)
+    assert ks_distance_to_cdf(x, lambda t: betainc(p, q, t)) < 0.01
+    assert np.all(np.abs(x + y - 1.0) <= 2 * np.spacing(1.0))
+    assert np.all(np.isfinite(x)) and np.all(x > 0.0)
+    # a second variate reads the next min(p, q) columns
+    pair, _ = simulate._beta_variates(np.array([p, p]), np.array([q, q]), np.hstack([u, u]))
+    assert np.array_equal(pair, np.hstack([x, x]))
 
 
 def test_mc_capacity_matches_analytic():
