@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -305,7 +306,9 @@ def _add_io(p):
     p.add_argument("--manifest", default=None, help="manifest JSON path (default <out>.manifest.json when --out is a file)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for the process."""
     parser = argparse.ArgumentParser(
         prog="jacobi-fading",
         description=__doc__.splitlines()[0],

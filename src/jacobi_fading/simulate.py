@@ -11,7 +11,8 @@ Because the stream of an experiment does not depend on rho or r, every
 point of a curve sees the same channels (common random numbers).  Inside a
 :func:`_shared_draws` block, which the CLI opens around each invocation,
 the rho- and r-independent draws of an experiment are made once and every
-point reduces that one array; outside it, every call draws afresh.
+point reduces that one array (an outage curve's per-rho mutual information
+is computed once too); outside it, every call draws afresh.
 
 The spectral estimators (ergodic capacity, outage, the Alamouti and
 conditional repetition errors, and the Jacobi side of the Rayleigh
@@ -25,6 +26,11 @@ entries are products of independent Beta variates.  Every Beta parameter
 there is an integer, so each variate is exactly a product of uniform
 powers; a trial reads ``n^2 + n*min(a, b)`` uniforms, a fixed count that
 does not grow with m.  Pinned eigenvalues (k > 0) are appended exactly.
+The Rayleigh baseline draws its spectrum the same way, from the beta = 2
+Laguerre bidiagonal model of Dumitriu & Edelman (J. Math. Phys. 43, 2002),
+whose squared entries are Gamma variates of integer shape: a trial reads
+rows * cols uniforms, and both models share one bidiagonal-to-spectrum
+kernel.
 :func:`sample_spectra`, the ``count`` repetition method and the feedback
 scheme still draw channels, all through :func:`channel_blocks`: the first
 ``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
@@ -34,6 +40,7 @@ obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -213,18 +220,54 @@ def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> np.ndarr
         return c2
     diag = np.sqrt(c2)
     diag[:, 1:] *= np.sqrt(sp2)
-    sup = -np.sqrt(s2[:, :-1] * cp2)
+    return _bidiagonal_spectra(diag, -np.sqrt(s2[:, :-1] * cp2))
+
+
+def _bidiagonal_spectra(diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of B^T B, shape (trials, n), for n >= 2.
+
+    B is the upper-bidiagonal matrix with diagonal ``diag`` (trials, n) and
+    superdiagonal ``sup`` (trials, n-1), so B^T B is symmetric tridiagonal.
+    Both bidiagonal models end here.  Each returns its n = 1 spectrum, the
+    one squared diagonal variate, itself: sqrt(x)**2 need not equal x.
+    """
+    n = diag.shape[1]
     if n == 2:
         p, q, r = diag[:, 0] ** 2, diag[:, 0] * sup[:, 0], sup[:, 0] ** 2 + diag[:, 1] ** 2
         lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
         # det / lam_max keeps the small eigenvalue's relative accuracy
         return np.stack(((diag[:, 0] * diag[:, 1]) ** 2 / lam_max, lam_max), axis=1)
-    gram = np.zeros((hi - lo, n, n))
+    gram = np.zeros((len(diag), n, n))
     i = np.arange(n)
     gram[:, i, i] = diag**2
     gram[:, i[1:], i[1:]] += sup**2
     gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = diag[:, :-1] * sup
     return np.linalg.eigvalsh(gram)
+
+
+def _laguerre_chunk(rows: int, cols: int, key, lo: int, hi: int) -> np.ndarray:
+    """Ascending eigenvalues of G^+ G for trials [lo, hi), shape (hi-lo, cols).
+
+    G is (rows, cols) with i.i.d. CN(0,1) entries.  With N = max(rows, cols)
+    and n = min(rows, cols), the n nonzero eigenvalues are those of B^T B for
+    the n x n upper-bidiagonal B of the beta = 2 Laguerre model (Dumitriu &
+    Edelman, J. Math. Phys. 43, 2002): squared diagonal entries Gamma(N),
+    ..., Gamma(N-n+1) and squared superdiagonal entries Gamma(n-1), ...,
+    Gamma(1), all of scale 1 since |z|^2 ~ Exp(1).  Every shape is an
+    integer, so each variate is -sum log(U_i) over that many uniforms, and
+    trial t reads rows * cols uniforms.  When rows < cols the cols - rows
+    exact zeros come first.
+    """
+    n = min(rows, cols)
+    j = np.arange(n)
+    shapes = np.concatenate([max(rows, cols) - j, n - 1 - j[:-1]])
+    u = uniforms(key, lo, hi, rows * cols)
+    gamma = -np.add.reduceat(np.log(u), np.cumsum(shapes) - shapes, axis=1)
+    if n == 1:
+        lams = gamma
+    else:
+        lams = _bidiagonal_spectra(np.sqrt(gamma[:, :n]), np.sqrt(gamma[:, n:]))
+    return np.concatenate([np.zeros((hi - lo, cols - n)), lams], axis=1)
 
 
 def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
@@ -287,14 +330,19 @@ def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np
 def sample_wishart_spectra(
     rows: int, cols: int, cfg: McConfig, tag: str = "wishart"
 ) -> np.ndarray:
-    """Eigenvalues of G^+ G for i.i.d. CN(0,1) G of shape (rows, cols)."""
+    """Ascending eigenvalues of G^+ G for i.i.d. CN(0,1) G of shape (rows, cols).
+
+    Shape (trials, cols), drawn from the Laguerre bidiagonal model
+    (:func:`_laguerre_chunk`), not from whole channels.
+    """
+    for name, value in (("rows", rows), ("cols", cols)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     key = stream_key(cfg.master_seed, f"{tag}:{rows},{cols}")
-
-    def chunk(lo, hi):
-        g = complex_normals(key, lo, hi, rows * cols).reshape(hi - lo, rows, cols)
-        return np.linalg.eigvalsh(np.einsum("bij,bik->bjk", g.conj(), g))
-
-    return _drawn(("wishart", key, rows, cols, cfg.trials), lambda: _gather(cfg, chunk))
+    return _drawn(
+        ("wishart", key, rows, cols, cfg.trials),
+        lambda: _gather(cfg, lambda lo, hi: _laguerre_chunk(rows, cols, key, lo, hi)),
+    )
 
 
 def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
@@ -331,7 +379,11 @@ def mc_outage(
         rate_bits = r * math.log2(1.0 + rho)
     elif not math.isfinite(rate_bits):
         raise ValueError("rate_bits must be finite")
-    mi = _log_det_values(dims, rho, cfg, "mc-outage")
+    # every rate of a curve at this rho compares against the same values
+    mi = _drawn(
+        ("mutual-information", cfg.master_seed, dims, cfg.trials, rho),
+        lambda: _log_det_values(dims, rho, cfg, "mc-outage"),
+    )
     return _estimate((mi < rate_bits).astype(float), cfg)
 
 
@@ -470,19 +522,38 @@ def estimate_diversity_slope(points) -> float:
     return float(-np.polyfit(log_rho, log_p, 1)[0])
 
 
+def _sorted_sample(values, name: str) -> np.ndarray:
+    """values flattened and sorted; ValueError naming it if empty or not all finite."""
+    s = np.sort(np.asarray(values, dtype=float).ravel())
+    if len(s) == 0 or not np.isfinite(s[0]) or not np.isfinite(s[-1]):
+        raise ValueError(f"{name} must be a non-empty sample of finite values")
+    return s
+
+
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
-    grid = np.concatenate([a, b])
-    f_a = np.searchsorted(a, grid, side="right") / len(a)
-    f_b = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(f_a - f_b)))
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+
+    One merge of the two sorted samples: walking the merged order, each
+    a-point steps n_a*n_b*(F_a - F_b) by +n_b and each b-point by -n_a, in
+    integers, and only the last point of each run of tied values is read.
+    The walk ends at 0, so the last point never sets the supremum.
+    """
+    n_a, n_b = np.size(a), np.size(b)
+    merged = np.concatenate([_sorted_sample(a, "a"), _sorted_sample(b, "b")])
+    order = np.argsort(merged, kind="stable")  # two sorted runs: one merge
+    merged = merged[order]
+    scaled = np.where(order < n_a, n_b, -n_a)
+    del order  # the largest callers pass 2*10^5 points a side
+    np.cumsum(scaled, out=scaled)
+    last_of_tie = merged[1:] != merged[:-1]
+    top = np.max(scaled[:-1], where=last_of_tie, initial=0)
+    bottom = np.min(scaled[:-1], where=last_of_tie, initial=0)
+    return float(max(top, -bottom)) / (n_a * n_b)
 
 
 def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
-    s = np.sort(np.asarray(sample, dtype=float).ravel())
+    s = _sorted_sample(sample, "sample")
     n = len(s)
     values = np.asarray(cdf(s), dtype=float)
     steps = np.arange(n + 1) / n
@@ -516,8 +587,8 @@ def rayleigh_compare(
     the baseline Monte-Carlo capacity, and the KS distance between the
     m-scaled spectrum and the Wishart spectrum it converges to.
     """
-    if rho_bar <= 0.0:
-        raise ValueError("rho_bar must be > 0")
+    if not 0.0 < rho_bar < math.inf:
+        raise ValueError("rho_bar must be finite and > 0")
     m_list = [int(m) for m in m_list]
     for m in m_list:
         if m < mt + mr:

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from jacobi_fading import analytic, simulate
+from jacobi_fading import __version__, analytic, cli, simulate
 from jacobi_fading.cli import _parse_grid, main
 from jacobi_fading.ensembles import ChannelDims
 
@@ -357,3 +357,30 @@ def test_sample_sets_are_drawn_once_per_invocation(tmp_path, monkeypatch):
     first = simulate.mc_ergodic_capacity(dims, 10.0, cfg)
     assert simulate.mc_ergodic_capacity(dims, 10.0, cfg) == first
     assert len(draws) == 2 * chunks
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    calls = [
+        ["ergodic", "--mt", "two", "--mr", "2", "--m", "4", "--rho-db", "0"],  # argparse rejects it
+        ["--version"],
+        ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:20:10"],
+        ["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--r", "1:2:0.5", "--trials", "2000"],
+    ]
+
+    def run_all(fresh):
+        results = []
+        for i, args in enumerate(calls):
+            if fresh:
+                cli._build_parser.cache_clear()
+            code, out = run_cli(args, tmp_path, f"{fresh}-{i}.csv")
+            results.append((code, out.read_bytes() if out.exists() else None, capsys.readouterr().out))
+        return results
+
+    fresh = run_all(True)
+    cli._build_parser.cache_clear()
+    shared = run_all(False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0]
+    assert shared[1][2].strip() == __version__
+    assert shared[2][1] != shared[3][1] and shared[3][1].startswith(b"r,outage,stderr\n")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import betainc
+from scipy.stats import ks_2samp
 
 from jacobi_fading import philox, simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
@@ -25,6 +26,7 @@ from jacobi_fading.simulate import (
     rayleigh_compare,
     repetition_error_tail,
     sample_spectra,
+    sample_wishart_spectra,
 )
 
 DIMS_224 = ChannelDims(2, 2, 4)
@@ -257,6 +259,107 @@ def test_ks_distance_basics():
     assert ks_distance(a, a) == 0.0
     assert ks_distance(a, a + 10.0) == 1.0
     assert ks_distance_to_cdf(a, lambda x: np.clip(x, 0, 1)) < 0.03
+
+
+def _brute_force_ks(a, b):
+    points = np.concatenate([a, b])
+    f_a = np.array([np.count_nonzero(a <= x) for x in points]) / len(a)
+    f_b = np.array([np.count_nonzero(b <= x) for x in points]) / len(b)
+    return float(np.max(np.abs(f_a - f_b)))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.random.default_rng(1).normal(size=700), np.random.default_rng(2).normal(0.2, 1.0, size=900)),
+        (np.random.default_rng(3).integers(0, 6, size=800), np.random.default_rng(4).integers(0, 7, size=500)),
+        (np.repeat([0.0, 1.0, 2.0], [300, 1, 300]), np.repeat([0.0, 1.0, 2.0], [1, 300, 300])),
+    ],
+    ids=["continuous", "integer-ties", "tie-runs"],
+)
+def test_ks_distance_is_the_supremum_over_sample_points(a, b):
+    want = _brute_force_ks(a, b)
+    assert ks_distance(a, b) == pytest.approx(want, abs=1e-15)
+    assert ks_distance(a, b) == pytest.approx(ks_2samp(a, b).statistic, abs=1e-15)
+    assert ks_distance(b, a) == ks_distance(a, b)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 2), (2, 3), (4, 4), (8, 2)])
+def test_laguerre_model_matches_gram_spectra(rows, cols):
+    trials = 100_000
+    model = sample_wishart_spectra(rows, cols, McConfig(trials=trials, master_seed=5))
+    rng = np.random.default_rng(rows * 10 + cols)
+    g = (rng.normal(size=(trials, rows, cols)) + 1j * rng.normal(size=(trials, rows, cols))) / math.sqrt(2.0)
+    gram = np.linalg.eigvalsh(np.einsum("bij,bik->bjk", g.conj(), g))
+    zeros = cols - min(rows, cols)
+    assert model.shape == (trials, cols)
+    assert np.all(model[:, :zeros] == 0.0)
+    assert np.all(np.diff(model, axis=1) >= 0.0)
+    for i in range(zeros, cols):
+        assert ks_distance(model[:, i], gram[:, i]) < 0.01
+
+
+def test_rayleigh_compare_draws_no_channels(monkeypatch):
+    sizes = {}
+    real = simulate.uniforms
+
+    def counting(key, lo, hi, n):
+        sizes.setdefault(key, set()).add(n)
+        return real(key, lo, hi, n)
+
+    def no_channels(*args):
+        raise AssertionError("the Rayleigh comparison draws spectra, not channels")
+
+    monkeypatch.setattr(simulate, "uniforms", counting)
+    monkeypatch.setattr(simulate, "complex_normals", no_channels)
+    rayleigh_compare(1, 4, [5, 6], 100.0, McConfig(trials=1_000, master_seed=2))
+    # mr * mt uniforms per trial, where the Jacobi side reads 1 and 2 here
+    assert sizes.pop(stream_key(2, "raycmp:wishart:4,1")) == {4}
+    assert sorted(n for ns in sizes.values() for n in ns) == [1, 2]
+
+
+def test_outage_reduces_once_per_rho(monkeypatch):
+    reductions = []
+    real = simulate._log_det_values
+
+    def counting(*args):
+        reductions.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_log_det_values", counting)
+    dims, cfg = ChannelDims(2, 2, 3), McConfig(trials=2_000)
+    rates = np.linspace(1.0, 2.0, 41)
+    with simulate._shared_draws():
+        inside = [mc_outage(dims, 100.0, cfg, r=r) for r in rates]
+        assert len(reductions) == 1
+        mc_outage(dims, 10.0, cfg, r=1.5)
+        assert len(reductions) == 2
+    outside = [mc_outage(dims, 100.0, cfg, r=r) for r in rates]
+    assert len(reductions) == 2 + len(rates)
+    assert inside == outside
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ks_distance(np.array([]), np.array([1.0])), "a must be a non-empty sample"),
+        (lambda: ks_distance(np.array([1.0]), []), "b must be a non-empty sample"),
+        (lambda: ks_distance([math.nan, 1.0], [0.5, 0.2]), "a must be a non-empty sample of finite"),
+        (lambda: ks_distance([0.5, 0.2], [1.0, math.inf]), "b must be a non-empty sample of finite"),
+        (lambda: ks_distance_to_cdf([], lambda x: x), "sample must be a non-empty sample"),
+        (lambda: ks_distance_to_cdf([0.1, -math.inf], lambda x: x), "sample must be a non-empty sample"),
+        (lambda: sample_wishart_spectra(0, 2, McConfig(trials=10)), "rows must be an integer >= 1"),
+        (lambda: sample_wishart_spectra(-1, 2, McConfig(trials=10)), "rows must be an integer >= 1"),
+        (lambda: sample_wishart_spectra(2, 0, McConfig(trials=10)), "cols must be an integer >= 1"),
+        (lambda: sample_wishart_spectra(2, 1.5, McConfig(trials=10)), "cols must be an integer >= 1"),
+        (lambda: rayleigh_compare(2, 2, [8], math.nan, McConfig(trials=10)), "rho_bar must be finite and > 0"),
+        (lambda: rayleigh_compare(2, 2, [8], math.inf, McConfig(trials=10)), "rho_bar must be finite and > 0"),
+        (lambda: rayleigh_compare(2, 2, [8], 0.0, McConfig(trials=10)), "rho_bar must be finite and > 0"),
+    ],
+)
+def test_bad_samples_and_sizes_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_rayleigh_compare_structure():
