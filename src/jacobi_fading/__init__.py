@@ -17,17 +17,7 @@ from .analytic import (
     outage_single_mode,
     rho_norm,
 )
-from .ensembles import (
-    ChannelDims,
-    ChannelRealization,
-    PinnedSpectrumReport,
-    SpectrumSample,
-    draw_channel,
-    sample_ginibre,
-    sample_haar_unitary,
-    squared_singular_values,
-    verify_pinned_spectrum,
-)
+from .ensembles import ChannelDims, PinnedSpectrumReport, verify_pinned_spectrum
 from .errors import NumericalError
 from .feedback import (
     PowerCheck,
@@ -68,8 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelDims",
-    "ChannelRealization",
-    "SpectrumSample",
     "PinnedSpectrumReport",
     "DmtCurve",
     "McConfig",
@@ -80,10 +68,6 @@ __all__ = [
     "SchemeReport",
     "PowerCheck",
     "NumericalError",
-    "draw_channel",
-    "sample_ginibre",
-    "sample_haar_unitary",
-    "squared_singular_values",
     "verify_pinned_spectrum",
     "jacobi_poly",
     "jacobi_norm_b",

@@ -1,4 +1,4 @@
-"""Random-matrix samplers and exact spectral bookkeeping for the channel.
+"""Channel dimensions and exact spectral bookkeeping for the channel.
 
 The channel transfer matrix is the upper-left ``m_r x m_t`` block of an
 ``m x m`` Haar-distributed unitary.  Its squared singular values live in
@@ -8,14 +8,16 @@ realization (an algebraic fact, not a statistical one), ``m_t - m_min``
 equal 0, and the remaining ``m - m_max`` coincide with the nonzero
 eigenvalues of the complementary block ``H22 H22^+``.
 
-Samplers are pure functions of an explicit ``numpy.random.Generator``, so
-identical (dims, seed) always reproduce identical realizations.
+Channels are drawn by :func:`jacobi_fading.simulate.channel_blocks` on the
+counter-based core; this module holds the dimensions, the phase-fixed QR
+and the endpoint rule shared by every sampler, and a batched check of the
+pinned structure on full Haar unitaries.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,15 +25,8 @@ from .errors import NumericalError
 
 __all__ = [
     "ChannelDims",
-    "ChannelRealization",
-    "SpectrumSample",
     "PinnedSpectrumReport",
-    "sample_ginibre",
-    "sample_haar_unitary",
     "phase_fixed_qr",
-    "draw_channel",
-    "squared_singular_values",
-    "classify_spectrum",
     "verify_pinned_spectrum",
 ]
 
@@ -109,77 +104,19 @@ class ChannelDims:
 
 
 @dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the channel block, optionally with the remaining blocks.
-
-    ``h11`` has shape (mr, mt).  When the full unitary is retained, the
-    blocks tile it as ``[[h11, h12], [h21, h22]]``.
-    """
-
-    dims: ChannelDims
-    h11: np.ndarray
-    h12: np.ndarray | None = None
-    h21: np.ndarray | None = None
-    h22: np.ndarray | None = None
-
-    @property
-    def has_full(self) -> bool:
-        return self.h22 is not None
-
-    def full_matrix(self) -> np.ndarray:
-        if not self.has_full:
-            raise ValueError("realization was drawn without keep_full=True")
-        return np.block([[self.h11, self.h12], [self.h21, self.h22]])
-
-
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Ordered squared singular values with endpoint classification.
-
-    ``lambdas`` is ascending in [0, 1]; ``counts`` is the triple
-    (n_unit, n_interior, n_zero) under the classification tolerance ``tol``.
-    Values within ``tol`` of an endpoint are snapped onto it, so the counts
-    and the stored values agree.
-    """
-
-    lambdas: np.ndarray
-    counts: tuple[int, int, int]
-    tol: float = DEFAULT_UNIT_TOL
-
-    @property
-    def n_unit(self) -> int:
-        return self.counts[0]
-
-    @property
-    def n_interior(self) -> int:
-        return self.counts[1]
-
-    @property
-    def n_zero(self) -> int:
-        return self.counts[2]
-
-
-@dataclass(frozen=True)
 class PinnedSpectrumReport:
-    """Per-realization check of the pinned-eigenvalue structure (k > 0).
+    """Check of the pinned-eigenvalue structure (k > 0), one entry per realization.
 
-    ``residual_match_error`` is the largest absolute mismatch between the
-    interior eigenvalues of ``H11^+ H11`` and the nonzero eigenvalues of
-    ``H22 H22^+`` after sorting both.
+    Each field but ``tol`` is an (n,) array.  ``residual_match_error`` is
+    the largest absolute mismatch between the interior eigenvalues of
+    ``H11^+ H11`` and the nonzero eigenvalues of ``H22 H22^+`` after
+    sorting both, or 1.0 where their counts differ.
     """
 
-    n_unit_found: int
-    n_zero_found: int
-    residual_match_error: float
+    n_unit_found: np.ndarray
+    n_zero_found: np.ndarray
+    residual_match_error: np.ndarray
     tol: float
-
-
-def sample_ginibre(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of i.i.d. CN(0, 1) entries (real/imag parts of variance 1/2)."""
-    if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    return z / np.sqrt(2.0)
 
 
 def phase_fixed_qr(a: np.ndarray) -> np.ndarray:
@@ -197,34 +134,6 @@ def phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     return q * (d / mag)[..., None, :]
 
 
-def sample_haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw an m x m unitary from the Haar (uniform) measure."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return phase_fixed_qr(sample_ginibre(m, m, rng))
-
-
-def draw_channel(
-    dims: ChannelDims, rng: np.random.Generator, keep_full: bool = False
-) -> ChannelRealization:
-    """Draw a fresh channel: the top-left mr x mt block of a Haar unitary.
-
-    With ``keep_full`` the other three blocks are retained, which is needed
-    by :func:`verify_pinned_spectrum`.
-    """
-    u = sample_haar_unitary(dims.m, rng)
-    h11 = u[: dims.mr, : dims.mt].copy()
-    if not keep_full:
-        return ChannelRealization(dims, h11)
-    return ChannelRealization(
-        dims,
-        h11,
-        h12=u[: dims.mr, dims.mt:].copy(),
-        h21=u[dims.mr:, : dims.mt].copy(),
-        h22=u[dims.mr:, dims.mt:].copy(),
-    )
-
-
 def snap_endpoints(lams: np.ndarray, tol: float) -> np.ndarray:
     """Clamp eigenvalues to [0, 1] and snap those within ``tol`` of an endpoint onto it.
 
@@ -237,17 +146,6 @@ def snap_endpoints(lams: np.ndarray, tol: float) -> np.ndarray:
     return np.where(lams >= 1.0 - tol, 1.0, np.where(lams <= tol, 0.0, lams))
 
 
-def classify_spectrum(lams: np.ndarray, tol: float = DEFAULT_UNIT_TOL) -> SpectrumSample:
-    """Sort, clamp to [0, 1], snap values within ``tol`` of an endpoint, count."""
-    if not (0.0 < tol <= 1e-3):
-        raise ValueError("tol must lie in (0, 1e-3]")
-    lams = np.sort(snap_endpoints(np.asarray(lams, dtype=float), tol))
-    unit = lams == 1.0
-    zero = lams == 0.0
-    counts = (int(unit.sum()), int(len(lams) - unit.sum() - zero.sum()), int(zero.sum()))
-    return SpectrumSample(lambdas=lams, counts=counts, tol=tol)
-
-
 def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of the smaller Gram form of one block or a stack (unclamped)."""
     mr, mt = h11.shape[-2:]
@@ -255,48 +153,38 @@ def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(np.einsum("...ij,...ik->...jk", block.conj(), block))
 
 
-def squared_singular_values(
-    real: ChannelRealization, tol: float = DEFAULT_UNIT_TOL
-) -> SpectrumSample:
-    """Ascending squared singular values of the channel block.
+def verify_pinned_spectrum(
+    unitaries: np.ndarray, dims: ChannelDims, tol: float = DEFAULT_UNIT_TOL
+) -> PinnedSpectrumReport:
+    """Check the pinned-eigenvalue decomposition on a stack of full unitaries.
 
-    Solves the Hermitian eigenproblem of ``H11^+ H11`` (or ``H11 H11^+``
-    when mt > mr), clamps into [0, 1], and classifies against ``tol``.
+    ``unitaries`` has shape (n, m, m); realization i has H11 = u[i, :mr, :mt]
+    and H22 = u[i, mr:, mt:].  Requires ``k = mt + mr - m > 0``.  The
+    eigenvalues of ``H11^+ H11`` and ``H22 H22^+`` pass through
+    :func:`snap_endpoints`; those of H11 at exactly 1 and 0 are counted,
+    and its interior ones are matched against the nonzero ones of H22.
     """
-    return classify_spectrum(gram_eigenvalues(real.h11), tol)
-
-
-def verify_pinned_spectrum(real: ChannelRealization, tol: float = DEFAULT_UNIT_TOL) -> PinnedSpectrumReport:
-    """Check the pinned-eigenvalue decomposition on one full realization.
-
-    Requires ``k = mt + mr - m > 0`` and the full four-block realization.
-    Counts eigenvalues of ``H11^+ H11`` at 1 and 0, and matches the interior
-    ones against the nonzero eigenvalues of ``H22 H22^+``.
-    """
-    dims = real.dims
     if dims.k <= 0:
         raise ValueError("verify_pinned_spectrum requires mt + mr > m")
-    if not real.has_full:
-        raise ValueError("verify_pinned_spectrum requires a keep_full realization")
-    lam11 = np.sort(np.linalg.eigvalsh(real.h11.conj().T @ real.h11))
-    unit = lam11 >= 1.0 - tol
-    zero = lam11 <= tol
-    interior11 = lam11[~unit & ~zero]
-
-    h22 = real.h22
-    lam22 = np.sort(np.linalg.eigvalsh(h22 @ h22.conj().T))
-    interior22 = lam22[lam22 > tol]
-
-    if len(interior11) != len(interior22):
-        # conservative: count mismatch shows up as the worst possible error
-        err = 1.0
-    elif len(interior11) == 0:
-        err = 0.0
-    else:
-        err = float(np.max(np.abs(np.sort(interior11) - np.sort(interior22))))
+    if not (0.0 < tol <= 1e-3):
+        raise ValueError("tol must lie in (0, 1e-3]")
+    u = np.asarray(unitaries)
+    if u.ndim != 3 or u.shape[1:] != (dims.m, dims.m):
+        raise ValueError(f"unitaries must have shape (n, {dims.m}, {dims.m}), got {u.shape}")
+    h11, h22 = u[:, : dims.mr, : dims.mt], u[:, dims.mr :, dims.mt :]
+    lam11 = snap_endpoints(np.linalg.eigvalsh(h11.conj().swapaxes(1, 2) @ h11), tol)
+    lam22 = snap_endpoints(np.linalg.eigvalsh(h22 @ h22.conj().swapaxes(1, 2)), tol)
+    unit, zero = lam11 == 1.0, lam11 == 0.0
+    interior, nonzero = ~(unit | zero), lam22 != 0.0
+    # each row's matched values first, padded with 2.0 (above every value), so pads cancel
+    width = min(dims.mt, dims.m - dims.mr)
+    a = np.sort(np.where(interior, lam11, 2.0), axis=1)[:, :width]
+    b = np.sort(np.where(nonzero, lam22, 2.0), axis=1)[:, :width]
+    err = np.max(np.abs(a - b), axis=1, initial=0.0)
     return PinnedSpectrumReport(
-        n_unit_found=int(unit.sum()),
-        n_zero_found=int(zero.sum()),
-        residual_match_error=err,
+        n_unit_found=unit.sum(axis=1),
+        n_zero_found=zero.sum(axis=1),
+        # conservative: a count mismatch shows up as the worst possible error
+        residual_match_error=np.where(interior.sum(axis=1) == nonzero.sum(axis=1), err, 1.0),
         tol=tol,
     )

@@ -173,7 +173,9 @@ def channel_blocks(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
 
     Trial t reads m * m_min complex normals: the first m_max rows of the
     phase-fixed QR of that m x m_min Ginibre block are the top-left block
-    of a Haar unitary, conjugate-transposed when mt > mr.
+    of a Haar unitary, conjugate-transposed when mt > mr.  With
+    ``ChannelDims(m, m, m)`` the blocks are whole m x m Haar unitaries
+    (Mezzadri, Notices AMS 54, 2007).
     """
     z = complex_normals(key, lo, hi, dims.m * dims.m_min).reshape(hi - lo, dims.m, dims.m_min)
     top = phase_fixed_qr(z)[:, : dims.m_max, :]
@@ -292,8 +294,8 @@ def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
 def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     """Ascending squared singular values for cfg.trials fresh channels.
 
-    Shape (trials, m_min); values clamped to [0, 1] with endpoint snapping
-    exactly as in :func:`jacobi_fading.ensembles.classify_spectrum`.
+    Shape (trials, m_min); values clamped to [0, 1] and snapped onto an
+    endpoint by :func:`jacobi_fading.ensembles.snap_endpoints`.
     """
     key = stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}")
 
@@ -556,6 +558,8 @@ def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
     s = _sorted_sample(sample, "sample")
     n = len(s)
     values = np.asarray(cdf(s), dtype=float)
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # nan fails both
+        raise ValueError("cdf must return finite values in [0, 1]")
     steps = np.arange(n + 1) / n
     return float(max(np.max(np.abs(values - steps[:-1])), np.max(np.abs(values - steps[1:]))))
 
@@ -589,10 +593,14 @@ def rayleigh_compare(
     """
     if not 0.0 < rho_bar < math.inf:
         raise ValueError("rho_bar must be finite and > 0")
-    m_list = [int(m) for m in m_list]
+    m_list = list(m_list)
+    if not m_list:
+        raise ValueError("m_list must name at least one m")
     for m in m_list:
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
+            raise ValueError(f"m_list entries must be integers, got {m!r}")
         if m < mt + mr:
-            raise ValueError(f"every m must satisfy m >= mt + mr, got m={m}")
+            raise ValueError(f"every m in m_list must satisfy m >= mt + mr, got m={m}")
     wishart = sample_wishart_spectra(mr, mt, cfg, tag="raycmp:wishart")
     rho_w = rho_bar / mt
     cap_ray = _estimate(np.sum(np.log2(1.0 + rho_w * wishart), axis=1), cfg)

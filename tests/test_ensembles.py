@@ -6,19 +6,25 @@ import pytest
 from jacobi_fading import philox
 from jacobi_fading.ensembles import (
     ChannelDims,
-    SpectrumSample,
-    classify_spectrum,
-    draw_channel,
     gram_eigenvalues,
     phase_fixed_qr,
-    sample_ginibre,
-    sample_haar_unitary,
     snap_endpoints,
-    squared_singular_values,
     verify_pinned_spectrum,
 )
 from jacobi_fading.errors import NumericalError
-from jacobi_fading.simulate import McConfig, ks_distance, sample_jacobi_spectra_wishart, sample_spectra
+from jacobi_fading.simulate import (
+    McConfig, channel_blocks, ks_distance, sample_jacobi_spectra_wishart, sample_spectra
+)
+
+
+def haar_unitaries(m, n, seed, tag="haar"):
+    """n Haar unitaries of size m x m, trials [0, n) of stream (seed, tag)."""
+    return channel_blocks(ChannelDims(m, m, m), philox.stream_key(seed, f"{tag}:{m}"), 0, n)
+
+
+def channels(dims, n, seed):
+    """n channel blocks H11 of dims, trials [0, n) of stream (seed, "channels")."""
+    return channel_blocks(dims, philox.stream_key(seed, "channels"), 0, n)
 
 
 def test_dims_derived_quantities():
@@ -77,48 +83,26 @@ def test_dims_validation():
         ChannelDims(1, 5, 4)
 
 
-def test_ginibre_entry_moments():
-    rng = np.random.default_rng(0)
-    z = sample_ginibre(100_000, 1, rng)
-    assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
-    # entries of a larger block behave as i.i.d. CN(0,1): unit variances,
-    # vanishing cross-correlations
-    z = sample_ginibre(100_000, 6, rng)
-    cov = z.conj().T @ z / len(z)
-    assert np.max(np.abs(cov - np.eye(6))) < 0.02
-
-
-def test_ginibre_determinism():
-    a = sample_ginibre(4, 3, np.random.default_rng(77))
-    b = sample_ginibre(4, 3, np.random.default_rng(77))
-    assert np.array_equal(a, b)
-
-
 def test_haar_unitary_unitarity_and_scalar_case():
-    rng = np.random.default_rng(1)
-    u1 = sample_haar_unitary(1, rng)
+    u1 = haar_unitaries(1, 1, 1)[0]
     assert abs(abs(u1[0, 0]) - 1.0) < 1e-12
     for m in (2, 5, 8):
-        u = sample_haar_unitary(m, rng)
+        u = haar_unitaries(m, 1, 1)[0]
         assert np.max(np.abs(u.conj().T @ u - np.eye(m))) < 1e-12
-    eig = np.linalg.eigvals(sample_haar_unitary(8, rng))
+    eig = np.linalg.eigvals(haar_unitaries(8, 1, 1, tag="eig")[0])
     assert np.max(np.abs(np.abs(eig) - 1.0)) < 1e-10
 
 
 def test_haar_entry_symmetry():
     # every |u_ij|^2 averages to 1/m
-    rng = np.random.default_rng(2)
-    n = 20_000
-    acc = np.zeros((4, 4))
-    for _ in range(n):
-        acc += np.abs(sample_haar_unitary(4, rng)) ** 2
-    assert np.max(np.abs(acc / n - 0.25)) < 0.01
+    acc = np.mean(np.abs(haar_unitaries(4, 20_000, 2)) ** 2, axis=0)
+    assert np.max(np.abs(acc - 0.25)) < 0.01
 
 
 def test_haar_invariance_under_fixed_rotation():
     # spectra of (V U)_11 match spectra of U_11 in distribution
     m, mt, mr, n = 4, 2, 2, 100_000
-    v_top = sample_haar_unitary(m, np.random.default_rng(123))[:mr, :]
+    v_top = haar_unitaries(m, 1, 123)[0, :mr, :]
     key = philox.stream_key(0, "invariance")
     z = philox.complex_normals(key, 0, n, m * mt).reshape(n, m, mt)
     iso = phase_fixed_qr(z)
@@ -128,38 +112,31 @@ def test_haar_invariance_under_fixed_rotation():
     assert ks_distance(plain, rotated) < 0.01
 
 
-def test_draw_channel_full_truncation_is_unitary():
-    real = draw_channel(ChannelDims(3, 3, 3), np.random.default_rng(3))
-    lam = squared_singular_values(real)
-    assert np.max(np.abs(lam.lambdas - 1.0)) < 1e-12
-    assert lam.counts == (3, 0, 0)
+def test_full_truncation_is_unitary():
+    lam = gram_eigenvalues(channels(ChannelDims(3, 3, 3), 1, 3)[0])
+    assert np.max(np.abs(lam - 1.0)) < 1e-12
+    assert np.array_equal(snap_endpoints(lam, 1e-9), np.ones(3))
 
 
-def test_draw_channel_pinned_eigenvalue_every_draw():
-    dims = ChannelDims(2, 2, 3)
-    rng = np.random.default_rng(4)
-    for _ in range(300):
-        lam = squared_singular_values(draw_channel(dims, rng))
-        # exactly one pinned value: the interior one stays away from 1
-        assert lam.n_unit == 1
-        assert lam.lambdas[-1] == 1.0
+def test_pinned_eigenvalue_every_draw():
+    lam = snap_endpoints(gram_eigenvalues(channels(ChannelDims(2, 2, 3), 300, 4)), 1e-9)
+    # exactly one pinned value: the interior one stays away from 1
+    assert np.all(np.sum(lam == 1.0, axis=1) == 1)
+    assert np.all(lam[:, -1] == 1.0)
 
 
-def test_draw_channel_frobenius_mean():
-    dims = ChannelDims(2, 2, 4)
-    rng = np.random.default_rng(5)
-    vals = [np.sum(np.abs(draw_channel(dims, rng).h11) ** 2) for _ in range(20_000)]
+def test_channel_frobenius_mean():
+    vals = np.sum(np.abs(channels(ChannelDims(2, 2, 4), 20_000, 5)) ** 2, axis=(1, 2))
     assert abs(np.mean(vals) - 1.0) < 0.01
 
 
-def test_draw_channel_determinism_and_blocks():
+def test_haar_determinism_and_blocks():
     dims = ChannelDims(2, 3, 5)
-    a = draw_channel(dims, np.random.default_rng(6), keep_full=True)
-    b = draw_channel(dims, np.random.default_rng(6), keep_full=True)
-    assert np.array_equal(a.h11, b.h11) and np.array_equal(a.h22, b.h22)
-    full = a.full_matrix()
-    assert np.max(np.abs(full.conj().T @ full - np.eye(5))) < 1e-12
-    assert a.h11.shape == (3, 2) and a.h21.shape == (2, 2) and a.h12.shape == (3, 3)
+    a, b = haar_unitaries(5, 1, 6)[0], haar_unitaries(5, 1, 6)[0]
+    assert np.array_equal(a, b)
+    assert np.max(np.abs(a.conj().T @ a - np.eye(5))) < 1e-12
+    h11, h12, h21 = a[: dims.mr, : dims.mt], a[: dims.mr, dims.mt :], a[dims.mr :, : dims.mt]
+    assert h11.shape == (3, 2) and h21.shape == (2, 2) and h12.shape == (3, 3)
 
 
 def test_spectrum_matches_density_formula():
@@ -184,33 +161,32 @@ def test_spectrum_transposition_symmetry():
 
 
 def test_batched_spectra_match_per_draw_api():
-    # the engine samples the first m_min Haar columns; per-draw API QRs the
-    # full matrix; both must give the same spectrum law
+    # the engine samples the first m_min Haar columns; here H11 is cut from
+    # full Haar unitaries; both must give the same spectrum law
     dims = ChannelDims(2, 2, 4)
-    rng = np.random.default_rng(8)
-    loop = np.array([squared_singular_values(draw_channel(dims, rng)).lambdas for _ in range(20_000)])
+    full = haar_unitaries(4, 20_000, 8)[:, : dims.mr, : dims.mt]
+    sliced = snap_endpoints(gram_eigenvalues(full), 1e-9)
     batched = sample_spectra(dims, McConfig(trials=20_000))
-    assert ks_distance(loop, batched) < 0.02
+    assert ks_distance(sliced, batched) < 0.02
 
 
-def test_classify_spectrum_snaps_and_counts():
-    s = classify_spectrum(np.array([1.0 - 1e-12, 0.5, 1e-12, -1e-15, 1.0 + 1e-15]), tol=1e-9)
-    assert s.counts == (2, 1, 2)
-    assert s.lambdas[0] == 0.0 and s.lambdas[1] == 0.0
-    assert s.lambdas[-2] == 1.0 and s.lambdas[-1] == 1.0
-    with pytest.raises(ValueError):
-        classify_spectrum(np.array([0.5]), tol=0.1)
+def test_snap_endpoints_snaps_and_counts():
+    s = np.sort(snap_endpoints(np.array([1.0 - 1e-12, 0.5, 1e-12, -1e-15, 1.0 + 1e-15]), 1e-9))
+    assert (np.sum(s == 1.0), np.sum((s > 0.0) & (s < 1.0)), np.sum(s == 0.0)) == (2, 1, 2)
+    assert s[0] == 0.0 and s[1] == 0.0
+    assert s[-2] == 1.0 and s[-1] == 1.0
 
 
-def test_batched_snapping_is_the_classify_rule():
+def test_batched_snapping_is_the_per_row_rule():
     batch = np.array([[1.0 - 1e-12, 0.5, 1e-12], [-1e-15, 1.0 + 1e-15, 0.25]])
     for row, snapped in zip(batch, snap_endpoints(batch, 1e-9)):
-        np.testing.assert_array_equal(np.sort(snapped), classify_spectrum(row, 1e-9).lambdas)
+        np.testing.assert_array_equal(snapped, snap_endpoints(row, 1e-9))
+    np.testing.assert_array_equal(snap_endpoints(batch, 1e-9), [[1.0, 0.5, 0.0], [0.0, 1.0, 0.25]])
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(NumericalError):
             snap_endpoints(np.array([[0.5, bad]]), 1e-9)
         with pytest.raises(NumericalError):
-            classify_spectrum(np.array([0.5, bad]))
+            snap_endpoints(np.array([0.5, bad]), 1e-9)
 
 
 def test_wishart_jacobi_scalar_is_uniform():
@@ -233,26 +209,41 @@ def test_wishart_jacobi_validation():
     ],
 )
 def test_verify_pinned_spectrum(dims, min_unit, min_zero):
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        report = verify_pinned_spectrum(draw_channel(dims, rng, keep_full=True))
-        assert report.n_unit_found >= min_unit
-        assert report.n_zero_found >= min_zero
-        assert report.residual_match_error < 1e-9
+    report = verify_pinned_spectrum(haar_unitaries(dims.m, 200, 11), dims)
+    assert report.n_unit_found.shape == (200,)
+    assert np.all(report.n_unit_found >= min_unit)
+    assert np.all(report.n_zero_found >= min_zero)
+    assert np.all(report.residual_match_error < 1e-9)
 
 
 def test_verify_pinned_spectrum_contract_errors():
-    rng = np.random.default_rng(12)
-    with pytest.raises(ValueError):
-        verify_pinned_spectrum(draw_channel(ChannelDims(2, 2, 4), rng, keep_full=True))
-    with pytest.raises(ValueError):
-        verify_pinned_spectrum(draw_channel(ChannelDims(2, 2, 3), rng, keep_full=False))
+    dims = ChannelDims(2, 2, 3)
+    u = haar_unitaries(3, 4, 12)
+    with pytest.raises(ValueError, match="mt \\+ mr > m"):
+        verify_pinned_spectrum(haar_unitaries(4, 4, 12), ChannelDims(2, 2, 4))
+    for bad in (u[0], u[:, :2, :], u[:, :, :2], u[None]):
+        with pytest.raises(ValueError, match="unitaries must have shape"):
+            verify_pinned_spectrum(bad, dims)
+    for tol in (0.0, -1e-9, 0.1, np.nan):
+        with pytest.raises(ValueError, match="tol must lie"):
+            verify_pinned_spectrum(u, dims, tol=tol)
+
+
+def test_verify_pinned_spectrum_flags_a_broken_realization():
+    dims = ChannelDims(2, 2, 3)
+    u = haar_unitaries(3, 4, 12).copy()
+    u[1] = np.diag([1.0, 0.5, 1.0])  # H11 has an interior 0.25 but H22 = [1]
+    report = verify_pinned_spectrum(u, dims)
+    assert report.residual_match_error[1] == 0.75
+    assert np.all(np.delete(report.residual_match_error, 1) < 1e-9)
+    u[2, 0, 0] = np.nan
+    with pytest.raises(NumericalError):
+        verify_pinned_spectrum(u, dims)
 
 
 @pytest.mark.parametrize("mt, mr, m", [(2, 3, 6), (3, 2, 6), (2, 2, 3), (4, 1, 5)])
 def test_stacked_gram_eigenvalues_match_per_block_calls(mt, mr, m):
-    rng = np.random.default_rng(13)
-    stack = np.array([draw_channel(ChannelDims(mt, mr, m), rng).h11 for _ in range(50)])
+    stack = channels(ChannelDims(mt, mr, m), 50, 13)
     want = np.array([gram_eigenvalues(h) for h in stack])
     assert want.shape == (50, min(mt, mr))
     np.testing.assert_allclose(gram_eigenvalues(stack), want, rtol=0, atol=1e-14)

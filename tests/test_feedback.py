@@ -1,15 +1,13 @@
 """Zero-outage feedback scheme: completion algebra and end-to-end runs."""
 
 import math
-import runpy
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from jacobi_fading import feedback
-from jacobi_fading.ensembles import ChannelDims, draw_channel
+from jacobi_fading.ensembles import ChannelDims
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.feedback import (
     SchemeConfig,
@@ -17,39 +15,40 @@ from jacobi_fading.feedback import (
     power_check,
     run_feedback_scheme,
 )
-from jacobi_fading.simulate import qpsk_bit_error
+from jacobi_fading.philox import stream_key
+from jacobi_fading.simulate import channel_blocks, qpsk_bit_error
 
 DIMS_223 = ChannelDims(2, 2, 3)
-DEMO = Path(__file__).resolve().parents[1] / "demos" / "zero_outage_feedback.py"
+
+
+def channels(dims, n, seed):
+    """n channel blocks H11 of dims, trials [0, n) of stream (seed, "channels")."""
+    return channel_blocks(dims, stream_key(seed, "channels"), 0, n)
 
 
 def test_completion_builds_isometry():
-    rng = np.random.default_rng(0)
-    for _ in range(1000):
-        h11 = draw_channel(DIMS_223, rng).h11
+    for h11 in channels(DIMS_223, 1000, 0):
         h21 = complete_unitary(h11, DIMS_223)
         stacked = np.vstack([h11, h21])
         assert np.max(np.abs(stacked.conj().T @ stacked - np.eye(2))) < 1e-10
 
 
 def test_completion_trace_identity():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        h11 = draw_channel(DIMS_223, rng).h11
+    for h11 in channels(DIMS_223, 200, 1):
         h21 = complete_unitary(h11, DIMS_223)
         want = 2.0 - np.sum(np.abs(h11) ** 2)
         assert np.sum(np.abs(h21) ** 2) == pytest.approx(want, abs=1e-10)
 
 
 def test_completion_is_deterministic():
-    h11 = draw_channel(DIMS_223, np.random.default_rng(2)).h11
+    h11 = channels(DIMS_223, 1, 2)[0]
     assert np.array_equal(complete_unitary(h11, DIMS_223), complete_unitary(h11, DIMS_223))
 
 
 def test_completion_degenerate_no_rows():
     # mr = m: the block already has orthonormal columns, completion is empty
     dims = ChannelDims(2, 3, 3)
-    h11 = draw_channel(dims, np.random.default_rng(3)).h11
+    h11 = channels(dims, 1, 3)[0]
     h21 = complete_unitary(h11, dims)
     assert h21.shape == (0, 2)
 
@@ -67,8 +66,7 @@ def test_completion_rejects_impossible_input():
 
 def test_completion_of_a_stack_matches_single_blocks():
     dims = ChannelDims(3, 3, 4)
-    rng = np.random.default_rng(4)
-    h11 = np.stack([draw_channel(dims, rng).h11 for _ in range(50)])
+    h11 = channels(dims, 50, 4)
     stack = complete_unitary(h11, dims)
     assert stack.shape == (50, 1, 3)
     singles = np.stack([complete_unitary(h, dims) for h in h11])
@@ -80,7 +78,7 @@ def test_completion_of_a_stack_matches_single_blocks():
 
 
 def test_completion_rejects_any_bad_block_in_a_stack():
-    h11 = np.stack([draw_channel(DIMS_223, np.random.default_rng(5)).h11] * 3)
+    h11 = np.repeat(channels(DIMS_223, 1, 5), 3, axis=0)
     h11[1] = 0.0  # residual rank 2 > m - mr = 1
     with pytest.raises(NumericalError):
         complete_unitary(h11, DIMS_223)
@@ -423,8 +421,3 @@ def test_both_ends_compute_the_same_completion():
     receiver = complete_unitary(rep.trace.channels, ChannelDims(4, 4, 6))
     assert np.array_equal(receiver, rep.trace.completions)
 
-
-def test_zero_outage_demo_runs(capsys):
-    runpy.run_path(str(DEMO), run_name="__main__")
-    out = capsys.readouterr().out
-    assert "staleness sweep" in out and "two pinned streams" in out

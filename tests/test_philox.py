@@ -45,12 +45,17 @@ def test_uniforms_in_half_open_unit_interval():
 
 
 def test_complex_normals_moments():
-    z = philox.complex_normals(philox.stream_key(11, "z"), 0, 40000, 4)
-    flat = z.ravel()
-    n = len(flat)
-    assert abs(np.mean(np.abs(flat) ** 2) - 1.0) < 5.0 / np.sqrt(n)
-    assert abs(np.mean(flat.real ** 2) - 0.5) < 4.0 / np.sqrt(n)
-    assert abs(np.mean(flat.imag ** 2) - 0.5) < 4.0 / np.sqrt(n)
-    assert abs(np.mean(flat)) < 4.0 / np.sqrt(n)
-    # circular symmetry: E[z^2] = 0
-    assert abs(np.mean(flat**2)) < 4.0 / np.sqrt(n)
+    for seed, tag, trials, width in ((11, "z", 40000, 4), (0, "ginibre", 100_000, 6)):
+        z = philox.complex_normals(philox.stream_key(seed, tag), 0, trials, width)
+        # the entries of a trial behave as i.i.d. CN(0,1): unit variances,
+        # vanishing cross-correlations
+        cov = z.conj().T @ z / trials
+        assert np.max(np.abs(cov - np.eye(width))) < 0.02
+        flat = z.ravel()
+        n = len(flat)
+        assert abs(np.mean(np.abs(flat) ** 2) - 1.0) < 5.0 / np.sqrt(n)
+        assert abs(np.mean(flat.real ** 2) - 0.5) < 4.0 / np.sqrt(n)
+        assert abs(np.mean(flat.imag ** 2) - 0.5) < 4.0 / np.sqrt(n)
+        assert abs(np.mean(flat)) < 4.0 / np.sqrt(n)
+        # circular symmetry: E[z^2] = 0
+        assert abs(np.mean(flat**2)) < 4.0 / np.sqrt(n)

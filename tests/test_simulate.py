@@ -348,6 +348,8 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         (lambda: ks_distance([0.5, 0.2], [1.0, math.inf]), "b must be a non-empty sample of finite"),
         (lambda: ks_distance_to_cdf([], lambda x: x), "sample must be a non-empty sample"),
         (lambda: ks_distance_to_cdf([0.1, -math.inf], lambda x: x), "sample must be a non-empty sample"),
+        (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: 5 + x), "cdf must return finite values in"),
+        (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: x * math.nan), "cdf must return finite values in"),
         (lambda: sample_wishart_spectra(0, 2, McConfig(trials=10)), "rows must be an integer >= 1"),
         (lambda: sample_wishart_spectra(-1, 2, McConfig(trials=10)), "rows must be an integer >= 1"),
         (lambda: sample_wishart_spectra(2, 0, McConfig(trials=10)), "cols must be an integer >= 1"),
@@ -355,6 +357,10 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         (lambda: rayleigh_compare(2, 2, [8], math.nan, McConfig(trials=10)), "rho_bar must be finite and > 0"),
         (lambda: rayleigh_compare(2, 2, [8], math.inf, McConfig(trials=10)), "rho_bar must be finite and > 0"),
         (lambda: rayleigh_compare(2, 2, [8], 0.0, McConfig(trials=10)), "rho_bar must be finite and > 0"),
+        (lambda: rayleigh_compare(2, 2, [8.7], 100.0, McConfig(trials=10)), "m_list entries must be integers"),
+        (lambda: rayleigh_compare(2, 2, [8, True], 100.0, McConfig(trials=10)), "m_list entries must be integers"),
+        (lambda: rayleigh_compare(2, 2, [], 100.0, McConfig(trials=10)), "m_list must name at least one m"),
+        (lambda: rayleigh_compare(2, 2, [8, 3], 100.0, McConfig(trials=10)), "every m in m_list must satisfy"),
     ],
 )
 def test_bad_samples_and_sizes_name_the_argument(call, message):
