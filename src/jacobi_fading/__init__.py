@@ -19,14 +19,7 @@ from .analytic import (
 )
 from .ensembles import ChannelDims, PinnedSpectrumReport, verify_pinned_spectrum
 from .errors import NumericalError
-from .feedback import (
-    PowerCheck,
-    SchemeConfig,
-    SchemeReport,
-    complete_unitary,
-    power_check,
-    run_feedback_scheme,
-)
+from .feedback import SchemeConfig, SchemeReport, complete_unitary, run_feedback_scheme
 from .simulate import (
     McConfig,
     McEstimate,
@@ -66,7 +59,6 @@ __all__ = [
     "QuadratureRule",
     "SchemeConfig",
     "SchemeReport",
-    "PowerCheck",
     "NumericalError",
     "verify_pinned_spectrum",
     "jacobi_poly",
@@ -95,6 +87,5 @@ __all__ = [
     "ks_distance",
     "complete_unitary",
     "run_feedback_scheme",
-    "power_check",
     "__version__",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import ChannelDims
+from .ensembles import ChannelDims, require_integers
 from .errors import NumericalError
 from .specfun import (
     gauss_jacobi_rule,
@@ -158,6 +158,7 @@ def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:
     Equals ``I_x(mr, m - mr)`` with ``x = (2^R - 1) / rho`` (and 1 whenever
     the threshold x reaches 1).
     """
+    require_integers(mr=mr, m=m)
     if mr < 1 or m < mr + 1:
         raise ValueError("need m >= mr + 1 >= 2")
     if not 0.0 <= rate_bits < math.inf:
@@ -182,6 +183,7 @@ def rho_norm(mr: int, m: int, epsilon: float) -> float:
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    require_integers(mr=mr, m=m)
     if mr < 1 or m < mr:
         raise ValueError("need m >= mr >= 1")
     if m == mr:

@@ -33,10 +33,9 @@ __all__ = [
 DEFAULT_UNIT_TOL = 1e-9
 
 
-def require_integers(obj, *names: str) -> None:
-    """Raise ValueError unless each named attribute of obj is an integer (not a bool)."""
-    for name in names:
-        value = getattr(obj, name)
+def require_integers(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not an integer (or is a bool)."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
@@ -58,7 +57,7 @@ class ChannelDims:
     m: int
 
     def __post_init__(self):
-        require_integers(self, "mt", "mr", "m")
+        require_integers(mt=self.mt, mr=self.mr, m=self.m)
         if not (1 <= self.mt <= self.m):
             raise ValueError(f"need 1 <= mt <= m, got mt={self.mt}, m={self.m}")
         if not (1 <= self.mr <= self.m):

@@ -10,17 +10,11 @@ stacked isometry to recover ``sqrt(rho) * x + z`` with unit white noise,
 i.e. k parallel single-mode channels of SNR exactly rho and zero outage for
 any rate below ``k * log2(1 + rho)`` (up to the fixed closing overhead).
 
-Two departures from the bare description are implemented and flagged:
-
-* ``pad_relay_power`` (default on): relay slots are topped up to unit
-  average power with a pseudo-random dither known to both ends (the
-  transmitter and receiver share the seed), which the receiver subtracts.
-  Without it the relay modes run below the per-mode power constraint's
-  equality, since ``||H21 x|| <= ||x||``.
-* ``reclaim_zero_rows`` (default off): structurally zero relay entries
-  (zero rows of the completion, or the first l uses whose relay is all
-  zeros) carry additional information symbols instead of dither; their side
-  measures are never consumed by the combiner, so the peeling is unchanged.
+Relay slots are topped up to unit average power with a pseudo-random
+dither known to both ends (the transmitter and receiver share the seed),
+which the receiver subtracts.  The relay alone runs below the per-mode power
+constraint's equality, since ``||H21 x|| <= ||x||``; with the dither every
+mode transmits at unit conditional power, given the channel sequence.
 
 The closing repetition windows hold their channel realization for the mt
 slots of each conveyed scalar, so the combined gain ``rho * ||H11||_F^2``
@@ -55,14 +49,11 @@ __all__ = [
     "SchemeConfig",
     "SchemeReport",
     "FrameTrace",
-    "PowerCheck",
     "complete_unitary",
     "run_feedback_scheme",
-    "power_check",
 ]
 
 _COMBINE_TOL = 1e-10
-_ZERO_ROW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -83,13 +74,13 @@ class SchemeConfig:
     modulation: str = "qpsk"
     master_seed: int = 0
     fresh_channel_each_use: bool = True
-    pad_relay_power: bool = True
-    reclaim_zero_rows: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.dims, ChannelDims):
+            raise ValueError(f"dims must be a ChannelDims, got {self.dims!r}")
         if self.dims.k < 1:
             raise ValueError(f"the feedback scheme needs mt + mr > m (k >= 1), got {self.dims}")
-        require_integers(self, "n_uses", "delay")
+        require_integers(n_uses=self.n_uses, delay=self.delay, master_seed=self.master_seed)
         if self.delay < 1:
             raise ValueError("delay must be >= 1")
         if self.n_uses <= self.delay:
@@ -102,7 +93,7 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class FrameTrace:
-    """Everything the run transmitted and saw, for audits and power checks."""
+    """Everything the run transmitted and saw, for audits."""
 
     channels: np.ndarray        # (n, mr, mt) realized blocks
     completions: np.ndarray     # (n, s, mt)
@@ -110,22 +101,7 @@ class FrameTrace:
     new_symbols: np.ndarray     # (n, k)
     relay_content: np.ndarray   # (n, s) completion-projected old signal
     dither: np.ndarray          # (n, s) known padding added on top
-    extra_mask: np.ndarray      # (n, s) bool, slots reclaimed for new symbols
     cond_mode_power: np.ndarray  # (n, mt) E|x_j|^2 given the channel sequence
-
-
-@dataclass(frozen=True)
-class PowerCheck:
-    """Per-mode transmit power over the main frame.
-
-    ``per_mode_power`` averages the exact conditional (over symbols and
-    dither, given channels) second moments, ``per_mode_power_empirical`` the
-    realized |x_j|^2.
-    """
-
-    per_mode_power: np.ndarray
-    per_mode_power_empirical: np.ndarray
-    worst_mode_deviation: float
 
 
 @dataclass(frozen=True)
@@ -136,7 +112,10 @@ class SchemeReport:
     sample moments of the realized combined noise, while the headline fields
     integrate the Gaussian dimensions exactly (the combined-noise covariance
     of every use is an algebraic function of the realized channels), leaving
-    only the channel-sequence dependence.
+    only the channel-sequence dependence.  ``per_mode_power`` averages the
+    exact conditional (over symbols and dither, given channels) second
+    moments of each transmit mode, ``per_mode_power_empirical`` the
+    realized |x_j|^2.
     """
 
     per_stream_snr: np.ndarray
@@ -151,7 +130,6 @@ class SchemeReport:
     mutual_information_per_use: float
     stream_noise_max_cross_corr: float
     min_closing_gain: float
-    extra_streams: int
     n_uses: int
     delay: int
     rho: float
@@ -200,7 +178,7 @@ class _FrameDraws:
     """Every random variate of one frame, row i belonging to use (or closing window) i."""
 
     channels: np.ndarray          # (n, mr, mt), or (1, mr, mt) for a held realization
-    symbols: np.ndarray           # (n, k + s): k new symbols, then one reclaim symbol per slot
+    symbols: np.ndarray           # (n, k) new symbols
     noise: np.ndarray             # (n, mr)
     dither: np.ndarray            # (n, s) CN(0, 1), scaled by the pad deviation
     closing_channels: np.ndarray  # (l * s, mr, mt)
@@ -212,10 +190,8 @@ def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
 
     Each role reads its own stream ``stream_key(seed, "feedback:<role>")``
     with the use (or closing window) index as the trial index, so use i's
-    variates depend on its position only.  Every use is allotted k + s
-    symbols (2(k + s) uniforms for QPSK, one bit each), so relay slot e
-    carries symbol k + e when it is reclaimed, and the symbol goes unused
-    otherwise.
+    variates depend on its position only.  Every use draws its k new
+    symbols (2k uniforms for QPSK, one bit each).
     """
     dims, n = cfg.dims, cfg.n_uses
     k, s = dims.k, dims.m - dims.mr
@@ -231,10 +207,10 @@ def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
         channels = channel_blocks(dims, key("channel"), 0, 1)
         closing_channels = np.repeat(channels, windows, axis=0)
     if cfg.modulation == "qpsk":
-        bits = uniforms(key("symbols"), 0, n, 2 * (k + s)) > 0.5
+        bits = uniforms(key("symbols"), 0, n, 2 * k) > 0.5
         symbols = ((2.0 * bits[:, 0::2] - 1.0) + 1j * (2.0 * bits[:, 1::2] - 1.0)) / math.sqrt(2.0)
     else:
-        symbols = complex_normals(key("symbols"), 0, n, k + s)
+        symbols = complex_normals(key("symbols"), 0, n, k)
     closing_noise = complex_normals(key("closing-noise"), 0, windows, dims.mt * dims.mr)
     return _FrameDraws(
         channels=channels,
@@ -280,23 +256,13 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
 
     # relay of use i goes through the completion of use i - l; the first l
     # uses relay through a zero completion, i.e. relay nothing
-    prev_h21 = np.zeros_like(h21)
-    prev_h21[l:] = h21[:-l]
-    if cfg.reclaim_zero_rows:
-        extra_mask = np.linalg.norm(prev_h21, axis=2) < _ZERO_ROW_TOL
-    else:
-        extra_mask = np.zeros((n, s), dtype=bool)
-    # A reclaimed slot relays nothing (its completion row is gated to zero)
-    # and carries its new symbol as a unit-variance pad, which leaves it
-    # uncorrelated with the other slots and at unit power.
-    relay = prev_h21 * ~extra_mask[:, :, None]
+    relay = np.zeros_like(h21)
+    relay[l:] = h21[:-l]
     relay_h = _hermitian(relay)
-    pad_gate = np.where(extra_mask | cfg.pad_relay_power, 1.0, 0.0)
-    pad_fill = np.where(extra_mask, draws.symbols[:, k:], draws.dither)
 
     # forward recurrence: row l + i of xs and sig holds use i, rows < l the zero past
     xs = np.zeros((n + l, mt), dtype=complex)
-    xs[l:, :k] = draws.symbols[:, :k]
+    xs[l:, :k] = draws.symbols
     sig = np.zeros((n + l, mt, mt), dtype=complex)  # conditional covariances given channels
     sig[l:, :k, :k] = np.eye(k)
     pad = np.empty((n, s), dtype=complex)
@@ -304,13 +270,12 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         e = min(b + l, n)
         c_rel = relay[b:e] @ sig[b:e] @ relay_h[b:e]
         c_diag = c_rel.reshape(e - b, s * s)[:, ::s + 1]  # a writable view of the diagonals
-        pad_var = np.maximum(1.0 - c_diag.real, 0.0) * pad_gate[b:e]
-        pad[b:e] = np.sqrt(pad_var) * pad_fill[b:e]
+        pad_var = np.maximum(1.0 - c_diag.real, 0.0)
+        pad[b:e] = np.sqrt(pad_var) * draws.dither[b:e]
         c_diag += pad_var
         xs[b + l:e + l, k:] = (relay[b:e] @ xs[b:e, :, None])[:, :, 0] + pad[b:e]
         sig[b + l:e + l, k:, k:] = c_rel
-    relay_content = (prev_h21 @ xs[:n, :, None])[:, :, 0]
-    dither = np.where(extra_mask, 0.0, pad)
+    relay_content = (relay @ xs[:n, :, None])[:, :, 0]
     xs, sig = xs[l:], sig[l:]
     cond_power = np.diagonal(sig, axis1=1, axis2=2).real.copy()
     ys = ((sqrt_rho * h11) @ xs[:, :, None])[:, :, 0] + draws.noise
@@ -328,23 +293,20 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     overhead = l * s * mt
 
     # backward peeling: use i combines with the side measure of its relay,
-    # read from slots k: of use i + l (its known dither removed, reclaimed
-    # slots never combined).  Rows n.. of y_pad and cov_pad hold the closing
-    # measures in those slots; row i < n holds use i's combined output.
+    # read from slots k: of use i + l (its known dither removed).  Rows n..
+    # of y_pad and cov_pad hold the closing measures in those slots; row
+    # i < n holds use i's combined output.
     y_pad = np.zeros((n + l, mt), dtype=complex)
     cov_pad = np.zeros((n + l, mt, mt), dtype=complex)
     y_pad[n:, k:] = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s)
     cov_pad[n:, k:, k:] = (1.0 / gain).reshape(l, s, 1) * np.eye(s)
-    keep = np.ones((n, s))
-    keep[:n - l] = ~extra_mask[l:]
     offset = np.zeros((n, s), dtype=complex)
-    offset[:n - l] = sqrt_rho * dither[l:]
+    offset[:n - l] = sqrt_rho * pad[l:]
     h21h = _hermitian(h21)
-    h21h_kept = h21h * keep[:, None, :]
-    base = ((_hermitian(h11) @ ys[:, :, None]) - h21h_kept @ offset[:, :, None])[:, :, 0]
+    base = ((_hermitian(h11) @ ys[:, :, None]) - h21h @ offset[:, :, None])[:, :, 0]
     for e in range(n, 0, -l):
         b = max(e - l, 0)
-        y_pad[b:e] = base[b:e] + (h21h_kept[b:e] @ y_pad[b + l:e + l, k:, None])[:, :, 0]
+        y_pad[b:e] = base[b:e] + (h21h[b:e] @ y_pad[b + l:e + l, k:, None])[:, :, 0]
         cov_pad[b:e] = gram11[b:e] + h21h[b:e] @ (cov_pad[b + l:e + l, k:, k:] @ h21[b:e])
     y_tilde, cov_z = y_pad[:n], cov_pad[:n]
 
@@ -368,18 +330,16 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     else:
         max_corr = 0.0
 
-    new_syms = draws.symbols[:, :k]
-    n_extra = int(np.count_nonzero(extra_mask))
+    sent = draws.symbols
     ber = None
     if cfg.modulation == "qpsk":
-        sent = np.concatenate([new_syms.ravel(), draws.symbols[:, k:][extra_mask]])
-        meas = np.concatenate([y_tilde[:, :k].ravel(), y_tilde[:, k:][extra_mask]])
+        meas = y_tilde[:, :k]
         bit_errs = np.sum(np.sign(meas.real) != np.sign(sent.real))
         bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
-        ber = float(bit_errs / (2 * len(sent)))
+        ber = float(bit_errs / (2 * sent.size))
 
     per_use_rate = math.log2(1.0 + rho)
-    achieved_rate = (k * n + n_extra) * per_use_rate / (n + overhead)
+    achieved_rate = k * n * per_use_rate / (n + overhead)
     mi_streams = float(np.sum(np.log2(1.0 + rho / cond_var_stream)))
     mi_per_use = mi_streams / (n + overhead)
 
@@ -387,10 +347,9 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         channels=h11,
         completions=h21,
         transmitted=xs,
-        new_symbols=new_syms,
+        new_symbols=sent,
         relay_content=relay_content,
-        dither=dither,
-        extra_mask=extra_mask,
+        dither=pad,
         cond_mode_power=cond_power,
     )
     return SchemeReport(
@@ -406,20 +365,8 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         mutual_information_per_use=mi_per_use,
         stream_noise_max_cross_corr=max_corr,
         min_closing_gain=min_gain,
-        extra_streams=n_extra,
         n_uses=n,
         delay=l,
         rho=rho,
         trace=trace,
-    )
-
-
-def power_check(trace: FrameTrace) -> PowerCheck:
-    """Per-mode transmit power over the main frame, conditional and realized."""
-    cond = np.mean(trace.cond_mode_power, axis=0)
-    emp = np.mean(np.abs(trace.transmitted) ** 2, axis=0)
-    return PowerCheck(
-        per_mode_power=cond,
-        per_mode_power_empirical=emp,
-        worst_mode_deviation=float(np.max(np.abs(cond - 1.0))),
     )

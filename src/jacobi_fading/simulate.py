@@ -96,7 +96,7 @@ class McConfig:
     workers: int = 1
 
     def __post_init__(self):
-        require_integers(self, "trials", "master_seed", "workers")
+        require_integers(trials=self.trials, master_seed=self.master_seed, workers=self.workers)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -511,14 +511,16 @@ def estimate_diversity_slope(points) -> float:
     """Least-squares decay exponent of probability against SNR, in decades.
 
     ``points`` is a sequence of (rho_linear, probability) pairs, at least
-    three, all probabilities positive; returns d >= 0 such that the best
-    power-law fit is P ~ rho^-d.
+    three, at two or more distinct rho, every rho and probability finite and
+    positive; returns d >= 0 such that the best power-law fit is P ~ rho^-d.
     """
     pts = [(float(rho), float(p)) for rho, p in points]
     if len(pts) < 3:
-        raise ValueError("need at least 3 points")
-    if any(p <= 0.0 for _, p in pts):
-        raise ValueError("all probabilities must be > 0")
+        raise ValueError("points must hold at least 3 (rho, probability) pairs")
+    if not all(0.0 < rho < math.inf and 0.0 < p < math.inf for rho, p in pts):
+        raise ValueError("points must have every rho and probability finite and > 0")
+    if len({rho for rho, _ in pts}) < 2:
+        raise ValueError("points must span at least 2 distinct rho values")
     log_rho = np.log10([rho for rho, _ in pts])
     log_p = np.log10([p for _, p in pts])
     return float(-np.polyfit(log_rho, log_p, 1)[0])

@@ -203,6 +203,13 @@ def test_outage_single_mode_validation():
         (lambda: outage_single_mode(1, 2, math.nan, 10.0), "rate_bits must be finite"),
         (lambda: outage_single_mode(1, 2, math.inf, 10.0), "rate_bits must be finite"),
         (lambda: outage_single_mode(1, 2, -1.0, 10.0), "rate_bits must be finite and >= 0"),
+        (lambda: outage_single_mode(1.5, 3, 1.0, 10.0), "mr must be an integer"),
+        (lambda: outage_single_mode(True, 3, 1.0, 10.0), "mr must be an integer"),
+        (lambda: outage_single_mode(1, 3.0, 1.0, 10.0), "m must be an integer"),
+        (lambda: rho_norm(1.5, 3, 0.1), "mr must be an integer"),
+        (lambda: rho_norm(True, 3, 0.1), "mr must be an integer"),
+        (lambda: rho_norm(2, 4.0, 0.1), "m must be an integer"),
+        (lambda: rho_norm(2, "4", 0.1), "m must be an integer"),
     ],
 )
 def test_closed_forms_reject_non_finite_arguments(call, message):
@@ -214,6 +221,7 @@ def test_rho_norm_values():
     for eps in (1e-5, 1e-3, 0.1):
         assert rho_norm(4, 4, eps) == 1.0
     assert rho_norm(1, 2, 1e-3) == pytest.approx(1000.0, rel=1e-9)
+    assert rho_norm(np.int64(1), np.int32(2), 1e-3) == rho_norm(1, 2, 1e-3)
     assert rho_norm(2, 4, 1e-5) > rho_norm(2, 4, 1e-3)
     with pytest.raises(ValueError):
         rho_norm(2, 4, 0.0)

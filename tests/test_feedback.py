@@ -12,10 +12,9 @@ from jacobi_fading.errors import NumericalError
 from jacobi_fading.feedback import (
     SchemeConfig,
     complete_unitary,
-    power_check,
     run_feedback_scheme,
 )
-from jacobi_fading.philox import stream_key
+from jacobi_fading.philox import stream_key, uniforms
 from jacobi_fading.simulate import channel_blocks, qpsk_bit_error
 
 DIMS_223 = ChannelDims(2, 2, 3)
@@ -108,11 +107,16 @@ def test_scheme_config_validation():
         {"n_uses": True},
         {"delay": True},
         {"delay": 1.5},
+        {"master_seed": 1.5},
+        {"master_seed": True},
+        {"master_seed": "3"},
+        {"dims": (2, 2, 3)},
     ],
 )
 def test_scheme_config_rejects_non_finite_snr_and_non_integer_counts(bad):
-    with pytest.raises(ValueError):
-        SchemeConfig(dims=DIMS_223, **bad)
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        SchemeConfig(**{"dims": DIMS_223, **bad})
 
 
 def test_scheme_config_accepts_numpy_integers():
@@ -188,36 +192,12 @@ def test_scheme_gaussian_modulation():
     assert np.all(np.abs(rep.per_stream_snr - 10.0) < 0.2)
 
 
-def test_scheme_without_power_padding():
-    rep = run_feedback_scheme(
-        SchemeConfig(dims=DIMS_223, n_uses=1000, delay=1, rho=10.0, pad_relay_power=False)
-    )
-    # relay mode runs below the constraint (steady state 1/2 for these dims)
-    assert rep.per_mode_power[0] == pytest.approx(1.0, abs=1e-12)
-    assert 0.3 < rep.per_mode_power[1] < 0.7
-    # the peeling algebra is unchanged
-    assert np.all(np.abs(rep.per_stream_snr - 10.0) < 0.2)
-    assert rep.noise_cov_error < 0.05
-
-
 def test_scheme_hold_channel_mode():
     rep = run_feedback_scheme(
         SchemeConfig(dims=DIMS_223, n_uses=300, delay=1, rho=10.0, fresh_channel_each_use=False)
     )
     assert np.all(rep.trace.channels[0] == rep.trace.channels[-1])
     assert np.all(np.abs(rep.per_stream_snr - 10.0) < 0.2)
-
-
-def test_scheme_reclaim_zero_rows():
-    rep = run_feedback_scheme(
-        SchemeConfig(dims=DIMS_223, n_uses=400, delay=2, rho=10.0, reclaim_zero_rows=True)
-    )
-    # the first l uses' relay slots are structurally zero and get reclaimed
-    assert rep.extra_streams >= 2 * 1
-    assert np.all(rep.trace.extra_mask[:2])
-    p = float(qpsk_bit_error(10.0))
-    n_bits = 2 * (400 + rep.extra_streams)
-    assert abs(rep.ber - p) < 4 * math.sqrt(p * (1 - p) / n_bits) + 1e-3
 
 
 def test_scheme_reproducible():
@@ -228,15 +208,24 @@ def test_scheme_reproducible():
     assert a.ber == b.ber and a.noise_cov_error == b.noise_cov_error
 
 
-def test_power_check_report():
+def test_per_mode_power_report():
     rep = run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=1000, delay=1, rho=10.0))
-    chk = power_check(rep.trace)
-    assert chk.worst_mode_deviation < 1e-12
-    assert np.all(np.abs(chk.per_mode_power - 1.0) < 1e-12)
+    assert np.all(np.abs(rep.per_mode_power - 1.0) < 1e-12)
     # QPSK new-symbol slots have |x| = 1 exactly, so the realized power of
     # mode 0 is exactly 1 too
-    assert chk.per_mode_power_empirical[0] == pytest.approx(1.0, abs=1e-12)
-    assert abs(chk.per_mode_power_empirical[1] - 1.0) < 0.15
+    assert rep.per_mode_power_empirical[0] == pytest.approx(1.0, abs=1e-12)
+    assert abs(rep.per_mode_power_empirical[1] - 1.0) < 0.15
+
+
+@pytest.mark.parametrize("dims", [DIMS_223, ChannelDims(4, 4, 6)])
+def test_qpsk_symbols_are_k_bit_pairs_per_use(dims):
+    # each use reads 2k uniforms of the symbols stream, one bit each
+    seed, n = 5, 120
+    rep = run_feedback_scheme(SchemeConfig(dims=dims, n_uses=n, delay=2, master_seed=seed))
+    bits = uniforms(stream_key(seed, "feedback:symbols"), 0, n, 2 * dims.k) > 0.5
+    want = ((2.0 * bits[:, 0::2] - 1.0) + 1j * (2.0 * bits[:, 1::2] - 1.0)) / math.sqrt(2.0)
+    assert rep.trace.new_symbols.shape == (n, dims.k)
+    assert np.array_equal(rep.trace.new_symbols, want)
 
 
 def _reference_frame(cfg):
@@ -244,7 +233,7 @@ def _reference_frame(cfg):
 
     This is the per-use algorithm the batched recurrences replace: each use
     completes its block, relays the l-uses-old vector with its exact
-    conditional covariance, pads or reclaims the relay slots, and the
+    conditional covariance, pads the relay slots to unit power, and the
     receiver peels backwards one use at a time.
     """
     d = feedback._draw_frame(cfg)
@@ -259,8 +248,6 @@ def _reference_frame(cfg):
     ys = np.empty((n, mr), dtype=complex)
     relay_content = np.zeros((n, s), dtype=complex)
     dither = np.zeros((n, s), dtype=complex)
-    extra_mask = np.zeros((n, s), dtype=bool)
-    extra_syms = np.zeros((n, s), dtype=complex)
     cond_power = np.empty((n, mt))
     sigmas = np.empty((n, mt, mt), dtype=complex)
     for i in range(n):
@@ -268,7 +255,6 @@ def _reference_frame(cfg):
         h21 = complete_unitary(h11, dims)
         channels[i] = h11
         completions[i] = h21
-        a = d.symbols[i, :k]
         if i >= l:
             w_rel = completions[i - l] @ xs[i - l]
             c_rel = completions[i - l] @ sigmas[i - l] @ completions[i - l].conj().T
@@ -276,35 +262,15 @@ def _reference_frame(cfg):
             w_rel = np.zeros(s, dtype=complex)
             c_rel = np.zeros((s, s), dtype=complex)
         relay_content[i] = w_rel
-        if cfg.reclaim_zero_rows:
-            if i < l:
-                mask = np.ones(s, dtype=bool)
-            else:
-                mask = np.linalg.norm(completions[i - l], axis=1) < feedback._ZERO_ROW_TOL
-        else:
-            mask = np.zeros(s, dtype=bool)
-        extra_mask[i] = mask
-        if cfg.pad_relay_power:
-            pad_var = np.clip(1.0 - np.diag(c_rel).real, 0.0, None)
-        else:
-            pad_var = np.zeros(s)
-        pad_var = np.where(mask, 0.0, pad_var)
+        pad_var = np.clip(1.0 - np.diag(c_rel).real, 0.0, None)
         pad = np.sqrt(pad_var) * d.dither[i]
         dither[i] = pad
-        extra = d.symbols[i, k:][mask]
-        slot = w_rel + pad
-        slot[mask] = extra
-        extra_syms[i, mask] = extra
-        cov_slot = c_rel + np.diag(pad_var)
-        cov_slot[mask, :] = 0.0
-        cov_slot[:, mask] = 0.0
-        cov_slot[mask, mask] = 1.0
         sigma = np.zeros((mt, mt), dtype=complex)
         sigma[:k, :k] = np.eye(k)
-        sigma[k:, k:] = cov_slot
+        sigma[k:, k:] = c_rel + np.diag(pad_var)
         sigmas[i] = sigma
         cond_power[i] = np.diag(sigma).real
-        x = np.concatenate([a, slot])
+        x = np.concatenate([d.symbols[i], w_rel + pad])
         xs[i] = x
         ys[i] = sqrt_rho * h11 @ x + d.noise[i]
 
@@ -327,7 +293,6 @@ def _reference_frame(cfg):
     stream_meas = np.empty((n, k), dtype=complex)
     cond_cov_sum = np.zeros((mt, mt), dtype=complex)
     cond_var_stream = np.empty((n, k))
-    extra_meas, extra_sent = [], []
     for i in range(n - 1, -1, -1):
         v = side_meas[i] if s else np.zeros(0, dtype=complex)
         cov_v = side_cov[i] if s else np.zeros((0, 0))
@@ -337,19 +302,13 @@ def _reference_frame(cfg):
         stream_meas[i] = y_tilde[:k]
         cond_var_stream[i] = np.diag(cov_z).real[:k]
         cond_cov_sum += cov_z
-        for e in np.nonzero(extra_mask[i])[0]:
-            extra_meas.append(complex(y_tilde[k + e]))
-            extra_sent.append(complex(extra_syms[i, e]))
         if i >= l:
-            v_prev = y_tilde[k:] - sqrt_rho * dither[i]
-            v_prev[extra_mask[i]] = 0.0
-            side_meas[i - l] = v_prev
+            side_meas[i - l] = y_tilde[k:] - sqrt_rho * dither[i]
             side_cov[i - l] = cov_z[k:, k:]
 
     ber = None
     if cfg.modulation == "qpsk":
-        sent = np.concatenate([d.symbols[:, :k].ravel(), np.array(extra_sent, dtype=complex)])
-        meas = np.concatenate([stream_meas.ravel(), np.array(extra_meas, dtype=complex)])
+        sent, meas = d.symbols.ravel(), stream_meas.ravel()
         bit_errs = np.sum(np.sign(meas.real) != np.sign(sent.real))
         bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
         ber = float(bit_errs / (2 * len(sent)))
@@ -357,10 +316,9 @@ def _reference_frame(cfg):
         channels=channels,
         completions=completions,
         transmitted=xs,
-        new_symbols=d.symbols[:, :k],
+        new_symbols=d.symbols,
         relay_content=relay_content,
         dither=dither,
-        extra_mask=extra_mask,
         cond_mode_power=cond_power,
     )
     return SimpleNamespace(
@@ -384,11 +342,11 @@ TRACE_FIELDS = (
         (DIMS_223, {"delay": 4}),
         (DIMS_223, {"delay": 1, "fresh_channel_each_use": False}),
         (DIMS_223, {"delay": 4, "fresh_channel_each_use": False}),
-        (DIMS_223, {"delay": 4, "reclaim_zero_rows": True}),
-        (DIMS_223, {"delay": 4, "pad_relay_power": False}),
         (DIMS_223, {"delay": 1, "modulation": "gaussian"}),
         (ChannelDims(3, 3, 4), {"delay": 4}),  # k = 2
-        (ChannelDims(3, 3, 4), {"delay": 1, "reclaim_zero_rows": True, "pad_relay_power": False}),
+        (ChannelDims(3, 3, 4), {"delay": 1}),
+        (ChannelDims(4, 4, 6), {"delay": 2}),  # s = 2 relay slots
+        (ChannelDims(3, 2, 4), {"delay": 3}),  # mt != mr, s = 2
         (ChannelDims(2, 3, 3), {"delay": 2}),  # mr = m: no completion rows, no closing
     ],
 )
@@ -404,7 +362,6 @@ def test_batched_frame_matches_per_use_reference(dims, overrides):
         np.testing.assert_allclose(
             getattr(got.trace, name), getattr(want.trace, name), rtol=0, atol=1e-12, err_msg=name
         )
-    assert np.array_equal(got.trace.extra_mask, want.trace.extra_mask)
 
 
 @pytest.mark.parametrize("delay", [1, 4])

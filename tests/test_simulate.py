@@ -249,6 +249,17 @@ def test_slope_estimator():
         estimate_diversity_slope([(1.0, 0.1), (2.0, 0.05)])
     with pytest.raises(ValueError):
         estimate_diversity_slope([(1.0, 0.1), (2.0, 0.0), (3.0, 0.01)])
+    for bad in (
+        [(0.0, 0.1), (2.0, 0.05), (3.0, 0.01)],  # rho <= 0
+        [(-1.0, 0.1), (2.0, 0.05), (3.0, 0.01)],
+        [(math.inf, 0.1), (2.0, 0.05), (3.0, 0.01)],
+        [(math.nan, 0.1), (2.0, 0.05), (3.0, 0.01)],
+        [(1.0, math.nan), (2.0, 0.05), (3.0, 0.01)],  # non-finite probability
+        [(1.0, math.inf), (2.0, 0.05), (3.0, 0.01)],
+        [(10.0, 0.1), (10.0, 0.05), (10.0, 0.01)],  # fewer than two distinct rho
+    ):
+        with pytest.raises(ValueError, match="points"):
+            estimate_diversity_slope(bad)
 
 
 def test_ks_distance_basics():
