@@ -38,14 +38,7 @@ from .simulate import (
     sample_jacobi_spectra_wishart,
     sample_spectra,
 )
-from .specfun import (
-    QuadratureRule,
-    gauss_jacobi_rule,
-    inv_reg_inc_beta,
-    jacobi_norm_b,
-    jacobi_poly,
-    reg_inc_beta,
-)
+from .specfun import inv_reg_inc_beta, jacobi_norm_b, reg_inc_beta
 
 __version__ = "0.1.0"
 
@@ -56,14 +49,11 @@ __all__ = [
     "McConfig",
     "McEstimate",
     "RayleighComparison",
-    "QuadratureRule",
     "SchemeConfig",
     "SchemeReport",
     "NumericalError",
     "verify_pinned_spectrum",
-    "jacobi_poly",
     "jacobi_norm_b",
-    "gauss_jacobi_rule",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "eigen_density",

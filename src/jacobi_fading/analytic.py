@@ -16,18 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .ensembles import ChannelDims, require_integers
 from .errors import NumericalError
-from .specfun import (
-    gauss_jacobi_rule,
-    inv_reg_inc_beta,
-    jacobi_norm_b,
-    jacobi_poly_sequence,
-    reg_inc_beta,
-)
+from .specfun import inv_reg_inc_beta, jacobi_norm_b, jacobi_poly_sequence, reg_inc_beta
 
 __all__ = [
     "DmtCurve",
@@ -70,16 +65,36 @@ def eigen_density(dims: ChannelDims, lam):
 
     Only defined for ``mt + mr <= m`` (when ``k > 0`` the spectrum carries
     atoms at 1 and 0 and is handled through the complementary channel
-    instead).  Normalized to integrate to 1 over [0, 1].
+    instead).  Normalized to integrate to 1 over [0, 1]; every point of
+    ``lam`` must lie in that support.
     """
     if dims.k > 0:
         raise ValueError("eigen_density requires mt + mr <= m")
     lam_arr = np.asarray(lam, dtype=float)
+    if not np.all((lam_arr >= 0.0) & (lam_arr <= 1.0)):
+        raise ValueError("lam must lie in [0, 1]")
     weight = lam_arr**dims.alpha * (1.0 - lam_arr) ** dims.beta
     out = weight * _density_series(dims, lam_arr) / dims.m_min
     if np.ndim(lam) == 0:
         return float(out)
     return out
+
+
+@cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (nodes, weights) of the n-point Gauss-Legendre rule on [0, 1].
+
+    Golub-Welsch: the nodes on [-1, 1] are the eigenvalues of the Legendre
+    Jacobi matrix (zero diagonal, off-diagonal j / sqrt(4j^2 - 1)) and the
+    weights the squared first components of its eigenvectors, the measure's
+    mass of 2 cancelling against the halving map onto [0, 1].
+    """
+    j = np.arange(1.0, n)
+    x, vecs = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), 1), UPLO="U")
+    nodes, weights = 0.5 * (1.0 + x), vecs[0] ** 2
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def graded_integral(
@@ -90,12 +105,15 @@ def graded_integral(
     The panel edges are 0, edge, edge*ratio, edge*ratio^2, ... below 1, then
     1 (a single panel when ``edge >= 1``).  This suits an integrand whose
     only non-polynomial feature has length scale ``edge`` and sits at or
-    next to 0.  ``degree`` is the degree of the integrand's polynomial
-    factor and sets the nodes per panel; ``f`` maps an array of points to
-    an array of values.  :class:`NumericalError` is raised when the sum
+    next to 0.  ``degree``, an integer >= 0, is the degree of the
+    integrand's polynomial factor and sets the nodes per panel; ``f`` maps
+    an array of points to an array of values.  :class:`NumericalError` is raised when the sum
     moves by more than ``_QUAD_RTOL * max(floor, |value|)`` on adding
     nodes to every panel, or is not finite.
     """
+    require_integers(degree=degree)
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     if not (edge > 0.0 and ratio > 1.0):
         raise ValueError(f"need edge > 0 and ratio > 1, got edge={edge}, ratio={ratio}")
     edges = [0.0]
@@ -107,8 +125,8 @@ def graded_integral(
     width = np.diff(edges)[:, None]
 
     def panel_sum(n: int) -> float:
-        rule = gauss_jacobi_rule(n, 0, 0)
-        return float(np.sum(width * rule.weights * f(lo + width * rule.nodes)))
+        nodes, weights = _legendre_rule(n)
+        return float(np.sum(width * weights * f(lo + width * nodes)))
 
     n = degree // 2 + _PANEL_EXTRA_NODES
     coarse = panel_sum(n)

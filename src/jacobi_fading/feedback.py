@@ -36,6 +36,7 @@ frame.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +86,14 @@ class SchemeConfig:
             raise ValueError("delay must be >= 1")
         if self.n_uses <= self.delay:
             raise ValueError("n_uses must exceed the feedback delay")
+        if isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real):
+            raise ValueError(f"rho must be a real number, got {self.rho!r}")
         if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError("rho must be finite and > 0")
+        if not isinstance(self.fresh_channel_each_use, (bool, np.bool_)):
+            raise ValueError(
+                f"fresh_channel_each_use must be a bool, got {self.fresh_channel_each_use!r}"
+            )
         if self.modulation not in ("qpsk", "gaussian"):
             raise ValueError("modulation must be 'qpsk' or 'gaussian'")
 

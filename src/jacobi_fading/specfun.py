@@ -1,39 +1,31 @@
 """Special functions behind the closed-form channel quantities.
 
 Jacobi orthogonal polynomials and their [0, 1]-interval normalization
-constants, Gauss-Jacobi quadrature rules for weights ``x^a (1-x)^b`` on
-[0, 1], and the regularized incomplete beta function with its inverse
+constants, and the regularized incomplete beta function with its inverse
 (thin wrappers on :func:`scipy.special.betainc` and ``betaincinv``).
 
-Conventions: ``jacobi_poly`` lives on the classical interval [-1, 1];
-everything else works on [0, 1] under the substitution ``x -> 1 - 2*lam``,
-which turns the classical weight ``(1-x)^a (1+x)^b`` into
-``2^(a+b) * lam^a (1-lam)^b`` and divides the classical normalization
+Conventions: ``jacobi_poly_sequence`` lives on the classical interval
+[-1, 1]; everything else works on [0, 1] under the substitution
+``x -> 1 - 2*lam``, which turns the classical weight ``(1-x)^a (1+x)^b``
+into ``2^(a+b) * lam^a (1-lam)^b`` and divides the classical normalization
 ``a_k`` by ``2^(a+b+1)`` to give ``b_k`` below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 import math
 from math import lgamma, log
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import betainc, betaincinv
 
 from .errors import NumericalError
 
 __all__ = [
-    "QuadratureRule",
-    "jacobi_poly",
     "jacobi_poly_sequence",
     "jacobi_norm_b",
-    "gauss_jacobi_rule",
     "reg_inc_beta",
     "inv_reg_inc_beta",
-    "log_beta",
 ]
 
 
@@ -62,14 +54,6 @@ def jacobi_poly_sequence(kmax: int, alpha: int, beta: int, x) -> np.ndarray:
     return out
 
 
-def jacobi_poly(k: int, alpha: int, beta: int, x):
-    """Jacobi polynomial P_k^(alpha, beta) at ``x`` (scalar or array)."""
-    vals = jacobi_poly_sequence(k, alpha, beta, x)[k]
-    if np.ndim(x) == 0:
-        return float(vals)
-    return vals
-
-
 def _log_choose(n: float, r: float) -> float:
     return lgamma(n + 1.0) - lgamma(r + 1.0) - lgamma(n - r + 1.0)
 
@@ -86,71 +70,6 @@ def jacobi_norm_b(k: int, alpha: int, beta: int) -> float:
     return float(
         np.exp(_log_choose(n, k) - _log_choose(n, k + alpha) - log(n + 1.0))
     )
-
-
-def log_beta(a: float, b: float) -> float:
-    """log of the complete beta function B(a, b)."""
-    return lgamma(a) + lgamma(b) - lgamma(a + b)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss rule for the weight ``lam^alpha (1-lam)^beta`` on [0, 1].
-
-    Exact for polynomial integrands up to degree ``2n - 1``; the weights sum
-    to B(alpha+1, beta+1).
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    alpha: int
-    beta: int
-    n: int
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand values evaluated at ``nodes``."""
-        return float(self.weights @ values)
-
-
-@lru_cache(maxsize=None)
-def gauss_jacobi_rule(n: int, alpha: int, beta: int) -> QuadratureRule:
-    """Golub-Welsch construction of the n-point Gauss-Jacobi rule on [0, 1].
-
-    Builds the symmetric tridiagonal recurrence matrix of the classical
-    polynomials on [-1, 1], diagonalizes it, and maps nodes/weights through
-    ``lam = (1 - x) / 2`` which also absorbs the 2^(alpha+beta+1) measure
-    factor.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be >= 0")
-    a, b = float(alpha), float(beta)
-    j = np.arange(n, dtype=float)
-    diag = np.empty(n)
-    diag[0] = (b - a) / (a + b + 2.0)
-    if n > 1:
-        jj = j[1:]
-        diag[1:] = (b * b - a * a) / ((2 * jj + a + b) * (2 * jj + a + b + 2.0))
-        jj = j[1:]
-        num = 4.0 * jj * (jj + a) * (jj + b) * (jj + a + b)
-        den = (2 * jj + a + b) ** 2 * (2 * jj + a + b + 1.0) * (2 * jj + a + b - 1.0)
-        off = np.sqrt(num / den)
-    else:
-        off = np.empty(0)
-    try:
-        x, vecs = eigh_tridiagonal(diag, off)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError("tridiagonal eigensolve failed") from exc
-    # classical zeroth moment 2^(a+b+1) B(a+1, b+1) cancels against the
-    # interval map, leaving weights that sum to B(a+1, b+1)
-    w = np.exp(log_beta(a + 1.0, b + 1.0)) * vecs[0] ** 2
-    lam = 0.5 * (1.0 - x)
-    order = np.argsort(lam)
-    lam, w = np.ascontiguousarray(lam[order]), np.ascontiguousarray(w[order])
-    lam.setflags(write=False)
-    w.setflags(write=False)
-    return QuadratureRule(nodes=lam, weights=w, alpha=alpha, beta=beta, n=n)
 
 
 def _finite(value, name: str, *args) -> float:

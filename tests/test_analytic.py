@@ -44,18 +44,27 @@ def test_density_beta_2_2_shape():
     ],
 )
 def test_density_normalization_and_sign(dims):
-    from jacobi_fading.specfun import gauss_jacobi_rule
-
     # the density is a polynomial, so a wide Legendre rule integrates exactly
-    rule = gauss_jacobi_rule(64, 0, 0)
-    vals = eigen_density(dims, rule.nodes)
+    nodes, weights = analytic._legendre_rule(64)
+    vals = eigen_density(dims, nodes)
     assert np.all(vals >= 0.0)
-    assert rule.integrate(vals) == pytest.approx(1.0, abs=1e-10)
+    assert weights @ vals == pytest.approx(1.0, abs=1e-10)
 
 
-def test_density_rejects_pinned_regime():
-    with pytest.raises(ValueError):
-        eigen_density(ChannelDims(2, 2, 3), 0.5)
+@pytest.mark.parametrize(
+    "dims, lam, name",
+    [
+        (ChannelDims(2, 2, 3), 0.5, "mt \\+ mr"),
+        (ChannelDims(2, 2, 4), 1.5, "lam"),
+        (ChannelDims(2, 2, 4), -0.5, "lam"),
+        (ChannelDims(2, 2, 4), math.nan, "lam"),
+        (ChannelDims(2, 2, 4), [0.5, 1.0 + 1e-12], "lam"),
+    ],
+    ids=["pinned", "above-support", "below-support", "nan", "array-above-support"],
+)
+def test_density_rejects_pinned_regime(dims, lam, name):
+    with pytest.raises(ValueError, match=name):
+        eigen_density(dims, lam)
 
 
 def test_capacity_siso_closed_form():

@@ -1,7 +1,12 @@
-"""Every name the package and its modules export resolves."""
+"""Every name the package and its modules export resolves, and the CLI's
+import graph stays free of modules the library no longer needs."""
 
 import importlib
+import os
+import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +22,21 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     stale = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert not stale, f"{name}.__all__ names missing attributes: {stale}"
+
+
+def test_cli_import_loads_no_scipy_linalg():
+    src = str(pathlib.Path(jacobi_fading.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import jacobi_fading.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

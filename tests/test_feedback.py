@@ -102,6 +102,10 @@ def test_scheme_config_validation():
         {"rho": math.nan},
         {"rho": math.inf},
         {"rho": -math.inf},
+        {"rho": "10"},
+        {"rho": True},
+        {"fresh_channel_each_use": "no"},
+        {"fresh_channel_each_use": 1},
         {"n_uses": 20.5},
         {"n_uses": 20.0},
         {"n_uses": True},
@@ -120,7 +124,9 @@ def test_scheme_config_rejects_non_finite_snr_and_non_integer_counts(bad):
 
 
 def test_scheme_config_accepts_numpy_integers():
-    cfg = SchemeConfig(dims=DIMS_223, n_uses=np.int64(20), delay=np.int32(2))
+    cfg = SchemeConfig(
+        dims=DIMS_223, n_uses=np.int64(20), delay=np.int32(2), fresh_channel_each_use=np.False_
+    )
     assert run_feedback_scheme(cfg).trace.transmitted.shape == (20, 2)
 
 

@@ -1,8 +1,8 @@
 """Special functions against independent oracles.
 
 The polynomial oracle is the Rodrigues formula evaluated through exact
-polynomial differentiation; the quadrature oracle is closed-form Beta
-moments plus scipy's own Gauss-Jacobi nodes; the incomplete-beta oracle is
+polynomial differentiation; the quadrature oracle is closed-form moments
+plus scipy's own Gauss-Legendre nodes; the incomplete-beta oracle is
 scipy.special plus small closed forms.
 """
 
@@ -13,14 +13,12 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
+from jacobi_fading.analytic import _legendre_rule, graded_integral
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.specfun import (
-    gauss_jacobi_rule,
     inv_reg_inc_beta,
     jacobi_norm_b,
-    jacobi_poly,
     jacobi_poly_sequence,
-    log_beta,
     reg_inc_beta,
 )
 
@@ -37,10 +35,11 @@ def rodrigues_poly(k, a, b, x):
 
 
 def test_jacobi_poly_degree_zero_and_one():
-    assert jacobi_poly(0, 3, 1, 0.37) == 1.0
+    assert jacobi_poly_sequence(0, 3, 1, 0.37)[0] == 1.0
     # P_1 = (a+b+2)x/2 + (a-b)/2
-    assert jacobi_poly(1, 0, 0, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert jacobi_poly(1, 2, 1, -0.25) == pytest.approx((2 + 1 + 2) * -0.25 / 2 + 0.5, abs=1e-14)
+    assert jacobi_poly_sequence(1, 0, 0, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
+    want = (2 + 1 + 2) * -0.25 / 2 + 0.5
+    assert jacobi_poly_sequence(1, 2, 1, -0.25)[1] == pytest.approx(want, abs=1e-14)
 
 
 def test_jacobi_poly_matches_rodrigues_oracle():
@@ -48,7 +47,7 @@ def test_jacobi_poly_matches_rodrigues_oracle():
     for k in range(0, 7):
         for a, b in [(0, 0), (1, 0), (0, 2), (2, 3), (3, 1)]:
             x = rng.uniform(-0.999, 0.999, size=20)
-            got = jacobi_poly(k, a, b, x)
+            got = jacobi_poly_sequence(k, a, b, x)[k]
             want = rodrigues_poly(k, a, b, x)
             assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
@@ -57,7 +56,7 @@ def test_jacobi_poly_sequence_consistent():
     x = np.linspace(-1, 1, 11)
     seq = jacobi_poly_sequence(5, 2, 3, x)
     for k in range(6):
-        assert np.allclose(seq[k], jacobi_poly(k, 2, 3, x), rtol=0, atol=1e-13)
+        assert np.allclose(seq[k], jacobi_poly_sequence(k, 2, 3, x)[k], rtol=0, atol=1e-13)
 
 
 def test_norm_b_small_cases():
@@ -68,19 +67,22 @@ def test_norm_b_small_cases():
 def test_norm_b_equals_weighted_square_integral():
     for k in range(0, 8):
         for a, b in [(0, 0), (1, 1), (2, 0), (0, 3), (3, 4)]:
-            rule = gauss_jacobi_rule(k + 2, a, b)
-            vals = jacobi_poly(k, a, b, 1.0 - 2.0 * rule.nodes)
-            integral = rule.integrate(vals**2)
+            # lam^a (1-lam)^b P_k^2 has degree 2k+a+b, which n Legendre
+            # nodes integrate exactly once 2n - 1 reaches it
+            nodes, weights = _legendre_rule((2 * k + a + b) // 2 + 1)
+            vals = jacobi_poly_sequence(k, a, b, 1.0 - 2.0 * nodes)[k]
+            integral = weights @ (nodes**a * (1.0 - nodes) ** b * vals**2)
             assert integral == pytest.approx(jacobi_norm_b(k, a, b), rel=1e-9)
 
 
 def test_orthogonality_under_unit_interval_weight():
     for a, b in [(0, 0), (1, 2), (6, 6), (0, 6)]:
-        rule = gauss_jacobi_rule(24, a, b)
-        seq = jacobi_poly_sequence(8, a, b, 1.0 - 2.0 * rule.nodes)
+        nodes, weights = _legendre_rule(24)  # exact to degree 47 >= 8+7+a+b
+        seq = jacobi_poly_sequence(8, a, b, 1.0 - 2.0 * nodes)
+        weighted = weights * nodes**a * (1.0 - nodes) ** b
         for k in range(9):
             for j in range(k):
-                assert abs(rule.integrate(seq[k] * seq[j])) < 1e-9
+                assert abs(weighted @ (seq[k] * seq[j])) < 1e-9
 
 
 def test_norm_b_finite_at_large_order():
@@ -89,39 +91,26 @@ def test_norm_b_finite_at_large_order():
 
 
 def test_gauss_rule_midpoint_case():
-    rule = gauss_jacobi_rule(1, 0, 0)
-    assert rule.nodes[0] == pytest.approx(0.5, abs=1e-14)
-    assert rule.weights[0] == pytest.approx(1.0, rel=1e-14)
-
-
-def test_gauss_rule_weight_sum_and_structure():
-    for n, a, b in [(1, 0, 0), (8, 1, 2), (34, 0, 28), (16, 5, 3)]:
-        rule = gauss_jacobi_rule(n, a, b)
-        assert rule.weights.sum() == pytest.approx(math.exp(log_beta(a + 1, b + 1)), rel=1e-12)
-        assert np.all(rule.weights > 0)
-        assert np.all((rule.nodes > 0) & (rule.nodes < 1))
-        assert np.all(np.diff(rule.nodes) > 0)
+    nodes, weights = _legendre_rule(1)
+    assert nodes[0] == pytest.approx(0.5, abs=1e-14)
+    assert weights[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_gauss_rule_moments_exact():
-    # weight lam^a (1-lam)^b: integral of lam^j is B(a+j+1, b+1)
-    for n, a, b in [(8, 1, 2), (6, 0, 0), (10, 3, 4)]:
-        rule = gauss_jacobi_rule(n, a, b)
+    # the integral of lam^j over [0, 1] is 1/(j+1), exact for j < 2n
+    for n in (1, 6, 17):
+        nodes, weights = _legendre_rule(n)
         for j in range(2 * n):
-            want = math.exp(log_beta(a + j + 1, b + 1))
-            got = rule.integrate(rule.nodes**j)
-            assert got == pytest.approx(want, rel=1e-10)
+            assert weights @ nodes**j == pytest.approx(1.0 / (j + 1), rel=1e-12)
 
 
-def test_gauss_rule_matches_scipy_roots_jacobi():
-    for n, a, b in [(5, 0, 0), (12, 2, 1), (20, 0, 7)]:
-        rule = gauss_jacobi_rule(n, a, b)
-        # scipy works on [-1,1] with weight (1-x)^a (1+x)^b
-        x, w = sp.roots_jacobi(n, a, b)
-        nodes = np.sort(0.5 * (1.0 - x))
-        weights = w[np.argsort(0.5 * (1.0 - x))] / 2.0 ** (a + b + 1)
-        assert np.max(np.abs(rule.nodes - nodes)) < 1e-12
-        assert np.max(np.abs(rule.weights - weights)) < 1e-12
+@pytest.mark.parametrize("n", [1, 5, 17, 55])
+def test_gauss_rule_matches_scipy_roots_legendre(n):
+    nodes, weights = _legendre_rule(n)
+    x, w = sp.roots_legendre(n)  # ascending on [-1, 1], weights summing to 2
+    assert np.max(np.abs(nodes - 0.5 * (1.0 + x))) < 1e-13
+    assert np.max(np.abs(weights - 0.5 * w)) < 1e-13
+    assert not (nodes.flags.writeable or weights.flags.writeable)
 
 
 def test_reg_inc_beta_uniform_and_symmetry():
@@ -199,7 +188,8 @@ def test_invalid_arguments_raise():
         reg_inc_beta(0.5, 0.0, 1)
     with pytest.raises(ValueError):
         inv_reg_inc_beta(1.5, 1, 1)
-    with pytest.raises(ValueError):
-        gauss_jacobi_rule(0, 0, 0)
+    for degree in (-1, 2.5):
+        with pytest.raises(ValueError, match="degree"):
+            graded_integral(np.log1p, 1.0, degree)
     with pytest.raises(ValueError):
         jacobi_norm_b(-1, 0, 0)
