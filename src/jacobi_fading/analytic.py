@@ -51,12 +51,18 @@ _PANEL_EXTRA_NODES = 16
 _PANEL_CHECK_NODES = 8
 
 
+@cache
+def _inverse_norms(m_min: int, alpha: int, beta: int) -> np.ndarray:
+    """Read-only b_k^-1 for k < m_min."""
+    out = np.array([1.0 / jacobi_norm_b(k, alpha, beta) for k in range(m_min)])
+    out.setflags(write=False)
+    return out
+
+
 def _density_series(dims: ChannelDims, lam: np.ndarray) -> np.ndarray:
     """Sum_k b_k^-1 P_k(1 - 2*lam)^2 for k < m_min (no weight factor)."""
     polys = jacobi_poly_sequence(dims.m_min - 1, dims.alpha, dims.beta, 1.0 - 2.0 * lam)
-    inv_norms = np.array(
-        [1.0 / jacobi_norm_b(k, dims.alpha, dims.beta) for k in range(dims.m_min)]
-    )
+    inv_norms = _inverse_norms(dims.m_min, dims.alpha, dims.beta)
     return np.tensordot(inv_norms, polys**2, axes=(0, 0))
 
 

@@ -36,6 +36,8 @@ DEFAULT_UNIT_TOL = 1e-9
 def require_integers(**values) -> None:
     """Raise ValueError naming the first of ``values`` that is not an integer (or is a bool)."""
     for name, value in values.items():
+        if type(value) is int:  # the common case, without the slow ABC check
+            continue
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 

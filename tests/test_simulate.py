@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import betainc
@@ -190,6 +191,68 @@ def test_qpsk_helpers():
     pb = qpsk_bit_error(4.0)
     assert qpsk_symbol_error(4.0) == pytest.approx(1 - (1 - pb) ** 2, abs=1e-15)
     assert qpsk_symbol_error(0.0) == pytest.approx(0.75, abs=1e-12)
+
+
+def _erfc_chebyshev_coefficients(terms=24, nodes=64):
+    """Chebyshev coefficients of S(t) = (1 + 2y) exp(y^2) erfc(y), y = c (1 + t) / (1 - t).
+
+    The interpolant of S at ``nodes`` Chebyshev points of the first kind,
+    computed with mpmath at 40 digits and rounded to doubles; this is the
+    generator of ``simulate._ERFC_CHEB`` (c = ``simulate._ERFC_SCALE``).
+    """
+    with mp.workdps(40):
+        scale = mp.mpf(simulate._ERFC_SCALE)
+        samples = []
+        for j in range(nodes):
+            theta = mp.pi * (j + mp.mpf(1) / 2) / nodes
+            t = mp.cos(theta)
+            y = scale * (1 + t) / (1 - t)
+            samples.append((theta, (1 + 2 * y) * mp.exp(y * y) * mp.erfc(y)))
+        coeffs = []
+        for k in range(terms):
+            c = 2 * mp.fsum(f * mp.cos(k * theta) for theta, f in samples) / nodes
+            coeffs.append(float(c / 2 if k == 0 else c))
+    return tuple(coeffs)
+
+
+def test_erfc_coefficients_rebuild_from_mpmath():
+    assert _erfc_chebyshev_coefficients() == simulate._ERFC_CHEB
+
+
+def test_q_function_against_mpmath():
+    x = np.linspace(-6.0, 26.5, 1301)
+    got = q_function(x)
+    with mp.workdps(30):
+        want = np.array([float(mp.erfc(mp.mpf(v) / mp.sqrt(2)) / 2) for v in x])
+    # 1e-13 is the contract; the tighter 1e-14 holds because x^2 / 2 is
+    # split into an exact part and a small rest (rounding x^2 whole costs
+    # up to 3e-14 here, and scipy's erfc reaches 1.3e-13)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_q_function_zero_where_erfc_underflows():
+    # erfc(y) underflows from y = 27 on, that is from x = 27 sqrt(2) = 38.18...
+    x = np.array([38.2, 40.0, 1e3, 1e300, math.inf])
+    assert np.all(q_function(x) == 0.0)
+    assert np.all(q_function(-x) == 1.0)
+    assert 0.0 < q_function(38.1) < 1e-300
+
+
+def test_q_function_special_values_and_shapes():
+    assert math.isnan(q_function(math.nan))
+    assert q_function(math.inf) == 0.0 and q_function(-math.inf) == 1.0
+    scalar = q_function(1.0)
+    assert isinstance(scalar, np.float64) and np.ndim(scalar) == 0
+    assert q_function(-1.0) == pytest.approx(1.0 - scalar, abs=1e-16)
+    grid = np.array([[0.0, -2.0, math.nan], [3.0, 50.0, -50.0]])
+    out = q_function(grid)
+    assert out.shape == (2, 3) and np.isnan(out[0, 2])
+    assert out[1, 1] == 0.0 and out[1, 2] == 1.0
+    assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
+    assert q_function(np.empty((0, 4))).shape == (0, 4)
+    assert q_function([0.0, 1.0]).shape == (2,)
+    big = np.linspace(-3.0, 45.0, 3 * simulate._Q_BLOCK + 5)  # several Clenshaw blocks
+    assert np.array_equal(q_function(big), [q_function(v) for v in big])
 
 
 def test_repetition_count_vs_conditional():

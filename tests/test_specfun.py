@@ -2,17 +2,19 @@
 
 The polynomial oracle is the Rodrigues formula evaluated through exact
 polynomial differentiation; the quadrature oracle is closed-form moments
-plus scipy's own Gauss-Legendre nodes; the incomplete-beta oracle is
-scipy.special plus small closed forms.
+plus scipy's own Gauss-Legendre nodes; the incomplete-beta oracles are
+mpmath, scipy.special and small closed forms.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
+from jacobi_fading import specfun
 from jacobi_fading.analytic import _legendre_rule, graded_integral
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.specfun import (
@@ -130,15 +132,15 @@ def test_reg_inc_beta_closed_form_2_2():
 def test_reg_inc_beta_against_scipy():
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a = float(rng.uniform(0.2, 40.0))
-        b = float(rng.uniform(0.2, 40.0))
+        a = int(rng.integers(1, 41))
+        b = int(rng.integers(1, 41))
         x = float(rng.uniform(0.0, 1.0))
         assert reg_inc_beta(x, a, b) == pytest.approx(float(sp.betainc(a, b, x)), rel=1e-10, abs=1e-13)
 
 
 def test_reg_inc_beta_monotone():
     xs = np.linspace(0, 1, 101)
-    vals = [reg_inc_beta(float(x), 3.5, 1.25) for x in xs]
+    vals = [reg_inc_beta(float(x), 4, 2) for x in xs]
     assert np.all(np.diff(vals) >= 0)
 
 
@@ -152,8 +154,8 @@ def test_inverse_round_trip():
     rng = np.random.default_rng(9)
     checked = 0
     while checked < 100:
-        a = float(rng.uniform(0.3, 30.0))
-        b = float(rng.uniform(0.3, 30.0))
+        a = int(rng.integers(1, 31))
+        b = int(rng.integers(1, 31))
         x = float(rng.uniform(1e-6, 1 - 1e-6))
         p = reg_inc_beta(x, a, b)
         back = inv_reg_inc_beta(p, a, b)
@@ -174,11 +176,62 @@ def test_inverse_deep_tail():
         assert reg_inc_beta(x2, 2, 2) == pytest.approx(eps, rel=1e-6, abs=1e-12)
 
 
+def _mp_inverse(p, a, b, x0):
+    """Root of mpmath's I_x(a, b) = p by Newton from ``x0`` at 30 digits."""
+    x = mp.mpf(x0)
+    for _ in range(3):
+        residual = mp.betainc(a, b, 0, x, regularized=True) - p
+        x -= residual * mp.beta(a, b) / (x ** (a - 1) * (1 - x) ** (b - 1))
+    return x
+
+
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_incomplete_beta_against_mpmath(m):
+    # every (mr, m - mr) pair outage_single_mode and rho_norm can ask for
+    with mp.workdps(30):
+        for mr in range(1, m):
+            a, b = mr, m - mr
+            for e in range(3, 13):
+                eps = 10.0**-e
+                x = inv_reg_inc_beta(eps, a, b)
+                want = _mp_inverse(eps, a, b, x)
+                assert abs(x - want) <= 1e-13 * want
+                xf = float(want)
+                want_p = mp.betainc(a, b, 0, xf, regularized=True)
+                assert abs(reg_inc_beta(xf, a, b) - want_p) <= 1e-13 * want_p
+
+
+@pytest.mark.parametrize(
+    "x, a, b",
+    [
+        (1e-8, 40, 600),  # x^a underflows, the lead term goes through logs
+        (0.49, 600, 600),  # n = 1199: C(n, a) overflows a float
+        (0.51, 600, 600),  # above the mean: the complement
+        (0.3, 2, 1),  # b = 1: I_x = x^a, a single term
+    ],
+)
+def test_reg_inc_beta_branches_against_mpmath(x, a, b):
+    with mp.workdps(30):
+        want = mp.betainc(a, b, 0, x, regularized=True)
+        assert abs(reg_inc_beta(x, a, b) - want) <= 1e-12 * want
+        p = float(want)
+        assert abs(inv_reg_inc_beta(p, a, b) - x) <= 1e-12 * x
+
+
+def test_unsettled_inverse_raises(monkeypatch):
+    monkeypatch.setattr(specfun, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match="did not converge"):
+        inv_reg_inc_beta(1e-6, 3, 5)
+
+
 def test_non_finite_result_raises():
-    with pytest.raises(NumericalError):
+    # NaN is not an integer parameter
+    with pytest.raises(ValueError, match="b must be an integer"):
         reg_inc_beta(0.5, 1, math.nan)
-    with pytest.raises(NumericalError):
+    with pytest.raises(ValueError, match="a must be an integer"):
         inv_reg_inc_beta(0.5, math.nan, 1)
+    with pytest.raises(ValueError):
+        reg_inc_beta(math.nan, 1, 1)
 
 
 def test_invalid_arguments_raise():
@@ -193,3 +246,15 @@ def test_invalid_arguments_raise():
             graded_integral(np.log1p, 1.0, degree)
     with pytest.raises(ValueError):
         jacobi_norm_b(-1, 0, 0)
+    for args, name in [((1.5, 0, 0), "k"), ((True, 0, 0), "k"), ((1, 0.5, 0), "alpha")]:
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            jacobi_norm_b(*args)
+    with pytest.raises(ValueError, match="kmax must be an integer"):
+        jacobi_poly_sequence(2.5, 0, 0, 0.3)
+    with pytest.raises(ValueError, match="beta must be an integer"):
+        jacobi_poly_sequence(2, 0, 1.0, 0.3)
+    for fn in (reg_inc_beta, inv_reg_inc_beta):
+        with pytest.raises(ValueError, match="a must be an integer"):
+            fn(0.5, 1.5, 1)
+        with pytest.raises(ValueError, match="b must be an integer"):
+            fn(0.5, 1, True)
