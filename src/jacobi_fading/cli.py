@@ -267,11 +267,11 @@ def _cmd_rayleigh(args) -> _Output:
                     row.m,
                     rho_bar_db,
                     row.capacity_jacobi,
-                    row.capacity_rayleigh.value,
-                    row.capacity_rayleigh.stderr,
+                    row.capacity_rayleigh,
+                    0.0,  # the baseline is exact
                     row.ks_scaled_vs_wishart,
                     row.frobenius_mean,
-                    row.capacity_jacobi - row.capacity_rayleigh.value,
+                    row.capacity_jacobi - row.capacity_rayleigh,
                 ]
             )
     return _Output(

@@ -115,14 +115,12 @@ class FrameTrace:
 class SchemeReport:
     """Measured outcome of a scheme run.
 
-    Noise statistics come in two flavors: the ``*_empirical`` fields are raw
-    sample moments of the realized combined noise, while the headline fields
-    integrate the Gaussian dimensions exactly (the combined-noise covariance
-    of every use is an algebraic function of the realized channels), leaving
-    only the channel-sequence dependence.  ``per_mode_power`` averages the
-    exact conditional (over symbols and dither, given channels) second
-    moments of each transmit mode, ``per_mode_power_empirical`` the
-    realized |x_j|^2.
+    The noise statistics integrate the Gaussian dimensions exactly (the
+    combined-noise covariance of every use is an algebraic function of the
+    realized channels), leaving only the channel-sequence dependence.
+    ``per_mode_power`` averages the exact conditional (over symbols and
+    dither, given channels) second moments of each transmit mode,
+    ``per_mode_power_empirical`` the realized |x_j|^2.
     """
 
     per_stream_snr: np.ndarray
@@ -130,8 +128,6 @@ class SchemeReport:
     achieved_rate: float
     ber: float | None
     overhead_uses: int
-    per_stream_snr_empirical: np.ndarray
-    noise_cov_error_empirical: float
     per_mode_power: np.ndarray
     per_mode_power_empirical: np.ndarray
     mutual_information_per_use: float
@@ -318,18 +314,13 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     y_tilde, cov_z = y_pad[:n], cov_pad[:n]
 
     # measurements
-    noise_all = y_tilde - sqrt_rho * xs
     cond_var_stream = np.diagonal(cov_z, axis1=1, axis2=2).real[:, :k]
     noise_cov_error = float(np.max(np.abs(np.sum(cov_z, axis=0) / n - np.eye(mt))))
-    emp_cov = noise_all.conj().T @ noise_all / n
-    noise_cov_error_emp = float(np.max(np.abs(emp_cov - np.eye(mt))))
 
     per_stream_snr = rho / np.mean(cond_var_stream, axis=0)
-    emp_var = np.mean(np.abs(noise_all[:, :k]) ** 2, axis=0)
-    per_stream_snr_emp = rho / emp_var
 
     if k >= 2:
-        stream_noise = noise_all[:, :k]
+        stream_noise = y_tilde[:, :k] - sqrt_rho * xs[:, :k]
         c = (stream_noise.conj().T @ stream_noise) / n
         denom = np.sqrt(np.outer(np.diag(c).real, np.diag(c).real))
         corr = np.abs(c) / denom
@@ -365,8 +356,6 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         achieved_rate=achieved_rate,
         ber=ber,
         overhead_uses=overhead,
-        per_stream_snr_empirical=per_stream_snr_emp,
-        noise_cov_error_empirical=noise_cov_error_emp,
         per_mode_power=np.mean(cond_power, axis=0),
         per_mode_power_empirical=np.mean(np.abs(xs) ** 2, axis=0),
         mutual_information_per_use=mi_per_use,

@@ -26,11 +26,7 @@ entries are products of independent Beta variates.  Every Beta parameter
 there is an integer, so each variate is exactly a product of uniform
 powers; a trial reads ``n^2 + n*min(a, b)`` uniforms, a fixed count that
 does not grow with m.  Pinned eigenvalues (k > 0) are appended exactly.
-The Rayleigh baseline draws its spectrum the same way, from the beta = 2
-Laguerre bidiagonal model of Dumitriu & Edelman (J. Math. Phys. 43, 2002),
-whose squared entries are Gamma variates of integer shape: a trial reads
-rows * cols uniforms, and both models share one bidiagonal-to-spectrum
-kernel.
+The Rayleigh baseline is not sampled: it is closed-form (:mod:`.analytic`).
 :func:`sample_spectra`, the ``count`` repetition method and the feedback
 scheme still draw channels, all through :func:`channel_blocks`: the first
 ``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
@@ -62,7 +58,6 @@ __all__ = [
     "channel_blocks",
     "sample_spectra",
     "sample_jacobi_spectra_wishart",
-    "sample_wishart_spectra",
     "mc_ergodic_capacity",
     "mc_outage",
     "mc_repetition_error",
@@ -218,57 +213,21 @@ def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> np.ndarr
     x, y = _beta_variates(p, q, uniforms(key, lo, hi, n * n + n * min(a, b)))
     c2, s2, cp2, sp2 = x[:, :n], y[:, :n], x[:, n:], y[:, n:]
     if n == 1:
-        return c2
+        return c2  # the variate itself: sqrt(x)**2 need not equal x
     diag = np.sqrt(c2)
     diag[:, 1:] *= np.sqrt(sp2)
-    return _bidiagonal_spectra(diag, -np.sqrt(s2[:, :-1] * cp2))
-
-
-def _bidiagonal_spectra(diag: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of B^T B, shape (trials, n), for n >= 2.
-
-    B is the upper-bidiagonal matrix with diagonal ``diag`` (trials, n) and
-    superdiagonal ``sup`` (trials, n-1), so B^T B is symmetric tridiagonal.
-    Both bidiagonal models end here.  Each returns its n = 1 spectrum, the
-    one squared diagonal variate, itself: sqrt(x)**2 need not equal x.
-    """
-    n = diag.shape[1]
+    sup = -np.sqrt(s2[:, :-1] * cp2)
     if n == 2:
         p, q, r = diag[:, 0] ** 2, diag[:, 0] * sup[:, 0], sup[:, 0] ** 2 + diag[:, 1] ** 2
         lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
         # det / lam_max keeps the small eigenvalue's relative accuracy
         return np.stack(((diag[:, 0] * diag[:, 1]) ** 2 / lam_max, lam_max), axis=1)
-    gram = np.zeros((len(diag), n, n))
+    gram = np.zeros((hi - lo, n, n))  # B^T B, symmetric tridiagonal
     i = np.arange(n)
     gram[:, i, i] = diag**2
     gram[:, i[1:], i[1:]] += sup**2
     gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = diag[:, :-1] * sup
     return np.linalg.eigvalsh(gram)
-
-
-def _laguerre_chunk(rows: int, cols: int, key, lo: int, hi: int) -> np.ndarray:
-    """Ascending eigenvalues of G^+ G for trials [lo, hi), shape (hi-lo, cols).
-
-    G is (rows, cols) with i.i.d. CN(0,1) entries.  With N = max(rows, cols)
-    and n = min(rows, cols), the n nonzero eigenvalues are those of B^T B for
-    the n x n upper-bidiagonal B of the beta = 2 Laguerre model (Dumitriu &
-    Edelman, J. Math. Phys. 43, 2002): squared diagonal entries Gamma(N),
-    ..., Gamma(N-n+1) and squared superdiagonal entries Gamma(n-1), ...,
-    Gamma(1), all of scale 1 since |z|^2 ~ Exp(1).  Every shape is an
-    integer, so each variate is -sum log(U_i) over that many uniforms, and
-    trial t reads rows * cols uniforms.  When rows < cols the cols - rows
-    exact zeros come first.
-    """
-    n = min(rows, cols)
-    j = np.arange(n)
-    shapes = np.concatenate([max(rows, cols) - j, n - 1 - j[:-1]])
-    u = uniforms(key, lo, hi, rows * cols)
-    gamma = -np.add.reduceat(np.log(u), np.cumsum(shapes) - shapes, axis=1)
-    if n == 1:
-        lams = gamma
-    else:
-        lams = _bidiagonal_spectra(np.sqrt(gamma[:, :n]), np.sqrt(gamma[:, n:]))
-    return np.concatenate([np.zeros((hi - lo, cols - n)), lams], axis=1)
 
 
 def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
@@ -326,24 +285,6 @@ def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np
         return snap_endpoints(np.linalg.eigvalsh(ratio), DEFAULT_UNIT_TOL)
 
     return _gather(cfg, chunk)
-
-
-def sample_wishart_spectra(
-    rows: int, cols: int, cfg: McConfig, tag: str = "wishart"
-) -> np.ndarray:
-    """Ascending eigenvalues of G^+ G for i.i.d. CN(0,1) G of shape (rows, cols).
-
-    Shape (trials, cols), drawn from the Laguerre bidiagonal model
-    (:func:`_laguerre_chunk`), not from whole channels.
-    """
-    for name, value in (("rows", rows), ("cols", cols)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    key = stream_key(cfg.master_seed, f"{tag}:{rows},{cols}")
-    return _drawn(
-        ("wishart", key, rows, cols, cfg.trials),
-        lambda: _gather(cfg, lambda lo, hi: _laguerre_chunk(rows, cols, key, lo, hi)),
-    )
 
 
 def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
@@ -617,7 +558,6 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     order = np.argsort(merged, kind="stable")  # two sorted runs: one merge
     merged = merged[order]
     scaled = np.where(order < n_a, n_b, -n_a)
-    del order  # the largest callers pass 2*10^5 points a side
     np.cumsum(scaled, out=scaled)
     last_of_tie = merged[1:] != merged[:-1]
     top = np.max(scaled[:-1], where=last_of_tie, initial=0)
@@ -644,7 +584,7 @@ class RayleighComparison:
     rho_bar: float
     rho_per_mode: float
     capacity_jacobi: float
-    capacity_rayleigh: McEstimate
+    capacity_rayleigh: float
     ks_scaled_vs_wishart: float
     frobenius_mean: float
     frobenius_expected: float
@@ -659,10 +599,13 @@ def rayleigh_compare(
     comparison.  For the truncated-unitary channel the per-mode SNR is
     ``rho = rho_bar * m / mt`` (exact, since E||H11||_F^2 = mt*mr/m by Haar
     symmetry); the baseline is an i.i.d. CN(0,1) channel driven at
-    ``rho_bar / mt`` per antenna.  Each row reports the analytic capacity,
-    the baseline Monte-Carlo capacity, and the KS distance between the
-    m-scaled spectrum and the Wishart spectrum it converges to.
+    ``rho_bar / mt`` per antenna.  Each row reports both exact capacities
+    and the KS distance from the sampled m-scaled spectrum to the exact law
+    of the min(mt, mr) nonzero Wishart eigenvalues it converges to.
     """
+    require_integers(mt=mt, mr=mr)
+    if min(mt, mr) < 1:
+        raise ValueError(f"need mt >= 1 and mr >= 1, got mt={mt}, mr={mr}")
     if not 0.0 < rho_bar < math.inf:
         raise ValueError("rho_bar must be finite and > 0")
     m_list = list(m_list)
@@ -673,15 +616,15 @@ def rayleigh_compare(
             raise ValueError(f"m_list entries must be integers, got {m!r}")
         if m < mt + mr:
             raise ValueError(f"every m in m_list must satisfy m >= mt + mr, got m={m}")
-    wishart = sample_wishart_spectra(mr, mt, cfg, tag="raycmp:wishart")
-    rho_w = rho_bar / mt
-    cap_ray = _estimate(np.sum(np.log2(1.0 + rho_w * wishart), axis=1), cfg)
+    n, alpha = min(mt, mr), abs(mt - mr)
+    cap_ray = analytic._laguerre_capacity(n, alpha, rho_bar / mt)
     rows = []
     for m in m_list:
         dims = ChannelDims(mt, mr, m)
         rho = rho_bar * m / mt
         key = stream_key(cfg.master_seed, f"raycmp:jacobi:{mt},{mr},{m}")
         lam = _model_spectra(dims, cfg, key)
+        ks = ks_distance_to_cdf(m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x))
         rows.append(
             RayleighComparison(
                 m=m,
@@ -689,7 +632,7 @@ def rayleigh_compare(
                 rho_per_mode=rho,
                 capacity_jacobi=analytic.ergodic_capacity(dims, rho),
                 capacity_rayleigh=cap_ray,
-                ks_scaled_vs_wishart=ks_distance(m * lam, wishart),
+                ks_scaled_vs_wishart=ks,
                 frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
                 frobenius_expected=mt * mr / m,
             )

@@ -1,7 +1,9 @@
 """Closed-form quantities against closed-form and quadrature oracles."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -175,6 +177,94 @@ def test_capacity_pinned_split_identity_everywhere():
                         residual = ergodic_capacity(ChannelDims(m - mr, m - mt, m), rho)
                     lhs = ergodic_capacity(dims, rho)
                     assert abs(lhs - dims.k * math.log2(1 + rho) - residual) < 1e-10
+
+
+# (mt, mr) of the Rayleigh baseline checks: square, both orientations, wide alpha
+RAYLEIGH_SHAPES = [(1, 1), (2, 2), (2, 1), (1, 4), (3, 5), (4, 4), (8, 8), (8, 16)]
+
+
+def _wishart_density_coefficients(n, alpha):
+    """Exact c_j with (1/n) sum_k k!/(k+alpha)! L_k^alpha(x)^2 x^alpha = sum_j c_j x^j."""
+    coeffs = {}
+    for k in range(n):
+        poly = [Fraction((-1) ** i * math.comb(k + alpha, k - i), math.factorial(i)) for i in range(k + 1)]
+        scale = Fraction(math.factorial(k), n * math.factorial(k + alpha))
+        for i, a in enumerate(poly):
+            for j, b in enumerate(poly):
+                coeffs[i + j + alpha] = coeffs.get(i + j + alpha, 0) + scale * a * b
+    return coeffs
+
+
+def _mp_rayleigh_capacity(n, alpha, rho):
+    """n E log2(1 + rho lam), term by term in closed form, at 150 digits.
+
+    int_0^inf ln(1 + rho x) x^j e^-x dx = j! sum_{i<=j} J_i / i!, with
+    J_i = int_0^inf x^i e^-x / (x + c) dx
+        = (-c)^i e^c E_1(c) + sum_{r=1}^{i} (r-1)! (-c)^(i-r), c = 1/rho.
+    """
+    with mp.workdps(150):
+        c = 1 / mp.mpf(rho)
+        tail = mp.exp(c) * mp.e1(c)
+        j_terms = []
+        for i in range(2 * n + alpha):
+            j_terms.append((-c) ** i * tail + mp.fsum(mp.factorial(r - 1) * (-c) ** (i - r) for r in range(1, i + 1)))
+        total = mp.fsum(
+            mp.mpf(cj.numerator) / cj.denominator * mp.factorial(j)
+            * mp.fsum(j_terms[i] / mp.factorial(i) for i in range(j + 1))
+            for j, cj in _wishart_density_coefficients(n, alpha).items()
+        )
+        return float(n * total / mp.log(2))
+
+
+def _mp_rayleigh_cdf(n, alpha, points):
+    """P(lam <= x) = 1 - e^-x sum_i d_i x^i with d_i = sum_{j>=i} c_j j!/i!, at 50 digits."""
+    coeffs = _wishart_density_coefficients(n, alpha)
+    d = [
+        sum(cj * Fraction(math.factorial(j), math.factorial(i)) for j, cj in coeffs.items() if j >= i)
+        for i in range(max(coeffs) + 1)
+    ]
+    with mp.workdps(50):
+        d = [mp.mpf(di.numerator) / di.denominator for di in d]
+        return np.array([
+            float(1 - mp.exp(-x) * mp.polyval(d[::-1], x)) for x in map(mp.mpf, map(float, points))
+        ])
+
+
+@pytest.mark.parametrize("mt, mr", RAYLEIGH_SHAPES)
+def test_rayleigh_capacity_against_mpmath(mt, mr):
+    n, alpha = min(mt, mr), abs(mt - mr)
+    for rho_db in range(-30, 121, 15):
+        rho = 10.0 ** (rho_db / 10)
+        want = _mp_rayleigh_capacity(n, alpha, rho)
+        assert analytic._laguerre_capacity(n, alpha, rho) == pytest.approx(want, rel=1e-13), rho_db
+
+
+@pytest.mark.parametrize("mt, mr", RAYLEIGH_SHAPES)
+@pytest.mark.parametrize("trials", [10, 100_000])
+def test_rayleigh_cdf_against_mpmath(mt, mr, trials):
+    # eigenvalues of G^+ G for i.i.d. CN(0, 1) G of shape (mr, mt), drawn
+    # 10^4 trials at a time; with 10 trials every gap is wide
+    n, alpha = min(mt, mr), abs(mt - mr)
+    rng = np.random.default_rng(10 * mt + mr)
+    parts = []
+    for lo in range(0, trials, 10_000):
+        size = (min(10_000, trials - lo), mr, mt)
+        g = (rng.normal(size=size) + 1j * rng.normal(size=size)) / math.sqrt(2.0)
+        parts.append(np.linalg.eigvalsh(np.einsum("bij,bik->bjk", g.conj(), g))[:, -n:].ravel())
+    x = np.sort(np.concatenate(parts))
+    cdf = analytic._laguerre_cdf(n, alpha, x)
+    assert np.all(np.diff(cdf) >= 0.0) and 0.0 <= cdf[0] and cdf[-1] <= 1.0
+    picks = np.unique(np.concatenate([[0, len(x) - 1], rng.integers(0, len(x), 60)]))
+    want = _mp_rayleigh_cdf(n, alpha, x[picks])
+    assert np.max(np.abs(cdf[picks] - want)) < 1e-12
+
+
+def test_rayleigh_capacity_raises_when_truncated(monkeypatch):
+    # a cutoff inside the bulk leaves mass beyond it that the coarse/fine
+    # check cannot see; the edge check must raise, not return the value
+    monkeypatch.setattr(analytic, "_laguerre_cutoff", lambda n, alpha: 10.0)
+    with pytest.raises(NumericalError, match="cutoff"):
+        analytic._laguerre_capacity(2, 0, 50.0)
 
 
 def test_outage_single_mode_examples():

@@ -74,6 +74,16 @@ def test_quadrature_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch):
+    # a cutoff inside the bulk: the baseline capacity must fail loudly
+    monkeypatch.setattr(analytic, "_laguerre_cutoff", lambda n, alpha: 10.0)
+    args = ["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "20", "--trials", "100"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 1
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ergodic_mc_agrees_with_analytic(tmp_path):
     base = ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:20:10"]
     _, out_a = run_cli(base + ["--method", "analytic"], tmp_path, "a.csv")
@@ -257,6 +267,16 @@ def test_rayleigh_table(tmp_path):
             assert val != ""
             assert math.isfinite(float(val))
     assert float(rows[1]["ks_scaled_spectrum"]) < float(rows[0]["ks_scaled_spectrum"])
+    # the baseline is exact: no stderr, and no seed or worker count moves it
+    _, other = run_cli(
+        ["rayleigh", "--mt", "2", "--mr", "2", "--m", "8,16", "--rho-bar-db", "20", "--trials", "20000",
+         "--seed", "3", "--workers", "2"],
+        tmp_path,
+        "other.csv",
+    )
+    baseline = {r["capacity_rayleigh_bits"] for r in rows + read_rows(other)}
+    assert len(baseline) == 1
+    assert {r["rayleigh_stderr"] for r in rows} == {"0.0"}
 
 
 def test_byte_identical_reruns(tmp_path):

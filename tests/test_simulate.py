@@ -27,7 +27,6 @@ from jacobi_fading.simulate import (
     rayleigh_compare,
     repetition_error_tail,
     sample_spectra,
-    sample_wishart_spectra,
 )
 
 DIMS_224 = ChannelDims(2, 2, 4)
@@ -358,21 +357,6 @@ def test_ks_distance_is_the_supremum_over_sample_points(a, b):
     assert ks_distance(b, a) == ks_distance(a, b)
 
 
-@pytest.mark.parametrize("rows, cols", [(2, 2), (3, 2), (2, 3), (4, 4), (8, 2)])
-def test_laguerre_model_matches_gram_spectra(rows, cols):
-    trials = 100_000
-    model = sample_wishart_spectra(rows, cols, McConfig(trials=trials, master_seed=5))
-    rng = np.random.default_rng(rows * 10 + cols)
-    g = (rng.normal(size=(trials, rows, cols)) + 1j * rng.normal(size=(trials, rows, cols))) / math.sqrt(2.0)
-    gram = np.linalg.eigvalsh(np.einsum("bij,bik->bjk", g.conj(), g))
-    zeros = cols - min(rows, cols)
-    assert model.shape == (trials, cols)
-    assert np.all(model[:, :zeros] == 0.0)
-    assert np.all(np.diff(model, axis=1) >= 0.0)
-    for i in range(zeros, cols):
-        assert ks_distance(model[:, i], gram[:, i]) < 0.01
-
-
 def test_rayleigh_compare_draws_no_channels(monkeypatch):
     sizes = {}
     real = simulate.uniforms
@@ -387,9 +371,21 @@ def test_rayleigh_compare_draws_no_channels(monkeypatch):
     monkeypatch.setattr(simulate, "uniforms", counting)
     monkeypatch.setattr(simulate, "complex_normals", no_channels)
     rayleigh_compare(1, 4, [5, 6], 100.0, McConfig(trials=1_000, master_seed=2))
-    # mr * mt uniforms per trial, where the Jacobi side reads 1 and 2 here
-    assert sizes.pop(stream_key(2, "raycmp:wishart:4,1")) == {4}
-    assert sorted(n for ns in sizes.values() for n in ns) == [1, 2]
+    # only the Jacobi side is sampled, one stream per m; the baseline is exact
+    assert sizes == {
+        stream_key(2, "raycmp:jacobi:1,4,5"): {1},
+        stream_key(2, "raycmp:jacobi:1,4,6"): {2},
+    }
+
+
+@pytest.mark.parametrize("mt, mr", [(3, 2), (2, 1)])
+def test_rayleigh_ks_falls_when_mt_differs_from_mr(mt, mr):
+    # the m-scaled spectrum meets the exact marginal of the min(mt, mr)
+    # nonzero Wishart eigenvalues, with no zero eigenvalues in the way
+    rows = rayleigh_compare(mt, mr, [8, 16, 32, 64], 100.0, McConfig(trials=100_000))
+    ks = [row.ks_scaled_vs_wishart for row in rows]
+    assert all(a > b for a, b in zip(ks, ks[1:])), ks
+    assert ks[-1] < 0.02, ks
 
 
 def test_outage_reduces_once_per_rho(monkeypatch):
@@ -424,10 +420,10 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         (lambda: ks_distance_to_cdf([0.1, -math.inf], lambda x: x), "sample must be a non-empty sample"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: 5 + x), "cdf must return finite values in"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: x * math.nan), "cdf must return finite values in"),
-        (lambda: sample_wishart_spectra(0, 2, McConfig(trials=10)), "rows must be an integer >= 1"),
-        (lambda: sample_wishart_spectra(-1, 2, McConfig(trials=10)), "rows must be an integer >= 1"),
-        (lambda: sample_wishart_spectra(2, 0, McConfig(trials=10)), "cols must be an integer >= 1"),
-        (lambda: sample_wishart_spectra(2, 1.5, McConfig(trials=10)), "cols must be an integer >= 1"),
+        (lambda: rayleigh_compare(0, 2, [8], 100.0, McConfig(trials=10)), "need mt >= 1 and mr >= 1"),
+        (lambda: rayleigh_compare(2, -1, [8], 100.0, McConfig(trials=10)), "need mt >= 1 and mr >= 1"),
+        (lambda: rayleigh_compare(2, "a", [8], 100.0, McConfig(trials=10)), "mr must be an integer"),
+        (lambda: rayleigh_compare(1.5, 2, [8], 100.0, McConfig(trials=10)), "mt must be an integer"),
         (lambda: rayleigh_compare(2, 2, [8], math.nan, McConfig(trials=10)), "rho_bar must be finite and > 0"),
         (lambda: rayleigh_compare(2, 2, [8], math.inf, McConfig(trials=10)), "rho_bar must be finite and > 0"),
         (lambda: rayleigh_compare(2, 2, [8], 0.0, McConfig(trials=10)), "rho_bar must be finite and > 0"),
