@@ -35,7 +35,6 @@ from .simulate import (
     qpsk_symbol_error,
     rayleigh_compare,
     repetition_error_tail,
-    sample_jacobi_spectra_wishart,
     sample_spectra,
 )
 from .specfun import inv_reg_inc_beta, jacobi_norm_b, reg_inc_beta
@@ -63,7 +62,6 @@ __all__ = [
     "outage_rate_reduction",
     "dmt_optimal_curve",
     "sample_spectra",
-    "sample_jacobi_spectra_wishart",
     "mc_ergodic_capacity",
     "mc_outage",
     "mc_repetition_error",

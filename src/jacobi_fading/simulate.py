@@ -21,12 +21,19 @@ so they draw the spectrum, not the channel.  The interior spectrum follows
 the Jacobi ensemble J(n; a, b), with density proportional to
 ``prod lam^a (1-lam)^b * Vandermonde(lam)^2``, which by Edelman & Sutton
 (Found. Comput. Math. 8, 2008; the beta = 2 case) is the law of the
-squared singular values of a real ``n x n`` upper-bidiagonal matrix whose
-entries are products of independent Beta variates.  Every Beta parameter
-there is an integer, so each variate is exactly a product of uniform
-powers; a trial reads ``n^2 + n*min(a, b)`` uniforms, a fixed count that
-does not grow with m.  Pinned eigenvalues (k > 0) are appended exactly.
-The Rayleigh baseline is not sampled: it is closed-form (:mod:`.analytic`).
+squared singular values of a real ``n x n`` upper-bidiagonal matrix B
+whose entries are products of independent Beta variates.  Every Beta
+parameter there is an integer, so each variate is exactly a product of
+uniform powers; a trial reads ``n^2 + n*min(a, b)`` uniforms, a fixed
+count that does not grow with m.  The estimators reduce B's squared
+entries directly, with no eigensolve: capacity and outage read
+log2 det(I + rho B^T B) from the pivots of its tridiagonal LDL^T
+factorisation, and the Alamouti and conditional repetition errors read
+the trace of B^T B.  Pinned eigenvalues (k > 0) add exactly
+k log2(1 + rho) and k.  Only outputs that are spectra
+(:func:`_model_spectra`, behind :func:`rayleigh_compare`) diagonalise
+B^T B.  The Rayleigh baseline is not sampled: it is closed-form
+(:mod:`.analytic`).
 :func:`sample_spectra`, the ``count`` repetition method and the feedback
 scheme still draw channels, all through :func:`channel_blocks`: the first
 ``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
@@ -37,7 +44,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -57,7 +63,6 @@ __all__ = [
     "RayleighComparison",
     "channel_blocks",
     "sample_spectra",
-    "sample_jacobi_spectra_wishart",
     "mc_ergodic_capacity",
     "mc_outage",
     "mc_repetition_error",
@@ -115,6 +120,8 @@ def _gather(cfg: McConfig, chunk_fn):
     """
     spans = [(lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)]
     if cfg.workers > 1 and len(spans) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # its import cost is paid only here
+
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             parts = list(pool.map(lambda span: chunk_fn(*span), spans))
     else:
@@ -197,56 +204,117 @@ def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     return np.where(flip, small, big), np.where(flip, big, small)
 
 
-def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> np.ndarray:
-    """Ascending J(n; a, b) spectra of trials [lo, hi), shape (hi-lo, n).
+def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared entries of the J(n; a, b) bidiagonal model for trials [lo, hi).
 
-    Trial t reads n^2 + n*min(a, b) uniforms, turned into Beta variates as
-    products of uniform powers (:func:`_beta_variates`): c_j^2 ~
-    Beta(a+j, b+j) for j = n..1, then c'_j^2 ~ Beta(j, a+b+1+j) for
-    j = n-1..1.  The upper-bidiagonal B has diagonal c_n, c_{n-1} s'_{n-1},
-    ..., c_1 s'_1 and superdiagonal -s_n c'_{n-1}, ..., -s_2 c'_1, with
-    s^2 = 1 - c^2; the spectrum is that of B^T B.
+    Returns d^2, shape (hi-lo, n), and e^2, shape (hi-lo, n-1): the
+    squared diagonal and superdiagonal of an upper-bidiagonal B whose
+    B^T B has the J(n; a, b) spectrum.  Trial t reads n^2 + n*min(a, b)
+    uniforms, turned into Beta variates as products of uniform powers
+    (:func:`_beta_variates`): c_j^2 ~ Beta(a+j, b+j) for j = n..1, then
+    c'_j^2 ~ Beta(j, a+b+1+j) for j = n-1..1.  B has diagonal c_n,
+    c_{n-1} s'_{n-1}, ..., c_1 s'_1 and superdiagonal -s_n c'_{n-1}, ...,
+    -s_2 c'_1, with s^2 = 1 - c^2; the squares are products of the
+    variates, so no square root is taken.  The estimators reduce log det
+    and trace straight from these squares; only spectrum outputs go on to
+    an eigensolve (:func:`_tridiagonal_spectra`).
     """
     j = np.arange(n, 0, -1)
     p = np.concatenate([a + j, j[1:]])
     q = np.concatenate([b + j, a + b + 1 + j[1:]])
     x, y = _beta_variates(p, q, uniforms(key, lo, hi, n * n + n * min(a, b)))
-    c2, s2, cp2, sp2 = x[:, :n], y[:, :n], x[:, n:], y[:, n:]
-    if n == 1:
-        return c2  # the variate itself: sqrt(x)**2 need not equal x
-    diag = np.sqrt(c2)
-    diag[:, 1:] *= np.sqrt(sp2)
-    sup = -np.sqrt(s2[:, :-1] * cp2)
+    x[:, 1:n] *= y[:, n:]  # d^2: c_n^2, then c_j^2 s'_j^2
+    x[:, n:] *= y[:, : n - 1]  # e^2: c'_j^2 s_{j+1}^2
+    return x[:, :n], x[:, n:]
+
+
+def _model_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The bidiagonal model's (d^2, e^2) for the interior spectrum of trials [lo, hi).
+
+    For k = 0 the interior spectrum is J(m_min; alpha, beta).  For k > 0 it
+    is the complementary channel's, and the k pinned eigenvalues, each
+    exactly 1, are left to the caller; with no complementary channel
+    (m_max = m) nothing is drawn and both arrays have no columns.
+    """
+    core = dims if dims.k == 0 else dims.complement
+    if core is None:
+        return np.zeros((hi - lo, 0)), np.zeros((hi - lo, 0))
+    return _bidiagonal_chunk(core.m_min, core.alpha, core.beta, key, lo, hi)
+
+
+def _model_squares(dims: ChannelDims, cfg: McConfig, key) -> tuple[np.ndarray, np.ndarray]:
+    """(d^2, e^2) of :func:`_model_chunk` for cfg.trials channels, drawn once per sample set."""
+    return _drawn(
+        ("squares", key, dims, cfg.trials),
+        lambda: _gather(cfg, lambda lo, hi: _model_chunk(dims, key, lo, hi)),
+    )
+
+
+def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of B^T B from B's squared diagonal and superdiagonal."""
+    trials, n = d2.shape
+    if n <= 1:
+        return d2  # the variate itself
     if n == 2:
-        p, q, r = diag[:, 0] ** 2, diag[:, 0] * sup[:, 0], sup[:, 0] ** 2 + diag[:, 1] ** 2
-        lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), q)
+        p, r = d2[:, 0], e2[:, 0] + d2[:, 1]
+        lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.sqrt(d2[:, 0] * e2[:, 0]))
         # det / lam_max keeps the small eigenvalue's relative accuracy
-        return np.stack(((diag[:, 0] * diag[:, 1]) ** 2 / lam_max, lam_max), axis=1)
-    gram = np.zeros((hi - lo, n, n))  # B^T B, symmetric tridiagonal
+        return np.stack((d2[:, 0] * d2[:, 1] / lam_max, lam_max), axis=1)
+    gram = np.zeros((trials, n, n))  # B^T B, symmetric tridiagonal
     i = np.arange(n)
-    gram[:, i, i] = diag**2
-    gram[:, i[1:], i[1:]] += sup**2
-    gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = diag[:, :-1] * sup
+    gram[:, i, i] = d2
+    gram[:, i[1:], i[1:]] += e2
+    gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
     return np.linalg.eigvalsh(gram)
 
 
 def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
     """Ascending snapped spectra of cfg.trials channels, drawn from the bidiagonal model.
 
-    For k = 0 the spectrum is J(m_min; alpha, beta).  For k > 0 it is the
-    complementary channel's spectrum followed by k exact ones, and nothing
-    is drawn when there is no complementary channel (m_max = m).
+    The interior eigenvalues of :func:`_model_chunk` followed by k exact
+    ones.  Only outputs that are spectra come here; the estimators reduce
+    the squares themselves.  Not memoised: each spectrum sample set is
+    read once, so keeping it would only hold memory.
     """
-    core = dims if dims.k == 0 else dims.complement
 
     def chunk(lo, hi):
-        lams = np.ones((hi - lo, dims.k))
-        if core is not None:
-            interior = _bidiagonal_chunk(core.m_min, core.alpha, core.beta, key, lo, hi)
-            lams = np.concatenate([interior, lams], axis=1)
-        return snap_endpoints(lams, DEFAULT_UNIT_TOL)
+        interior = _tridiagonal_spectra(*_model_chunk(dims, key, lo, hi))
+        return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1), DEFAULT_UNIT_TOL)
 
-    return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
+    return _gather(cfg, chunk)
+
+
+def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
+    """log2 det(I + rho B^T B) per trial, plus k log2(1 + rho) for the pinned modes.
+
+    The LDL^T pivots of the tridiagonal I + rho B^T B are p_1 = 1 + rho d_1^2
+    and p_i = q_i + rho d_i^2 with q_i = 1 + rho e_{i-1}^2 q_{i-1} / p_{i-1}:
+    every term is non-negative, so p_i >= 1 and nothing cancels.
+    """
+    key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
+    d2, e2 = _model_squares(dims, cfg, key)
+    bits = np.zeros(cfg.trials)
+    q = 1.0
+    for i in range(d2.shape[1]):
+        if i:
+            q = 1.0 + rho * e2[:, i - 1] * (q / p)
+        p = q + rho * d2[:, i]
+        bits += np.log2(p)
+    bits += dims.k * math.log2(1.0 + rho)
+    if not np.all(np.isfinite(bits)):
+        raise NumericalError("log det of the bidiagonal model is not finite")
+    return bits
+
+
+def _trace_values(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
+    """trace(B^T B) + k = ||H11||_F^2 per trial."""
+    d2, e2 = _model_squares(dims, cfg, key)
+    gain = np.full(cfg.trials, float(dims.k))
+    for column in (*d2.T, *e2.T):  # np.sum over a narrow axis 1 is ~10x slower
+        gain += column
+    if not np.all(np.isfinite(gain)):
+        raise NumericalError("trace of the bidiagonal model is not finite")
+    return gain
 
 
 def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
@@ -261,35 +329,6 @@ def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
         return snap_endpoints(gram_eigenvalues(channel_blocks(dims, key, lo, hi)), DEFAULT_UNIT_TOL)
 
     return _drawn(("spectra", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
-
-
-def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np.ndarray:
-    """Spectra of J(m1, m2, n) built from Wishart pairs, shape (trials, n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1 (empty spectra carry no information)")
-    if m1 < n or m2 < n:
-        raise ValueError("need m1 >= n and m2 >= n")
-    key1 = stream_key(cfg.master_seed, f"wishart-jacobi:g1:{m1},{m2},{n}")
-    key2 = stream_key(cfg.master_seed, f"wishart-jacobi:g2:{m1},{m2},{n}")
-
-    def chunk(lo, hi):
-        g1 = complex_normals(key1, lo, hi, m1 * n).reshape(hi - lo, m1, n)
-        g2 = complex_normals(key2, lo, hi, m2 * n).reshape(hi - lo, m2, n)
-        a = np.einsum("bij,bik->bjk", g1.conj(), g1)
-        s = a + np.einsum("bij,bik->bjk", g2.conj(), g2)
-        w, v = np.linalg.eigh(s)
-        if np.min(w) <= 0.0:
-            raise NumericalError("Wishart sum numerically singular")
-        inv_sqrt = np.einsum("bij,bj,bkj->bik", v, 1.0 / np.sqrt(w), v.conj())
-        ratio = np.einsum("bij,bjk,bkl->bil", inv_sqrt, a, inv_sqrt)
-        return snap_endpoints(np.linalg.eigvalsh(ratio), DEFAULT_UNIT_TOL)
-
-    return _gather(cfg, chunk)
-
-
-def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
-    key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
-    return np.sum(np.log2(1.0 + rho * _model_spectra(dims, cfg, key)), axis=1)
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
@@ -435,8 +474,7 @@ def mc_repetition_error(
         raise ValueError("rho must be finite and >= 0")
     if method == "conditional":
         key = stream_key(cfg.master_seed, f"rep-cond:{dims.mt},{dims.mr},{dims.m}")
-        lam = _model_spectra(dims, cfg, key)
-        return _estimate(qpsk_symbol_error(rho * np.sum(lam, axis=1)), cfg)
+        return _estimate(qpsk_symbol_error(rho * _trace_values(dims, cfg, key)), cfg)
     if method != "count":
         raise ValueError("method must be 'conditional' or 'count'")
 
@@ -514,7 +552,7 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     dims = ChannelDims(2, 2, m)
     key = stream_key(cfg.master_seed, f"alamouti:{m}")
     threshold = r * math.log2(rho)
-    gain = np.sum(_model_spectra(dims, cfg, key), axis=1)  # ||H11||_F^2
+    gain = _trace_values(dims, cfg, key)  # ||H11||_F^2
     return _estimate((np.log2(1.0 + rho * gain) < threshold).astype(float), cfg)
 
 
@@ -633,7 +671,7 @@ def rayleigh_compare(
                 capacity_jacobi=analytic.ergodic_capacity(dims, rho),
                 capacity_rayleigh=cap_ray,
                 ks_scaled_vs_wishart=ks,
-                frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
+                frobenius_mean=float(np.sum(lam)) / len(lam),
                 frobenius_expected=mt * mr / m,
             )
         )

@@ -36,10 +36,10 @@ from jacobi_fading.simulate import (
     qpsk_bit_error,
     rayleigh_compare,
     repetition_error_tail,
-    sample_jacobi_spectra_wishart,
     sample_spectra,
 )
 from jacobi_fading.feedback import SchemeConfig, run_feedback_scheme
+from oracles import sample_jacobi_spectra_wishart
 
 
 def _passed(label: str, detail: str = ""):

@@ -12,9 +12,8 @@ from jacobi_fading.ensembles import (
     verify_pinned_spectrum,
 )
 from jacobi_fading.errors import NumericalError
-from jacobi_fading.simulate import (
-    McConfig, channel_blocks, ks_distance, sample_jacobi_spectra_wishart, sample_spectra
-)
+from jacobi_fading.simulate import McConfig, channel_blocks, ks_distance, sample_spectra
+from oracles import sample_jacobi_spectra_wishart
 
 
 def haar_unitaries(m, n, seed, tag="haar"):

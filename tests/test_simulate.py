@@ -11,6 +11,7 @@ from scipy.stats import ks_2samp
 from jacobi_fading import philox, simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
 from jacobi_fading.ensembles import ChannelDims, phase_fixed_qr
+from jacobi_fading.errors import NumericalError
 from jacobi_fading.philox import stream_key
 from jacobi_fading.simulate import (
     McConfig,
@@ -108,6 +109,72 @@ def test_spectral_estimators_draw_words_flat_in_m(monkeypatch):
     assert sizes[2:] == [1, 4, 1]
     mc_ergodic_capacity(ChannelDims(4, 4, 8), 10.0, cfg)
     assert sizes[5:] == [16]
+
+
+def test_spectral_estimators_call_no_eigensolver(monkeypatch):
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("log det and trace are read straight from the bidiagonal model")
+
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, no_eigensolve)
+    monkeypatch.setattr(simulate, "_tridiagonal_spectra", no_eigensolve)
+    cfg = McConfig(trials=3_000, workers=2)
+    # m_min = 4 and 3 would go through eigvalsh, m_min = 2 through the closed form
+    for dims in (ChannelDims(4, 4, 8), ChannelDims(3, 4, 9), ChannelDims(3, 3, 5)):
+        assert math.isfinite(mc_ergodic_capacity(dims, 100.0, cfg).value)
+        assert 0.0 <= mc_outage(dims, 100.0, cfg, r=1.0).value <= 1.0
+        assert 0.0 <= mc_repetition_error(dims, 2.0, cfg, method="conditional").value <= 1.0
+    assert 0.0 <= mc_alamouti_outage(8, 100.0, 0.5, cfg).value <= 1.0
+
+
+def _mp_log_det(d2, e2, rho):
+    """log2 det(I + rho B^T B) by mpmath's LU, B^T B built from the squares at 50 digits."""
+    n = len(d2)
+    with mp.workdps(50):
+        a = mp.eye(n)
+        for i in range(n):
+            a[i, i] += rho * (mp.mpf(d2[i]) + (mp.mpf(e2[i - 1]) if i else 0))
+            if i + 1 < n:
+                a[i, i + 1] = a[i + 1, i] = rho * mp.sqrt(mp.mpf(d2[i]) * mp.mpf(e2[i]))
+        return mp.log(mp.det(a), 2)
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e6, 1e12])
+@pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7)])
+def test_pivot_log_det_against_mpmath(mt, mr, m, rho):
+    dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=100, master_seed=7)
+    got = simulate._log_det_values(dims, rho, cfg, "pivot")
+    d2, e2 = simulate._model_squares(dims, cfg, stream_key(7, f"pivot:{mt},{mr},{m}"))
+    want = np.array([float(_mp_log_det(d2[t], e2[t], rho)) for t in range(cfg.trials)])
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7), (2, 2, 3), (1, 2, 3), (2, 2, 2)])
+def test_trace_matches_the_model_spectra(mt, mr, m):
+    dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=5_000, master_seed=2)
+    key = stream_key(2, "trace")
+    want = np.sum(simulate._model_spectra(dims, cfg, key), axis=1)
+    assert np.max(np.abs(simulate._trace_values(dims, cfg, key) - want)) <= 1e-14 * dims.m_min
+
+
+def test_non_finite_squares_raise(monkeypatch):
+    real = simulate._model_squares
+
+    def poisoned(*args):
+        d2, e2 = (a.copy() for a in real(*args))
+        d2[17, 1] = math.nan
+        return d2, e2
+
+    monkeypatch.setattr(simulate, "_model_squares", poisoned)
+    cfg = McConfig(trials=1_000)
+    with pytest.raises(NumericalError, match="log det"):
+        mc_ergodic_capacity(ChannelDims(3, 3, 6), 10.0, cfg)
+    with pytest.raises(NumericalError, match="log det"):
+        mc_outage(ChannelDims(3, 3, 6), 10.0, cfg, r=1.0)
+    with pytest.raises(NumericalError, match="trace"):
+        mc_alamouti_outage(4, 10.0, 0.5, cfg)
+    with pytest.raises(NumericalError, match="trace"):
+        mc_repetition_error(ChannelDims(3, 3, 6), 10.0, cfg)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (4, 4), (3, 7), (7, 3), (2, 62), (62, 2)])
