@@ -272,16 +272,15 @@ def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
     """Ascending snapped spectra of cfg.trials channels, drawn from the bidiagonal model.
 
     The interior eigenvalues of :func:`_model_chunk` followed by k exact
-    ones.  Only outputs that are spectra come here; the estimators reduce
-    the squares themselves.  Not memoised: each spectrum sample set is
-    read once, so keeping it would only hold memory.
+    ones, drawn once per sample set.  Only outputs that are spectra come
+    here; the estimators reduce the squares themselves.
     """
 
     def chunk(lo, hi):
         interior = _tridiagonal_spectra(*_model_chunk(dims, key, lo, hi))
         return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1), DEFAULT_UNIT_TOL)
 
-    return _gather(cfg, chunk)
+    return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
 
 
 def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
@@ -671,7 +670,7 @@ def rayleigh_compare(
                 capacity_jacobi=analytic.ergodic_capacity(dims, rho),
                 capacity_rayleigh=cap_ray,
                 ks_scaled_vs_wishart=ks,
-                frobenius_mean=float(np.sum(lam)) / len(lam),
+                frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
                 frobenius_expected=mt * mr / m,
             )
         )

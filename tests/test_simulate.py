@@ -445,6 +445,25 @@ def test_rayleigh_compare_draws_no_channels(monkeypatch):
     }
 
 
+def test_rayleigh_grid_draws_each_spectrum_once(monkeypatch):
+    solves = []
+    real = simulate._tridiagonal_spectra
+
+    def counting(d2, e2):
+        solves.append(d2.shape)
+        return real(d2, e2)
+
+    monkeypatch.setattr(simulate, "_tridiagonal_spectra", counting)
+    cfg = McConfig(trials=2_000)
+    with simulate._shared_draws():
+        # the sample sets do not depend on rho_bar, so a grid reuses them
+        inside = [rayleigh_compare(2, 2, [5, 8], rho_bar, cfg) for rho_bar in (10.0, 100.0)]
+        assert len(solves) == 2
+    outside = [rayleigh_compare(2, 2, [5, 8], rho_bar, cfg) for rho_bar in (10.0, 100.0)]
+    assert len(solves) == 2 + 4
+    assert inside == outside
+
+
 @pytest.mark.parametrize("mt, mr", [(3, 2), (2, 1)])
 def test_rayleigh_ks_falls_when_mt_differs_from_mr(mt, mr):
     # the m-scaled spectrum meets the exact marginal of the min(mt, mr)
