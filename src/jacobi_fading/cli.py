@@ -20,8 +20,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,8 +92,7 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-@dataclass
-class _Output:
+class _Output(NamedTuple):
     header: list[str]
     rows: list[list]
 

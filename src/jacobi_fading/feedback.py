@@ -27,10 +27,12 @@ core (:mod:`.philox`) in one call per role (channel, symbols, noise,
 dither, closing-channel, closing-noise), keyed ``stream_key(seed,
 "feedback:<role>")`` with the use or closing-window index as the trial
 index, so use i's variates depend on its position only.  All channels are
-drawn and completed in one stacked QR and one stacked ``eigh``; since use i
-depends only on use i - l, the relay recurrence and the backward peeling
-each step l uses at a time, and everything else is vectorized over the
-frame.
+drawn and completed in one stacked QR and one stacked ``eigh``.  No step
+runs per use: the completion rows are orthogonal, so every use's
+conditional covariance is exactly I and the pads follow in closed form,
+and the relay recurrence and the backward peeling (use i depends on use
+i - l only) are affine maps along each delay chain, solved by a prefix
+scan in ceil(log2(n / l)) batched steps.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +58,8 @@ __all__ = [
 ]
 
 _COMBINE_TOL = 1e-10
+# a pad variance below this is rounding residue on a unit-norm completion row
+_PAD_SNAP = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,11 @@ class SchemeReport:
     combined-noise covariance of every use is an algebraic function of the
     realized channels), leaving only the channel-sequence dependence.
     ``per_mode_power`` averages the exact conditional (over symbols and
-    dither, given channels) second moments of each transmit mode,
-    ``per_mode_power_empirical`` the realized |x_j|^2.
+    dither, given channels) second moments of each transmit mode, which
+    are 1 by construction: the pads top every relay slot up to unit
+    variance and the completion rows are orthogonal, so each use's
+    conditional covariance is I.  ``per_mode_power_empirical`` averages the
+    realized |x_j|^2.
     """
 
     per_stream_snr: np.ndarray
@@ -176,8 +184,7 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     return (np.sqrt(w[:, None, ::-1][:, :, :s]) * (top * phase).conj()).swapaxes(1, 2)
 
 
-@dataclass(frozen=True)
-class _FrameDraws:
+class _FrameDraws(NamedTuple):
     """Every random variate of one frame, row i belonging to use (or closing window) i."""
 
     channels: np.ndarray          # (n, mr, mt), or (1, mr, mt) for a held realization
@@ -229,6 +236,58 @@ def _hermitian(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _mul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over stacks of small matrices with the stack axis last: (p, q, N) by (q, r, N).
+
+    numpy's batched ``@`` pays a fixed cost per matrix that dominates at
+    these sizes (inner dimension 1 to 4).  Here the product is an add loop
+    over the inner dimension, each term one multiply over the whole stack,
+    which is contiguous when the stack axis is last.
+    """
+    if a.shape[1] == 0:
+        return np.zeros(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
+    out = a[:, :1] * b[None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j:j + 1] * b[None, j]
+    return out
+
+
+def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over stacks of small matrices with the stack axis first, by :func:`_mul_last`."""
+    return np.moveaxis(_mul_last(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a stack of matrices and a stack of vectors, stack axis first."""
+    return _stack_mul(a, x[:, :, None])[:, :, 0]
+
+
+def _affine_scan(g, vec, mat, l):
+    """Solve x_r = g_r x_{r-l} + vec_r, and X_r = g_r X_{r-l} g_r^H + mat_r, for every row r.
+
+    ``g``, ``vec`` and ``mat`` stack an (s, s) map, an s-vector and an
+    (s, s) matrix per row; rows r < l start from a zero state.  ``mat`` may
+    be None, and then no X is returned.  Recursive doubling (Blelloch 1990)
+    composes each row's map with the one d rows back, for d = l, 2l, 4l, ...,
+    so the recurrence takes ceil(log2(N / l)) batched steps, not N / l.
+    The steps run on copies with the row axis last (:func:`_mul_last`).
+    """
+    n, d = len(vec), l
+    g = np.ascontiguousarray(np.moveaxis(g, 0, -1))
+    x = vec.T[:, None, :].copy()  # C-ordered copies, updated in place
+    big_x = None if mat is None else np.moveaxis(mat, 0, -1).copy()
+    while d < n:
+        head = g[:, :, d:]
+        x[:, :, d:] += _mul_last(head, x[:, :, :-d])
+        if big_x is not None:
+            head_h = head.conj().swapaxes(0, 1)
+            big_x[:, :, d:] += _mul_last(_mul_last(head, big_x[:, :, :-d]), head_h)
+        if 2 * d < n:
+            g = np.concatenate([g[:, :, :d], _mul_last(head, g[:, :, :-d])], axis=2)
+        d *= 2
+    return x[:, 0, :].T, None if big_x is None else np.moveaxis(big_x, -1, 0)
+
+
 def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     """Run one frame of the scheme end to end and measure it.
 
@@ -237,9 +296,11 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     per-stream SNRs, combined-noise statistics, rate, power, and (for QPSK)
     the bit error rate.
 
-    All variates are drawn first (:func:`_draw_frame`).  Use i depends only
-    on use i - l, so the forward relay recurrence and the backward peeling
-    each step l uses at a time, and every other stage is one batched pass.
+    All variates are drawn first (:func:`_draw_frame`), and every stage is
+    batched over the frame.  Every use's conditional covariance is I, so the
+    pads are closed-form; the relay recurrence and the backward peeling link
+    use i to use i - l only, and each is one prefix scan of affine maps
+    (:func:`_affine_scan`).
     """
     dims, n, l, rho = cfg.dims, cfg.n_uses, cfg.delay, cfg.rho
     mt, k = dims.mt, dims.k
@@ -257,31 +318,31 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     if not cfg.fresh_channel_each_use:
         h11, h21, gram11 = (np.repeat(a, n, axis=0) for a in (h11, h21, gram11))
 
-    # relay of use i goes through the completion of use i - l; the first l
-    # uses relay through a zero completion, i.e. relay nothing
-    relay = np.zeros_like(h21)
-    relay[l:] = h21[:-l]
-    relay_h = _hermitian(relay)
+    # relay slot e of use i carries row e of use i - l's completion applied
+    # to x_{i-l}, of conditional variance |row e|^2 (the rows are orthogonal
+    # and x_{i-l} has covariance I); the pad tops it up to 1.  The first l
+    # uses relay nothing and pad at unit variance.
+    pad_var = np.ones((n, s))
+    pad_var[l:] = 1.0 - np.sum(np.abs(h21[:-l]) ** 2, axis=2)
+    if np.any(pad_var < -_COMBINE_TOL):
+        raise NumericalError("a completion row has norm above 1: the pad variance is negative")
+    # rows spanning the null space of H11 (mt > mr) have norm 1: their pad is exactly 0
+    pad_var[pad_var < _PAD_SNAP] = 0.0
+    pad = np.sqrt(pad_var) * draws.dither
+    cond_power = np.ones((n, mt))  # the diagonal of every use's covariance, I
 
-    # forward recurrence: row l + i of xs and sig holds use i, rows < l the zero past
-    xs = np.zeros((n + l, mt), dtype=complex)
-    xs[l:, :k] = draws.symbols
-    sig = np.zeros((n + l, mt, mt), dtype=complex)  # conditional covariances given channels
-    sig[l:, :k, :k] = np.eye(k)
-    pad = np.empty((n, s), dtype=complex)
-    for b in range(0, n, l):
-        e = min(b + l, n)
-        c_rel = relay[b:e] @ sig[b:e] @ relay_h[b:e]
-        c_diag = c_rel.reshape(e - b, s * s)[:, ::s + 1]  # a writable view of the diagonals
-        pad_var = np.maximum(1.0 - c_diag.real, 0.0)
-        pad[b:e] = np.sqrt(pad_var) * draws.dither[b:e]
-        c_diag += pad_var
-        xs[b + l:e + l, k:] = (relay[b:e] @ xs[b:e, :, None])[:, :, 0] + pad[b:e]
-        sig[b + l:e + l, k:, k:] = c_rel
-    relay_content = (relay @ xs[:n, :, None])[:, :, 0]
-    xs, sig = xs[l:], sig[l:]
-    cond_power = np.diagonal(sig, axis1=1, axis2=2).real.copy()
-    ys = ((sqrt_rho * h11) @ xs[:, :, None])[:, :, 0] + draws.noise
+    # forward relay: v_i = R2 v_{i-l} + (R1 sym_{i-l} + pad_i), R = use i - l's
+    # completion split at column k
+    g = np.zeros((n, s, s), dtype=complex)
+    g[l:] = h21[:-l, :, k:]
+    vec = pad.copy()
+    vec[l:] += _matvec(h21[:-l, :, :k], draws.symbols[:-l])
+    xs = np.empty((n, mt), dtype=complex)
+    xs[:, :k] = draws.symbols
+    xs[:, k:] = _affine_scan(g, vec, None, l)[0]
+    relay_content = np.zeros((n, s), dtype=complex)
+    relay_content[l:] = _matvec(h21[:-l], xs[:-l])
+    ys = _matvec(sqrt_rho * h11, xs) + draws.noise
 
     # closing: convey the l outstanding completion projections, one scalar
     # per repetition window of mt uses on a held realization; window
@@ -292,26 +353,30 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         raise NumericalError("closing window gain fell below the pinned bound k")
     min_gain = float(np.min(gain)) if s else float("nan")  # s == 0: no closing needed
     combined_noise = np.einsum("wij,wji->w", hc.conj(), draws.closing_noise)
-    w_close = (h21[n - l:] @ xs[n - l:, :, None])[:, :, 0]
+    w_close = _matvec(h21[n - l:], xs[n - l:])
     overhead = l * s * mt
 
-    # backward peeling: use i combines with the side measure of its relay,
-    # read from slots k: of use i + l (its known dither removed).  Rows n..
-    # of y_pad and cov_pad hold the closing measures in those slots; row
-    # i < n holds use i's combined output.
-    y_pad = np.zeros((n + l, mt), dtype=complex)
-    cov_pad = np.zeros((n + l, mt, mt), dtype=complex)
-    y_pad[n:, k:] = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s)
-    cov_pad[n:, k:, k:] = (1.0 / gain).reshape(l, s, 1) * np.eye(s)
+    # backward peeling: use i combines with the side measure u_{i+l} of its
+    # relay, read from slots k: of use i + l's combined output (its known pad
+    # removed), of noise covariance K_{i+l}.  So u_i = base_i[k:] + G_i u_{i+l}
+    # and K_i = gram11_i[k:, k:] + G_i K_{i+l} G_i^H with G_i = (H21_i^H)[k:]:
+    # one scan backwards in time, seeded by the l closing measures as
+    # constant rows.
     offset = np.zeros((n, s), dtype=complex)
     offset[:n - l] = sqrt_rho * pad[l:]
     h21h = _hermitian(h21)
-    base = ((_hermitian(h11) @ ys[:, :, None]) - h21h @ offset[:, :, None])[:, :, 0]
-    for e in range(n, 0, -l):
-        b = max(e - l, 0)
-        y_pad[b:e] = base[b:e] + (h21h[b:e] @ y_pad[b + l:e + l, k:, None])[:, :, 0]
-        cov_pad[b:e] = gram11[b:e] + h21h[b:e] @ (cov_pad[b + l:e + l, k:, k:] @ h21[b:e])
-    y_tilde, cov_z = y_pad[:n], cov_pad[:n]
+    base = _matvec(_hermitian(h11), ys) - _matvec(h21h, offset)
+    seed_meas = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s)
+    seed_cov = (1.0 / gain).reshape(l, s, 1) * np.eye(s)
+    side, side_cov = _affine_scan(
+        np.concatenate([np.zeros((l, s, s)), h21h[::-1, k:]]),
+        np.concatenate([seed_meas[::-1], base[::-1, k:]]),
+        np.concatenate([seed_cov[::-1], gram11[::-1, k:, k:]]),
+        l,
+    )
+    side, side_cov = side[::-1][l:], side_cov[::-1][l:]  # row i: u_{i+l}, K_{i+l}
+    y_tilde = base + _matvec(h21h, side)
+    cov_z = gram11 + _stack_mul(_stack_mul(h21h, side_cov), h21)
 
     # measurements
     cond_var_stream = np.diagonal(cov_z, axis1=1, axis2=2).real[:, :k]

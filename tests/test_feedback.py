@@ -268,7 +268,8 @@ def _reference_frame(cfg):
             w_rel = np.zeros(s, dtype=complex)
             c_rel = np.zeros((s, s), dtype=complex)
         relay_content[i] = w_rel
-        pad_var = np.clip(1.0 - np.diag(c_rel).real, 0.0, None)
+        pad_var = 1.0 - np.diag(c_rel).real
+        pad_var[pad_var < 64 * np.finfo(float).eps] = 0.0  # rounding residue on a unit-norm row
         pad = np.sqrt(pad_var) * d.dither[i]
         dither[i] = pad
         sigma = np.zeros((mt, mt), dtype=complex)
@@ -332,6 +333,7 @@ def _reference_frame(cfg):
         noise_cov_error=float(np.max(np.abs(cond_cov_sum / n - np.eye(mt)))),
         ber=ber,
         trace=trace,
+        sigmas=sigmas,
     )
 
 
@@ -341,21 +343,21 @@ TRACE_FIELDS = (
 )
 
 
-@pytest.mark.parametrize(
-    "dims, overrides",
-    [
-        (DIMS_223, {"delay": 1}),
-        (DIMS_223, {"delay": 4}),
-        (DIMS_223, {"delay": 1, "fresh_channel_each_use": False}),
-        (DIMS_223, {"delay": 4, "fresh_channel_each_use": False}),
-        (DIMS_223, {"delay": 1, "modulation": "gaussian"}),
-        (ChannelDims(3, 3, 4), {"delay": 4}),  # k = 2
-        (ChannelDims(3, 3, 4), {"delay": 1}),
-        (ChannelDims(4, 4, 6), {"delay": 2}),  # s = 2 relay slots
-        (ChannelDims(3, 2, 4), {"delay": 3}),  # mt != mr, s = 2
-        (ChannelDims(2, 3, 3), {"delay": 2}),  # mr = m: no completion rows, no closing
-    ],
-)
+REFERENCE_CASES = [
+    (DIMS_223, {"delay": 1}),
+    (DIMS_223, {"delay": 4}),
+    (DIMS_223, {"delay": 1, "fresh_channel_each_use": False}),
+    (DIMS_223, {"delay": 4, "fresh_channel_each_use": False}),
+    (DIMS_223, {"delay": 1, "modulation": "gaussian"}),
+    (ChannelDims(3, 3, 4), {"delay": 4}),  # k = 2
+    (ChannelDims(3, 3, 4), {"delay": 1}),
+    (ChannelDims(4, 4, 6), {"delay": 2}),  # s = 2 relay slots
+    (ChannelDims(3, 2, 4), {"delay": 3}),  # mt != mr, s = 2
+    (ChannelDims(2, 3, 3), {"delay": 2}),  # mr = m: no completion rows, no closing
+]
+
+
+@pytest.mark.parametrize("dims, overrides", REFERENCE_CASES)
 def test_batched_frame_matches_per_use_reference(dims, overrides):
     # 203 uses: not a multiple of 4, so the last forward and first backward blocks are partial
     cfg = SchemeConfig(dims=dims, n_uses=203, rho=10.0, master_seed=17, **overrides)
@@ -368,6 +370,67 @@ def test_batched_frame_matches_per_use_reference(dims, overrides):
         np.testing.assert_allclose(
             getattr(got.trace, name), getattr(want.trace, name), rtol=0, atol=1e-12, err_msg=name
         )
+
+
+@pytest.mark.parametrize("dims, overrides", REFERENCE_CASES)
+def test_per_use_covariance_is_identity(dims, overrides):
+    # the batched frame takes every use's conditional covariance to be I in
+    # closed form; the per-use algorithm carries it through the recurrence
+    cfg = SchemeConfig(dims=dims, n_uses=203, rho=10.0, master_seed=17, **overrides)
+    sigmas = _reference_frame(cfg).sigmas
+    assert np.max(np.abs(sigmas - np.eye(dims.mt))) < 1e-12
+
+
+@pytest.mark.parametrize("dims", [ChannelDims(3, 2, 4), ChannelDims(4, 2, 4), ChannelDims(5, 4, 6)])
+def test_null_space_relay_slots_carry_no_pad(dims):
+    # mt > mr: the top mt - mr completion rows span the null space of H11 and
+    # have unit norm, so their relay slots need no pad at all
+    delay, null = 3, dims.mt - dims.mr
+    rep = run_feedback_scheme(SchemeConfig(dims=dims, n_uses=200, delay=delay, master_seed=4))
+    dither = rep.trace.dither
+    assert np.all(dither[delay:, :null] == 0.0)
+    assert np.all(dither[:delay] != 0.0)  # the first uses relay nothing: unit-variance pad
+    assert np.all(dither[delay:, null:] != 0.0)
+    assert np.all(rep.trace.cond_mode_power == 1.0)
+
+
+def _sequential_scan(g, vec, mat, l):
+    x = np.zeros_like(vec)
+    big_x = None if mat is None else np.zeros_like(mat)
+    for r in range(len(vec)):
+        x[r] = vec[r] + (g[r] @ x[r - l] if r >= l else 0.0)
+        if mat is not None:
+            big_x[r] = mat[r] + (g[r] @ big_x[r - l] @ g[r].conj().T if r >= l else 0.0)
+    return x, big_x
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, l",
+    [(l + 1, l) for l in (1, 3, 4, 7)] + [(n, l) for n in (203, 1000) for l in (1, 3, 4, 7, n - 1)],
+)
+@pytest.mark.parametrize("congruence", [False, True])
+def test_affine_scan_matches_sequential_loop(s, n, l, congruence):
+    rng = np.random.default_rng(1000 * s + n + l)
+
+    def cn(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    g = cn(n, s, s)
+    g *= rng.uniform(0.0, 1.0, (n, 1, 1)) / np.linalg.norm(g, ord=2, axis=(1, 2))[:, None, None]
+    vec = cn(n, s)
+    half = cn(n, s, s)
+    mat = half @ half.conj().swapaxes(1, 2) if congruence else None
+    args = (g, vec, mat) if congruence else (g, vec)
+    before = [a.copy() for a in args]
+    got_x, got_mat = feedback._affine_scan(g, vec, mat, l)
+    assert all(np.array_equal(a, b) for a, b in zip(args, before))  # the inputs are left untouched
+    want_x, want_mat = _sequential_scan(g, vec, mat, l)
+    assert np.max(np.abs(got_x - want_x)) < 1e-13
+    if congruence:
+        assert np.max(np.abs(got_mat - want_mat)) < 1e-13
+    else:
+        assert got_mat is None
 
 
 @pytest.mark.parametrize("delay", [1, 4])
