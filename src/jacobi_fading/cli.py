@@ -185,9 +185,7 @@ def _cmd_dmt(args) -> _Output:
             "vertices": [list(v) for v in curve.vertices],
             "infinite_below": curve.infinite_below,
         }
-        with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_file(args.json, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return out
 
 
@@ -389,6 +387,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_manifest(path: str, args, csv_text: str) -> None:
     skip = {"fn", "out", "manifest"}
     params = {k: v for k, v in vars(args).items() if k not in skip}
@@ -400,9 +407,7 @@ def _write_manifest(path: str, args, csv_text: str) -> None:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "output_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
     }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_file(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv=None) -> int:
@@ -415,20 +420,19 @@ def main(argv=None) -> int:
         with simulate._shared_draws():
             out = args.fn(args)
         text = out.render()
+        if args.out == "-":
+            sys.stdout.write(text)
+            if args.manifest:
+                _write_manifest(args.manifest, args, text)
+        else:
+            _write_file(args.out, text)
+            _write_manifest(args.manifest or args.out + ".manifest.json", args, text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    if args.out == "-":
-        sys.stdout.write(text)
-        if args.manifest:
-            _write_manifest(args.manifest, args, text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _write_manifest(args.manifest or args.out + ".manifest.json", args, text)
     return 0
 
 

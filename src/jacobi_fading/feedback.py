@@ -32,7 +32,9 @@ runs per use: the completion rows are orthogonal, so every use's
 conditional covariance is exactly I and the pads follow in closed form,
 and the relay recurrence and the backward peeling (use i depends on use
 i - l only) are affine maps along each delay chain, solved by a prefix
-scan in ceil(log2(n / l)) batched steps.
+scan in ceil(log2(n / l)) batched steps.  The combining identity also
+gives the receiver's noise in closed form, covariance ``I - M^H D M`` per
+use from the peeling scan's prefix products: no covariance is scanned.
 """
 
 from __future__ import annotations
@@ -257,35 +259,26 @@ def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.moveaxis(_mul_last(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
 
 
-def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a stack of matrices and a stack of vectors, stack axis first."""
-    return _stack_mul(a, x[:, :, None])[:, :, 0]
+def _affine_scan(g, vec, l):
+    """Solve x_r = g_r x_{r-l} + vec_r for every row r; return x and the maps' prefix products.
 
-
-def _affine_scan(g, vec, mat, l):
-    """Solve x_r = g_r x_{r-l} + vec_r, and X_r = g_r X_{r-l} g_r^H + mat_r, for every row r.
-
-    ``g``, ``vec`` and ``mat`` stack an (s, s) map, an s-vector and an
-    (s, s) matrix per row; rows r < l start from a zero state.  ``mat`` may
-    be None, and then no X is returned.  Recursive doubling (Blelloch 1990)
+    ``g`` and ``vec`` stack an (s, s) map and an s-vector per row; rows
+    r < l start from a zero state.  Recursive doubling (Blelloch 1990)
     composes each row's map with the one d rows back, for d = l, 2l, 4l, ...,
     so the recurrence takes ceil(log2(N / l)) batched steps, not N / l.
-    The steps run on copies with the row axis last (:func:`_mul_last`).
+    Row r's prefix product is g_r g_{r-l} ... g_{r mod l}, the composed map
+    of its delay chain.  The steps run on copies with the row axis last
+    (:func:`_mul_last`).
     """
     n, d = len(vec), l
     g = np.ascontiguousarray(np.moveaxis(g, 0, -1))
-    x = vec.T[:, None, :].copy()  # C-ordered copies, updated in place
-    big_x = None if mat is None else np.moveaxis(mat, 0, -1).copy()
+    x = vec.T[:, None, :].copy()  # a C-ordered copy, updated in place
     while d < n:
         head = g[:, :, d:]
         x[:, :, d:] += _mul_last(head, x[:, :, :-d])
-        if big_x is not None:
-            head_h = head.conj().swapaxes(0, 1)
-            big_x[:, :, d:] += _mul_last(_mul_last(head, big_x[:, :, :-d]), head_h)
-        if 2 * d < n:
-            g = np.concatenate([g[:, :, :d], _mul_last(head, g[:, :, :-d])], axis=2)
+        g = np.concatenate([g[:, :, :d], _mul_last(head, g[:, :, :-d])], axis=2)
         d *= 2
-    return x[:, 0, :].T, None if big_x is None else np.moveaxis(big_x, -1, 0)
+    return x[:, 0, :].T, np.moveaxis(g, -1, 0)
 
 
 def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
@@ -300,7 +293,8 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     batched over the frame.  Every use's conditional covariance is I, so the
     pads are closed-form; the relay recurrence and the backward peeling link
     use i to use i - l only, and each is one prefix scan of affine maps
-    (:func:`_affine_scan`).
+    (:func:`_affine_scan`).  Use i's combined noise has covariance
+    ``I - M_i^H D M_i``, from the peeling scan's prefix products.
     """
     dims, n, l, rho = cfg.dims, cfg.n_uses, cfg.delay, cfg.rho
     mt, k = dims.mt, dims.k
@@ -316,7 +310,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         bad = int(np.argmax(deviation > _COMBINE_TOL))
         raise NumericalError(f"completion at use {bad} fails the combining identity")
     if not cfg.fresh_channel_each_use:
-        h11, h21, gram11 = (np.repeat(a, n, axis=0) for a in (h11, h21, gram11))
+        h11, h21 = (np.repeat(a, n, axis=0) for a in (h11, h21))
 
     # relay slot e of use i carries row e of use i - l's completion applied
     # to x_{i-l}, of conditional variance |row e|^2 (the rows are orthogonal
@@ -336,13 +330,12 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     g = np.zeros((n, s, s), dtype=complex)
     g[l:] = h21[:-l, :, k:]
     vec = pad.copy()
-    vec[l:] += _matvec(h21[:-l, :, :k], draws.symbols[:-l])
+    vec[l:] += np.einsum("nij,nj->ni", h21[:-l, :, :k], draws.symbols[:-l])
     xs = np.empty((n, mt), dtype=complex)
     xs[:, :k] = draws.symbols
-    xs[:, k:] = _affine_scan(g, vec, None, l)[0]
-    relay_content = np.zeros((n, s), dtype=complex)
-    relay_content[l:] = _matvec(h21[:-l], xs[:-l])
-    ys = _matvec(sqrt_rho * h11, xs) + draws.noise
+    xs[:, k:] = _affine_scan(g, vec, l)[0]
+    relay_content = xs[:, k:] - pad
+    ys = np.einsum("nij,nj->ni", sqrt_rho * h11, xs) + draws.noise
 
     # closing: convey the l outstanding completion projections, one scalar
     # per repetition window of mt uses on a held realization; window
@@ -353,35 +346,38 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         raise NumericalError("closing window gain fell below the pinned bound k")
     min_gain = float(np.min(gain)) if s else float("nan")  # s == 0: no closing needed
     combined_noise = np.einsum("wij,wji->w", hc.conj(), draws.closing_noise)
-    w_close = _matvec(h21[n - l:], xs[n - l:])
+    w_close = np.einsum("nij,nj->ni", h21[n - l:], xs[n - l:])
     overhead = l * s * mt
 
     # backward peeling: use i combines with the side measure u_{i+l} of its
     # relay, read from slots k: of use i + l's combined output (its known pad
-    # removed), of noise covariance K_{i+l}.  So u_i = base_i[k:] + G_i u_{i+l}
-    # and K_i = gram11_i[k:, k:] + G_i K_{i+l} G_i^H with G_i = (H21_i^H)[k:]:
-    # one scan backwards in time, seeded by the l closing measures as
-    # constant rows.
+    # removed).  So u_i = base_i[k:] + G_i u_{i+l} with G_i = (H21_i^H)[k:]:
+    # one scan backwards in time, seeded by the l closing measures as rows
+    # with identity maps.  u_i's noise covariance K_i = gram11_i[k:, k:] +
+    # G_i K_{i+l} G_i^H, and the combining identity gives gram11[k:, k:] +
+    # G G^H = I, so the deficit I - K is a pure congruence of the seeds' D =
+    # diag(1 - 1/gain): I - K_{i+l} = P D P^H, P the scan's prefix product on
+    # row i + l.  Use i's combined noise has covariance I - M^H D M, M = P^H H21_i.
     offset = np.zeros((n, s), dtype=complex)
     offset[:n - l] = sqrt_rho * pad[l:]
     h21h = _hermitian(h21)
-    base = _matvec(_hermitian(h11), ys) - _matvec(h21h, offset)
+    base = np.einsum("nij,nj->ni", _hermitian(h11), ys) - np.einsum("nij,nj->ni", h21h, offset)
     seed_meas = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s)
-    seed_cov = (1.0 / gain).reshape(l, s, 1) * np.eye(s)
-    side, side_cov = _affine_scan(
-        np.concatenate([np.zeros((l, s, s)), h21h[::-1, k:]]),
+    side, chain = _affine_scan(
+        np.concatenate([np.broadcast_to(np.eye(s), (l, s, s)), h21h[::-1, k:]]),
         np.concatenate([seed_meas[::-1], base[::-1, k:]]),
-        np.concatenate([seed_cov[::-1], gram11[::-1, k:, k:]]),
         l,
     )
-    side, side_cov = side[::-1][l:], side_cov[::-1][l:]  # row i: u_{i+l}, K_{i+l}
-    y_tilde = base + _matvec(h21h, side)
-    cov_z = gram11 + _stack_mul(_stack_mul(h21h, side_cov), h21)
+    side, chain = side[::-1][l:], chain[::-1][l:]  # row i: u_{i+l} and its P
+    y_tilde = base + np.einsum("nij,nj->ni", h21h, side)
+    m_noise = _stack_mul(_hermitian(chain), h21)
+    # row i + l is on the chain of closing measure (i - n) mod l
+    deficit = (1.0 - 1.0 / gain).reshape(l, s)[(np.arange(n) - n) % l]
 
     # measurements
-    cond_var_stream = np.diagonal(cov_z, axis1=1, axis2=2).real[:, :k]
-    noise_cov_error = float(np.max(np.abs(np.sum(cov_z, axis=0) / n - np.eye(mt))))
-
+    cond_var_stream = 1.0 - np.sum(deficit[:, :, None] * np.abs(m_noise[:, :, :k]) ** 2, axis=1)
+    weighted = (deficit[:, :, None] * m_noise).reshape(-1, mt)
+    noise_cov_error = float(np.max(np.abs(weighted.conj().T @ m_noise.reshape(-1, mt)))) / n
     per_stream_snr = rho / np.mean(cond_var_stream, axis=0)
 
     if k >= 2:

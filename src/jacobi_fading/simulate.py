@@ -337,6 +337,14 @@ def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstim
     return _estimate(_log_det_values(dims, rho, cfg, "mc-ergodic"), cfg)
 
 
+def _require_rate(name: str, value) -> None:
+    """Raise ValueError naming ``value`` unless it is a finite real number >= 0 (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
 def mc_outage(
     dims: ChannelDims,
     rho: float,
@@ -354,11 +362,10 @@ def mc_outage(
     if (r is None) == (rate_bits is None):
         raise ValueError("give exactly one of r or rate_bits")
     if r is not None:
-        if not 0.0 <= r < math.inf:
-            raise ValueError("r must be finite and >= 0")
+        _require_rate("r", r)
         rate_bits = r * math.log2(1.0 + rho)
-    elif not math.isfinite(rate_bits):
-        raise ValueError("rate_bits must be finite")
+    else:
+        _require_rate("rate_bits", rate_bits)
     # every rate of a curve at this rho compares against the same values
     mi = _drawn(
         ("mutual-information", cfg.master_seed, dims, cfg.trials, rho),
@@ -546,8 +553,7 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
         raise ValueError("m must be >= 2 (the scheme addresses 2x2 modes)")
     if not 0.0 < rho < math.inf:
         raise ValueError("rho must be finite and > 0")
-    if not 0.0 <= r < math.inf:
-        raise ValueError("r must be finite and >= 0")
+    _require_rate("r", r)
     dims = ChannelDims(2, 2, m)
     key = stream_key(cfg.master_seed, f"alamouti:{m}")
     threshold = r * math.log2(rho)

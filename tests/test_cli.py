@@ -250,6 +250,22 @@ def test_bad_grid_or_mode_list_exits_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, target",
+    [
+        (["--out", "{missing}/x.csv"], "{missing}/x.csv"),
+        (["--out", "-", "--manifest", "{missing}/m.json"], "{missing}/m.json"),
+        (["--out", "{tmp}/x.csv", "--json", "{missing}/curve.json"], "{missing}/curve.json"),
+    ],
+    ids=["out", "manifest", "dmt-json"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, extra, target):
+    fill = {"missing": str(tmp_path / "no-such-dir"), "tmp": str(tmp_path)}
+    args = ["dmt", "--mt", "2", "--mr", "2", "--m", "3"] + [a.format(**fill) for a in extra]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {target.format(**fill)}: ")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

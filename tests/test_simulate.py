@@ -244,6 +244,22 @@ def test_mc_outage_argument_contract():
         mc_outage(DIMS_224, 10.0, McConfig(trials=10), r=1.0, rate_bits=1.0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda cfg: mc_outage(DIMS_224, 10.0, cfg, rate_bits=-0.5), "rate_bits"),
+        (lambda cfg: mc_outage(DIMS_224, 10.0, cfg, rate_bits=True), "rate_bits"),
+        (lambda cfg: mc_outage(DIMS_224, 10.0, cfg, r=True), "r"),
+        (lambda cfg: mc_alamouti_outage(4, 10.0, True, cfg), "r"),
+    ],
+    ids=["negative-rate_bits", "bool-rate_bits", "bool-r", "alamouti-bool-r"],
+)
+def test_outage_rates_must_be_real_and_nonnegative(call, name):
+    # as analytic.outage_single_mode does: a negative rate is an error, not outage 0
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        call(McConfig(trials=10))
+
+
 def test_stderr_scales_with_trials():
     small = mc_ergodic_capacity(DIMS_224, 10.0, McConfig(trials=25_000))
     large = mc_ergodic_capacity(DIMS_224, 10.0, McConfig(trials=100_000))
