@@ -409,7 +409,8 @@ def _sequential_scan(g, vec, l):
     "n, l",
     [(l + 1, l) for l in (1, 3, 4, 7)] + [(n, l) for n in (203, 1000) for l in (1, 3, 4, 7, n - 1)],
 )
-def test_affine_scan_matches_sequential_loop(s, n, l):
+@pytest.mark.parametrize("identity_seeds", [False, True])
+def test_affine_scan_matches_sequential_loop(s, n, l, identity_seeds):
     rng = np.random.default_rng(1000 * s + n + l)
 
     def cn(*shape):
@@ -417,6 +418,8 @@ def test_affine_scan_matches_sequential_loop(s, n, l):
 
     g = cn(n, s, s)
     g *= rng.uniform(0.0, 1.0, (n, 1, 1)) / np.linalg.norm(g, ord=2, axis=(1, 2))[:, None, None]
+    if identity_seeds:  # the backward peeling's seed rows: prefix products start at I
+        g[:l] = np.eye(s)
     vec = cn(n, s)
     before = [g.copy(), vec.copy()]
     got_x, got_prefix = feedback._affine_scan(g, vec, l)
