@@ -37,7 +37,7 @@ from .simulate import (
     repetition_error_tail,
     sample_spectra,
 )
-from .specfun import inv_reg_inc_beta, jacobi_norm_b, reg_inc_beta
+from .specfun import inv_reg_inc_beta, reg_inc_beta
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "SchemeReport",
     "NumericalError",
     "verify_pinned_spectrum",
-    "jacobi_norm_b",
     "reg_inc_beta",
     "inv_reg_inc_beta",
     "eigen_density",

@@ -6,7 +6,9 @@ Gauss-Legendre panels when ``mt + mr <= m``, otherwise ``k`` unfaded
 single-mode capacities plus the capacity of the complementary channel),
 single-input outage through the incomplete beta function, the
 rate-reduction map for ``k > 0``, the optimal diversity-multiplexing
-frontier, and the exact i.i.d. Rayleigh baseline (private helpers).
+frontier, and the exact i.i.d. Rayleigh baseline (private helpers).  Both
+spectral densities, the channel's Jacobi one and the baseline's Laguerre
+one, come from one orthonormal three-term recurrence.
 
 All rates are in bits (log base 2) and all SNRs are linear; dB conversion
 belongs to the CLI boundary.
@@ -20,9 +22,9 @@ from functools import cache
 
 import numpy as np
 
-from .ensembles import ChannelDims, require_integers
+from .ensembles import ChannelDims, require_integers, require_reals
 from .errors import NumericalError
-from .specfun import inv_reg_inc_beta, jacobi_norm_b, jacobi_poly_sequence, reg_inc_beta
+from .specfun import inv_reg_inc_beta, reg_inc_beta
 
 __all__ = [
     "DmtCurve",
@@ -51,19 +53,51 @@ _PANEL_EXTRA_NODES = 16
 _PANEL_CHECK_NODES = 8
 
 
+def _orthonormal_mean_square(lam, g, diag, off):
+    """Mean over k < len(diag) of g_k^2, where g_k = q_k(lam) sqrt(w(lam)) for the q_k orthonormal
+    under a weight w, from g_0 and off[k+1] g_{k+1} = (lam - diag[k]) g_k - off[k] g_{k-1}.
+
+    This is the Christoffel-Darboux sum behind both spectral densities (Gautschi, Orthogonal
+    Polynomials: Computation and Approximation, 2004); only squares are read, so the signs of
+    the q_k do not matter, and no g_k can overflow where the density is finite.
+    """
+    g_prev, total = 0.0, g * g
+    for k in range(len(diag) - 1):
+        g, g_prev = ((lam - diag[k]) * g - off[k] * g_prev) / off[k + 1], g
+        total += g * g
+    return total / len(diag)
+
+
+def _root_of(norm: int, what: str) -> float:
+    """sqrt(norm) of an exact integer normaliser; NumericalError naming ``what`` past the float range."""
+    try:
+        return math.sqrt(norm)
+    except OverflowError:
+        raise NumericalError(f"the normaliser of {what} does not fit in a float") from None
+
+
 @cache
-def _inverse_norms(m_min: int, alpha: int, beta: int) -> np.ndarray:
-    """Read-only b_k^-1 for k < m_min."""
-    out = np.array([1.0 / jacobi_norm_b(k, alpha, beta) for k in range(m_min)])
-    out.setflags(write=False)
-    return out
+def _jacobi_recurrence(dims: ChannelDims) -> tuple[list, list, float]:
+    """(diag, off, sqrt(N)) of the polynomials orthonormal under lam^a (1-lam)^b on [0, 1].
+
+    The monic Jacobi recurrence in x = 1 - 2*lam: diag_k = (1 - A_k)/2 and
+    off_k = sqrt(k(k+a)(k+b)(k+a+b) / ((c-1)(c+1))) / c with c = 2k+a+b, A_0 = (b-a)/(a+b+2)
+    and A_k = (b^2-a^2)/(c(c+2)); N = (a+b+1) C(a+b, a) = 1/B(a+1, b+1), exactly.
+    """
+    a, b = dims.alpha, dims.beta
+    diag, off = [(1.0 - (b - a) / (a + b + 2)) / 2], [0.0]
+    for k in range(1, dims.m_min):
+        c = 2 * k + a + b
+        diag.append((1.0 - (b * b - a * a) / (c * (c + 2))) / 2)
+        off.append(math.sqrt(k * (k + a) * (k + b) * (k + a + b) / ((c - 1) * (c + 1))) / c)
+    return diag, off, _root_of((a + b + 1) * math.comb(a + b, a), f"the {dims} spectrum")
 
 
-def _density_series(dims: ChannelDims, lam: np.ndarray) -> np.ndarray:
-    """Sum_k b_k^-1 P_k(1 - 2*lam)^2 for k < m_min (no weight factor)."""
-    polys = jacobi_poly_sequence(dims.m_min - 1, dims.alpha, dims.beta, 1.0 - 2.0 * lam)
-    inv_norms = _inverse_norms(dims.m_min, dims.alpha, dims.beta)
-    return np.tensordot(inv_norms, polys**2, axes=(0, 0))
+def _jacobi_density(dims: ChannelDims, lam):
+    """:func:`eigen_density` at ``lam``, unchecked."""
+    diag, off, root_norm = _jacobi_recurrence(dims)
+    g = lam ** (0.5 * dims.alpha) * (1.0 - lam) ** (0.5 * dims.beta) * root_norm
+    return _orthonormal_mean_square(lam, g, diag, off)
 
 
 def eigen_density(dims: ChannelDims, lam):
@@ -72,15 +106,17 @@ def eigen_density(dims: ChannelDims, lam):
     Only defined for ``mt + mr <= m`` (when ``k > 0`` the spectrum carries
     atoms at 1 and 0 and is handled through the complementary channel
     instead).  Normalized to integrate to 1 over [0, 1]; every point of
-    ``lam`` must lie in that support.
+    ``lam`` must lie in that support.  It is the mean of g_k^2 over the
+    m_min polynomials orthonormal under lam^alpha (1-lam)^beta, and
+    :class:`NumericalError` is raised when their normaliser 1/B(alpha+1, beta+1)
+    does not fit in a float.
     """
     if dims.k > 0:
         raise ValueError("eigen_density requires mt + mr <= m")
     lam_arr = np.asarray(lam, dtype=float)
     if not np.all((lam_arr >= 0.0) & (lam_arr <= 1.0)):
         raise ValueError("lam must lie in [0, 1]")
-    weight = lam_arr**dims.alpha * (1.0 - lam_arr) ** dims.beta
-    out = weight * _density_series(dims, lam_arr) / dims.m_min
+    out = _jacobi_density(dims, lam_arr)
     if np.ndim(lam) == 0:
         return float(out)
     return out
@@ -147,8 +183,7 @@ def graded_integral(
 
 def _capacity_integral(dims: ChannelDims, rho: float) -> float:
     def integrand(lam):
-        weight = lam**dims.alpha * (1.0 - lam) ** dims.beta
-        return np.log1p(rho * lam) / math.log(2.0) * weight * _density_series(dims, lam)
+        return dims.m_min / math.log(2.0) * np.log1p(rho * lam) * _jacobi_density(dims, lam)
 
     degree = 2 * (dims.m_min - 1) + dims.alpha + dims.beta
     return graded_integral(integrand, 1.0 / rho, degree, floor=1.0)
@@ -165,6 +200,7 @@ def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
     and the remainder is the capacity of the complementary
     ``(m - mr, m - mt, m)`` channel, which vanishes when mt or mr equals m.
     """
+    require_reals(rho=rho)
     if not 0.0 <= rho < math.inf:
         raise ValueError("rho must be finite and >= 0")
     if rho == 0.0:
@@ -190,15 +226,10 @@ def _laguerre_cutoff(n: int, alpha: int) -> float:
 
 
 def _laguerre_density(n: int, alpha: int, lam: np.ndarray) -> np.ndarray:
-    """Density above at ``lam >= 0``: the mean of g_k^2 = q_k(lam)^2 lam^alpha e^-lam with q_k
-    the orthonormal L_k^alpha; up g_{k+1} = (2k+1+alpha-lam) g_k - down g_{k-1} cannot overflow."""
-    g = lam ** (0.5 * alpha) * np.exp(-0.5 * lam - 0.5 * math.lgamma(alpha + 1))
-    g_prev, total = 0.0, g * g
-    for k in range(n - 1):
-        down, up = math.sqrt(k * (k + alpha)), math.sqrt((k + 1) * (k + 1 + alpha))
-        g, g_prev = ((2 * k + 1 + alpha - lam) * g - down * g_prev) / up, g
-        total += g * g
-    return total / n
+    """Density above at ``lam >= 0``, from the orthonormal L_k^alpha under lam^alpha e^-lam."""
+    g = lam ** (0.5 * alpha) * np.exp(-0.5 * lam) / _root_of(math.factorial(alpha), f"lam^{alpha} e^-lam")
+    diag = [2 * k + 1 + alpha for k in range(n)]
+    return _orthonormal_mean_square(lam, g, diag, [math.sqrt(k * (k + alpha)) for k in range(n)])
 
 
 def _laguerre_capacity(n: int, alpha: int, rho: float) -> float:
@@ -249,6 +280,7 @@ def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:
     the threshold x reaches 1).
     """
     require_integers(mr=mr, m=m)
+    require_reals(rate_bits=rate_bits, rho=rho)
     if mr < 1 or m < mr + 1:
         raise ValueError("need m >= mr + 1 >= 2")
     if not 0.0 <= rate_bits < math.inf:
@@ -271,6 +303,7 @@ def rho_norm(mr: int, m: int, epsilon: float) -> float:
     Linear scale.  For the lossless case ``mr = m`` the answer is exactly 1
     (0 dB): the minimal power is the unfaded single-mode requirement.
     """
+    require_reals(epsilon=epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     require_integers(mr=mr, m=m)
@@ -294,6 +327,7 @@ def outage_rate_reduction(
     """
     if dims.k <= 0:
         raise ValueError("outage_rate_reduction requires mt + mr > m")
+    require_reals(r=r)
     if not 0.0 <= r < math.inf:
         raise ValueError("r must be finite and >= 0")
     return dims.complement, max(r - dims.k, 0.0)
@@ -313,6 +347,7 @@ class DmtCurve:
 
     def diversity(self, r: float) -> float:
         """Evaluate d*(r); inf below the threshold, 0 beyond the last vertex."""
+        require_reals(r=r)
         if not 0.0 <= r < math.inf:
             raise ValueError("r must be finite and >= 0")
         if r < self.infinite_below:

@@ -42,6 +42,13 @@ def require_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_reals(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not a real number (or is a bool)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChannelDims:
     """Mode counts (m_t, m_r, m) of the truncated-unitary channel.

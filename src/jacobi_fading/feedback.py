@@ -40,13 +40,12 @@ use from the peeling scan's prefix products: no covariance is scanned.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .ensembles import ChannelDims, require_integers
+from .ensembles import ChannelDims, require_integers, require_reals
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
 from .simulate import channel_blocks
@@ -93,8 +92,7 @@ class SchemeConfig:
             raise ValueError("delay must be >= 1")
         if self.n_uses <= self.delay:
             raise ValueError("n_uses must exceed the feedback delay")
-        if isinstance(self.rho, bool) or not isinstance(self.rho, numbers.Real):
-            raise ValueError(f"rho must be a real number, got {self.rho!r}")
+        require_reals(rho=self.rho)
         if not (math.isfinite(self.rho) and self.rho > 0.0):
             raise ValueError("rho must be finite and > 0")
         if not isinstance(self.fresh_channel_each_use, (bool, np.bool_)):

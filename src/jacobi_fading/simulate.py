@@ -15,9 +15,9 @@ point reduces that one array (an outage curve's per-rho mutual information
 is computed once too); outside it, every call draws afresh.
 
 The spectral estimators (ergodic capacity, outage, the Alamouti and
-conditional repetition errors, and the Jacobi side of the Rayleigh
-comparison) depend on a channel only through its squared singular values,
-so they draw the spectrum, not the channel.  The interior spectrum follows
+repetition errors, and the Jacobi side of the Rayleigh comparison) depend
+on a channel only through its squared singular values, so they draw the
+spectrum, not the channel.  The interior spectrum follows
 the Jacobi ensemble J(n; a, b), with density proportional to
 ``prod lam^a (1-lam)^b * Vandermonde(lam)^2``, which by Edelman & Sutton
 (Found. Comput. Math. 8, 2008; the beta = 2 case) is the law of the
@@ -28,16 +28,16 @@ uniform powers; a trial reads ``n^2 + n*min(a, b)`` uniforms, a fixed
 count that does not grow with m.  The estimators reduce B's squared
 entries directly, with no eigensolve: capacity and outage read
 log2 det(I + rho B^T B) from the pivots of its tridiagonal LDL^T
-factorisation, and the Alamouti and conditional repetition errors read
-the trace of B^T B.  Pinned eigenvalues (k > 0) add exactly
-k log2(1 + rho) and k.  Only outputs that are spectra
+factorisation, and the Alamouti and repetition errors read the trace of
+B^T B.  Pinned eigenvalues (k > 0) add exactly k log2(1 + rho) and k.
+Only outputs that are spectra
 (:func:`_model_spectra`, behind :func:`rayleigh_compare`) diagonalise
 B^T B.  The Rayleigh baseline is not sampled: it is closed-form
 (:mod:`.analytic`).
-:func:`sample_spectra`, the ``count`` repetition method and the feedback
-scheme still draw channels, all through :func:`channel_blocks`: the first
-``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
-obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
+:func:`sample_spectra` and the feedback scheme still draw channels, both
+through :func:`channel_blocks`: the first ``m_min`` columns of a Haar
+unitary are a uniformly distributed isometry, obtained by phase-fixed QR
+of an ``m x m_min`` Ginibre block.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ import numpy as np
 
 from . import analytic
 from .ensembles import (
-    DEFAULT_UNIT_TOL, ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integers, snap_endpoints
+    DEFAULT_UNIT_TOL, ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integers, require_reals,
+    snap_endpoints,
 )
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
@@ -332,15 +333,13 @@ def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
     """Empirical mean of log2 det(I + rho * H11^+ H11) over fresh draws (bits)."""
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be finite and >= 0")
+    _require_rate("rho", rho)
     return _estimate(_log_det_values(dims, rho, cfg, "mc-ergodic"), cfg)
 
 
 def _require_rate(name: str, value) -> None:
-    """Raise ValueError naming ``value`` unless it is a finite real number >= 0 (bools are not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
+    """Raise ValueError naming ``value`` unless it is a finite real number >= 0."""
+    require_reals(**{name: value})
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0")
 
@@ -357,6 +356,7 @@ def mc_outage(
     The rate is either a multiplexing ratio ``r`` (so R = r * log2(1 + rho))
     or an absolute ``rate_bits``; exactly one must be given.
     """
+    require_reals(rho=rho)
     if not 0.0 < rho < math.inf:
         raise ValueError("rho must be finite and > 0")
     if (r is None) == (rate_bits is None):
@@ -470,39 +470,32 @@ def mc_repetition_error(
     fresh channel and maximum-ratio combined, so the decision variable sees
     the unfaded SNR ``rho * sum(lambda)``.
 
-    ``method="count"`` simulates the symbol decision through drawn channel
-    and noise; ``method="conditional"`` averages the exact conditional
+    ``method="count"`` simulates the symbol decision through a drawn gain
+    ``||H11||_F^2`` and the combined noise, which given the channel is
+    CN(0, gain); ``method="conditional"`` averages the exact conditional
     (given the spectrum) QPSK error instead, removing all noise-dimension
     variance.  For deep tails dominated by near-zero eigenvalues see
     :func:`repetition_error_tail`.
     """
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be finite and >= 0")
+    _require_rate("rho", rho)
     if method == "conditional":
         key = stream_key(cfg.master_seed, f"rep-cond:{dims.mt},{dims.mr},{dims.m}")
         return _estimate(qpsk_symbol_error(rho * _trace_values(dims, cfg, key)), cfg)
     if method != "count":
         raise ValueError("method must be 'conditional' or 'count'")
 
-    kch = stream_key(cfg.master_seed, f"rep-count:ch:{dims.mt},{dims.mr},{dims.m}")
-    kz = stream_key(cfg.master_seed, f"rep-count:noise:{dims.mt},{dims.mr},{dims.m}")
-    ks = stream_key(cfg.master_seed, f"rep-count:sym:{dims.mt},{dims.mr},{dims.m}")
+    tag = f"{dims.mt},{dims.mr},{dims.m}"
+    gain = _trace_values(dims, cfg, stream_key(cfg.master_seed, f"rep-count:gain:{tag}"))
+    kz = stream_key(cfg.master_seed, f"rep-count:noise:{tag}")
+    ks = stream_key(cfg.master_seed, f"rep-count:sym:{tag}")
 
     def chunk(lo, hi):
-        h = channel_blocks(dims, kch, lo, hi)
-        gain = np.sum(np.abs(h) ** 2, axis=(1, 2))
-        noise = complex_normals(kz, lo, hi, dims.mt * dims.mr).reshape(hi - lo, dims.mt, dims.mr)
-        combined_noise = np.einsum("bij,bji->b", h.conj(), noise)
-        u = uniforms(ks, lo, hi, 2)
-        re_sign = np.where(u[:, 0] < 0.5, -1.0, 1.0)
-        im_sign = np.where(u[:, 1] < 0.5, -1.0, 1.0)
-        return gain, combined_noise, re_sign, im_sign
+        signs = np.where(uniforms(ks, lo, hi, 2) < 0.5, -1.0, 1.0)
+        return complex_normals(kz, lo, hi, 1)[:, 0], signs[:, 0], signs[:, 1]
 
-    gain, combined_noise, re_sign, im_sign = _drawn(
-        ("count", kch, kz, ks, dims, cfg.trials), lambda: _gather(cfg, chunk)
-    )
+    noise, re_sign, im_sign = _drawn(("count", kz, ks, cfg.trials), lambda: _gather(cfg, chunk))
     symbol = (re_sign + 1j * im_sign) / math.sqrt(2.0)
-    decision = math.sqrt(rho) * gain * symbol + combined_noise
+    decision = math.sqrt(rho) * gain * symbol + np.sqrt(gain) * noise
     err = (np.sign(decision.real) != re_sign) | (np.sign(decision.imag) != im_sign)
     return _estimate(err.astype(float), cfg)
 
@@ -517,8 +510,7 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     after the k > 0 reduction.  Raises :class:`NumericalError` when the
     quadrature does not settle to a relative 1e-13.
     """
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be finite and >= 0")
+    _require_rate("rho", rho)
     shift = float(dims.k)
     residual = dims if dims.k == 0 else dims.complement
     if residual is None:
@@ -551,6 +543,7 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     """
     if m < 2:
         raise ValueError("m must be >= 2 (the scheme addresses 2x2 modes)")
+    require_reals(rho=rho)
     if not 0.0 < rho < math.inf:
         raise ValueError("rho must be finite and > 0")
     _require_rate("r", r)
@@ -649,6 +642,7 @@ def rayleigh_compare(
     require_integers(mt=mt, mr=mr)
     if min(mt, mr) < 1:
         raise ValueError(f"need mt >= 1 and mr >= 1, got mt={mt}, mr={mr}")
+    require_reals(rho_bar=rho_bar)
     if not 0.0 < rho_bar < math.inf:
         raise ValueError("rho_bar must be finite and > 0")
     m_list = list(m_list)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from jacobi_fading import analytic
+from jacobi_fading import analytic, specfun
 from jacobi_fading.analytic import (
     dmt_optimal_curve,
     eigen_density,
@@ -19,7 +19,16 @@ from jacobi_fading.analytic import (
 )
 from jacobi_fading.ensembles import ChannelDims
 from jacobi_fading.errors import NumericalError
-from jacobi_fading.simulate import repetition_error_tail
+from jacobi_fading.feedback import SchemeConfig
+from jacobi_fading.simulate import (
+    McConfig,
+    mc_alamouti_outage,
+    mc_ergodic_capacity,
+    mc_outage,
+    mc_repetition_error,
+    rayleigh_compare,
+    repetition_error_tail,
+)
 
 
 def test_density_trivial_dims():
@@ -162,6 +171,77 @@ def test_capacity_matches_adaptive_quadrature(dims, rho):
         lambda lam: math.log2(1 + rho * lam) * eigen_density(dims, lam), 0, 1, limit=400
     )
     assert ergodic_capacity(dims, rho) == pytest.approx(dims.m_min * val, abs=max(1e-10, 10 * err))
+
+
+# Weights lam^alpha (1-lam)^beta of high degree, whose normaliser 1/B(alpha+1, beta+1)
+# is near 1e100 or beyond: log-gamma norms lose about |lgamma| * eps there.
+WIDE_WEIGHT_SHAPES = [(1, 100, 400), (3, 200, 900), (1, 300, 700)]
+
+
+def _mp_density(dims):
+    """The marginal density from mpmath's Jacobi polynomials and gamma-function norms."""
+    n, a, b = dims.m_min, dims.alpha, dims.beta
+    # squared norm of P_k^(a,b)(1 - 2 lam) under lam^a (1-lam)^b on [0, 1]
+    norms = [
+        mp.gamma(k + a + 1) * mp.gamma(k + b + 1) / ((2 * k + a + b + 1) * mp.gamma(k + a + b + 1) * mp.factorial(k))
+        for k in range(n)
+    ]
+
+    def density(lam):
+        series = mp.fsum(mp.jacobi(k, a, b, 1 - 2 * lam) ** 2 / norms[k] for k in range(n))
+        return series * lam**a * (1 - lam) ** b / n
+
+    return density
+
+
+@pytest.mark.parametrize("shape", WIDE_WEIGHT_SHAPES)
+def test_wide_weight_density_against_mpmath(shape):
+    dims = ChannelDims(*shape)
+    lam = np.arange(1, 21) / 32.0  # dyadic, so 1 - lam is exact too
+    got = eigen_density(dims, lam)
+    with mp.workdps(35):
+        density = _mp_density(dims)
+        want = [density(mp.mpf(x)) for x in lam]
+        assert max(abs(g - w) / w for g, w in zip(got, want)) < 1e-14
+
+
+@pytest.mark.parametrize("shape", WIDE_WEIGHT_SHAPES)
+def test_wide_weight_capacity_against_mpmath(shape):
+    dims, rho = ChannelDims(*shape), 100.0
+    with mp.workdps(35):
+        density = _mp_density(dims)
+        want = dims.m_min * mp.quad(lambda lam: mp.log(1 + rho * lam, 2) * density(lam), mp.linspace(0, 1, 41))
+        assert abs(ergodic_capacity(dims, rho) - want) <= 1e-13 * want
+
+
+def test_density_normaliser_past_float_range_raises():
+    dims = ChannelDims(1, 600, 1300)  # 1/B(600, 700) is about 1e389
+    with pytest.raises(NumericalError, match="mr=600"):
+        eigen_density(dims, 0.5)
+    with pytest.raises(NumericalError, match="normaliser"):
+        ergodic_capacity(dims, 100.0)
+
+
+def test_orthonormal_recurrences_give_unit_norms():
+    # n g_{n-1}^2 = n mean_n - (n-1) mean_{n-1}, each of which must integrate to 1
+    nodes, weights = analytic._legendre_rule(40)
+    for a, b in [(0, 0), (1, 2), (6, 6), (0, 9), (5, 0)]:
+        means = [eigen_density(ChannelDims(n, n + a, 2 * n + a + b), nodes) for n in range(1, 9)]
+        squares = [means[0]] + [(n + 1) * hi - n * lo for n, (lo, hi) in enumerate(zip(means, means[1:]), 1)]
+        assert np.max(np.abs([weights @ g2 - 1.0 for g2 in squares])) < 1e-12
+
+
+def test_densities_take_no_log_gamma(monkeypatch):
+    def refuse(x):
+        raise AssertionError("lgamma called")
+
+    monkeypatch.setattr(math, "lgamma", refuse)
+    monkeypatch.setattr(specfun, "lgamma", refuse)  # bound by name at import
+    analytic._jacobi_recurrence.cache_clear()
+    lam = np.linspace(0.0, 1.0, 9)
+    assert np.all(eigen_density(ChannelDims(3, 5, 12), lam) >= 0.0)
+    assert ergodic_capacity(ChannelDims(2, 4, 9), 10.0) > 0.0
+    assert np.all(analytic._laguerre_density(3, 4, 10.0 * lam) >= 0.0)
 
 
 def test_capacity_pinned_split_identity_everywhere():
@@ -314,6 +394,31 @@ def test_outage_single_mode_validation():
 def test_closed_forms_reject_non_finite_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_CFG = McConfig(trials=10)
+REAL_ARGUMENTS = [
+    ("rho", lambda v: ergodic_capacity(ChannelDims(2, 2, 4), v)),
+    ("rho", lambda v: outage_single_mode(1, 2, 1.0, v)),
+    ("rate_bits", lambda v: outage_single_mode(1, 2, v, 10.0)),
+    ("rho", lambda v: repetition_error_tail(ChannelDims(1, 2, 3), v)),
+    ("rho", lambda v: mc_ergodic_capacity(ChannelDims(2, 2, 4), v, _CFG)),
+    ("rho", lambda v: mc_outage(ChannelDims(2, 2, 4), v, _CFG, r=0.5)),
+    ("rho", lambda v: mc_repetition_error(ChannelDims(1, 2, 3), v, _CFG, method="count")),
+    ("rho", lambda v: mc_alamouti_outage(4, v, 0.5, _CFG)),
+    ("rho", lambda v: SchemeConfig(ChannelDims(2, 2, 3), rho=v)),
+    ("epsilon", lambda v: rho_norm(2, 4, v)),
+    ("rho_bar", lambda v: rayleigh_compare(2, 2, [8], v, _CFG)),
+    ("r", lambda v: outage_rate_reduction(ChannelDims(2, 2, 3), v)),
+    ("r", lambda v: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(v)),
+]
+
+
+@pytest.mark.parametrize("value", [True, "3", 1 + 0j])
+@pytest.mark.parametrize("name, call", REAL_ARGUMENTS)
+def test_snr_and_rate_arguments_must_be_real(name, call, value):
+    with pytest.raises(ValueError, match=f"{name} must be a real number"):
+        call(value)
 
 
 def test_rho_norm_values():

@@ -74,6 +74,15 @@ def test_quadrature_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_density_normaliser_overflow_exits_1(tmp_path, capsys):
+    # 1/B(600, 700) does not fit in a float: a numerical failure, not a traceback
+    args = ["ergodic", "--mt", "1", "--mr", "600", "--m", "1300", "--rho-db", "20", "--method", "analytic"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 1
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch):
     # a cutoff inside the bulk: the baseline capacity must fail loudly
     monkeypatch.setattr(analytic, "_laguerre_cutoff", lambda n, alpha: 10.0)
@@ -375,7 +384,7 @@ def test_sample_sets_are_drawn_once_per_invocation(tmp_path, monkeypatch):
     for args, per_chunk in (
         # the spectrum model: one uniforms draw per chunk
         (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:20:5", "--method", "mc"], 1),
-        # channel, noise and symbol signs per chunk
+        # the gain's spectrum model, the combined noise and the symbol signs per chunk
         (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "0:20:5", "--method", "count"], 3),
     ):
         draws.clear()

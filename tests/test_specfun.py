@@ -1,9 +1,8 @@
 """Special functions against independent oracles.
 
-The polynomial oracle is the Rodrigues formula evaluated through exact
-polynomial differentiation; the quadrature oracle is closed-form moments
-plus scipy's own Gauss-Legendre nodes; the incomplete-beta oracles are
-mpmath, scipy.special and small closed forms.
+The quadrature oracle is closed-form moments plus scipy's own
+Gauss-Legendre nodes; the incomplete-beta oracles are mpmath,
+scipy.special and small closed forms.
 """
 
 import math
@@ -11,85 +10,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
 from jacobi_fading import specfun
 from jacobi_fading.analytic import _legendre_rule, graded_integral
 from jacobi_fading.errors import NumericalError
-from jacobi_fading.specfun import (
-    inv_reg_inc_beta,
-    jacobi_norm_b,
-    jacobi_poly_sequence,
-    reg_inc_beta,
-)
-
-
-def rodrigues_poly(k, a, b, x):
-    """(-1)^k/(2^k k!) (1-x)^-a (1+x)^-b d^k/dx^k [(1-x)^(k+a) (1+x)^(k+b)]."""
-    one_minus = npoly.polypow([1.0, -1.0], k + a)
-    one_plus = npoly.polypow([1.0, 1.0], k + b)
-    poly = npoly.polymul(one_minus, one_plus)
-    for _ in range(k):
-        poly = npoly.polyder(poly)
-    scale = (-1.0) ** k / (2.0**k * math.factorial(k))
-    return scale * (1.0 - x) ** (-a) * (1.0 + x) ** (-b) * npoly.polyval(x, poly)
-
-
-def test_jacobi_poly_degree_zero_and_one():
-    assert jacobi_poly_sequence(0, 3, 1, 0.37)[0] == 1.0
-    # P_1 = (a+b+2)x/2 + (a-b)/2
-    assert jacobi_poly_sequence(1, 0, 0, 0.5)[1] == pytest.approx(0.5, abs=1e-15)
-    want = (2 + 1 + 2) * -0.25 / 2 + 0.5
-    assert jacobi_poly_sequence(1, 2, 1, -0.25)[1] == pytest.approx(want, abs=1e-14)
-
-
-def test_jacobi_poly_matches_rodrigues_oracle():
-    rng = np.random.default_rng(42)
-    for k in range(0, 7):
-        for a, b in [(0, 0), (1, 0), (0, 2), (2, 3), (3, 1)]:
-            x = rng.uniform(-0.999, 0.999, size=20)
-            got = jacobi_poly_sequence(k, a, b, x)[k]
-            want = rodrigues_poly(k, a, b, x)
-            assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
-
-
-def test_jacobi_poly_sequence_consistent():
-    x = np.linspace(-1, 1, 11)
-    seq = jacobi_poly_sequence(5, 2, 3, x)
-    for k in range(6):
-        assert np.allclose(seq[k], jacobi_poly_sequence(k, 2, 3, x)[k], rtol=0, atol=1e-13)
-
-
-def test_norm_b_small_cases():
-    assert jacobi_norm_b(0, 0, 0) == pytest.approx(1.0, rel=1e-14)
-    assert jacobi_norm_b(0, 1, 1) == pytest.approx(1.0 / 6.0, rel=1e-14)
-
-
-def test_norm_b_equals_weighted_square_integral():
-    for k in range(0, 8):
-        for a, b in [(0, 0), (1, 1), (2, 0), (0, 3), (3, 4)]:
-            # lam^a (1-lam)^b P_k^2 has degree 2k+a+b, which n Legendre
-            # nodes integrate exactly once 2n - 1 reaches it
-            nodes, weights = _legendre_rule((2 * k + a + b) // 2 + 1)
-            vals = jacobi_poly_sequence(k, a, b, 1.0 - 2.0 * nodes)[k]
-            integral = weights @ (nodes**a * (1.0 - nodes) ** b * vals**2)
-            assert integral == pytest.approx(jacobi_norm_b(k, a, b), rel=1e-9)
-
-
-def test_orthogonality_under_unit_interval_weight():
-    for a, b in [(0, 0), (1, 2), (6, 6), (0, 6)]:
-        nodes, weights = _legendre_rule(24)  # exact to degree 47 >= 8+7+a+b
-        seq = jacobi_poly_sequence(8, a, b, 1.0 - 2.0 * nodes)
-        weighted = weights * nodes**a * (1.0 - nodes) ** b
-        for k in range(9):
-            for j in range(k):
-                assert abs(weighted @ (seq[k] * seq[j])) < 1e-9
-
-
-def test_norm_b_finite_at_large_order():
-    val = jacobi_norm_b(80, 20, 20)  # a+b+2k = 200
-    assert np.isfinite(val) and val > 0.0
+from jacobi_fading.specfun import inv_reg_inc_beta, reg_inc_beta
 
 
 def test_gauss_rule_midpoint_case():
@@ -244,15 +170,6 @@ def test_invalid_arguments_raise():
     for degree in (-1, 2.5):
         with pytest.raises(ValueError, match="degree"):
             graded_integral(np.log1p, 1.0, degree)
-    with pytest.raises(ValueError):
-        jacobi_norm_b(-1, 0, 0)
-    for args, name in [((1.5, 0, 0), "k"), ((True, 0, 0), "k"), ((1, 0.5, 0), "alpha")]:
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            jacobi_norm_b(*args)
-    with pytest.raises(ValueError, match="kmax must be an integer"):
-        jacobi_poly_sequence(2.5, 0, 0, 0.3)
-    with pytest.raises(ValueError, match="beta must be an integer"):
-        jacobi_poly_sequence(2, 0, 1.0, 0.3)
     for fn in (reg_inc_beta, inv_reg_inc_beta):
         with pytest.raises(ValueError, match="a must be an integer"):
             fn(0.5, 1.5, 1)
