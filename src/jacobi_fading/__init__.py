@@ -25,7 +25,6 @@ from .simulate import (
     McEstimate,
     RayleighComparison,
     estimate_diversity_slope,
-    ks_distance,
     mc_alamouti_outage,
     mc_ergodic_capacity,
     mc_outage,
@@ -71,7 +70,6 @@ __all__ = [
     "qpsk_bit_error",
     "qpsk_symbol_error",
     "rayleigh_compare",
-    "ks_distance",
     "complete_unitary",
     "run_feedback_scheme",
     "__version__",

@@ -22,7 +22,7 @@ from functools import cache
 
 import numpy as np
 
-from .ensembles import ChannelDims, require_integers, require_reals
+from .ensembles import ChannelDims, require_integers, require_nonnegative, require_reals
 from .errors import NumericalError
 from .specfun import inv_reg_inc_beta, reg_inc_beta
 
@@ -154,6 +154,7 @@ def graded_integral(
     nodes to every panel, or is not finite.
     """
     require_integers(degree=degree)
+    require_reals(edge=edge, ratio=ratio, floor=floor)
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if not (edge > 0.0 and ratio > 1.0):
@@ -200,9 +201,7 @@ def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
     and the remainder is the capacity of the complementary
     ``(m - mr, m - mt, m)`` channel, which vanishes when mt or mr equals m.
     """
-    require_reals(rho=rho)
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be finite and >= 0")
+    require_nonnegative(rho=rho)
     if rho == 0.0:
         return 0.0
     if dims.k == 0:
@@ -280,13 +279,9 @@ def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:
     the threshold x reaches 1).
     """
     require_integers(mr=mr, m=m)
-    require_reals(rate_bits=rate_bits, rho=rho)
+    require_nonnegative(rate_bits=rate_bits, rho=rho)
     if mr < 1 or m < mr + 1:
         raise ValueError("need m >= mr + 1 >= 2")
-    if not 0.0 <= rate_bits < math.inf:
-        raise ValueError("rate_bits must be finite and >= 0")
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be finite and >= 0")
     if rate_bits == 0.0:
         return 0.0
     if rho == 0.0:
@@ -327,9 +322,7 @@ def outage_rate_reduction(
     """
     if dims.k <= 0:
         raise ValueError("outage_rate_reduction requires mt + mr > m")
-    require_reals(r=r)
-    if not 0.0 <= r < math.inf:
-        raise ValueError("r must be finite and >= 0")
+    require_nonnegative(r=r)
     return dims.complement, max(r - dims.k, 0.0)
 
 
@@ -347,9 +340,7 @@ class DmtCurve:
 
     def diversity(self, r: float) -> float:
         """Evaluate d*(r); inf below the threshold, 0 beyond the last vertex."""
-        require_reals(r=r)
-        if not 0.0 <= r < math.inf:
-            raise ValueError("r must be finite and >= 0")
+        require_nonnegative(r=r)
         if r < self.infinite_below:
             return math.inf
         rs = [v[0] for v in self.vertices]

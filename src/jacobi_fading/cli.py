@@ -146,10 +146,6 @@ def _cmd_outage(args) -> _Output:
         r_values = [rb / norm for rb in _parse_grid(args.rate_bits)]
     rows = []
     for r in r_values:
-        if dims.k > 0 and 0.0 <= r < dims.k:
-            # guaranteed in-rate: the pinned subspace alone carries r streams
-            rows.append([r, 0.0, 0.0])
-            continue
         est = simulate.mc_outage(dims, rho, cfg, r=r)
         rows.append([r, est.value, est.stderr])
     return _Output(["r", "outage", "stderr"], rows)

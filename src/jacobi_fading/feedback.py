@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ensembles import ChannelDims, require_integers, require_reals
+from .ensembles import UNIT_TOL, ChannelDims, require_integers, require_positive
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
 from .simulate import channel_blocks
@@ -92,9 +92,7 @@ class SchemeConfig:
             raise ValueError("delay must be >= 1")
         if self.n_uses <= self.delay:
             raise ValueError("n_uses must exceed the feedback delay")
-        require_reals(rho=self.rho)
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
-            raise ValueError("rho must be finite and > 0")
+        require_positive(rho=self.rho)
         if not isinstance(self.fresh_channel_each_use, (bool, np.bool_)):
             raise ValueError(
                 f"fresh_channel_each_use must be a bool, got {self.fresh_channel_each_use!r}"
@@ -167,15 +165,15 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     mt, k, s = dims.mt, dims.k, dims.m - dims.mr
     residual = np.eye(mt) - h11.conj().swapaxes(-1, -2) @ h11
     w, v = np.linalg.eigh(residual)
-    if np.any(w[:, 0] < -1e-9):
+    if np.any(w[:, 0] < -UNIT_TOL):
         raise NumericalError("I - H11^+H11 has a significantly negative eigenvalue")
     w = np.clip(w, 0.0, None)
     if s == 0:
-        if np.any(w[:, -1] > 1e-9):
+        if np.any(w[:, -1] > UNIT_TOL):
             raise NumericalError("columns are not orthonormal but no completion rows remain")
         return np.zeros((len(h11), 0, mt), dtype=complex)
     # eigh sorts ascending and s = mt - k: the top s eigenvalues carry the whole residual
-    if np.any(w[:, k - 1] > 1e-9):
+    if np.any(w[:, k - 1] > UNIT_TOL):
         raise NumericalError("residual rank exceeds the available completion rows")
     top = v[:, :, ::-1][:, :, :s]  # one eigenvector column per completion row
     # a unit eigenvector's largest entry is at least 1/sqrt(mt) in modulus
@@ -340,7 +338,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     # (j - n + l) * s + e carries entry e of use j's projection
     hc = draws.closing_channels
     gain = np.sum(np.abs(hc) ** 2, axis=(1, 2))
-    if np.any(gain < k - 1e-9):
+    if np.any(gain < k - UNIT_TOL):
         raise NumericalError("closing window gain fell below the pinned bound k")
     min_gain = float(np.min(gain)) if s else float("nan")  # s == 0: no closing needed
     combined_noise = np.einsum("wij,wji->w", hc.conj(), draws.closing_noise)

@@ -52,8 +52,8 @@ import numpy as np
 
 from . import analytic
 from .ensembles import (
-    DEFAULT_UNIT_TOL, ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integers, require_reals,
-    snap_endpoints,
+    ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integers, require_nonnegative,
+    require_positive, snap_endpoints,
 )
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
@@ -71,7 +71,6 @@ __all__ = [
     "mc_alamouti_outage",
     "estimate_diversity_slope",
     "rayleigh_compare",
-    "ks_distance",
     "ks_distance_to_cdf",
     "q_function",
     "qpsk_bit_error",
@@ -279,7 +278,7 @@ def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
 
     def chunk(lo, hi):
         interior = _tridiagonal_spectra(*_model_chunk(dims, key, lo, hi))
-        return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1), DEFAULT_UNIT_TOL)
+        return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1))
 
     return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
 
@@ -326,22 +325,15 @@ def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     key = stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}")
 
     def chunk(lo, hi):
-        return snap_endpoints(gram_eigenvalues(channel_blocks(dims, key, lo, hi)), DEFAULT_UNIT_TOL)
+        return snap_endpoints(gram_eigenvalues(channel_blocks(dims, key, lo, hi)))
 
     return _drawn(("spectra", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
     """Empirical mean of log2 det(I + rho * H11^+ H11) over fresh draws (bits)."""
-    _require_rate("rho", rho)
+    require_nonnegative(rho=rho)
     return _estimate(_log_det_values(dims, rho, cfg, "mc-ergodic"), cfg)
-
-
-def _require_rate(name: str, value) -> None:
-    """Raise ValueError naming ``value`` unless it is a finite real number >= 0."""
-    require_reals(**{name: value})
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def mc_outage(
@@ -356,16 +348,14 @@ def mc_outage(
     The rate is either a multiplexing ratio ``r`` (so R = r * log2(1 + rho))
     or an absolute ``rate_bits``; exactly one must be given.
     """
-    require_reals(rho=rho)
-    if not 0.0 < rho < math.inf:
-        raise ValueError("rho must be finite and > 0")
+    require_positive(rho=rho)
     if (r is None) == (rate_bits is None):
         raise ValueError("give exactly one of r or rate_bits")
     if r is not None:
-        _require_rate("r", r)
+        require_nonnegative(r=r)
         rate_bits = r * math.log2(1.0 + rho)
     else:
-        _require_rate("rate_bits", rate_bits)
+        require_nonnegative(rate_bits=rate_bits)
     # every rate of a curve at this rho compares against the same values
     mi = _drawn(
         ("mutual-information", cfg.master_seed, dims, cfg.trials, rho),
@@ -477,7 +467,7 @@ def mc_repetition_error(
     variance.  For deep tails dominated by near-zero eigenvalues see
     :func:`repetition_error_tail`.
     """
-    _require_rate("rho", rho)
+    require_nonnegative(rho=rho)
     if method == "conditional":
         key = stream_key(cfg.master_seed, f"rep-cond:{dims.mt},{dims.mr},{dims.m}")
         return _estimate(qpsk_symbol_error(rho * _trace_values(dims, cfg, key)), cfg)
@@ -510,7 +500,7 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     after the k > 0 reduction.  Raises :class:`NumericalError` when the
     quadrature does not settle to a relative 1e-13.
     """
-    _require_rate("rho", rho)
+    require_nonnegative(rho=rho)
     shift = float(dims.k)
     residual = dims if dims.k == 0 else dims.complement
     if residual is None:
@@ -541,12 +531,11 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     The scheme's equivalent scalar channel has gain ||H11||_F^2, so outage
     is the probability that ``log2(1 + ||H11||_F^2 rho) < r log2(rho)``.
     """
+    require_integers(m=m)
     if m < 2:
         raise ValueError("m must be >= 2 (the scheme addresses 2x2 modes)")
-    require_reals(rho=rho)
-    if not 0.0 < rho < math.inf:
-        raise ValueError("rho must be finite and > 0")
-    _require_rate("r", r)
+    require_positive(rho=rho)
+    require_nonnegative(r=r)
     dims = ChannelDims(2, 2, m)
     key = stream_key(cfg.master_seed, f"alamouti:{m}")
     threshold = r * math.log2(rho)
@@ -561,11 +550,11 @@ def estimate_diversity_slope(points) -> float:
     three, at two or more distinct rho, every rho and probability finite and
     positive; returns d >= 0 such that the best power-law fit is P ~ rho^-d.
     """
-    pts = [(float(rho), float(p)) for rho, p in points]
+    pts = list(points)
     if len(pts) < 3:
         raise ValueError("points must hold at least 3 (rho, probability) pairs")
-    if not all(0.0 < rho < math.inf and 0.0 < p < math.inf for rho, p in pts):
-        raise ValueError("points must have every rho and probability finite and > 0")
+    for i, (rho, p) in enumerate(pts):
+        require_positive(**{f"points[{i}] rho": rho, f"points[{i}] probability": p})
     if len({rho for rho, _ in pts}) < 2:
         raise ValueError("points must span at least 2 distinct rho values")
     log_rho = np.log10([rho for rho, _ in pts])
@@ -579,26 +568,6 @@ def _sorted_sample(values, name: str) -> np.ndarray:
     if len(s) == 0 or not np.isfinite(s[0]) or not np.isfinite(s[-1]):
         raise ValueError(f"{name} must be a non-empty sample of finite values")
     return s
-
-
-def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
-
-    One merge of the two sorted samples: walking the merged order, each
-    a-point steps n_a*n_b*(F_a - F_b) by +n_b and each b-point by -n_a, in
-    integers, and only the last point of each run of tied values is read.
-    The walk ends at 0, so the last point never sets the supremum.
-    """
-    n_a, n_b = np.size(a), np.size(b)
-    merged = np.concatenate([_sorted_sample(a, "a"), _sorted_sample(b, "b")])
-    order = np.argsort(merged, kind="stable")  # two sorted runs: one merge
-    merged = merged[order]
-    scaled = np.where(order < n_a, n_b, -n_a)
-    np.cumsum(scaled, out=scaled)
-    last_of_tie = merged[1:] != merged[:-1]
-    top = np.max(scaled[:-1], where=last_of_tie, initial=0)
-    bottom = np.min(scaled[:-1], where=last_of_tie, initial=0)
-    return float(max(top, -bottom)) / (n_a * n_b)
 
 
 def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
@@ -642,9 +611,7 @@ def rayleigh_compare(
     require_integers(mt=mt, mr=mr)
     if min(mt, mr) < 1:
         raise ValueError(f"need mt >= 1 and mr >= 1, got mt={mt}, mr={mr}")
-    require_reals(rho_bar=rho_bar)
-    if not 0.0 < rho_bar < math.inf:
-        raise ValueError("rho_bar must be finite and > 0")
+    require_positive(rho_bar=rho_bar)
     m_list = list(m_list)
     if not m_list:
         raise ValueError("m_list must name at least one m")

@@ -12,7 +12,7 @@ import math
 from functools import cache
 from math import lgamma, log
 
-from .ensembles import require_integers
+from .ensembles import require_integers, require_reals
 from .errors import NumericalError
 
 __all__ = ["reg_inc_beta", "inv_reg_inc_beta"]
@@ -78,6 +78,7 @@ def reg_inc_beta(x: float, a: int, b: int) -> float:
     and 2e-11 at 6000.
     """
     a, b = _beta_params(a, b)
+    require_reals(x=x)
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     if x == 0.0 or x == 1.0:
@@ -142,6 +143,7 @@ def inv_reg_inc_beta(p: float, a: int, b: int) -> float:
     :class:`NumericalError` rather than return an unconverged value.
     """
     a, b = _beta_params(a, b)
+    require_reals(p=p)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if p == 0.0 or p == 1.0:

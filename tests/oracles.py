@@ -1,18 +1,40 @@
-"""Reference samplers that only the tests read.
+"""Reference samplers and statistics that only the tests read.
 
-``sample_jacobi_spectra_wishart`` builds Jacobi spectra the textbook way,
-from a pair of complex Wishart matrices, as an independent check on the
-truncated-Haar channel draw (acceptance criterion 2).  It reads the
-library's Philox streams ``wishart-jacobi:g1`` and ``wishart-jacobi:g2``,
-so its samples are a pure function of (m1, m2, n, trials, master seed).
+``ks_distance`` is the two-sample Kolmogorov-Smirnov statistic the
+distribution tests compare samples with.  ``sample_jacobi_spectra_wishart``
+builds Jacobi spectra the textbook way, from a pair of complex Wishart
+matrices, as an independent check on the truncated-Haar channel draw
+(acceptance criterion 2).  It reads the library's Philox streams
+``wishart-jacobi:g1`` and ``wishart-jacobi:g2``, so its samples are a pure
+function of (m1, m2, n, trials, master seed).
 """
 
 import numpy as np
 
-from jacobi_fading.ensembles import DEFAULT_UNIT_TOL, snap_endpoints
+from jacobi_fading.ensembles import snap_endpoints
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.philox import complex_normals, stream_key
-from jacobi_fading.simulate import McConfig, _gather
+from jacobi_fading.simulate import McConfig, _gather, _sorted_sample
+
+
+def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+
+    One merge of the two sorted samples: walking the merged order, each
+    a-point steps n_a*n_b*(F_a - F_b) by +n_b and each b-point by -n_a, in
+    integers, and only the last point of each run of tied values is read.
+    The walk ends at 0, so the last point never sets the supremum.
+    """
+    n_a, n_b = np.size(a), np.size(b)
+    merged = np.concatenate([_sorted_sample(a, "a"), _sorted_sample(b, "b")])
+    order = np.argsort(merged, kind="stable")  # two sorted runs: one merge
+    merged = merged[order]
+    scaled = np.where(order < n_a, n_b, -n_a)
+    np.cumsum(scaled, out=scaled)
+    last_of_tie = merged[1:] != merged[:-1]
+    top = np.max(scaled[:-1], where=last_of_tie, initial=0)
+    bottom = np.min(scaled[:-1], where=last_of_tie, initial=0)
+    return float(max(top, -bottom)) / (n_a * n_b)
 
 
 def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np.ndarray:
@@ -38,6 +60,6 @@ def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np
             raise NumericalError("Wishart sum numerically singular")
         inv_sqrt = np.einsum("bij,bj,bkj->bik", v, 1.0 / np.sqrt(w), v.conj())
         ratio = np.einsum("bij,bjk,bkl->bil", inv_sqrt, a, inv_sqrt)
-        return snap_endpoints(np.linalg.eigvalsh(ratio), DEFAULT_UNIT_TOL)
+        return snap_endpoints(np.linalg.eigvalsh(ratio))
 
     return _gather(cfg, chunk)

@@ -29,7 +29,6 @@ from jacobi_fading.simulate import (
     McConfig,
     channel_blocks,
     estimate_diversity_slope,
-    ks_distance,
     mc_ergodic_capacity,
     mc_outage,
     mc_repetition_error,
@@ -39,7 +38,7 @@ from jacobi_fading.simulate import (
     sample_spectra,
 )
 from jacobi_fading.feedback import SchemeConfig, run_feedback_scheme
-from oracles import sample_jacobi_spectra_wishart
+from oracles import ks_distance, sample_jacobi_spectra_wishart
 
 
 def _passed(label: str, detail: str = ""):
@@ -52,7 +51,7 @@ def test_criterion_01_pinned_spectrum_exactness_per_sample():
     for mt, mr, m in [(2, 2, 3), (3, 3, 4), (4, 3, 4), (3, 2, 4)]:
         dims = ChannelDims(mt, mr, m)
         unitaries = channel_blocks(ChannelDims(m, m, m), stream_key(0, f"criterion-1:{m}"), 0, draws)
-        rep = verify_pinned_spectrum(unitaries, dims, tol=1e-9)
+        rep = verify_pinned_spectrum(unitaries, dims)
         assert np.all(rep.n_unit_found >= dims.k), (dims, rep.n_unit_found.min())
         assert np.all(rep.n_zero_found >= dims.mt - dims.m_min), (dims, rep.n_zero_found.min())
         worst = float(np.max(rep.residual_match_error))

@@ -411,6 +411,9 @@ REAL_ARGUMENTS = [
     ("rho_bar", lambda v: rayleigh_compare(2, 2, [8], v, _CFG)),
     ("r", lambda v: outage_rate_reduction(ChannelDims(2, 2, 3), v)),
     ("r", lambda v: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(v)),
+    ("x", lambda v: specfun.reg_inc_beta(v, 2, 3)),
+    ("p", lambda v: specfun.inv_reg_inc_beta(v, 2, 3)),
+    ("edge", lambda v: analytic.graded_integral(lambda lam: lam, v, 2)),
 ]
 
 

@@ -1,6 +1,8 @@
-"""Every name the package and its modules export resolves, and the CLI's
-import graph stays free of scipy, which only the tests need."""
+"""Every name the package and its modules export resolves, the CLI's
+import graph stays free of scipy, which only the tests need, and argument
+range checks live in ``ensembles`` alone."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -40,3 +42,56 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+# Finiteness tests outside ensembles that are not argument range checks,
+# by (module, function): each is named here so that no other slips in.
+FINITENESS_TESTS_ALLOWED = {
+    ("cli.py", "_parse_grid"),  # command-line grid text, before any library call
+    ("cli.py", "_db_to_linear"),  # a command-line dB value, before any library call
+    ("cli.py", "render"),  # refuses to write a non-finite result
+    ("simulate.py", "_log_det_values"),  # a computed array, not an argument
+    ("simulate.py", "_trace_values"),  # a computed array, not an argument
+    ("simulate.py", "_sorted_sample"),  # a whole sample array, not a scalar argument
+    ("specfun.py", "_inverse_lower"),  # the open end of a bisection bracket
+}
+
+
+def _is_inf(node):
+    if isinstance(node, ast.UnaryOp):
+        node = node.operand
+    return isinstance(node, ast.Attribute) and node.attr == "inf"
+
+
+def _finiteness_tests(tree):
+    """(enclosing function, line) of every isfinite call and comparison with inf."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        func = node.func if isinstance(node, ast.Call) else None
+        # math.isfinite, np.isfinite, or a bare isfinite imported by name
+        if getattr(func, "attr", getattr(func, "id", None)) == "isfinite" or (
+            isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators]))
+        ):
+            found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_argument_range_checks_live_in_ensembles():
+    # finite-and->=0 / finite-and->0 checks go through require_nonnegative and
+    # require_positive, so every module raises the same messages
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    found = [
+        f"{path.name}:{line}: in {function}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "ensembles.py"
+        for function, line in _finiteness_tests(ast.parse(path.read_text()))
+        if (path.name, function) not in FINITENESS_TESTS_ALLOWED
+    ]
+    assert not found, "range checks outside ensembles:\n" + "\n".join(found)

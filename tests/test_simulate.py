@@ -16,7 +16,6 @@ from jacobi_fading.philox import stream_key
 from jacobi_fading.simulate import (
     McConfig,
     estimate_diversity_slope,
-    ks_distance,
     ks_distance_to_cdf,
     mc_alamouti_outage,
     mc_ergodic_capacity,
@@ -29,6 +28,7 @@ from jacobi_fading.simulate import (
     repetition_error_tail,
     sample_spectra,
 )
+from oracles import ks_distance
 
 DIMS_224 = ChannelDims(2, 2, 4)
 
@@ -533,6 +533,10 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         (lambda: rayleigh_compare(2, 2, [8, True], 100.0, McConfig(trials=10)), "m_list entries must be integers"),
         (lambda: rayleigh_compare(2, 2, [], 100.0, McConfig(trials=10)), "m_list must name at least one m"),
         (lambda: rayleigh_compare(2, 2, [8, 3], 100.0, McConfig(trials=10)), "every m in m_list must satisfy"),
+        (lambda: mc_alamouti_outage("4", 100.0, 0.5, McConfig(trials=10)), "m must be an integer"),
+        (lambda: mc_alamouti_outage(True, 100.0, 0.5, McConfig(trials=10)), "m must be an integer"),
+        (lambda: estimate_diversity_slope([("10", 0.1), (2.0, 0.05), (3.0, 0.01)]), "points\\[0\\] rho must be a real"),
+        (lambda: estimate_diversity_slope([(True, 0.1), (2.0, 0.05), (3.0, 0.01)]), "points\\[0\\] rho must be a real"),
     ],
 )
 def test_bad_samples_and_sizes_name_the_argument(call, message):
