@@ -1,14 +1,13 @@
 """Closed-form channel quantities.
 
-The single-eigenvalue marginal density of the channel spectrum, the ergodic
-capacity in both parameter regimes (an integral on SNR-graded
-Gauss-Legendre panels when ``mt + mr <= m``, otherwise ``k`` unfaded
-single-mode capacities plus the capacity of the complementary channel),
-single-input outage through the incomplete beta function, the
-rate-reduction map for ``k > 0``, the optimal diversity-multiplexing
-frontier, and the exact i.i.d. Rayleigh baseline (private helpers).  Both
-spectral densities, the channel's Jacobi one and the baseline's Laguerre
-one, come from one orthonormal three-term recurrence.
+The single-eigenvalue marginal density of the channel spectrum; for the
+ergodic capacity, the rate-reduction map and the optimal
+diversity-multiplexing frontier, the ``k`` pinned modes' exact share plus
+the law of ``ChannelDims.interior`` (the capacity integrates it on
+SNR-graded Gauss-Legendre panels); single-input outage through the
+incomplete beta function; and the exact i.i.d. Rayleigh baseline (private
+helpers).  Both spectral densities, the channel's Jacobi one and the
+baseline's Laguerre one, come from one orthonormal three-term recurrence.
 
 All rates are in bits (log base 2) and all SNRs are linear; dB conversion
 belongs to the CLI boundary.
@@ -104,7 +103,7 @@ def eigen_density(dims: ChannelDims, lam):
     """Marginal density of one unordered squared singular value.
 
     Only defined for ``mt + mr <= m`` (when ``k > 0`` the spectrum carries
-    atoms at 1 and 0 and is handled through the complementary channel
+    atoms at 1 and 0 and is handled through ``dims.interior``
     instead).  Normalized to integrate to 1 over [0, 1]; every point of
     ``lam`` must lie in that support.  It is the mean of g_k^2 over the
     m_min polynomials orthonormal under lam^alpha (1-lam)^beta, and
@@ -193,22 +192,17 @@ def _capacity_integral(dims: ChannelDims, rho: float) -> float:
 def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
     """Ergodic capacity in bits per channel use at per-mode SNR ``rho``.
 
-    For ``mt + mr <= m`` this is the spectral integral on SNR-graded
-    Gauss-Legendre panels (see :func:`graded_integral`); it raises
-    :class:`NumericalError` when more nodes move the value by over 1e-13
-    relative, or by over 1e-13 bits where the capacity is below 1 bit.
-    Otherwise ``k`` single-mode capacities are pinned at ``log2(1 + rho)``
-    and the remainder is the capacity of the complementary
-    ``(m - mr, m - mt, m)`` channel, which vanishes when mt or mr equals m.
+    ``k`` single-mode capacities pinned at ``log2(1 + rho)``, plus the
+    spectral integral of ``dims.interior`` (none when mt or mr is m) on
+    SNR-graded Gauss-Legendre panels (see :func:`graded_integral`), which
+    raises :class:`NumericalError` when more nodes move it by over 1e-13
+    relative, or by over 1e-13 bits where it is below 1 bit.
     """
     require_nonnegative(rho=rho)
     if rho == 0.0:
         return 0.0
-    if dims.k == 0:
-        return _capacity_integral(dims, rho)
-    cap = dims.k * math.log2(1.0 + rho)
-    rest = dims.complement
-    return cap if rest is None else cap + ergodic_capacity(rest, rho)
+    cap, interior = dims.k * math.log2(1.0 + rho), dims.interior
+    return cap if interior is None else cap + _capacity_integral(interior, rho)
 
 
 # The i.i.d. Rayleigh channel, the m -> infinity limit of the m-scaled spectrum:
@@ -314,7 +308,7 @@ def outage_rate_reduction(
 ) -> tuple[ChannelDims | None, float]:
     """Map an outage query with ``k > 0`` onto the complementary channel.
 
-    Returns ``((m - mr, m - mt, m), max(r - k, 0))``.  The reduced dims are
+    Returns ``(dims.interior, max(r - k, 0))``.  The reduced dims are
     ``None`` when a side collapses to zero modes (mt = m or mr = m); the
     channel is then deterministic, so outage is 0 for ``r_tilde = 0`` and 1
     otherwise.  Callers must report outage exactly 0 whenever
@@ -323,7 +317,7 @@ def outage_rate_reduction(
     if dims.k <= 0:
         raise ValueError("outage_rate_reduction requires mt + mr > m")
     require_nonnegative(r=r)
-    return dims.complement, max(r - dims.k, 0.0)
+    return dims.interior, max(r - dims.k, 0.0)
 
 
 @dataclass(frozen=True)
@@ -355,18 +349,14 @@ def dmt_optimal_curve(dims: ChannelDims) -> DmtCurve:
 
     For ``mt + mr <= m`` it connects ``(j, (mt - j)(mr - j))`` for integer
     ``j  = 0 .. m_min`` and does not depend on m.  For ``k > 0`` diversity is
-    unbounded below ``r = k`` and the finite branch is the complementary
-    channel's curve shifted right by k (the single vertex (k, 0) when mt or
-    mr equals m).
+    unbounded below ``r = k`` and the finite branch is the curve of
+    ``dims.interior``, the complementary channel, shifted right by k (the
+    single vertex (k, 0) when mt or mr equals m).
     """
-    if dims.k == 0:
-        verts = tuple(
-            (float(j), float((dims.mt - j) * (dims.mr - j)))
-            for j in range(dims.m_min + 1)
-        )
-        return DmtCurve(vertices=verts, infinite_below=0.0)
-    rest = dims.complement
-    finite = dmt_optimal_curve(rest).vertices if rest is not None else ((0.0, 0.0),)
+    k, core = dims.k, dims.interior
+    corners = [(0, 0)] if core is None else [
+        (j, (core.mt - j) * (core.mr - j)) for j in range(core.m_min + 1)
+    ]
     return DmtCurve(
-        vertices=tuple((dims.k + r, d) for r, d in finite), infinite_below=float(dims.k)
+        vertices=tuple((float(k + j), float(d)) for j, d in corners), infinite_below=float(k)
     )

@@ -13,8 +13,8 @@ counter-based core; this module holds the dimensions, the phase-fixed QR
 and the endpoint rule shared by every sampler, and a batched check of the
 pinned structure on full Haar unitaries.  It also holds the argument
 contract of every public entry point (``require_integers``,
-``require_reals``, ``require_nonnegative``, ``require_positive``) and the
-one tolerance, ``UNIT_TOL``, within which an eigenvalue counts as pinned.
+``require_integer_list``, ``require_reals``, ``require_nonnegative``,
+``require_positive``) and the one pinned-eigenvalue tolerance, ``UNIT_TOL``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,20 @@ def require_reals(**values) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def require_integer_list(name: str, values, item: str) -> list:
+    """Iterable ``values`` as a non-empty list of integers; else ValueError naming ``name``."""
+    try:
+        out = list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
+    if not out:
+        raise ValueError(f"{name} must name at least one {item}")
+    for value in out:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} entries must be integers, got {value!r}")
+    return out
 
 
 def require_nonnegative(**values) -> None:
@@ -132,6 +146,15 @@ class ChannelDims:
         if self.m in (self.mt, self.mr):
             return None
         return ChannelDims(self.m - self.mr, self.m - self.mt, self.m)
+
+    @property
+    def interior(self) -> "ChannelDims | None":
+        """The k = 0 channel whose J(m_min; alpha, beta) law the unpinned eigenvalues follow.
+
+        ``self`` when k = 0, otherwise :attr:`complement`: None when every
+        eigenvalue is pinned (k > 0 and mt or mr equals m).
+        """
+        return self if self.k == 0 else self.complement
 
     def transposed(self) -> "ChannelDims":
         """Swap transmitter and receiver roles."""

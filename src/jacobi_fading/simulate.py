@@ -17,8 +17,8 @@ is computed once too); outside it, every call draws afresh.
 The spectral estimators (ergodic capacity, outage, the Alamouti and
 repetition errors, and the Jacobi side of the Rayleigh comparison) depend
 on a channel only through its squared singular values, so they draw the
-spectrum, not the channel.  The interior spectrum follows
-the Jacobi ensemble J(n; a, b), with density proportional to
+spectrum, not the channel.  The unpinned eigenvalues follow the Jacobi
+ensemble J(n; a, b) of ``ChannelDims.interior``, with density proportional to
 ``prod lam^a (1-lam)^b * Vandermonde(lam)^2``, which by Edelman & Sutton
 (Found. Comput. Math. 8, 2008; the beta = 2 case) is the law of the
 squared singular values of a real ``n x n`` upper-bidiagonal matrix B
@@ -43,7 +43,6 @@ of an ``m x m_min`` Ginibre block.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -52,8 +51,8 @@ import numpy as np
 
 from . import analytic
 from .ensembles import (
-    ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integers, require_nonnegative,
-    require_positive, snap_endpoints,
+    ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integer_list, require_integers,
+    require_nonnegative, require_positive, snap_endpoints,
 )
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
@@ -204,21 +203,26 @@ def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> tuple[np.ndar
     return np.where(flip, small, big), np.where(flip, big, small)
 
 
-def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared entries of the J(n; a, b) bidiagonal model for trials [lo, hi).
+def _bidiagonal_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squared entries of the bidiagonal model of ``dims.interior`` for trials [lo, hi).
 
-    Returns d^2, shape (hi-lo, n), and e^2, shape (hi-lo, n-1): the
-    squared diagonal and superdiagonal of an upper-bidiagonal B whose
-    B^T B has the J(n; a, b) spectrum.  Trial t reads n^2 + n*min(a, b)
-    uniforms, turned into Beta variates as products of uniform powers
-    (:func:`_beta_variates`): c_j^2 ~ Beta(a+j, b+j) for j = n..1, then
-    c'_j^2 ~ Beta(j, a+b+1+j) for j = n-1..1.  B has diagonal c_n,
-    c_{n-1} s'_{n-1}, ..., c_1 s'_1 and superdiagonal -s_n c'_{n-1}, ...,
-    -s_2 c'_1, with s^2 = 1 - c^2; the squares are products of the
-    variates, so no square root is taken.  The estimators reduce log det
-    and trace straight from these squares; only spectrum outputs go on to
-    an eigensolve (:func:`_tridiagonal_spectra`).
+    With (n, a, b) its (m_min, alpha, beta), returns d^2, shape (hi-lo, n),
+    and e^2, shape (hi-lo, n-1): the squared diagonal and superdiagonal of
+    an upper-bidiagonal B whose B^T B has the J(n; a, b) spectrum.  The k
+    pinned eigenvalues are left to the caller; with no interior both arrays
+    have no columns.  Trial t reads n^2 + n*min(a, b) uniforms, turned into
+    Beta variates as products of uniform powers (:func:`_beta_variates`):
+    c_j^2 ~ Beta(a+j, b+j) for j = n..1, then c'_j^2 ~ Beta(j, a+b+1+j) for
+    j = n-1..1.  B has diagonal c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1 and
+    superdiagonal -s_n c'_{n-1}, ..., -s_2 c'_1, with s^2 = 1 - c^2; the
+    squares are products of the variates, so no square root is taken.  The
+    estimators reduce log det and trace straight from these squares; only
+    spectrum outputs go on to an eigensolve (:func:`_tridiagonal_spectra`).
     """
+    core = dims.interior
+    if core is None:
+        return np.zeros((hi - lo, 0)), np.zeros((hi - lo, 0))
+    n, a, b = core.m_min, core.alpha, core.beta
     j = np.arange(n, 0, -1)
     p = np.concatenate([a + j, j[1:]])
     q = np.concatenate([b + j, a + b + 1 + j[1:]])
@@ -228,25 +232,11 @@ def _bidiagonal_chunk(n: int, a: int, b: int, key, lo: int, hi: int) -> tuple[np
     return x[:, :n], x[:, n:]
 
 
-def _model_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """The bidiagonal model's (d^2, e^2) for the interior spectrum of trials [lo, hi).
-
-    For k = 0 the interior spectrum is J(m_min; alpha, beta).  For k > 0 it
-    is the complementary channel's, and the k pinned eigenvalues, each
-    exactly 1, are left to the caller; with no complementary channel
-    (m_max = m) nothing is drawn and both arrays have no columns.
-    """
-    core = dims if dims.k == 0 else dims.complement
-    if core is None:
-        return np.zeros((hi - lo, 0)), np.zeros((hi - lo, 0))
-    return _bidiagonal_chunk(core.m_min, core.alpha, core.beta, key, lo, hi)
-
-
 def _model_squares(dims: ChannelDims, cfg: McConfig, key) -> tuple[np.ndarray, np.ndarray]:
-    """(d^2, e^2) of :func:`_model_chunk` for cfg.trials channels, drawn once per sample set."""
+    """(d^2, e^2) of :func:`_bidiagonal_chunk` for cfg.trials channels, drawn once per sample set."""
     return _drawn(
         ("squares", key, dims, cfg.trials),
-        lambda: _gather(cfg, lambda lo, hi: _model_chunk(dims, key, lo, hi)),
+        lambda: _gather(cfg, lambda lo, hi: _bidiagonal_chunk(dims, key, lo, hi)),
     )
 
 
@@ -271,13 +261,13 @@ def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
 def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
     """Ascending snapped spectra of cfg.trials channels, drawn from the bidiagonal model.
 
-    The interior eigenvalues of :func:`_model_chunk` followed by k exact
+    The interior eigenvalues of :func:`_bidiagonal_chunk` followed by k exact
     ones, drawn once per sample set.  Only outputs that are spectra come
     here; the estimators reduce the squares themselves.
     """
 
     def chunk(lo, hi):
-        interior = _tridiagonal_spectra(*_model_chunk(dims, key, lo, hi))
+        interior = _tridiagonal_spectra(*_bidiagonal_chunk(dims, key, lo, hi))
         return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1))
 
     return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
@@ -494,15 +484,15 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     """Deterministic repetition-scheme error for single-eigenvalue spectra.
 
     Integrates the exact conditional QPSK symbol error against the spectral
-    density (after peeling off the k pinned eigenvalues when k > 0), which
-    stays accurate in tails far beyond Monte-Carlo reach.  Requires the
-    effective interior spectrum to be one-dimensional, i.e. ``m_min == 1``
-    after the k > 0 reduction.  Raises :class:`NumericalError` when the
-    quadrature does not settle to a relative 1e-13.
+    density of ``dims.interior`` (the k pinned eigenvalues add k to the
+    gain), which stays accurate in tails far beyond Monte-Carlo reach.
+    Requires that interior to have ``m_min == 1``.  Raises
+    :class:`NumericalError` when the quadrature does not settle to a
+    relative 1e-13.
     """
     require_nonnegative(rho=rho)
     shift = float(dims.k)
-    residual = dims if dims.k == 0 else dims.complement
+    residual = dims.interior
     if residual is None:
         return float(qpsk_symbol_error(rho * shift))
     if residual.m_min != 1:
@@ -612,12 +602,8 @@ def rayleigh_compare(
     if min(mt, mr) < 1:
         raise ValueError(f"need mt >= 1 and mr >= 1, got mt={mt}, mr={mr}")
     require_positive(rho_bar=rho_bar)
-    m_list = list(m_list)
-    if not m_list:
-        raise ValueError("m_list must name at least one m")
+    m_list = require_integer_list("m_list", m_list, "m")
     for m in m_list:
-        if isinstance(m, bool) or not isinstance(m, numbers.Integral):
-            raise ValueError(f"m_list entries must be integers, got {m!r}")
         if m < mt + mr:
             raise ValueError(f"every m in m_list must satisfy m >= mt + mr, got m={m}")
     n, alpha = min(mt, mr), abs(mt - mr)

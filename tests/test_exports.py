@@ -1,6 +1,7 @@
 """Every name the package and its modules export resolves, the CLI's
 import graph stays free of scipy, which only the tests need, and argument
-range checks live in ``ensembles`` alone."""
+range checks and reads of ``ChannelDims.complement`` live in ``ensembles``
+alone."""
 
 import ast
 import importlib
@@ -95,3 +96,17 @@ def test_argument_range_checks_live_in_ensembles():
         if (path.name, function) not in FINITENESS_TESTS_ALLOWED
     ]
     assert not found, "range checks outside ensembles:\n" + "\n".join(found)
+
+
+def test_complement_is_read_in_ensembles_alone():
+    # the k > 0 reduction ("dims if k == 0, else dims.complement") has one
+    # home, ChannelDims.interior; every other module reads that
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "ensembles.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "complement"
+    ]
+    assert not found, "reads of .complement outside ensembles:\n" + "\n".join(found)

@@ -537,6 +537,7 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         (lambda: mc_alamouti_outage(True, 100.0, 0.5, McConfig(trials=10)), "m must be an integer"),
         (lambda: estimate_diversity_slope([("10", 0.1), (2.0, 0.05), (3.0, 0.01)]), "points\\[0\\] rho must be a real"),
         (lambda: estimate_diversity_slope([(True, 0.1), (2.0, 0.05), (3.0, 0.01)]), "points\\[0\\] rho must be a real"),
+        (lambda: rayleigh_compare(2, 2, 8, 100.0, McConfig(trials=10)), "m_list must be a sequence of integers"),
     ],
 )
 def test_bad_samples_and_sizes_name_the_argument(call, message):
