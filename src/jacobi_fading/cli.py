@@ -80,6 +80,14 @@ def _db_to_linear(db: float) -> float:
         raise ValueError(f"{db!r} dB is beyond the float range") from None
 
 
+def _rate_unit(rho_db: float, rho: float) -> float:
+    """log2(1 + rho), the bits of one normalised rate unit; ValueError where it rounds to 0."""
+    unit = math.log2(1.0 + rho)
+    if unit == 0.0:
+        raise ValueError(f"at {rho_db!r} dB, log2(1 + rho) rounds to 0: no normalised rate is defined")
+    return unit
+
+
 def _linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
@@ -121,10 +129,11 @@ def _mc_config(args) -> simulate.McConfig:
 
 def _cmd_ergodic(args) -> _Output:
     dims = _dims_from_args(args)
+    # every grid point is checked before any estimator runs
+    grid = [(rho_db, _db_to_linear(rho_db)) for rho_db in _parse_grid(args.rho_db)]
+    norms = [_rate_unit(rho_db, rho) for rho_db, rho in grid]
     rows = []
-    for rho_db in _parse_grid(args.rho_db):
-        rho = _db_to_linear(rho_db)
-        norm = math.log2(1.0 + rho)
+    for (rho_db, rho), norm in zip(grid, norms):
         if args.method == "analytic":
             cap = analytic.ergodic_capacity(dims, rho)
             stderr = None
@@ -139,15 +148,16 @@ def _cmd_outage(args) -> _Output:
     dims = _dims_from_args(args)
     rho = _db_to_linear(args.rho_db)
     cfg = _mc_config(args)
-    norm = math.log2(1.0 + rho)
-    if args.r is not None:
-        r_values = _parse_grid(args.r)
-    else:
-        r_values = [rb / norm for rb in _parse_grid(args.rate_bits)]
     rows = []
-    for r in r_values:
-        est = simulate.mc_outage(dims, rho, cfg, r=r)
-        rows.append([r, est.value, est.stderr])
+    if args.r is not None:
+        for r in _parse_grid(args.r):
+            est = simulate.mc_outage(dims, rho, cfg, r=r)
+            rows.append([r, est.value, est.stderr])
+    else:
+        norm = _rate_unit(args.rho_db, rho)
+        for rate in _parse_grid(args.rate_bits):
+            est = simulate.mc_outage(dims, rho, cfg, rate_bits=rate)
+            rows.append([rate / norm, est.value, est.stderr])
     return _Output(["r", "outage", "stderr"], rows)
 
 

@@ -8,10 +8,10 @@ realization (an algebraic fact, not a statistical one), ``m_t - m_min``
 equal 0, and the remaining ``m - m_max`` coincide with the nonzero
 eigenvalues of the complementary block ``H22 H22^+``.
 
-Channels are drawn by :func:`jacobi_fading.simulate.channel_blocks` on the
-counter-based core; this module holds the dimensions, the phase-fixed QR
-and the endpoint rule shared by every sampler, and a batched check of the
-pinned structure on full Haar unitaries.  It also holds the argument
+Spectra come from the bidiagonal model, channels from
+:func:`jacobi_fading.simulate.channel_blocks`; this module holds the
+dimensions, the phase-fixed QR and the endpoint rule they share, a batched
+check of the pinned structure on full Haar unitaries, the argument
 contract of every public entry point (``require_integers``,
 ``require_integer_list``, ``require_reals``, ``require_nonnegative``,
 ``require_positive``) and the one pinned-eigenvalue tolerance, ``UNIT_TOL``.
@@ -201,13 +201,6 @@ def snap_endpoints(lams: np.ndarray) -> np.ndarray:
         raise NumericalError("eigensolver returned non-finite eigenvalues")
     lams = np.clip(lams, 0.0, 1.0)
     return np.where(lams >= 1.0 - UNIT_TOL, 1.0, np.where(lams <= UNIT_TOL, 0.0, lams))
-
-
-def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the smaller Gram form of one block or a stack (unclamped)."""
-    mr, mt = h11.shape[-2:]
-    block = h11 if mt <= mr else h11.conj().swapaxes(-1, -2)
-    return np.linalg.eigvalsh(np.einsum("...ij,...ik->...jk", block.conj(), block))
 
 
 def verify_pinned_spectrum(unitaries: np.ndarray, dims: ChannelDims) -> PinnedSpectrumReport:

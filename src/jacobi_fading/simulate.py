@@ -30,14 +30,14 @@ entries directly, with no eigensolve: capacity and outage read
 log2 det(I + rho B^T B) from the pivots of its tridiagonal LDL^T
 factorisation, and the Alamouti and repetition errors read the trace of
 B^T B.  Pinned eigenvalues (k > 0) add exactly k log2(1 + rho) and k.
-Only outputs that are spectra
-(:func:`_model_spectra`, behind :func:`rayleigh_compare`) diagonalise
-B^T B.  The Rayleigh baseline is not sampled: it is closed-form
-(:mod:`.analytic`).
-:func:`sample_spectra` and the feedback scheme still draw channels, both
-through :func:`channel_blocks`: the first ``m_min`` columns of a Haar
-unitary are a uniformly distributed isometry, obtained by phase-fixed QR
-of an ``m x m_min`` Ginibre block.
+Only outputs that are spectra (:func:`_model_spectra`, behind
+:func:`sample_spectra` and :func:`rayleigh_compare`) diagonalise B^T B.
+The Rayleigh baseline is not sampled: it is closed-form (:mod:`.analytic`).
+Channels are drawn by :func:`channel_blocks` alone, for the feedback
+scheme and, as whole Haar unitaries, for
+:func:`~jacobi_fading.ensembles.verify_pinned_spectrum`: the first
+``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
+obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 
 from . import analytic
 from .ensembles import (
-    ChannelDims, gram_eigenvalues, phase_fixed_qr, require_integer_list, require_integers,
+    ChannelDims, phase_fixed_qr, require_integer_list, require_integers,
     require_nonnegative, require_positive, snap_endpoints,
 )
 from .errors import NumericalError
@@ -307,17 +307,12 @@ def _trace_values(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
 
 
 def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
-    """Ascending squared singular values for cfg.trials fresh channels.
+    """Ascending squared singular values of cfg.trials channels, from the bidiagonal model.
 
-    Shape (trials, m_min); values clamped to [0, 1] and snapped onto an
-    endpoint by :func:`jacobi_fading.ensembles.snap_endpoints`.
+    Shape (trials, m_min), as :func:`_model_spectra` gives them: clamped to
+    [0, 1] and snapped by :func:`~jacobi_fading.ensembles.snap_endpoints`.
     """
-    key = stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}")
-
-    def chunk(lo, hi):
-        return snap_endpoints(gram_eigenvalues(channel_blocks(dims, key, lo, hi)))
-
-    return _drawn(("spectra", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
+    return _model_spectra(dims, cfg, stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}"))
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:

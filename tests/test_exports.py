@@ -1,7 +1,7 @@
 """Every name the package and its modules export resolves, the CLI's
 import graph stays free of scipy, which only the tests need, and argument
 range checks and reads of ``ChannelDims.complement`` live in ``ensembles``
-alone."""
+alone, and every eigensolve is one of a named few."""
 
 import ast
 import importlib
@@ -64,24 +64,36 @@ def _is_inf(node):
     return isinstance(node, ast.Attribute) and node.attr == "inf"
 
 
-def _finiteness_tests(tree):
-    """(enclosing function, line) of every isfinite call and comparison with inf."""
+def _called_name(node):
+    """The function name of a call, whether bare (f) or an attribute (np.f); else None."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return getattr(func, "attr", getattr(func, "id", None))
+
+
+def _sites(tree, hit):
+    """(enclosing function, line) of every node of ``tree`` that ``hit`` accepts."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        func = node.func if isinstance(node, ast.Call) else None
-        # math.isfinite, np.isfinite, or a bare isfinite imported by name
-        if getattr(func, "attr", getattr(func, "id", None)) == "isfinite" or (
-            isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators]))
-        ):
+        if hit(node):
             found.append((function, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, "<module>")
     return found
+
+
+def _finiteness_tests(tree):
+    """(enclosing function, line) of every isfinite call and comparison with inf."""
+    # math.isfinite, np.isfinite, or a bare isfinite imported by name
+    return _sites(
+        tree,
+        lambda node: _called_name(node) == "isfinite"
+        or (isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators]))),
+    )
 
 
 def test_argument_range_checks_live_in_ensembles():
@@ -110,3 +122,30 @@ def test_complement_is_read_in_ensembles_alone():
         if isinstance(node, ast.Attribute) and node.attr == "complement"
     ]
     assert not found, "reads of .complement outside ensembles:\n" + "\n".join(found)
+
+
+# Every dense eigensolve in the package, by (module, function).  Spectra
+# come from the bidiagonal model; an eigensolve anywhere else is a second
+# sampler or a reduction that could read log det or a trace instead.
+EIGENSOLVES_ALLOWED = {
+    ("analytic.py", "_legendre_rule"),  # Golub-Welsch nodes of the quadrature rule
+    ("simulate.py", "_tridiagonal_spectra"),  # spectra outputs of the bidiagonal model
+    ("ensembles.py", "verify_pinned_spectrum"),  # the check on whole Haar unitaries
+    ("feedback.py", "complete_unitary"),  # the null space that completes a channel use
+}
+
+
+def _eigensolves(tree):
+    """(enclosing function, line) of every eigvalsh, eigh, eigvals and eig call, np.linalg's or bare."""
+    return _sites(tree, lambda node: _called_name(node) in ("eigvalsh", "eigh", "eigvals", "eig"))
+
+
+def test_every_eigensolve_is_deliberate():
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    found = [
+        f"{path.name}:{line}: in {function}"
+        for path in sorted(package.glob("*.py"))
+        for function, line in _eigensolves(ast.parse(path.read_text()))
+        if (path.name, function) not in EIGENSOLVES_ALLOWED
+    ]
+    assert not found, "eigensolves outside the allow-list:\n" + "\n".join(found)

@@ -28,7 +28,7 @@ from jacobi_fading.simulate import (
     repetition_error_tail,
     sample_spectra,
 )
-from oracles import ks_distance
+from oracles import haar_spectra, ks_distance
 
 DIMS_224 = ChannelDims(2, 2, 4)
 
@@ -67,7 +67,7 @@ def test_bidiagonal_model_matches_haar_spectra(mt, mr, m):
     # alpha > 0, mt > mr, k > 0, m = 64 and m_min = 4 against truncated-Haar channels
     dims = ChannelDims(mt, mr, m)
     cfg = McConfig(trials=100_000, master_seed=4, workers=2)
-    haar = sample_spectra(dims, cfg)
+    haar = haar_spectra(dims, cfg)
     model = simulate._model_spectra(dims, cfg, stream_key(4, "model-vs-haar"))
     assert model.shape == haar.shape
     for i in range(dims.m_min):
@@ -109,6 +109,10 @@ def test_spectral_estimators_draw_words_flat_in_m(monkeypatch):
     assert sizes[2:] == [1, 4, 1]
     mc_ergodic_capacity(ChannelDims(4, 4, 8), 10.0, cfg)
     assert sizes[5:] == [16]
+    # the public spectrum sampler reads the same model
+    for m in (8, 64):
+        sample_spectra(ChannelDims(2, 2, m), cfg)
+    assert sizes[6:] == [4, 4]
 
 
 def test_spectral_estimators_call_no_eigensolver(monkeypatch):
