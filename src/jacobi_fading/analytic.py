@@ -23,7 +23,7 @@ import numpy as np
 
 from .ensembles import ChannelDims, require_integers, require_nonnegative, require_reals
 from .errors import NumericalError
-from .specfun import inv_reg_inc_beta, reg_inc_beta
+from .specfun import inv_reg_inc_beta, log2_1p, reg_inc_beta
 
 __all__ = [
     "DmtCurve",
@@ -201,7 +201,7 @@ def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
     require_nonnegative(rho=rho)
     if rho == 0.0:
         return 0.0
-    cap, interior = dims.k * math.log2(1.0 + rho), dims.interior
+    cap, interior = dims.k * log2_1p(rho), dims.interior
     return cap if interior is None else cap + _capacity_integral(interior, rho)
 
 

@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__, analytic, feedback, simulate
 from .ensembles import ChannelDims
 from .errors import NumericalError
+from .specfun import log2_1p
 
 __all__ = ["main"]
 
@@ -81,11 +82,10 @@ def _db_to_linear(db: float) -> float:
 
 
 def _rate_unit(rho_db: float, rho: float) -> float:
-    """log2(1 + rho), the bits of one normalised rate unit; ValueError where it rounds to 0."""
-    unit = math.log2(1.0 + rho)
-    if unit == 0.0:
-        raise ValueError(f"at {rho_db!r} dB, log2(1 + rho) rounds to 0: no normalised rate is defined")
-    return unit
+    """log2(1 + rho), the bits of one normalised rate unit; ValueError where 1 + rho rounds to 1."""
+    if 1.0 + rho == 1.0:
+        raise ValueError(f"at {rho_db!r} dB, 1 + rho rounds to 1: no normalised rate is defined")
+    return log2_1p(rho)
 
 
 def _linear_to_db(x: float) -> float:

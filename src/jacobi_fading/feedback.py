@@ -49,6 +49,7 @@ from .ensembles import UNIT_TOL, ChannelDims, require_integers, require_positive
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
 from .simulate import channel_blocks
+from .specfun import log2_1p
 
 __all__ = [
     "SchemeConfig",
@@ -393,7 +394,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
         ber = float(bit_errs / (2 * sent.size))
 
-    per_use_rate = math.log2(1.0 + rho)
+    per_use_rate = log2_1p(rho)
     achieved_rate = k * n * per_use_rate / (n + overhead)
     mi_streams = float(np.sum(np.log2(1.0 + rho / cond_var_stream)))
     mi_per_use = mi_streams / (n + overhead)

@@ -1,18 +1,21 @@
 """Deterministic-seeded Monte-Carlo engine for the channel model.
 
-Every experiment owns a tag; trial ``t`` of an experiment draws from the
+Every channel shape owns one tag, ``bidiagonal:mt,mr,m``, and trial ``t``
+of every spectral estimator and of :func:`sample_spectra` draws from the
 counter-based stream keyed by ``(master_seed, tag, t)`` (see
-:mod:`jacobi_fading.philox`).  Estimates are therefore a pure function of
-(experiment parameters, trials, master_seed): worker count only changes how
-chunks of trials are scheduled, never which variates a trial sees, and
-chunk results are combined in a fixed order.
+:mod:`jacobi_fading.philox`); only the ``count`` repetition method's noise
+and symbols have tags of their own.  Estimates are therefore a pure
+function of (experiment parameters, trials, master_seed): worker count
+only changes how chunks of trials are scheduled, never which variates a
+trial sees, and chunk results are combined in a fixed order.
 
-Because the stream of an experiment does not depend on rho or r, every
-point of a curve sees the same channels (common random numbers).  Inside a
+Because that stream depends on neither the estimator nor rho or r, all
+estimators and points of a curve at the same (dims, trials, master_seed)
+see the same channels (common random numbers).  Inside a
 :func:`_shared_draws` block, which the CLI opens around each invocation,
-the rho- and r-independent draws of an experiment are made once and every
-point reduces that one array (an outage curve's per-rho mutual information
-is computed once too); outside it, every call draws afresh.
+the rho- and r-independent draws are made once and every point reduces
+that one array (an outage curve's per-rho mutual information is computed
+once too); outside it, every call draws afresh.
 
 The spectral estimators (ergodic capacity, outage, the Alamouti and
 repetition errors, and the Jacobi side of the Rayleigh comparison) depend
@@ -30,8 +33,8 @@ entries directly, with no eigensolve: capacity and outage read
 log2 det(I + rho B^T B) from the pivots of its tridiagonal LDL^T
 factorisation, and the Alamouti and repetition errors read the trace of
 B^T B.  Pinned eigenvalues (k > 0) add exactly k log2(1 + rho) and k.
-Only outputs that are spectra (:func:`_model_spectra`, behind
-:func:`sample_spectra` and :func:`rayleigh_compare`) diagonalise B^T B.
+Only outputs that are spectra (:func:`sample_spectra`, behind
+:func:`rayleigh_compare` too) diagonalise B^T B.
 The Rayleigh baseline is not sampled: it is closed-form (:mod:`.analytic`).
 Channels are drawn by :func:`channel_blocks` alone, for the feedback
 scheme and, as whole Haar unitaries, for
@@ -56,6 +59,7 @@ from .ensembles import (
 )
 from .errors import NumericalError
 from .philox import complex_normals, stream_key, uniforms
+from .specfun import log2_1p
 
 __all__ = [
     "McConfig",
@@ -232,8 +236,14 @@ def _bidiagonal_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndar
     return x[:, :n], x[:, n:]
 
 
-def _model_squares(dims: ChannelDims, cfg: McConfig, key) -> tuple[np.ndarray, np.ndarray]:
+def _channel_key(dims: ChannelDims, cfg: McConfig):
+    """The one stream of the bidiagonal model for this channel shape and master seed."""
+    return stream_key(cfg.master_seed, f"bidiagonal:{dims.mt},{dims.mr},{dims.m}")
+
+
+def _model_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
     """(d^2, e^2) of :func:`_bidiagonal_chunk` for cfg.trials channels, drawn once per sample set."""
+    key = _channel_key(dims, cfg)
     return _drawn(
         ("squares", key, dims, cfg.trials),
         lambda: _gather(cfg, lambda lo, hi: _bidiagonal_chunk(dims, key, lo, hi)),
@@ -258,30 +268,14 @@ def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(gram)
 
 
-def _model_spectra(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
-    """Ascending snapped spectra of cfg.trials channels, drawn from the bidiagonal model.
-
-    The interior eigenvalues of :func:`_bidiagonal_chunk` followed by k exact
-    ones, drawn once per sample set.  Only outputs that are spectra come
-    here; the estimators reduce the squares themselves.
-    """
-
-    def chunk(lo, hi):
-        interior = _tridiagonal_spectra(*_bidiagonal_chunk(dims, key, lo, hi))
-        return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1))
-
-    return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
-
-
-def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> np.ndarray:
+def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig) -> np.ndarray:
     """log2 det(I + rho B^T B) per trial, plus k log2(1 + rho) for the pinned modes.
 
     The LDL^T pivots of the tridiagonal I + rho B^T B are p_1 = 1 + rho d_1^2
     and p_i = q_i + rho d_i^2 with q_i = 1 + rho e_{i-1}^2 q_{i-1} / p_{i-1}:
     every term is non-negative, so p_i >= 1 and nothing cancels.
     """
-    key = stream_key(cfg.master_seed, f"{tag}:{dims.mt},{dims.mr},{dims.m}")
-    d2, e2 = _model_squares(dims, cfg, key)
+    d2, e2 = _model_squares(dims, cfg)
     bits = np.zeros(cfg.trials)
     q = 1.0
     for i in range(d2.shape[1]):
@@ -289,15 +283,15 @@ def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig, tag: str) -> n
             q = 1.0 + rho * e2[:, i - 1] * (q / p)
         p = q + rho * d2[:, i]
         bits += np.log2(p)
-    bits += dims.k * math.log2(1.0 + rho)
+    bits += dims.k * log2_1p(rho)
     if not np.all(np.isfinite(bits)):
         raise NumericalError("log det of the bidiagonal model is not finite")
     return bits
 
 
-def _trace_values(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
+def _trace_values(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     """trace(B^T B) + k = ||H11||_F^2 per trial."""
-    d2, e2 = _model_squares(dims, cfg, key)
+    d2, e2 = _model_squares(dims, cfg)
     gain = np.full(cfg.trials, float(dims.k))
     for column in (*d2.T, *e2.T):  # np.sum over a narrow axis 1 is ~10x slower
         gain += column
@@ -309,16 +303,24 @@ def _trace_values(dims: ChannelDims, cfg: McConfig, key) -> np.ndarray:
 def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     """Ascending squared singular values of cfg.trials channels, from the bidiagonal model.
 
-    Shape (trials, m_min), as :func:`_model_spectra` gives them: clamped to
-    [0, 1] and snapped by :func:`~jacobi_fading.ensembles.snap_endpoints`.
+    Shape (trials, m_min): the interior eigenvalues of :func:`_bidiagonal_chunk`
+    on the estimators' stream, then k exact ones, clamped to [0, 1] and
+    snapped by :func:`~jacobi_fading.ensembles.snap_endpoints`; drawn once
+    per sample set.
     """
-    return _model_spectra(dims, cfg, stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}"))
+    key = _channel_key(dims, cfg)
+
+    def chunk(lo, hi):
+        interior = _tridiagonal_spectra(*_bidiagonal_chunk(dims, key, lo, hi))
+        return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1))
+
+    return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
     """Empirical mean of log2 det(I + rho * H11^+ H11) over fresh draws (bits)."""
     require_nonnegative(rho=rho)
-    return _estimate(_log_det_values(dims, rho, cfg, "mc-ergodic"), cfg)
+    return _estimate(_log_det_values(dims, rho, cfg), cfg)
 
 
 def mc_outage(
@@ -338,13 +340,13 @@ def mc_outage(
         raise ValueError("give exactly one of r or rate_bits")
     if r is not None:
         require_nonnegative(r=r)
-        rate_bits = r * math.log2(1.0 + rho)
+        rate_bits = r * log2_1p(rho)
     else:
         require_nonnegative(rate_bits=rate_bits)
     # every rate of a curve at this rho compares against the same values
     mi = _drawn(
         ("mutual-information", cfg.master_seed, dims, cfg.trials, rho),
-        lambda: _log_det_values(dims, rho, cfg, "mc-outage"),
+        lambda: _log_det_values(dims, rho, cfg),
     )
     return _estimate((mi < rate_bits).astype(float), cfg)
 
@@ -454,13 +456,12 @@ def mc_repetition_error(
     """
     require_nonnegative(rho=rho)
     if method == "conditional":
-        key = stream_key(cfg.master_seed, f"rep-cond:{dims.mt},{dims.mr},{dims.m}")
-        return _estimate(qpsk_symbol_error(rho * _trace_values(dims, cfg, key)), cfg)
+        return _estimate(qpsk_symbol_error(rho * _trace_values(dims, cfg)), cfg)
     if method != "count":
         raise ValueError("method must be 'conditional' or 'count'")
 
     tag = f"{dims.mt},{dims.mr},{dims.m}"
-    gain = _trace_values(dims, cfg, stream_key(cfg.master_seed, f"rep-count:gain:{tag}"))
+    gain = _trace_values(dims, cfg)
     kz = stream_key(cfg.master_seed, f"rep-count:noise:{tag}")
     ks = stream_key(cfg.master_seed, f"rep-count:sym:{tag}")
 
@@ -522,9 +523,8 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     require_positive(rho=rho)
     require_nonnegative(r=r)
     dims = ChannelDims(2, 2, m)
-    key = stream_key(cfg.master_seed, f"alamouti:{m}")
     threshold = r * math.log2(rho)
-    gain = _trace_values(dims, cfg, key)  # ||H11||_F^2
+    gain = _trace_values(dims, cfg)  # ||H11||_F^2
     return _estimate((np.log2(1.0 + rho * gain) < threshold).astype(float), cfg)
 
 
@@ -607,8 +607,7 @@ def rayleigh_compare(
     for m in m_list:
         dims = ChannelDims(mt, mr, m)
         rho = rho_bar * m / mt
-        key = stream_key(cfg.master_seed, f"raycmp:jacobi:{mt},{mr},{m}")
-        lam = _model_spectra(dims, cfg, key)
+        lam = sample_spectra(dims, cfg)
         ks = ks_distance_to_cdf(m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x))
         rows.append(
             RayleighComparison(

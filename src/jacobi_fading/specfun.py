@@ -3,7 +3,8 @@
 The regularized incomplete beta function and its inverse for the integer
 parameters the channel needs, in :mod:`math` alone: ``I_x(a, b)`` is the
 binomial tail ``P(Bin(a + b - 1, x) >= a)``, and the inverse is a
-safeguarded Newton iteration in ``log x``.
+safeguarded Newton iteration in ``log x``.  ``log2_1p`` is the scalar
+``log2(1 + rho)`` that every module reads.
 """
 
 from __future__ import annotations
@@ -16,6 +17,19 @@ from .ensembles import require_integers, require_reals
 from .errors import NumericalError
 
 __all__ = ["reg_inc_beta", "inv_reg_inc_beta"]
+
+
+def log2_1p(x: float) -> float:
+    """log2(1 + x), within a few ulps as x -> 0.
+
+    Where 1 + x is exact it is ``math.log2(1 + x)``, bit for bit; where the
+    sum rounds, log2 of it would lose relative accuracy (11 % at x = 1e-15),
+    so it is ``log1p(x) / ln 2`` instead.
+    """
+    u = 1.0 + x
+    if u - 1.0 == x:
+        return math.log2(u)
+    return math.log1p(x) / math.log(2.0)
 
 
 def _log_choose(n: float, r: float) -> float:

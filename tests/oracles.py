@@ -54,9 +54,9 @@ def haar_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     """Ascending snapped spectra of cfg.trials truncated-Haar channels, shape (trials, m_min).
 
     Trial t diagonalises :func:`channel_blocks` trial t of the stream
-    ``spectra:mt,mr,m``.  ``sample_spectra`` reads the same key for its
-    uniforms, so the two share Philox words: compare this reference with
-    the model on another key.
+    ``spectra:mt,mr,m``.  The library's spectral estimators and
+    ``sample_spectra`` read ``bidiagonal:mt,mr,m`` instead, so this
+    reference and the model never share Philox words.
     """
     key = stream_key(cfg.master_seed, f"spectra:{dims.mt},{dims.mr},{dims.m}")
     return _gather(cfg, lambda lo, hi: snap_endpoints(gram_eigenvalues(channel_blocks(dims, key, lo, hi))))

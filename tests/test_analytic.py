@@ -154,11 +154,11 @@ def test_capacity_monotone_and_zero_snr():
 
 
 def test_capacity_low_snr_limit():
-    # C -> rho * m_min * E[lam] / ln 2 with E[lam] = m_max / m
-    for dims in (ChannelDims(2, 3, 6), ChannelDims(1, 2, 4), ChannelDims(3, 3, 8)):
-        rho = 1e-6
-        want = rho * dims.m_min * dims.m_max / dims.m / math.log(2)
-        assert ergodic_capacity(dims, rho) == pytest.approx(want, rel=1e-3)
+    # C -> rho * m_min * E[lam] / ln 2 with E[lam] = m_max / m, pinned modes (k > 0) included
+    for dims in (ChannelDims(2, 3, 6), ChannelDims(1, 2, 4), ChannelDims(3, 3, 8), ChannelDims(2, 2, 3)):
+        for rho in (1e-6, 1e-15):
+            want = rho * dims.m_min * dims.m_max / dims.m / math.log(2)
+            assert ergodic_capacity(dims, rho) == pytest.approx(want, rel=1e-3, abs=0.0)
 
 
 @pytest.mark.parametrize(

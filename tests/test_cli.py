@@ -58,6 +58,19 @@ def test_ergodic_analytic(tmp_path):
         assert float(row["capacity_normalized"]) >= 2.0
 
 
+def test_ergodic_normalised_capacity_low_snr_limit(tmp_path):
+    # (1,1,2) has one eigenvalue, uniform on [0, 1], so C / log2(1 + rho) =
+    # 1/2 + rho/12 + O(rho^2): the limit mt*mr/m holds where 1 + rho rounds too
+    args = ["ergodic", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db=-150,-100", "--method", "analytic"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    rows = read_rows(out)
+    assert [float(row["rho_db"]) for row in rows] == [-150.0, -100.0]
+    for row in rows:
+        rho = 10.0 ** (float(row["rho_db"]) / 10.0)
+        assert abs(float(row["capacity_normalized"]) - (0.5 + rho / 12.0)) <= 1e-12
+
+
 def test_ergodic_analytic_at_120_db(tmp_path):
     args = ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "120", "--method", "analytic"]
     code, out = run_cli(args, tmp_path)

@@ -31,4 +31,4 @@ def test_readme_quickstart_runs(capsys):
     code = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     # the seed-0 spectrum of (2,2,3): ascending, the pinned value exactly 1.0
-    assert capsys.readouterr().out.splitlines()[0] == "[0.03669554 1.        ]"
+    assert capsys.readouterr().out.splitlines()[0] == "[0.23910838 1.        ]"

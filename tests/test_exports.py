@@ -1,7 +1,8 @@
 """Every name the package and its modules export resolves, the CLI's
 import graph stays free of scipy, which only the tests need, and argument
 range checks and reads of ``ChannelDims.complement`` live in ``ensembles``
-alone, and every eigensolve is one of a named few."""
+alone, ``simulate`` keys one stream per channel shape, and every eigensolve
+is one of a named few."""
 
 import ast
 import importlib
@@ -122,6 +123,23 @@ def test_complement_is_read_in_ensembles_alone():
         if isinstance(node, ast.Attribute) and node.attr == "complement"
     ]
     assert not found, "reads of .complement outside ensembles:\n" + "\n".join(found)
+
+
+# Functions of simulate.py that may call stream_key: the bidiagonal model is
+# keyed once per channel shape, so every spectral estimator and
+# sample_spectra read one sample set; the count repetition method's noise
+# and symbols are not channel draws and keep streams of their own.
+STREAM_KEYS_ALLOWED = {"_channel_key", "mc_repetition_error"}
+
+
+def test_one_channel_stream_in_simulate():
+    path = pathlib.Path(jacobi_fading.__file__).parent / "simulate.py"
+    found = [
+        f"simulate.py:{line}: in {function}"
+        for function, line in _sites(ast.parse(path.read_text()), lambda node: _called_name(node) == "stream_key")
+        if function not in STREAM_KEYS_ALLOWED
+    ]
+    assert not found, "streams keyed outside _channel_key:\n" + "\n".join(found)
 
 
 # Every dense eigensolve in the package, by (module, function).  Spectra

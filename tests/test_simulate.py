@@ -68,7 +68,7 @@ def test_bidiagonal_model_matches_haar_spectra(mt, mr, m):
     dims = ChannelDims(mt, mr, m)
     cfg = McConfig(trials=100_000, master_seed=4, workers=2)
     haar = haar_spectra(dims, cfg)
-    model = simulate._model_spectra(dims, cfg, stream_key(4, "model-vs-haar"))
+    model = sample_spectra(dims, cfg)
     assert model.shape == haar.shape
     for i in range(dims.m_min):
         assert ks_distance(model[:, i], haar[:, i]) < 0.01
@@ -80,7 +80,7 @@ def test_bidiagonal_model_pinned_dims_draw_nothing(mt, mr, m, monkeypatch):
         raise AssertionError("an all-pinned spectrum needs no variates")
 
     monkeypatch.setattr(simulate, "uniforms", no_draw)
-    lam = simulate._model_spectra(ChannelDims(mt, mr, m), McConfig(trials=1_000), stream_key(0, "pinned"))
+    lam = sample_spectra(ChannelDims(mt, mr, m), McConfig(trials=1_000))
     assert lam.shape == (1_000, min(mt, mr))
     assert np.all(lam == 1.0)
 
@@ -147,8 +147,8 @@ def _mp_log_det(d2, e2, rho):
 @pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7)])
 def test_pivot_log_det_against_mpmath(mt, mr, m, rho):
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=100, master_seed=7)
-    got = simulate._log_det_values(dims, rho, cfg, "pivot")
-    d2, e2 = simulate._model_squares(dims, cfg, stream_key(7, f"pivot:{mt},{mr},{m}"))
+    got = simulate._log_det_values(dims, rho, cfg)
+    d2, e2 = simulate._model_squares(dims, cfg)
     want = np.array([float(_mp_log_det(d2[t], e2[t], rho)) for t in range(cfg.trials)])
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
@@ -156,9 +156,19 @@ def test_pivot_log_det_against_mpmath(mt, mr, m, rho):
 @pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7), (2, 2, 3), (1, 2, 3), (2, 2, 2)])
 def test_trace_matches_the_model_spectra(mt, mr, m):
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=5_000, master_seed=2)
-    key = stream_key(2, "trace")
-    want = np.sum(simulate._model_spectra(dims, cfg, key), axis=1)
-    assert np.max(np.abs(simulate._trace_values(dims, cfg, key) - want)) <= 1e-14 * dims.m_min
+    want = np.sum(sample_spectra(dims, cfg), axis=1)
+    assert np.max(np.abs(simulate._trace_values(dims, cfg) - want)) <= 1e-14 * dims.m_min
+
+
+@pytest.mark.parametrize("mt, mr, m", [(2, 2, 4), (2, 2, 3), (4, 4, 8), (3, 2, 7)])
+def test_sample_spectra_audits_the_estimators(mt, mr, m):
+    # one stream per channel: the capacity of the public sampler's rows is
+    # the estimator's, up to rounding, not up to Monte-Carlo noise
+    dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=20_000)
+    lam = sample_spectra(dims, cfg)
+    for rho in (1.0, 100.0, 1e6):
+        want = np.mean(np.sum(np.log2(1.0 + rho * lam), axis=1))
+        assert mc_ergodic_capacity(dims, rho, cfg).value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_non_finite_squares_raise(monkeypatch):
@@ -460,8 +470,8 @@ def test_rayleigh_compare_draws_no_channels(monkeypatch):
     rayleigh_compare(1, 4, [5, 6], 100.0, McConfig(trials=1_000, master_seed=2))
     # only the Jacobi side is sampled, one stream per m; the baseline is exact
     assert sizes == {
-        stream_key(2, "raycmp:jacobi:1,4,5"): {1},
-        stream_key(2, "raycmp:jacobi:1,4,6"): {2},
+        stream_key(2, "bidiagonal:1,4,5"): {1},
+        stream_key(2, "bidiagonal:1,4,6"): {2},
     }
 
 

@@ -175,3 +175,14 @@ def test_invalid_arguments_raise():
             fn(0.5, 1.5, 1)
         with pytest.raises(ValueError, match="b must be an integer"):
             fn(0.5, 1, True)
+
+
+def test_log2_1p_keeps_exact_sums_and_small_arguments():
+    # where 1 + x is exact (every integer SNR) it is math.log2(1 + x) bit for bit
+    for x in (0.0, 1.0, 9.0, 99.0, 1e6, 0.5, 2.0**-40):
+        assert specfun.log2_1p(x) == math.log2(1.0 + x)
+    # where the sum rounds, log2 of it is off by up to 11 %; log1p is not
+    for x in (1e-15, 1e-10, 0.1, 1.0 / 3.0, 3e-300):
+        with mp.workdps(40):
+            want = float(mp.log1p(x) / mp.log(2))
+        assert specfun.log2_1p(x) == pytest.approx(want, rel=4e-16, abs=0.0)
