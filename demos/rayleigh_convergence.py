@@ -14,7 +14,7 @@ from jacobi_fading import ChannelDims, McConfig, rayleigh_compare
 
 RHO_BAR_DB = 20.0
 cfg = McConfig(trials=100_000, master_seed=0)
-rows = rayleigh_compare(2, 2, [8, 16, 32, 64], 10 ** (RHO_BAR_DB / 10), cfg)
+rows = [rayleigh_compare(ChannelDims(2, 2, m), 10 ** (RHO_BAR_DB / 10), cfg) for m in (8, 16, 32, 64)]
 
 print(f"mt = mr = 2 at rho_bar = {RHO_BAR_DB:.0f} dB per receive mode "
       f"(Rayleigh baseline {rows[0].capacity_rayleigh:.4f} bits, exact)")

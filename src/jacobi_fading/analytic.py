@@ -270,12 +270,11 @@ def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:
     """Outage probability of a single-transmit-mode channel (mt = 1).
 
     Equals ``I_x(mr, m - mr)`` with ``x = (2^R - 1) / rho`` (and 1 whenever
-    the threshold x reaches 1).
+    the threshold x reaches 1).  Needs ``m >= mr + 1`` (k = 0).
     """
-    require_integers(mr=mr, m=m)
+    if ChannelDims(1, mr, m).k:
+        raise ValueError(f"need m >= mr + 1, got mr={mr}, m={m}")
     require_nonnegative(rate_bits=rate_bits, rho=rho)
-    if mr < 1 or m < mr + 1:
-        raise ValueError("need m >= mr + 1 >= 2")
     if rate_bits == 0.0:
         return 0.0
     if rho == 0.0:
@@ -289,16 +288,13 @@ def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:
 def rho_norm(mr: int, m: int, epsilon: float) -> float:
     """Smallest ``rho / (2^R - 1)`` supporting outage <= epsilon (mt = 1).
 
-    Linear scale.  For the lossless case ``mr = m`` the answer is exactly 1
+    Linear scale.  For the lossless case ``mr = m`` (k = 1) the answer is exactly 1
     (0 dB): the minimal power is the unfaded single-mode requirement.
     """
     require_reals(epsilon=epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    require_integers(mr=mr, m=m)
-    if mr < 1 or m < mr:
-        raise ValueError("need m >= mr >= 1")
-    if m == mr:
+    if ChannelDims(1, mr, m).k:
         return 1.0
     return 1.0 / inv_reg_inc_beta(epsilon, mr, m - mr)
 

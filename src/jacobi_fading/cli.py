@@ -116,9 +116,10 @@ class _Output(NamedTuple):
         return buf.getvalue()
 
 
-def _dims_from_args(args) -> ChannelDims:
+def _dims_from_args(args, m: int | None = None) -> ChannelDims:
+    """``ChannelDims(args.mt, args.mr, m)``, ``m`` defaulting to ``args.m``."""
     try:
-        return ChannelDims(args.mt, args.mr, args.m)
+        return ChannelDims(args.mt, args.mr, args.m if m is None else m)
     except ValueError as exc:
         raise ValueError(f"invalid mode counts: {exc}") from exc
 
@@ -258,13 +259,12 @@ def _cmd_feedback(args) -> _Output:
 
 def _cmd_rayleigh(args) -> _Output:
     cfg = _mc_config(args)
-    m_list = _parse_int_list(args.m)
+    channels = [_dims_from_args(args, m) for m in _parse_int_list(args.m)]
     rows = []
     for rho_bar_db in _parse_grid(args.rho_bar_db):
-        table = simulate.rayleigh_compare(
-            args.mt, args.mr, m_list, _db_to_linear(rho_bar_db), cfg
-        )
-        for row in table:
+        rho_bar = _db_to_linear(rho_bar_db)
+        for dims in channels:
+            row = simulate.rayleigh_compare(dims, rho_bar, cfg)
             rows.append(
                 [
                     row.m,
@@ -382,8 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_feedback)
 
     p = sub.add_parser("rayleigh", help="compare against the i.i.d. Rayleigh baseline on a shared received-SNR axis")
-    p.add_argument("--mt", type=int, required=True)
-    p.add_argument("--mr", type=int, required=True)
+    p.add_argument("--mt", type=int, required=True, help="transmit modes")
+    p.add_argument("--mr", type=int, required=True, help="receive modes")
     p.add_argument("--m", required=True, help="total-mode list, every entry >= mt+mr")
     p.add_argument("--rho-bar-db", required=True, help="average received SNR per mode, dB grid")
     _add_mc(p)

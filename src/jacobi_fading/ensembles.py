@@ -13,8 +13,10 @@ Spectra come from the bidiagonal model, channels from
 dimensions, the phase-fixed QR and the endpoint rule they share, a batched
 check of the pinned structure on full Haar unitaries, the argument
 contract of every public entry point (``require_integers``,
-``require_integer_list``, ``require_reals``, ``require_nonnegative``,
-``require_positive``) and the one pinned-eigenvalue tolerance, ``UNIT_TOL``.
+``require_reals``, ``require_nonnegative``, ``require_positive``) and the
+one pinned-eigenvalue tolerance, ``UNIT_TOL``.  Mode counts are checked
+by :class:`ChannelDims` alone: every entry point that takes (mt, mr, m),
+whole or in part, builds one.
 """
 
 from __future__ import annotations
@@ -58,20 +60,6 @@ def require_reals(**values) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def require_integer_list(name: str, values, item: str) -> list:
-    """Iterable ``values`` as a non-empty list of integers; else ValueError naming ``name``."""
-    try:
-        out = list(values)
-    except TypeError:
-        raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
-    if not out:
-        raise ValueError(f"{name} must name at least one {item}")
-    for value in out:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} entries must be integers, got {value!r}")
-    return out
 
 
 def require_nonnegative(**values) -> None:

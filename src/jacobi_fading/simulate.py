@@ -54,7 +54,7 @@ import numpy as np
 
 from . import analytic
 from .ensembles import (
-    ChannelDims, phase_fixed_qr, require_integer_list, require_integers,
+    ChannelDims, phase_fixed_qr, require_integers,
     require_nonnegative, require_positive, snap_endpoints,
 )
 from .errors import NumericalError
@@ -517,12 +517,9 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     The scheme's equivalent scalar channel has gain ||H11||_F^2, so outage
     is the probability that ``log2(1 + ||H11||_F^2 rho) < r log2(rho)``.
     """
-    require_integers(m=m)
-    if m < 2:
-        raise ValueError("m must be >= 2 (the scheme addresses 2x2 modes)")
+    dims = ChannelDims(2, 2, m)
     require_positive(rho=rho)
     require_nonnegative(r=r)
-    dims = ChannelDims(2, 2, m)
     threshold = r * math.log2(rho)
     gain = _trace_values(dims, cfg)  # ||H11||_F^2
     return _estimate((np.log2(1.0 + rho * gain) < threshold).astype(float), cfg)
@@ -580,45 +577,31 @@ class RayleighComparison:
     frobenius_expected: float
 
 
-def rayleigh_compare(
-    mt: int, mr: int, m_list, rho_bar: float, cfg: McConfig
-) -> list[RayleighComparison]:
+def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> RayleighComparison:
     """Compare the truncated-unitary channel against the Rayleigh baseline.
 
     ``rho_bar`` is the average SNR per receive mode, the common axis of the
     comparison.  For the truncated-unitary channel the per-mode SNR is
     ``rho = rho_bar * m / mt`` (exact, since E||H11||_F^2 = mt*mr/m by Haar
     symmetry); the baseline is an i.i.d. CN(0,1) channel driven at
-    ``rho_bar / mt`` per antenna.  Each row reports both exact capacities
+    ``rho_bar / mt`` per antenna.  The row reports both exact capacities
     and the KS distance from the sampled m-scaled spectrum to the exact law
-    of the min(mt, mr) nonzero Wishart eigenvalues it converges to.
+    of the min(mt, mr) nonzero Wishart eigenvalues it converges to, which
+    needs ``m >= mt + mr`` (k = 0).
     """
-    require_integers(mt=mt, mr=mr)
-    if min(mt, mr) < 1:
-        raise ValueError(f"need mt >= 1 and mr >= 1, got mt={mt}, mr={mr}")
+    if dims.k:
+        raise ValueError(f"the comparison needs m >= mt + mr, got mt={dims.mt}, mr={dims.mr}, m={dims.m}")
     require_positive(rho_bar=rho_bar)
-    m_list = require_integer_list("m_list", m_list, "m")
-    for m in m_list:
-        if m < mt + mr:
-            raise ValueError(f"every m in m_list must satisfy m >= mt + mr, got m={m}")
-    n, alpha = min(mt, mr), abs(mt - mr)
-    cap_ray = analytic._laguerre_capacity(n, alpha, rho_bar / mt)
-    rows = []
-    for m in m_list:
-        dims = ChannelDims(mt, mr, m)
-        rho = rho_bar * m / mt
-        lam = sample_spectra(dims, cfg)
-        ks = ks_distance_to_cdf(m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x))
-        rows.append(
-            RayleighComparison(
-                m=m,
-                rho_bar=rho_bar,
-                rho_per_mode=rho,
-                capacity_jacobi=analytic.ergodic_capacity(dims, rho),
-                capacity_rayleigh=cap_ray,
-                ks_scaled_vs_wishart=ks,
-                frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
-                frobenius_expected=mt * mr / m,
-            )
-        )
-    return rows
+    n, alpha = dims.m_min, dims.alpha
+    rho = rho_bar * dims.m / dims.mt
+    lam = sample_spectra(dims, cfg)
+    return RayleighComparison(
+        m=dims.m,
+        rho_bar=rho_bar,
+        rho_per_mode=rho,
+        capacity_jacobi=analytic.ergodic_capacity(dims, rho),
+        capacity_rayleigh=analytic._laguerre_capacity(n, alpha, rho_bar / dims.mt),
+        ks_scaled_vs_wishart=ks_distance_to_cdf(dims.m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x)),
+        frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
+        frobenius_expected=dims.mt * dims.mr / dims.m,
+    )

@@ -247,7 +247,7 @@ def test_criterion_09_rayleigh_convergence():
     is expected to fail on the mathematics of the model itself.
     """
     cfg = McConfig(trials=100_000)
-    rows = rayleigh_compare(2, 2, [8, 16, 32, 64], 100.0, cfg)
+    rows = [rayleigh_compare(ChannelDims(2, 2, m), 100.0, cfg) for m in (8, 16, 32, 64)]
     for row in rows:
         rel = abs(row.frobenius_mean - row.frobenius_expected) / row.frobenius_expected
         assert rel < 0.01, (row.m, row.frobenius_mean, row.frobenius_expected)

@@ -365,8 +365,8 @@ def test_outage_single_mode_monotonicity():
 
 
 def test_outage_single_mode_validation():
-    with pytest.raises(ValueError):
-        outage_single_mode(2, 2, 1.0, 10.0)  # needs m >= mr + 1
+    with pytest.raises(ValueError, match="need m >= mr \\+ 1"):
+        outage_single_mode(2, 2, 1.0, 10.0)  # k = 1
 
 
 @pytest.mark.parametrize(
@@ -389,6 +389,11 @@ def test_outage_single_mode_validation():
         (lambda: rho_norm(True, 3, 0.1), "mr must be an integer"),
         (lambda: rho_norm(2, 4.0, 0.1), "m must be an integer"),
         (lambda: rho_norm(2, "4", 0.1), "m must be an integer"),
+        (lambda: rho_norm(5, 4, 0.1), "need 1 <= mr <= m"),
+        (lambda: outage_single_mode(0, 3, 1.0, 10.0), "need 1 <= mr <= m"),
+        (lambda: analytic.graded_integral(lambda lam: lam, 0.0, 2), "need edge > 0 and ratio > 1"),
+        (lambda: analytic.graded_integral(lambda lam: lam, 0.5, 2, ratio=1.0), "need edge > 0 and ratio > 1"),
+        (lambda: specfun.reg_inc_beta(0.5, 0, 3), "a and b must be >= 1"),
     ],
 )
 def test_closed_forms_reject_non_finite_arguments(call, message):
@@ -408,7 +413,7 @@ REAL_ARGUMENTS = [
     ("rho", lambda v: mc_alamouti_outage(4, v, 0.5, _CFG)),
     ("rho", lambda v: SchemeConfig(ChannelDims(2, 2, 3), rho=v)),
     ("epsilon", lambda v: rho_norm(2, 4, v)),
-    ("rho_bar", lambda v: rayleigh_compare(2, 2, [8], v, _CFG)),
+    ("rho_bar", lambda v: rayleigh_compare(ChannelDims(2, 2, 8), v, _CFG)),
     ("r", lambda v: outage_rate_reduction(ChannelDims(2, 2, 3), v)),
     ("r", lambda v: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(v)),
     ("x", lambda v: specfun.reg_inc_beta(v, 2, 3)),

@@ -10,6 +10,7 @@ import pytest
 from jacobi_fading import __version__, analytic, cli, simulate
 from jacobi_fading.cli import _parse_grid, main
 from jacobi_fading.ensembles import ChannelDims
+from jacobi_fading.specfun import log2_1p
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -32,6 +33,8 @@ def test_grid_parsing():
         _parse_grid("0:10:-1")
     with pytest.raises(ValueError):
         _parse_grid("0:10")
+    with pytest.raises(ValueError, match="grid stop must be >= start"):
+        _parse_grid("30:0:5")
     for text in ("0:inf:1", "nan:1:1", "0:1e300:1e-300"):
         with pytest.raises(ValueError, match=f"grid '{text}'"):
             _parse_grid(text)
@@ -103,6 +106,20 @@ def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch):
     code, out = run_cli(args, tmp_path)
     assert code == 1
     assert "numerical failure:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_estimate_exits_1(tmp_path, capsys, monkeypatch):
+    # the table refuses a non-finite value rather than write it
+    monkeypatch.setattr(
+        simulate,
+        "mc_ergodic_capacity",
+        lambda dims, rho, cfg: simulate.McEstimate(math.nan, math.nan, cfg.trials, cfg.master_seed),
+    )
+    args = ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10", "--method", "mc", "--trials", "100"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 1
+    assert "numerical failure: refusing to serialize a non-finite value" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -268,6 +285,10 @@ def test_bad_rate_exits_2(tmp_path, capsys, args):
         ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "-inf:0:1"],
         ["outage", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10", "--r", "0:1e300:1e-300"],
         ["rho-norm", "--m", "4", "--mr", "1:inf:1", "--epsilon", "1e-3"],
+        ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "30:0:5"],
+        ["rayleigh", "--mt", "0", "--mr", "2", "--m", "8", "--rho-bar-db", "20"],
+        ["rayleigh", "--mt", "2", "--mr", "2", "--m", "3", "--rho-bar-db", "20"],
+        ["alamouti", "--m", "1", "--r", "0.5", "--rho-db", "10"],
     ],
 )
 def test_bad_grid_or_mode_list_exits_2(tmp_path, capsys, args):
@@ -295,6 +316,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys, extra, target):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_outage_rate_bits_grid(tmp_path):
+    # absolute rates: r = R / log2(1 + rho), and each row is mc_outage at that R
+    rates = [2.0, 5.0, 8.0]
+    args = ["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "10",
+            "--rate-bits", ",".join(map(str, rates)), "--trials", "5000", "--seed", "3"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    rows = read_rows(out)
+    assert len(rows) == len(rates)
+    dims, rho, cfg = ChannelDims(2, 2, 3), 10.0, simulate.McConfig(trials=5000, master_seed=3)
+    for row, rate in zip(rows, rates):
+        est = simulate.mc_outage(dims, rho, cfg, rate_bits=rate)
+        assert row["r"] == repr(rate / log2_1p(rho))
+        assert (float(row["outage"]), float(row["stderr"])) == (est.value, est.stderr)
+    assert float(rows[0]["outage"]) == 0.0 < float(rows[-1]["outage"])  # below and above k log2(1 + rho)
 
 
 def test_rayleigh_table(tmp_path):

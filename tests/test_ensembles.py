@@ -83,6 +83,14 @@ def test_dims_validation():
         ChannelDims(3, 1, 2)
     with pytest.raises(ValueError):
         ChannelDims(1, 5, 4)
+    with pytest.raises(ValueError, match="need 1 <= mt <= m"):
+        ChannelDims(0, 2, 8)
+    with pytest.raises(ValueError, match="need 1 <= mr <= m"):
+        ChannelDims(2, -1, 8)
+    with pytest.raises(ValueError, match="mr must be an integer"):
+        ChannelDims(2, "a", 8)
+    with pytest.raises(ValueError, match="mt must be an integer"):
+        ChannelDims(1.5, 2, 8)
 
 
 def test_haar_unitary_unitarity_and_scalar_case():

@@ -1,8 +1,8 @@
 """Every name the package and its modules export resolves, the CLI's
 import graph stays free of scipy, which only the tests need, and argument
-range checks and reads of ``ChannelDims.complement`` live in ``ensembles``
-alone, ``simulate`` keys one stream per channel shape, and every eigensolve
-is one of a named few."""
+range checks, mode-count checks and reads of ``ChannelDims.complement``
+live in ``ensembles`` alone, ``simulate`` keys one stream per channel shape,
+and every eigensolve is one of a named few."""
 
 import ast
 import importlib
@@ -123,6 +123,30 @@ def test_complement_is_read_in_ensembles_alone():
         if isinstance(node, ast.Attribute) and node.attr == "complement"
     ]
     assert not found, "reads of .complement outside ensembles:\n" + "\n".join(found)
+
+
+MODE_COUNTS = {"mt", "mr", "m"}
+
+
+def _checks_mode_counts(node):
+    """A require_integer_list call, or a require_integers call with an mt, mr or m keyword."""
+    name = _called_name(node)
+    return name == "require_integer_list" or (
+        name == "require_integers" and any(kw.arg in MODE_COUNTS for kw in node.keywords)
+    )
+
+
+def test_mode_counts_are_checked_by_channel_dims():
+    # mt, mr and m are validated in one place, ChannelDims; an entry point
+    # that takes mode counts builds one instead of checking them itself
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    found = [
+        f"{path.name}:{line}: in {function}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "ensembles.py"
+        for function, line in _sites(ast.parse(path.read_text()), _checks_mode_counts)
+    ]
+    assert not found, "mode counts checked outside ChannelDims:\n" + "\n".join(found)
 
 
 # Functions of simulate.py that may call stream_key: the bidiagonal model is

@@ -115,6 +115,7 @@ def test_scheme_config_validation():
         {"master_seed": True},
         {"master_seed": "3"},
         {"dims": (2, 2, 3)},
+        {"delay": 0},
     ],
 )
 def test_scheme_config_rejects_non_finite_snr_and_non_integer_counts(bad):

@@ -31,6 +31,7 @@ from jacobi_fading.simulate import (
 from oracles import haar_spectra, ks_distance
 
 DIMS_224 = ChannelDims(2, 2, 4)
+DIMS_228 = ChannelDims(2, 2, 8)
 
 
 def test_reproducibility_same_seed():
@@ -467,7 +468,8 @@ def test_rayleigh_compare_draws_no_channels(monkeypatch):
 
     monkeypatch.setattr(simulate, "uniforms", counting)
     monkeypatch.setattr(simulate, "complex_normals", no_channels)
-    rayleigh_compare(1, 4, [5, 6], 100.0, McConfig(trials=1_000, master_seed=2))
+    for m in (5, 6):
+        rayleigh_compare(ChannelDims(1, 4, m), 100.0, McConfig(trials=1_000, master_seed=2))
     # only the Jacobi side is sampled, one stream per m; the baseline is exact
     assert sizes == {
         stream_key(2, "bidiagonal:1,4,5"): {1},
@@ -485,11 +487,12 @@ def test_rayleigh_grid_draws_each_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(simulate, "_tridiagonal_spectra", counting)
     cfg = McConfig(trials=2_000)
+    grid = [(ChannelDims(2, 2, m), rho_bar) for rho_bar in (10.0, 100.0) for m in (5, 8)]
     with simulate._shared_draws():
         # the sample sets do not depend on rho_bar, so a grid reuses them
-        inside = [rayleigh_compare(2, 2, [5, 8], rho_bar, cfg) for rho_bar in (10.0, 100.0)]
+        inside = [rayleigh_compare(dims, rho_bar, cfg) for dims, rho_bar in grid]
         assert len(solves) == 2
-    outside = [rayleigh_compare(2, 2, [5, 8], rho_bar, cfg) for rho_bar in (10.0, 100.0)]
+    outside = [rayleigh_compare(dims, rho_bar, cfg) for dims, rho_bar in grid]
     assert len(solves) == 2 + 4
     assert inside == outside
 
@@ -498,7 +501,8 @@ def test_rayleigh_grid_draws_each_spectrum_once(monkeypatch):
 def test_rayleigh_ks_falls_when_mt_differs_from_mr(mt, mr):
     # the m-scaled spectrum meets the exact marginal of the min(mt, mr)
     # nonzero Wishart eigenvalues, with no zero eigenvalues in the way
-    rows = rayleigh_compare(mt, mr, [8, 16, 32, 64], 100.0, McConfig(trials=100_000))
+    cfg = McConfig(trials=100_000)
+    rows = [rayleigh_compare(ChannelDims(mt, mr, m), 100.0, cfg) for m in (8, 16, 32, 64)]
     ks = [row.ks_scaled_vs_wishart for row in rows]
     assert all(a > b for a, b in zip(ks, ks[1:])), ks
     assert ks[-1] < 0.02, ks
@@ -536,22 +540,16 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         (lambda: ks_distance_to_cdf([0.1, -math.inf], lambda x: x), "sample must be a non-empty sample"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: 5 + x), "cdf must return finite values in"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: x * math.nan), "cdf must return finite values in"),
-        (lambda: rayleigh_compare(0, 2, [8], 100.0, McConfig(trials=10)), "need mt >= 1 and mr >= 1"),
-        (lambda: rayleigh_compare(2, -1, [8], 100.0, McConfig(trials=10)), "need mt >= 1 and mr >= 1"),
-        (lambda: rayleigh_compare(2, "a", [8], 100.0, McConfig(trials=10)), "mr must be an integer"),
-        (lambda: rayleigh_compare(1.5, 2, [8], 100.0, McConfig(trials=10)), "mt must be an integer"),
-        (lambda: rayleigh_compare(2, 2, [8], math.nan, McConfig(trials=10)), "rho_bar must be finite and > 0"),
-        (lambda: rayleigh_compare(2, 2, [8], math.inf, McConfig(trials=10)), "rho_bar must be finite and > 0"),
-        (lambda: rayleigh_compare(2, 2, [8], 0.0, McConfig(trials=10)), "rho_bar must be finite and > 0"),
-        (lambda: rayleigh_compare(2, 2, [8.7], 100.0, McConfig(trials=10)), "m_list entries must be integers"),
-        (lambda: rayleigh_compare(2, 2, [8, True], 100.0, McConfig(trials=10)), "m_list entries must be integers"),
-        (lambda: rayleigh_compare(2, 2, [], 100.0, McConfig(trials=10)), "m_list must name at least one m"),
-        (lambda: rayleigh_compare(2, 2, [8, 3], 100.0, McConfig(trials=10)), "every m in m_list must satisfy"),
+        (lambda: rayleigh_compare(DIMS_228, math.nan, McConfig(trials=10)), "rho_bar must be finite and > 0"),
+        (lambda: rayleigh_compare(DIMS_228, math.inf, McConfig(trials=10)), "rho_bar must be finite and > 0"),
+        (lambda: rayleigh_compare(DIMS_228, 0.0, McConfig(trials=10)), "rho_bar must be finite and > 0"),
         (lambda: mc_alamouti_outage("4", 100.0, 0.5, McConfig(trials=10)), "m must be an integer"),
         (lambda: mc_alamouti_outage(True, 100.0, 0.5, McConfig(trials=10)), "m must be an integer"),
         (lambda: estimate_diversity_slope([("10", 0.1), (2.0, 0.05), (3.0, 0.01)]), "points\\[0\\] rho must be a real"),
         (lambda: estimate_diversity_slope([(True, 0.1), (2.0, 0.05), (3.0, 0.01)]), "points\\[0\\] rho must be a real"),
-        (lambda: rayleigh_compare(2, 2, 8, 100.0, McConfig(trials=10)), "m_list must be a sequence of integers"),
+        (lambda: rayleigh_compare(ChannelDims(2, 2, 3), 100.0, McConfig(trials=10)), "the comparison needs m >= mt \\+ mr"),
+        (lambda: mc_alamouti_outage(1, 100.0, 0.5, McConfig(trials=10)), "need 1 <= mt <= m"),
+        (lambda: mc_repetition_error(DIMS_224, 10.0, McConfig(trials=10), method="bogus"), "method must be 'conditional' or 'count'"),
     ],
 )
 def test_bad_samples_and_sizes_name_the_argument(call, message):
@@ -561,7 +559,7 @@ def test_bad_samples_and_sizes_name_the_argument(call, message):
 
 def test_rayleigh_compare_structure():
     cfg = McConfig(trials=20_000)
-    rows = rayleigh_compare(2, 2, [8, 32], 100.0, cfg)
+    rows = [rayleigh_compare(ChannelDims(2, 2, m), 100.0, cfg) for m in (8, 32)]
     assert [r.m for r in rows] == [8, 32]
     for row in rows:
         assert row.rho_per_mode == pytest.approx(100.0 * row.m / 2)
@@ -570,7 +568,7 @@ def test_rayleigh_compare_structure():
     # randomness effect shrinks with m
     assert rows[1].ks_scaled_vs_wishart < rows[0].ks_scaled_vs_wishart
     with pytest.raises(ValueError):
-        rayleigh_compare(2, 2, [3], 100.0, cfg)
+        rayleigh_compare(ChannelDims(2, 2, 3), 100.0, cfg)
 
 
 def test_mc_config_validation():
