@@ -540,6 +540,21 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         (lambda: ks_distance_to_cdf([0.1, -math.inf], lambda x: x), "sample must be a non-empty sample"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: 5 + x), "cdf must return finite values in"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: x * math.nan), "cdf must return finite values in"),
+        # a channel with too few modes is refused by ChannelDims before rayleigh_compare
+        # runs; these two ids keep the names the rows had when rayleigh_compare
+        # checked mt >= 1 and mr >= 1 itself
+        pytest.param(
+            lambda: rayleigh_compare(ChannelDims(0, 2, 8), 100.0, McConfig(trials=10)),
+            "need 1 <= mt <= m",
+            id="<lambda>-need mt >= 1 and mr >= 1_0",
+        ),
+        pytest.param(
+            lambda: rayleigh_compare(ChannelDims(2, -1, 8), 100.0, McConfig(trials=10)),
+            "need 1 <= mr <= m",
+            id="<lambda>-need mt >= 1 and mr >= 1_1",
+        ),
+        (lambda: rayleigh_compare(ChannelDims(2, "a", 8), 100.0, McConfig(trials=10)), "mr must be an integer"),
+        (lambda: rayleigh_compare(ChannelDims(1.5, 2, 8), 100.0, McConfig(trials=10)), "mt must be an integer"),
         (lambda: rayleigh_compare(DIMS_228, math.nan, McConfig(trials=10)), "rho_bar must be finite and > 0"),
         (lambda: rayleigh_compare(DIMS_228, math.inf, McConfig(trials=10)), "rho_bar must be finite and > 0"),
         (lambda: rayleigh_compare(DIMS_228, 0.0, McConfig(trials=10)), "rho_bar must be finite and > 0"),
