@@ -260,6 +260,8 @@ def _cmd_feedback(args) -> _Output:
 def _cmd_rayleigh(args) -> _Output:
     cfg = _mc_config(args)
     channels = [_dims_from_args(args, m) for m in _parse_int_list(args.m)]
+    for dims in channels:  # every m is checked before any is sampled
+        simulate._check_comparable(dims)
     rows = []
     for rho_bar_db in _parse_grid(args.rho_bar_db):
         rho_bar = _db_to_linear(rho_bar_db)

@@ -41,6 +41,14 @@ scheme and, as whole Haar unitaries, for
 :func:`~jacobi_fading.ensembles.verify_pinned_spectrum`: the first
 ``m_min`` columns of a Haar unitary are a uniformly distributed isometry,
 obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
+
+Each sample set lives in one preallocated, variate-major buffer: the
+squares of B in a (2n-1, trials) array, spectra in an (m_min, trials) one,
+handed out as transposed (trials, ...) views.  Every chunk of trials fills
+its own slice in place, pool threads fill disjoint slices, and every stage
+reads contiguous rows.  A Beta variate's log terms are summed row by row in
+the order of numpy's pairwise reduction (:func:`_group_sum`), so the
+buffer holds the bits a trial-major ``np.add.reduceat`` would give.
 """
 
 from __future__ import annotations
@@ -115,20 +123,24 @@ class McEstimate:
     seed: int
 
 
-def _gather(cfg: McConfig, chunk_fn):
-    """Evaluate chunk_fn(lo, hi) over the fixed chunk grid, threaded if asked.
-
-    chunk_fn returns an array, or a tuple of arrays that are joined
-    componentwise.
-    """
+def _map_chunks(cfg: McConfig, chunk_fn) -> list:
+    """[chunk_fn(lo, hi) for each span of the fixed chunk grid], in order, threaded if asked."""
     spans = [(lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)]
     if cfg.workers > 1 and len(spans) > 1:
         from concurrent.futures import ThreadPoolExecutor  # its import cost is paid only here
 
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(lambda span: chunk_fn(*span), spans))
-    else:
-        parts = [chunk_fn(lo, hi) for lo, hi in spans]
+            return list(pool.map(lambda span: chunk_fn(*span), spans))
+    return [chunk_fn(lo, hi) for lo, hi in spans]
+
+
+def _gather(cfg: McConfig, chunk_fn):
+    """:func:`_map_chunks`'s results joined along trials.
+
+    chunk_fn returns an array, or a tuple of arrays that are joined
+    componentwise.
+    """
+    parts = _map_chunks(cfg, chunk_fn)
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
     return np.concatenate(parts, axis=0)
@@ -186,54 +198,107 @@ def channel_blocks(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
     return top if dims.mt <= dims.mr else top.conj().swapaxes(1, 2)
 
 
-def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Beta(p_j, q_j) variates x and 1 - x from uniforms, each of shape (trials, len(p)).
+def _pairwise_sum(rows: np.ndarray) -> None:
+    """Leave numpy's pairwise sum of ``rows`` (its float64 reduce order) in rows[0], in place.
 
-    For integers r = min(p, q) and s = max(p, q), the product of
-    U_i^(1/(s+i)) over i < r is Beta(s, r): if X ~ Beta(a, b) and
-    Y ~ Beta(a+b, c) are independent then XY ~ Beta(a, b+c) (Devroye,
-    Non-Uniform Random Variate Generation, 1986, ch. IX), and U^(1/s) is
-    Beta(s, 1).  Beta(p, q) is that product when p >= q and one minus it
-    otherwise.  Variate j reads the next r_j columns of ``u``; with
-    L = sum log(U_i)/(s+i), the pair is exp(L) and -expm1(L), so neither
-    side loses accuracy to cancellation.
+    Fewer than 8 rows are added in sequence.  Up to 128 go to 8
+    accumulators, 8 rows at a time, which are combined as
+    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) before the rest are
+    added in sequence.  More are split at n//2 rounded down to a multiple
+    of 8, and the halves summed so.  Every step adds whole rows, so a
+    column's sum has the bits ``np.add.reduce`` gives it.
+    """
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_sum(rows[:half])
+        _pairwise_sum(rows[half:])
+        rows[0] += rows[half]
+        return
+    rest = 1
+    if n >= 8:
+        rest = n - n % 8
+        for i in range(8, rest, 8):
+            rows[:8] += rows[i:i + 8]
+        rows[0:8:2] += rows[1:8:2]
+        rows[0:8:4] += rows[2:8:4]
+        rows[0] += rows[4]
+    for i in range(rest, n):
+        rows[0] += rows[i]
+
+
+def _group_sum(rows: np.ndarray) -> None:
+    """rows[0] + numpy's pairwise sum of the other rows, in rows[0]: ``np.add.reduceat``'s order."""
+    if len(rows) > 1:
+        _pairwise_sum(rows[1:])
+        rows[0] += rows[1]
+
+
+def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Beta(p_j, q_j) variates from uniforms ``u``: x_j into row j of ``x``, 1 - x_j returned.
+
+    ``u`` has shape (trials, sum r_j); ``x`` and the returned array have
+    shape (len(p), trials), variate-major.  For integers r = min(p, q) and
+    s = max(p, q), the product of U_i^(1/(s+i)) over i < r is Beta(s, r):
+    if X ~ Beta(a, b) and Y ~ Beta(a+b, c) are independent then
+    XY ~ Beta(a, b+c) (Devroye, Non-Uniform Random Variate Generation,
+    1986, ch. IX), and U^(1/s) is Beta(s, 1).  Beta(p, q) is that product
+    when p >= q and one minus it otherwise.  Variate j reads the next r_j
+    columns of ``u``; with L = sum log(U_i)/(s+i), the pair is exp(L) and
+    -expm1(L), so neither side loses accuracy to cancellation.
+
+    The terms log(U_i)/(s+i) are laid out variate-major in one scratch
+    array, and L is summed in place as the first term plus numpy's pairwise
+    sum of the rest (:func:`_group_sum`), the order of ``np.add.reduceat``,
+    so the variates have the bits of that reduction.  The returned 1 - x
+    rows reuse that scratch array: row j is free once variate j is read,
+    since variate j's terms start at row j or later.
     """
     r, s = np.minimum(p, q), np.maximum(p, q)
     starts = np.cumsum(r) - r
     divisor = np.repeat(s - starts, r) + np.arange(r.sum())
-    log_x = np.add.reduceat(np.log(u) / divisor, starts, axis=1)
-    big, small = np.exp(log_x), -np.expm1(log_x)
-    flip = p < q
-    return np.where(flip, small, big), np.where(flip, big, small)
+    terms = np.log(u.T, out=np.empty(u.T.shape))
+    terms /= divisor[:, None]
+    for j, (start, count) in enumerate(zip(starts, r)):
+        log_x = terms[start]
+        _group_sum(terms[start:start + count])
+        # x's row first: log_x may be row j itself, which then takes 1 - x
+        if p[j] < q[j]:
+            np.negative(np.expm1(log_x, out=x[j]), out=x[j])
+            np.exp(log_x, out=terms[j])
+        else:
+            np.exp(log_x, out=x[j])
+            np.negative(np.expm1(log_x, out=terms[j]), out=terms[j])
+    return terms[: len(p)]
 
 
-def _bidiagonal_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared entries of the bidiagonal model of ``dims.interior`` for trials [lo, hi).
+def _bidiagonal_chunk(dims: ChannelDims, key, lo: int, hi: int, out: np.ndarray) -> None:
+    """Squared entries of the bidiagonal model of ``dims.interior`` for trials [lo, hi), into ``out``.
 
-    With (n, a, b) its (m_min, alpha, beta), returns d^2, shape (hi-lo, n),
-    and e^2, shape (hi-lo, n-1): the squared diagonal and superdiagonal of
-    an upper-bidiagonal B whose B^T B has the J(n; a, b) spectrum.  The k
-    pinned eigenvalues are left to the caller; with no interior both arrays
-    have no columns.  Trial t reads n^2 + n*min(a, b) uniforms, turned into
-    Beta variates as products of uniform powers (:func:`_beta_variates`):
-    c_j^2 ~ Beta(a+j, b+j) for j = n..1, then c'_j^2 ~ Beta(j, a+b+1+j) for
-    j = n-1..1.  B has diagonal c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1 and
-    superdiagonal -s_n c'_{n-1}, ..., -s_2 c'_1, with s^2 = 1 - c^2; the
-    squares are products of the variates, so no square root is taken.  The
-    estimators reduce log det and trace straight from these squares; only
-    spectrum outputs go on to an eigensolve (:func:`_tridiagonal_spectra`).
+    With (n, a, b) its (m_min, alpha, beta), ``out`` has shape
+    (2n-1, hi-lo): rows 0..n-1 take d^2 and rows n..2n-2 take e^2, the
+    squared diagonal and superdiagonal of an upper-bidiagonal B whose B^T B
+    has the J(n; a, b) spectrum.  The k pinned eigenvalues are left to the
+    caller; with no interior ``out`` has no rows.  Trial t reads
+    n^2 + n*min(a, b) uniforms, turned into Beta variates as products of
+    uniform powers (:func:`_beta_variates`): c_j^2 ~ Beta(a+j, b+j) for
+    j = n..1, then c'_j^2 ~ Beta(j, a+b+1+j) for j = n-1..1.  B has
+    diagonal c_n, c_{n-1} s'_{n-1}, ..., c_1 s'_1 and superdiagonal
+    -s_n c'_{n-1}, ..., -s_2 c'_1, with s^2 = 1 - c^2; the squares are
+    products of the variates, so no square root is taken.  The estimators
+    reduce log det and trace straight from these squares; only spectrum
+    outputs go on to an eigensolve (:func:`_tridiagonal_spectra`).
     """
     core = dims.interior
     if core is None:
-        return np.zeros((hi - lo, 0)), np.zeros((hi - lo, 0))
+        return
     n, a, b = core.m_min, core.alpha, core.beta
     j = np.arange(n, 0, -1)
     p = np.concatenate([a + j, j[1:]])
     q = np.concatenate([b + j, a + b + 1 + j[1:]])
-    x, y = _beta_variates(p, q, uniforms(key, lo, hi, n * n + n * min(a, b)))
-    x[:, 1:n] *= y[:, n:]  # d^2: c_n^2, then c_j^2 s'_j^2
-    x[:, n:] *= y[:, : n - 1]  # e^2: c'_j^2 s_{j+1}^2
-    return x[:, :n], x[:, n:]
+    y = _beta_variates(p, q, uniforms(key, lo, hi, n * n + n * min(a, b)), out)
+    out[1:n] *= y[n:]  # d^2: c_n^2, then c_j^2 s'_j^2
+    out[n:] *= y[: n - 1]  # e^2: c'_j^2 s_{j+1}^2
 
 
 def _channel_key(dims: ChannelDims, cfg: McConfig):
@@ -242,30 +307,43 @@ def _channel_key(dims: ChannelDims, cfg: McConfig):
 
 
 def _model_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(d^2, e^2) of :func:`_bidiagonal_chunk` for cfg.trials channels, drawn once per sample set."""
+    """(d^2, e^2) of :func:`_bidiagonal_chunk` for cfg.trials channels, drawn once per sample set.
+
+    Shapes (trials, n) and (trials, n-1): transposed views of one
+    (2n-1, trials) buffer whose chunks are filled in place, so each
+    column is contiguous.
+    """
     key = _channel_key(dims, cfg)
-    return _drawn(
-        ("squares", key, dims, cfg.trials),
-        lambda: _gather(cfg, lambda lo, hi: _bidiagonal_chunk(dims, key, lo, hi)),
-    )
+    n = dims.m_min - dims.k  # unpinned modes
+
+    def draw():
+        squares = np.empty((max(2 * n - 1, 0), cfg.trials))
+        _map_chunks(cfg, lambda lo, hi: _bidiagonal_chunk(dims, key, lo, hi, squares[:, lo:hi]))
+        return squares[:n].T, squares[n:].T
+
+    return _drawn(("squares", key, dims, cfg.trials), draw)
 
 
 def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of B^T B from B's squared diagonal and superdiagonal."""
-    trials, n = d2.shape
+    """Ascending eigenvalues of B^T B from B's squared diagonal and superdiagonal.
+
+    Variate-major: d2 has shape (n, trials), e2 (n-1, trials), and the
+    result (n, trials), smallest first.
+    """
+    n, trials = d2.shape
     if n <= 1:
         return d2  # the variate itself
     if n == 2:
-        p, r = d2[:, 0], e2[:, 0] + d2[:, 1]
-        lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.sqrt(d2[:, 0] * e2[:, 0]))
+        p, r = d2[0], e2[0] + d2[1]
+        lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.sqrt(d2[0] * e2[0]))
         # det / lam_max keeps the small eigenvalue's relative accuracy
-        return np.stack((d2[:, 0] * d2[:, 1] / lam_max, lam_max), axis=1)
+        return np.stack((d2[0] * d2[1] / lam_max, lam_max))
     gram = np.zeros((trials, n, n))  # B^T B, symmetric tridiagonal
     i = np.arange(n)
-    gram[:, i, i] = d2
-    gram[:, i[1:], i[1:]] += e2
-    gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
-    return np.linalg.eigvalsh(gram)
+    gram[:, i, i] = d2.T
+    gram[:, i[1:], i[1:]] += e2.T
+    gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = np.sqrt(d2[:-1] * e2).T
+    return np.linalg.eigvalsh(gram).T
 
 
 def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig) -> np.ndarray:
@@ -278,7 +356,7 @@ def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig) -> np.ndarray:
     d2, e2 = _model_squares(dims, cfg)
     bits = np.zeros(cfg.trials)
     q = 1.0
-    for i in range(d2.shape[1]):
+    for i in range(d2.shape[1]):  # d2[:, i] and e2[:, i] are contiguous rows of the buffer
         if i:
             q = 1.0 + rho * e2[:, i - 1] * (q / p)
         p = q + rho * d2[:, i]
@@ -293,7 +371,7 @@ def _trace_values(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     """trace(B^T B) + k = ||H11||_F^2 per trial."""
     d2, e2 = _model_squares(dims, cfg)
     gain = np.full(cfg.trials, float(dims.k))
-    for column in (*d2.T, *e2.T):  # np.sum over a narrow axis 1 is ~10x slower
+    for column in (*d2.T, *e2.T):  # contiguous rows, added in the fixed order k + d^2 + e^2
         gain += column
     if not np.all(np.isfinite(gain)):
         raise NumericalError("trace of the bidiagonal model is not finite")
@@ -306,15 +384,27 @@ def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     Shape (trials, m_min): the interior eigenvalues of :func:`_bidiagonal_chunk`
     on the estimators' stream, then k exact ones, clamped to [0, 1] and
     snapped by :func:`~jacobi_fading.ensembles.snap_endpoints`; drawn once
-    per sample set.
+    per sample set.  The result is the transposed view of one
+    (m_min, trials) buffer that each chunk fills in place.
     """
     key = _channel_key(dims, cfg)
+    n = dims.m_min - dims.k  # unpinned modes
 
-    def chunk(lo, hi):
-        interior = _tridiagonal_spectra(*_bidiagonal_chunk(dims, key, lo, hi))
-        return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1))
+    def draw():
+        spectra = np.empty((dims.m_min, cfg.trials))
 
-    return _drawn(("bidiagonal", key, dims, cfg.trials), lambda: _gather(cfg, chunk))
+        def chunk(lo, hi):
+            squares = np.empty((max(2 * n - 1, 0), hi - lo))
+            _bidiagonal_chunk(dims, key, lo, hi, squares)
+            rows = spectra[:, lo:hi]
+            rows[:n] = _tridiagonal_spectra(squares[:n], squares[n:])
+            rows[n:] = 1.0
+            rows[...] = snap_endpoints(rows)
+
+        _map_chunks(cfg, chunk)
+        return spectra.T
+
+    return _drawn(("bidiagonal", key, dims, cfg.trials), draw)
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
@@ -469,11 +559,14 @@ def mc_repetition_error(
         signs = np.where(uniforms(ks, lo, hi, 2) < 0.5, -1.0, 1.0)
         return complex_normals(kz, lo, hi, 1)[:, 0], signs[:, 0], signs[:, 1]
 
-    noise, re_sign, im_sign = _drawn(("count", kz, ks, cfg.trials), lambda: _gather(cfg, chunk))
-    symbol = (re_sign + 1j * im_sign) / math.sqrt(2.0)
-    decision = math.sqrt(rho) * gain * symbol + np.sqrt(gain) * noise
-    err = (np.sign(decision.real) != re_sign) | (np.sign(decision.imag) != im_sign)
-    return _estimate(err.astype(float), cfg)
+    draws = _drawn(("count", kz, ks, cfg.trials), lambda: _gather(cfg, chunk))
+    err = np.empty(cfg.trials)
+    for lo in range(0, cfg.trials, _CHUNK):  # chunk-sized temporaries only
+        g, noise, re_sign, im_sign = (a[lo:lo + _CHUNK] for a in (gain, *draws))
+        symbol = (re_sign + 1j * im_sign) / math.sqrt(2.0)
+        decision = math.sqrt(rho) * g * symbol + np.sqrt(g) * noise
+        err[lo:lo + _CHUNK] = (np.sign(decision.real) != re_sign) | (np.sign(decision.imag) != im_sign)
+    return _estimate(err, cfg)
 
 
 def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
@@ -546,21 +639,31 @@ def estimate_diversity_slope(points) -> float:
 
 def _sorted_sample(values, name: str) -> np.ndarray:
     """values flattened and sorted; ValueError naming it if empty or not all finite."""
-    s = np.sort(np.asarray(values, dtype=float).ravel())
+    s = np.asarray(values, dtype=float).flatten(order="K")  # one copy, sorted in place
+    s.sort()
     if len(s) == 0 or not np.isfinite(s[0]) or not np.isfinite(s[-1]):
         raise ValueError(f"{name} must be a non-empty sample of finite values")
     return s
 
 
 def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
+    """One-sample Kolmogorov-Smirnov statistic against a callable CDF.
+
+    The largest of |F(s_i) - i/n| and |F(s_i) - (i+1)/n| over the sorted
+    sample s_0 <= ... <= s_{n-1}, taken over blocks of _CHUNK points.
+    """
     s = _sorted_sample(sample, "sample")
     n = len(s)
     values = np.asarray(cdf(s), dtype=float)
-    if not np.all((values >= 0.0) & (values <= 1.0)):  # nan fails both
-        raise ValueError("cdf must return finite values in [0, 1]")
-    steps = np.arange(n + 1) / n
-    return float(max(np.max(np.abs(values - steps[:-1])), np.max(np.abs(values - steps[1:]))))
+    distance = 0.0
+    for lo in range(0, n, _CHUNK):
+        block = values[lo:lo + _CHUNK]
+        if not np.all((block >= 0.0) & (block <= 1.0)):  # nan fails both
+            raise ValueError("cdf must return finite values in [0, 1]")
+        below = np.arange(lo, lo + len(block)) / n
+        above = np.arange(lo + 1, lo + len(block) + 1) / n
+        distance = max(distance, np.max(np.abs(block - below)), np.max(np.abs(block - above)))
+    return float(distance)
 
 
 @dataclass(frozen=True)
@@ -577,6 +680,12 @@ class RayleighComparison:
     frobenius_expected: float
 
 
+def _check_comparable(dims: ChannelDims) -> None:
+    """ValueError unless m >= mt + mr (k = 0), which :func:`rayleigh_compare` needs."""
+    if dims.k:
+        raise ValueError(f"the comparison needs m >= mt + mr, got mt={dims.mt}, mr={dims.mr}, m={dims.m}")
+
+
 def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> RayleighComparison:
     """Compare the truncated-unitary channel against the Rayleigh baseline.
 
@@ -589,8 +698,7 @@ def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> Raylei
     of the min(mt, mr) nonzero Wishart eigenvalues it converges to, which
     needs ``m >= mt + mr`` (k = 0).
     """
-    if dims.k:
-        raise ValueError(f"the comparison needs m >= mt + mr, got mt={dims.mt}, mr={dims.mr}, m={dims.m}")
+    _check_comparable(dims)
     require_positive(rho_bar=rho_bar)
     n, alpha = dims.m_min, dims.alpha
     rho = rho_bar * dims.m / dims.mt
@@ -602,6 +710,8 @@ def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> Raylei
         capacity_jacobi=analytic.ergodic_capacity(dims, rho),
         capacity_rayleigh=analytic._laguerre_capacity(n, alpha, rho_bar / dims.mt),
         ks_scaled_vs_wishart=ks_distance_to_cdf(dims.m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x)),
-        frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
+        # a C-ordered copy: on lam's transposed layout np.sum adds a row's
+        # entries in sequence, not pairwise, and from m_min = 8 on the bits differ
+        frobenius_mean=float(np.mean(np.sum(np.ascontiguousarray(lam), axis=1))),
         frobenius_expected=dims.mt * dims.mr / dims.m,
     )

@@ -13,14 +13,19 @@ the library's Philox streams, so their samples are a pure function of
   way, from a pair of complex Wishart matrices, as an independent check on
   the truncated-Haar draw (acceptance criterion 2).  It reads the streams
   ``wishart-jacobi:g1`` and ``wishart-jacobi:g2``.
+
+``reference_squares`` and ``reference_spectra`` are the bidiagonal model as
+it was first written, trial-major, with one ``np.add.reduceat`` per chunk
+and ``np.where`` for the p < q flip, on the library's stream: the library's
+in-place, variate-major kernel must give the same bits.
 """
 
 import numpy as np
 
 from jacobi_fading.ensembles import ChannelDims, snap_endpoints
 from jacobi_fading.errors import NumericalError
-from jacobi_fading.philox import complex_normals, stream_key
-from jacobi_fading.simulate import McConfig, _gather, _sorted_sample, channel_blocks
+from jacobi_fading.philox import complex_normals, stream_key, uniforms
+from jacobi_fading.simulate import McConfig, _channel_key, _gather, _sorted_sample, channel_blocks
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -86,5 +91,58 @@ def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np
         inv_sqrt = np.einsum("bij,bj,bkj->bik", v, 1.0 / np.sqrt(w), v.conj())
         ratio = np.einsum("bij,bjk,bkl->bil", inv_sqrt, a, inv_sqrt)
         return snap_endpoints(np.linalg.eigvalsh(ratio))
+
+    return _gather(cfg, chunk)
+
+
+def _reference_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(d^2, e^2) of trials [lo, hi), shapes (hi-lo, n) and (hi-lo, n-1), summed by reduceat."""
+    core = dims.interior
+    if core is None:
+        return np.zeros((hi - lo, 0)), np.zeros((hi - lo, 0))
+    n, a, b = core.m_min, core.alpha, core.beta
+    j = np.arange(n, 0, -1)
+    p = np.concatenate([a + j, j[1:]])
+    q = np.concatenate([b + j, a + b + 1 + j[1:]])
+    u = uniforms(key, lo, hi, n * n + n * min(a, b))
+    r, s = np.minimum(p, q), np.maximum(p, q)
+    starts = np.cumsum(r) - r
+    divisor = np.repeat(s - starts, r) + np.arange(r.sum())
+    log_x = np.add.reduceat(np.log(u) / divisor, starts, axis=1)
+    big, small = np.exp(log_x), -np.expm1(log_x)
+    flip = p < q
+    x, y = np.where(flip, small, big), np.where(flip, big, small)
+    x[:, 1:n] *= y[:, n:]
+    x[:, n:] *= y[:, : n - 1]
+    return x[:, :n], x[:, n:]
+
+
+def reference_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The model's (d^2, e^2), shapes (trials, n) and (trials, n-1), by the reduceat kernel."""
+    key = _channel_key(dims, cfg)
+    return _gather(cfg, lambda lo, hi: _reference_chunk(dims, key, lo, hi))
+
+
+def reference_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
+    """The model's snapped spectra, shape (trials, m_min), by the reduceat kernel."""
+    key = _channel_key(dims, cfg)
+
+    def chunk(lo, hi):
+        d2, e2 = _reference_chunk(dims, key, lo, hi)
+        trials, n = d2.shape
+        if n <= 1:
+            interior = d2
+        elif n == 2:
+            p, r = d2[:, 0], e2[:, 0] + d2[:, 1]
+            lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.sqrt(d2[:, 0] * e2[:, 0]))
+            interior = np.stack((d2[:, 0] * d2[:, 1] / lam_max, lam_max), axis=1)
+        else:
+            gram = np.zeros((trials, n, n))
+            i = np.arange(n)
+            gram[:, i, i] = d2
+            gram[:, i[1:], i[1:]] += e2
+            gram[:, i[:-1], i[1:]] = gram[:, i[1:], i[:-1]] = np.sqrt(d2[:, :-1] * e2)
+            interior = np.linalg.eigvalsh(gram)
+        return snap_endpoints(np.concatenate([interior, np.ones((hi - lo, dims.k))], axis=1))
 
     return _gather(cfg, chunk)

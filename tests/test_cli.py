@@ -99,6 +99,17 @@ def test_density_normaliser_overflow_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rayleigh_checks_every_m_before_sampling(tmp_path, capsys, monkeypatch):
+    draws = []
+    real = simulate.uniforms
+    monkeypatch.setattr(simulate, "uniforms", lambda *args: draws.append(args) or real(*args))
+    args = ["rayleigh", "--mt", "2", "--mr", "2", "--m", "8,16,3", "--rho-bar-db", "20", "--trials", "100"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 2
+    assert "the comparison needs m >= mt + mr, got mt=2, mr=2, m=3" in capsys.readouterr().err
+    assert draws == [] and not out.exists()
+
+
 def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch):
     # a cutoff inside the bulk: the baseline capacity must fail loudly
     monkeypatch.setattr(analytic, "_laguerre_cutoff", lambda n, alpha: 10.0)

@@ -2,7 +2,8 @@
 import graph stays free of scipy, which only the tests need, and argument
 range checks, mode-count checks and reads of ``ChannelDims.complement``
 live in ``ensembles`` alone, ``simulate`` keys one stream per channel shape,
-and every eigensolve is one of a named few."""
+every eigensolve is one of a named few, nothing sums by ``reduceat``, and
+each sample set fills one buffer."""
 
 import ast
 import importlib
@@ -191,3 +192,34 @@ def test_every_eigensolve_is_deliberate():
         if (path.name, function) not in EIGENSOLVES_ALLOWED
     ]
     assert not found, "eigensolves outside the allow-list:\n" + "\n".join(found)
+
+
+def test_no_reduceat_in_the_package():
+    # the Beta variates sum their terms in numpy's reduce order row by row
+    # (simulate._group_sum), with no reduceat over a narrow trial-major axis
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "reduceat"
+    ]
+    assert not found, "reduceat in the package:\n" + "\n".join(found)
+
+
+# Each fills one preallocated buffer chunk by chunk, with no joined per-chunk arrays.
+FILLED_IN_PLACE = {"_model_squares", "sample_spectra"}
+
+
+def test_sample_sets_fill_one_buffer():
+    path = pathlib.Path(jacobi_fading.__file__).parent / "simulate.py"
+    functions = [node for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)]
+    assert FILLED_IN_PLACE <= {function.name for function in functions}
+    found = [
+        f"simulate.py:{node.lineno}: in {function.name}"
+        for function in functions
+        if function.name in FILLED_IN_PLACE
+        for node in ast.walk(function)  # nested chunk functions included
+        if _called_name(node) == "_gather"
+    ]
+    assert not found, "sample sets joined from per-chunk arrays:\n" + "\n".join(found)

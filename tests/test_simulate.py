@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import betainc
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from jacobi_fading import philox, simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
@@ -28,7 +28,7 @@ from jacobi_fading.simulate import (
     repetition_error_tail,
     sample_spectra,
 )
-from oracles import haar_spectra, ks_distance
+from oracles import haar_spectra, ks_distance, reference_spectra, reference_squares
 
 DIMS_224 = ChannelDims(2, 2, 4)
 DIMS_228 = ChannelDims(2, 2, 8)
@@ -195,14 +195,45 @@ def test_non_finite_squares_raise(monkeypatch):
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (1, 2), (4, 4), (3, 7), (7, 3), (2, 62), (62, 2)])
 def test_beta_variates_from_uniform_products(p, q):
     u = philox.uniforms(stream_key(9, f"beta:{p},{q}"), 0, 100_000, min(p, q))
-    x, y = simulate._beta_variates(np.array([p]), np.array([q]), u)
-    assert x.shape == y.shape == (100_000, 1)
+    x = np.empty((1, 100_000))  # variate-major
+    y = simulate._beta_variates(np.array([p]), np.array([q]), u, x)
+    assert y.shape == (1, 100_000)
     assert ks_distance_to_cdf(x, lambda t: betainc(p, q, t)) < 0.01
     assert np.all(np.abs(x + y - 1.0) <= 2 * np.spacing(1.0))
     assert np.all(np.isfinite(x)) and np.all(x > 0.0)
     # a second variate reads the next min(p, q) columns
-    pair, _ = simulate._beta_variates(np.array([p, p]), np.array([q, q]), np.hstack([u, u]))
-    assert np.array_equal(pair, np.hstack([x, x]))
+    pair = np.empty((2, 100_000))
+    simulate._beta_variates(np.array([p, p]), np.array([q, q]), np.hstack([u, u]), pair)
+    assert np.array_equal(pair, np.vstack([x, x]))
+
+
+@pytest.mark.parametrize("r", [*range(1, 21), *range(127, 132), 300])
+def test_group_sum_is_the_reduceat_order(r):
+    # each branch of numpy's pairwise sum: fewer than 8 tail terms, 8
+    # accumulators, and the split past 128; a numpy release that changes
+    # its reduce order fails here by name
+    terms = np.log(philox.uniforms(stream_key(4, f"group:{r}"), 0, 2_000, r)) / (np.arange(r) + 3.0)
+    want = np.add.reduceat(terms, [0], axis=1)[:, 0]
+    rows = terms.T.copy()
+    simulate._group_sum(rows)
+    assert np.array_equal(rows[0], want)
+    if r >= 3:  # the order matters: a plain column add gives other bits
+        assert not np.array_equal(np.cumsum(terms, axis=1)[:, -1], want)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "mt, mr, m",
+    # the last three have 10-, 12- and 20-term variates: the 8-accumulator path
+    [(2, 2, 4), (2, 2, 3), (1, 2, 3), (4, 4, 8), (2, 2, 32), (4, 8, 16), (2, 10, 20), (3, 12, 30), (1, 20, 40)],
+)
+def test_kernel_has_the_bits_of_the_reduceat_reference(mt, mr, m, workers):
+    # 20 001 trials end in a partial chunk
+    dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=20_001, master_seed=5, workers=workers)
+    d2, e2 = simulate._model_squares(dims, cfg)
+    want_d2, want_e2 = reference_squares(dims, cfg)
+    assert np.array_equal(d2, want_d2) and np.array_equal(e2, want_e2)
+    assert np.array_equal(sample_spectra(dims, cfg), reference_spectra(dims, cfg))
 
 
 def test_mc_capacity_matches_analytic():
@@ -430,6 +461,21 @@ def test_ks_distance_basics():
     assert ks_distance(a, a) == 0.0
     assert ks_distance(a, a + 10.0) == 1.0
     assert ks_distance_to_cdf(a, lambda x: np.clip(x, 0, 1)) < 0.03
+
+
+@pytest.mark.parametrize(
+    "power, larger",
+    [(1.5, "greater"), (1 / 1.5, "less")],
+    ids=["d-plus", "d-minus"],
+)
+def test_ks_distance_to_cdf_is_scipys(power, larger):
+    # U^power against the uniform CDF: each one-sided term is the larger
+    # once, and 20 001 points span three blocks
+    sample = philox.uniforms(stream_key(8, "ks"), 0, 20_001, 1)[:, 0] ** power
+    sides = {side: kstest(sample, lambda x: x, alternative=side).statistic for side in ("greater", "less")}
+    assert max(sides, key=sides.get) == larger
+    want = kstest(sample, lambda x: x).statistic
+    assert ks_distance_to_cdf(sample, lambda x: x) == pytest.approx(want, rel=0.0, abs=1e-15)
 
 
 def _brute_force_ks(a, b):
