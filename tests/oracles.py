@@ -14,6 +14,10 @@ the library's Philox streams, so their samples are a pure function of
   the truncated-Haar draw (acceptance criterion 2).  It reads the streams
   ``wishart-jacobi:g1`` and ``wishart-jacobi:g2``.
 
+``lapack_phase_fixed_qr`` is the phase-fixed QR as it was first written,
+LAPACK's QR with each column turned by the phase of R's diagonal entry:
+the library's Gram-Schmidt kernel must give the same Q up to rounding.
+
 ``reference_squares`` and ``reference_spectra`` are the bidiagonal model as
 it was first written, trial-major, with one ``np.add.reduceat`` per chunk
 and ``np.where`` for the p < q flip, on the library's stream: the library's
@@ -46,6 +50,16 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     top = np.max(scaled[:-1], where=last_of_tie, initial=0)
     bottom = np.min(scaled[:-1], where=last_of_tie, initial=0)
     return float(max(top, -bottom)) / (n_a * n_b)
+
+
+def lapack_phase_fixed_qr(a: np.ndarray) -> np.ndarray:
+    """Reduced QR of one matrix or a stack by ``np.linalg.qr``, R's diagonal phase folded into Q."""
+    q, r = np.linalg.qr(a)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    if np.any(mag == 0.0):
+        raise NumericalError("QR produced an exactly zero diagonal entry")
+    return q * (d / mag)[..., None, :]
 
 
 def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:

@@ -12,7 +12,13 @@ from jacobi_fading.ensembles import (
 )
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.simulate import McConfig, channel_blocks
-from oracles import gram_eigenvalues, haar_spectra, ks_distance, sample_jacobi_spectra_wishart
+from oracles import (
+    gram_eigenvalues,
+    haar_spectra,
+    ks_distance,
+    lapack_phase_fixed_qr,
+    sample_jacobi_spectra_wishart,
+)
 
 
 def haar_unitaries(m, n, seed, tag="haar"):
@@ -120,6 +126,33 @@ def test_haar_invariance_under_fixed_rotation():
     rotated_blocks = np.einsum("ij,bjk->bik", v_top, iso)
     rotated = np.linalg.eigvalsh(np.einsum("bij,bik->bjk", rotated_blocks.conj(), rotated_blocks))
     assert ks_distance(plain, rotated) < 0.01
+
+
+@pytest.mark.parametrize("shape", [(1000, 6, 4), (1000, 3, 2), (10_000, 4, 4), (5, 3), (2, 3, 5, 3)])
+def test_phase_fixed_qr_matches_lapack(shape):
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q = phase_fixed_qr(a)
+    assert q.shape == a.shape and q.dtype == complex
+    assert np.max(np.abs(q - lapack_phase_fixed_qr(a))) <= 1e-13
+    gram = np.einsum("...ij,...ik->...jk", q.conj(), q)
+    assert np.max(np.abs(gram - np.eye(shape[-1]))) <= 1e-14
+
+
+def test_phase_fixed_qr_real_wide_and_zero_columns():
+    a = np.random.default_rng(2).standard_normal((7, 5, 3))
+    q = phase_fixed_qr(a)
+    assert q.dtype == np.float64
+    assert np.max(np.abs(q - lapack_phase_fixed_qr(a))) <= 1e-13
+    with pytest.raises(ValueError):
+        phase_fixed_qr(np.ones((2, 3, 4), dtype=complex))
+    dependent = np.ones((2, 4, 2), dtype=complex)  # the second column projects to exactly zero
+    with pytest.raises(NumericalError):
+        phase_fixed_qr(dependent)
+    zero = np.random.default_rng(3).standard_normal((4, 3, 2)) + 0j
+    zero[1, :, 0] = 0.0
+    with pytest.raises(NumericalError):
+        phase_fixed_qr(zero)
 
 
 def test_full_truncation_is_unitary():

@@ -2,8 +2,8 @@
 import graph stays free of scipy, which only the tests need, and argument
 range checks, mode-count checks and reads of ``ChannelDims.complement``
 live in ``ensembles`` alone, ``simulate`` keys one stream per channel shape,
-every eigensolve is one of a named few, nothing sums by ``reduceat``, and
-each sample set fills one buffer."""
+every eigensolve is one of a named few, nothing sums by ``reduceat``,
+nothing calls a library QR, and each sample set fills one buffer."""
 
 import ast
 import importlib
@@ -174,7 +174,7 @@ EIGENSOLVES_ALLOWED = {
     ("analytic.py", "_legendre_rule"),  # Golub-Welsch nodes of the quadrature rule
     ("simulate.py", "_tridiagonal_spectra"),  # spectra outputs of the bidiagonal model
     ("ensembles.py", "verify_pinned_spectrum"),  # the check on whole Haar unitaries
-    ("feedback.py", "complete_unitary"),  # the null space that completes a channel use
+    ("feedback.py", "_completion"),  # the null space that completes a channel use
 }
 
 
@@ -205,6 +205,18 @@ def test_no_reduceat_in_the_package():
         if isinstance(node, ast.Attribute) and node.attr == "reduceat"
     ]
     assert not found, "reduceat in the package:\n" + "\n".join(found)
+
+
+def test_no_qr_in_the_package():
+    # the phase-fixed QR is a stack-last Gram-Schmidt kernel
+    # (ensembles.phase_fixed_qr), with no LAPACK call per matrix
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    found = [
+        f"{path.name}:{line}: in {function}"
+        for path in sorted(package.glob("*.py"))
+        for function, line in _sites(ast.parse(path.read_text()), lambda node: _called_name(node) == "qr")
+    ]
+    assert not found, "QR calls in the package:\n" + "\n".join(found)
 
 
 # Each fills one preallocated buffer chunk by chunk, with no joined per-chunk arrays.
