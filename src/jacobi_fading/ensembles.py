@@ -20,9 +20,10 @@ whole or in part, builds one.
 
 The phase-fixed QR is classical Gram-Schmidt run twice (CGS2) over a
 stack-last layout, one numpy call per step for the whole stack, with no
-LAPACK call per matrix: several times faster than LAPACK on the
-thousands of 3 x 2 to 8 x 8 blocks the channel draws take, and several
-times slower on large unitaries (m = 64), which only the tests draw; the
+LAPACK call per matrix.  On stacks of 1000 blocks (one BLAS thread) it
+beat LAPACK up to 8 x 6, broke even from 8 x 8 to 16 x 8, and lost from
+16 x 12 on, by 3.2-4.8x at 32 x 32.  Feedback frames of 1000 uses were
+faster through m = 12, even at m = 16 and 13-41 % slower at m = 32; the
 Monte-Carlo path reads the bidiagonal model at large m.
 """
 
@@ -46,7 +47,7 @@ __all__ = [
 # An eigenvalue within this of 0 or 1 is snapped onto the endpoint: an
 # eigensolve leaves the pinned ones a few rounding errors off it.  The
 # feedback scheme reads it too: its residual-rank checks in
-# ``feedback._completion`` and its closing-gain bound ``gain < k - UNIT_TOL``
+# ``complete_unitary`` and its closing-gain bound ``gain < k - UNIT_TOL``
 # raise NumericalError past it, so changing it moves when a frame fails.
 UNIT_TOL = 1e-9
 
@@ -188,10 +189,10 @@ def phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     projects to exactly zero raises NumericalError, and real input gives a
     real Q.  The columns are laid out as (cols, rows, stack), each entry
     contiguous over the stack, so every step is one numpy call over the
-    whole stack: far cheaper than a LAPACK call per matrix for the small
-    blocks of the channel draws, but a Python loop of cols steps, each
-    touching up to cols columns, so dearer than LAPACK at large m (a stack
-    of 20 64 x 64 unitaries takes several times as long).
+    whole stack: far cheaper than a LAPACK call per matrix for small
+    blocks, but a Python loop of cols steps, each touching up to cols
+    columns, so dearer than LAPACK from about 16 x 12 on (see the module
+    docstring).
     """
     a = np.asarray(a)
     rows, cols = a.shape[-2:]

@@ -29,14 +29,14 @@ dither, closing-channel, closing-noise), keyed ``stream_key(seed,
 index, so use i's variates depend on its position only.  All channels are
 drawn by one Gram-Schmidt pass over the whole stack
 (:func:`.ensembles.phase_fixed_qr`, no LAPACK call per matrix) and
-completed by one stacked ``eigh`` of their Gram products, each product
-formed once.  No step runs per use: the completion rows are orthogonal,
-so every use's conditional covariance is exactly I and the pads follow in
-closed form, and the relay recurrence and the backward peeling (use i
-depends on use i - l only) are affine maps along each delay chain, solved
-by a prefix scan in ceil(log2(n / l)) batched steps.  The combining identity also
-gives the receiver's noise in closed form, covariance ``I - M^H D M`` per
-use from the peeling scan's prefix products: no covariance is scanned.
+completed by one stacked ``eigh``.  No step runs per use: the completion
+rows are orthogonal, so every use's conditional covariance is exactly I
+and the pads follow in closed form, and the relay recurrence and the
+backward peeling (use i depends on use i - l only) are affine maps along
+each delay chain, solved by a prefix scan in ceil(log2(n / l)) batched
+steps.  The combining identity also gives the receiver's noise in closed
+form, covariance ``I - M^H D M`` per use from the peeling scan's prefix
+products: no covariance is scanned.
 """
 
 from __future__ import annotations
@@ -165,20 +165,16 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
         raise ValueError("a zero-padded completion needs mt + mr > m")
     if h11.ndim == 2:
         return complete_unitary(h11[None], dims)[0]
-    return _completion(_hermitian(h11) @ h11, dims)
-
-
-def _completion(gram11: np.ndarray, dims: ChannelDims) -> np.ndarray:
-    """:func:`complete_unitary` of a stack of blocks, from their Gram products H11^+ H11, (n, mt, mt)."""
     mt, k, s = dims.mt, dims.k, dims.m - dims.mr
-    w, v = np.linalg.eigh(np.eye(mt) - gram11)
+    residual = np.eye(mt) - h11.conj().swapaxes(-1, -2) @ h11
+    w, v = np.linalg.eigh(residual)
     if np.any(w[:, 0] < -UNIT_TOL):
         raise NumericalError("I - H11^+H11 has a significantly negative eigenvalue")
     w = np.clip(w, 0.0, None)
     if s == 0:
         if np.any(w[:, -1] > UNIT_TOL):
             raise NumericalError("columns are not orthonormal but no completion rows remain")
-        return np.zeros((len(gram11), 0, mt), dtype=complex)
+        return np.zeros((len(h11), 0, mt), dtype=complex)
     # eigh sorts ascending and s = mt - k: the top s eigenvalues carry the whole residual
     if np.any(w[:, k - 1] > UNIT_TOL):
         raise NumericalError("residual rank exceeds the available completion rows")
@@ -306,8 +302,8 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     draws = _draw_frame(cfg)
 
     h11 = draws.channels
+    h21 = complete_unitary(h11, dims)
     gram11 = _hermitian(h11) @ h11
-    h21 = _completion(gram11, dims)
     deviation = np.max(np.abs(gram11 + _hermitian(h21) @ h21 - np.eye(mt)), axis=(1, 2))
     if np.any(deviation > _COMBINE_TOL):
         bad = int(np.argmax(deviation > _COMBINE_TOL))

@@ -155,26 +155,6 @@ def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
     return McEstimate(value=mean, stderr=stderr, trials=len(values), seed=cfg.master_seed)
 
 
-def _indicator_estimate(below: np.ndarray, cfg: McConfig) -> McEstimate:
-    """:func:`_estimate` of ``below.astype(float)``, bit for bit, from the event count.
-
-    The 0/1 sum is exact, so the mean is count / n.  ``np.std`` sums the
-    squared deviations pairwise; each is (1 - mean)^2 or mean^2, and
-    ``np.add.reduce`` over the same values in the same order repeats that
-    sum exactly.
-    """
-    n = len(below)
-    count = int(np.count_nonzero(below))
-    mean = count / n
-    if 0 < count < n:  # so n > 1
-        gap = 1.0 - mean  # the deviation of a 1; a 0's is -mean
-        sq_dev = np.add.reduce(np.where(below, gap * gap, mean * mean))
-        stderr = float(np.sqrt(sq_dev / (n - 1)) / math.sqrt(n))
-    else:
-        stderr = 0.0  # degenerate sample: every trial on the same side
-    return McEstimate(value=mean, stderr=stderr, trials=n, seed=cfg.master_seed)
-
-
 @contextmanager
 def _shared_draws():
     """Within this block, draw each sample set once and share it.
@@ -458,7 +438,7 @@ def mc_outage(
         ("mutual-information", cfg.master_seed, dims, cfg.trials, rho),
         lambda: _log_det_values(dims, rho, cfg),
     )
-    return _indicator_estimate(mi < rate_bits, cfg)
+    return _estimate((mi < rate_bits).astype(float), cfg)
 
 
 # For y >= 0, erfc(y) = exp(-y^2) S(t) / (1 + 2y), where S is smooth on
@@ -635,7 +615,7 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     require_nonnegative(r=r)
     threshold = r * math.log2(rho)
     gain = _trace_values(dims, cfg)  # ||H11||_F^2
-    return _indicator_estimate(np.log2(1.0 + rho * gain) < threshold, cfg)
+    return _estimate((np.log2(1.0 + rho * gain) < threshold).astype(float), cfg)
 
 
 def estimate_diversity_slope(points) -> float:

@@ -174,7 +174,7 @@ EIGENSOLVES_ALLOWED = {
     ("analytic.py", "_legendre_rule"),  # Golub-Welsch nodes of the quadrature rule
     ("simulate.py", "_tridiagonal_spectra"),  # spectra outputs of the bidiagonal model
     ("ensembles.py", "verify_pinned_spectrum"),  # the check on whole Haar unitaries
-    ("feedback.py", "_completion"),  # the null space that completes a channel use
+    ("feedback.py", "complete_unitary"),  # the null space that completes a channel use
 }
 
 

@@ -306,18 +306,6 @@ def test_outage_rates_must_be_real_and_nonnegative(call, name):
         call(McConfig(trials=10))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 127, 128, 129, 100_003])
-def test_indicator_estimate_has_the_bits_of_the_float_estimate(n):
-    # the outage estimators count events; their mean and stderr must be
-    # what _estimate gives over the same indicators as a 0/1 float array
-    cfg = McConfig(trials=10, master_seed=4)
-    rng = np.random.default_rng(n)
-    samples = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
-    samples += [rng.random(n) < p for p in (0.001, 0.3, 0.5, 0.97)]
-    for below in samples:
-        assert simulate._indicator_estimate(below, cfg) == simulate._estimate(below.astype(float), cfg)
-
-
 def test_stderr_scales_with_trials():
     small = mc_ergodic_capacity(DIMS_224, 10.0, McConfig(trials=25_000))
     large = mc_ergodic_capacity(DIMS_224, 10.0, McConfig(trials=100_000))
