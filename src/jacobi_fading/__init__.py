@@ -13,7 +13,6 @@ from .analytic import (
     dmt_optimal_curve,
     eigen_density,
     ergodic_capacity,
-    outage_rate_reduction,
     outage_single_mode,
     rho_norm,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ergodic_capacity",
     "outage_single_mode",
     "rho_norm",
-    "outage_rate_reduction",
     "dmt_optimal_curve",
     "sample_spectra",
     "mc_ergodic_capacity",

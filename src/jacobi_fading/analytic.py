@@ -31,7 +31,6 @@ __all__ = [
     "ergodic_capacity",
     "outage_single_mode",
     "rho_norm",
-    "outage_rate_reduction",
     "dmt_optimal_curve",
     "graded_integral",
 ]
@@ -297,23 +296,6 @@ def rho_norm(mr: int, m: int, epsilon: float) -> float:
     if ChannelDims(1, mr, m).k:
         return 1.0
     return 1.0 / inv_reg_inc_beta(epsilon, mr, m - mr)
-
-
-def outage_rate_reduction(
-    dims: ChannelDims, r: float
-) -> tuple[ChannelDims | None, float]:
-    """Map an outage query with ``k > 0`` onto the complementary channel.
-
-    Returns ``(dims.interior, max(r - k, 0))``.  The reduced dims are
-    ``None`` when a side collapses to zero modes (mt = m or mr = m); the
-    channel is then deterministic, so outage is 0 for ``r_tilde = 0`` and 1
-    otherwise.  Callers must report outage exactly 0 whenever
-    ``r_tilde = 0``.
-    """
-    if dims.k <= 0:
-        raise ValueError("outage_rate_reduction requires mt + mr > m")
-    require_nonnegative(r=r)
-    return dims.interior, max(r - dims.k, 0.0)
 
 
 @dataclass(frozen=True)

@@ -133,28 +133,20 @@ class ChannelDims:
         return self.m - self.mt - self.mr
 
     @property
-    def complement(self) -> "ChannelDims | None":
-        """The complementary (m - mr, m - mt, m) channel, None when mt or mr equals m.
-
-        When k > 0 the spectrum is k exact ones followed by this channel's
-        spectrum; its (m_min, alpha, beta) are (m - m_max, alpha, k).
-        """
-        if self.m in (self.mt, self.mr):
-            return None
-        return ChannelDims(self.m - self.mr, self.m - self.mt, self.m)
-
-    @property
     def interior(self) -> "ChannelDims | None":
         """The k = 0 channel whose J(m_min; alpha, beta) law the unpinned eigenvalues follow.
 
-        ``self`` when k = 0, otherwise :attr:`complement`: None when every
-        eigenvalue is pinned (k > 0 and mt or mr equals m).
+        ``self`` when k = 0.  When k > 0 the spectrum is k exact ones
+        followed by the spectrum of the complementary (m - mr, m - mt, m)
+        channel, whose (m_min, alpha, beta) are (m - m_max, alpha, k); that
+        channel is the interior, or None when mt or mr equals m and every
+        eigenvalue is pinned.
         """
-        return self if self.k == 0 else self.complement
-
-    def transposed(self) -> "ChannelDims":
-        """Swap transmitter and receiver roles."""
-        return ChannelDims(self.mr, self.mt, self.m)
+        if self.k == 0:
+            return self
+        if self.m in (self.mt, self.mr):
+            return None
+        return ChannelDims(self.m - self.mr, self.m - self.mt, self.m)
 
 
 @dataclass(frozen=True)

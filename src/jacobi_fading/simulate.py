@@ -46,9 +46,8 @@ Each sample set lives in one preallocated, variate-major buffer: the
 squares of B in a (2n-1, trials) array, spectra in an (m_min, trials) one,
 handed out as transposed (trials, ...) views.  Every chunk of trials fills
 its own slice in place, pool threads fill disjoint slices, and every stage
-reads contiguous rows.  A Beta variate's log terms are summed row by row in
-the order of numpy's pairwise reduction (:func:`_group_sum`), so the
-buffer holds the bits a trial-major ``np.add.reduceat`` would give.
+reads contiguous rows.  A Beta variate's log terms are added row by row in
+index order, into the row of its first term.
 """
 
 from __future__ import annotations
@@ -198,42 +197,6 @@ def channel_blocks(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
     return top if dims.mt <= dims.mr else top.conj().swapaxes(1, 2)
 
 
-def _pairwise_sum(rows: np.ndarray) -> None:
-    """Leave numpy's pairwise sum of ``rows`` (its float64 reduce order) in rows[0], in place.
-
-    Fewer than 8 rows are added in sequence.  Up to 128 go to 8
-    accumulators, 8 rows at a time, which are combined as
-    ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)) before the rest are
-    added in sequence.  More are split at n//2 rounded down to a multiple
-    of 8, and the halves summed so.  Every step adds whole rows, so a
-    column's sum has the bits ``np.add.reduce`` gives it.
-    """
-    n = len(rows)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        _pairwise_sum(rows[:half])
-        _pairwise_sum(rows[half:])
-        rows[0] += rows[half]
-        return
-    rest = 1
-    if n >= 8:
-        rest = n - n % 8
-        for i in range(8, rest, 8):
-            rows[:8] += rows[i:i + 8]
-        rows[0:8:2] += rows[1:8:2]
-        rows[0:8:4] += rows[2:8:4]
-        rows[0] += rows[4]
-    for i in range(rest, n):
-        rows[0] += rows[i]
-
-
-def _group_sum(rows: np.ndarray) -> None:
-    """rows[0] + numpy's pairwise sum of the other rows, in rows[0]: ``np.add.reduceat``'s order."""
-    if len(rows) > 1:
-        _pairwise_sum(rows[1:])
-        rows[0] += rows[1]
-
-
 def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Beta(p_j, q_j) variates from uniforms ``u``: x_j into row j of ``x``, 1 - x_j returned.
 
@@ -248,11 +211,14 @@ def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray, x: np.ndarray) -
     -expm1(L), so neither side loses accuracy to cancellation.
 
     The terms log(U_i)/(s+i) are laid out variate-major in one scratch
-    array, and L is summed in place as the first term plus numpy's pairwise
-    sum of the rest (:func:`_group_sum`), the order of ``np.add.reduceat``,
-    so the variates have the bits of that reduction.  The returned 1 - x
-    rows reuse that scratch array: row j is free once variate j is read,
-    since variate j's terms start at row j or later.
+    array, and L is summed in place into its first term's row, the others
+    added in index order.  The r_j terms share a sign, so that sum is
+    within (r_j - 1) units of roundoff, relative (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 4.2), and r_j is at most
+    m_min + min(a, b) in the bidiagonal model: no other order buys
+    anything.  The returned 1 - x rows reuse that scratch array: row j is
+    free once variate j is read, since variate j's terms start at row j or
+    later.
     """
     r, s = np.minimum(p, q), np.maximum(p, q)
     starts = np.cumsum(r) - r
@@ -261,7 +227,8 @@ def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray, x: np.ndarray) -
     terms /= divisor[:, None]
     for j, (start, count) in enumerate(zip(starts, r)):
         log_x = terms[start]
-        _group_sum(terms[start:start + count])
+        for i in range(start + 1, start + count):
+            log_x += terms[i]
         # x's row first: log_x may be row j itself, which then takes 1 - x
         if p[j] < q[j]:
             np.negative(np.expm1(log_x, out=x[j]), out=x[j])
@@ -710,8 +677,6 @@ def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> Raylei
         capacity_jacobi=analytic.ergodic_capacity(dims, rho),
         capacity_rayleigh=analytic._laguerre_capacity(n, alpha, rho_bar / dims.mt),
         ks_scaled_vs_wishart=ks_distance_to_cdf(dims.m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x)),
-        # a C-ordered copy: on lam's transposed layout np.sum adds a row's
-        # entries in sequence, not pairwise, and from m_min = 8 on the bits differ
-        frobenius_mean=float(np.mean(np.sum(np.ascontiguousarray(lam), axis=1))),
+        frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
         frobenius_expected=dims.mt * dims.mr / dims.m,
     )

@@ -18,10 +18,11 @@ the library's Philox streams, so their samples are a pure function of
 LAPACK's QR with each column turned by the phase of R's diagonal entry:
 the library's Gram-Schmidt kernel must give the same Q up to rounding.
 
-``reference_squares`` and ``reference_spectra`` are the bidiagonal model as
-it was first written, trial-major, with one ``np.add.reduceat`` per chunk
-and ``np.where`` for the p < q flip, on the library's stream: the library's
-in-place, variate-major kernel must give the same bits.
+``reference_squares`` and ``reference_spectra`` are the bidiagonal model
+written the direct way, trial-major, each Beta variate's log terms added
+column by column in index order and ``np.where`` for the p < q flip, on
+the library's stream: the library's in-place, variate-major kernel, which
+adds in the same order, must give the same bits.
 """
 
 import numpy as np
@@ -110,7 +111,7 @@ def sample_jacobi_spectra_wishart(m1: int, m2: int, n: int, cfg: McConfig) -> np
 
 
 def _reference_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(d^2, e^2) of trials [lo, hi), shapes (hi-lo, n) and (hi-lo, n-1), summed by reduceat."""
+    """(d^2, e^2) of trials [lo, hi), shapes (hi-lo, n) and (hi-lo, n-1), summed in index order."""
     core = dims.interior
     if core is None:
         return np.zeros((hi - lo, 0)), np.zeros((hi - lo, 0))
@@ -122,7 +123,11 @@ def _reference_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarr
     r, s = np.minimum(p, q), np.maximum(p, q)
     starts = np.cumsum(r) - r
     divisor = np.repeat(s - starts, r) + np.arange(r.sum())
-    log_x = np.add.reduceat(np.log(u) / divisor, starts, axis=1)
+    terms = np.log(u) / divisor
+    log_x = terms[:, starts]
+    for j, (start, count) in enumerate(zip(starts, r)):
+        for i in range(start + 1, start + count):
+            log_x[:, j] += terms[:, i]
     big, small = np.exp(log_x), -np.expm1(log_x)
     flip = p < q
     x, y = np.where(flip, small, big), np.where(flip, big, small)
@@ -132,13 +137,13 @@ def _reference_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarr
 
 
 def reference_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The model's (d^2, e^2), shapes (trials, n) and (trials, n-1), by the reduceat kernel."""
+    """The model's (d^2, e^2), shapes (trials, n) and (trials, n-1), by the trial-major kernel."""
     key = _channel_key(dims, cfg)
     return _gather(cfg, lambda lo, hi: _reference_chunk(dims, key, lo, hi))
 
 
 def reference_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
-    """The model's snapped spectra, shape (trials, m_min), by the reduceat kernel."""
+    """The model's snapped spectra, shape (trials, m_min), by the trial-major kernel."""
     key = _channel_key(dims, cfg)
 
     def chunk(lo, hi):

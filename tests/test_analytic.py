@@ -13,7 +13,6 @@ from jacobi_fading.analytic import (
     dmt_optimal_curve,
     eigen_density,
     ergodic_capacity,
-    outage_rate_reduction,
     outage_single_mode,
     rho_norm,
 )
@@ -372,8 +371,6 @@ def test_outage_single_mode_validation():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: outage_rate_reduction(ChannelDims(2, 2, 3), math.nan), "r must be finite"),
-        (lambda: outage_rate_reduction(ChannelDims(2, 2, 3), math.inf), "r must be finite"),
         (lambda: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(math.nan), "r must be finite"),
         (lambda: dmt_optimal_curve(ChannelDims(2, 2, 3)).diversity(math.inf), "r must be finite"),
         (lambda: outage_single_mode(1, 2, 1.0, math.inf), "rho must be finite"),
@@ -414,7 +411,6 @@ REAL_ARGUMENTS = [
     ("rho", lambda v: SchemeConfig(ChannelDims(2, 2, 3), rho=v)),
     ("epsilon", lambda v: rho_norm(2, 4, v)),
     ("rho_bar", lambda v: rayleigh_compare(ChannelDims(2, 2, 8), v, _CFG)),
-    ("r", lambda v: outage_rate_reduction(ChannelDims(2, 2, 3), v)),
     ("r", lambda v: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(v)),
     ("x", lambda v: specfun.reg_inc_beta(v, 2, 3)),
     ("p", lambda v: specfun.inv_reg_inc_beta(v, 2, 3)),
@@ -447,17 +443,6 @@ def test_rho_norm_guarantee():
     rho = rho_norm(mr, m, eps) * (2.0**rate - 1.0)
     assert outage_single_mode(mr, m, rate, rho) == pytest.approx(eps, rel=1e-8)
     assert outage_single_mode(mr, m, rate, rho * 1.01) < eps
-
-
-def test_outage_rate_reduction():
-    reduced, r_tilde = outage_rate_reduction(ChannelDims(2, 2, 3), 1.5)
-    assert reduced == ChannelDims(1, 1, 3) and r_tilde == pytest.approx(0.5)
-    _, r_tilde = outage_rate_reduction(ChannelDims(3, 2, 4), 0.5)
-    assert r_tilde == 0.0
-    reduced, r_tilde = outage_rate_reduction(ChannelDims(3, 3, 3), 1.0)
-    assert reduced is None and r_tilde == 0.0
-    with pytest.raises(ValueError):
-        outage_rate_reduction(ChannelDims(2, 2, 4), 1.0)
 
 
 def test_dmt_case1_vertices():

@@ -36,35 +36,32 @@ def test_dims_derived_quantities():
     assert (d.k, d.m_min, d.m_max, d.alpha, d.beta) == (0, 2, 3, 1, 1)
     d = ChannelDims(3, 2, 4)
     assert (d.k, d.m_min, d.m_max, d.alpha, d.beta) == (1, 2, 3, 1, -1)
-    assert d.transposed() == ChannelDims(2, 3, 4)
 
 
-# want is (complement, interior), or None when both are: every eigenvalue pinned
+# want is the interior, or None when every eigenvalue is pinned
 @pytest.mark.parametrize(
     "mt, mr, m, want",
     [
         (3, 3, 3, None),  # mt = mr = m
         (2, 3, 3, None),  # mr = m
         (4, 3, 4, None),  # mt = m
-        (2, 2, 3, ((1, 1, 3), (1, 1, 3))),
-        (3, 3, 4, ((1, 1, 4), (1, 1, 4))),
-        (3, 2, 4, ((2, 1, 4), (2, 1, 4))),
-        (4, 4, 6, ((2, 2, 6), (2, 2, 6))),
-        (5, 2, 6, ((4, 1, 6), (4, 1, 6))),
-        (2, 2, 4, ((2, 2, 4), (2, 2, 4))),  # k = 0: still the H22 block; the interior is itself
-        (1, 3, 8, ((5, 7, 8), (1, 3, 8))),  # k = 0, mt != mr: the interior is itself, not H22
+        (2, 2, 3, (1, 1, 3)),
+        (3, 3, 4, (1, 1, 4)),
+        (3, 2, 4, (2, 1, 4)),
+        (4, 4, 6, (2, 2, 6)),
+        (5, 2, 6, (4, 1, 6)),
+        (2, 2, 4, (2, 2, 4)),  # k = 0: the interior is itself
+        (1, 3, 8, (1, 3, 8)),  # k = 0, mt != mr: itself, not the H22 block
     ],
 )
 def test_complement_table(mt, mr, m, want):
     d = ChannelDims(mt, mr, m)
     if want is None:
-        assert d.complement is None
         assert d.interior is None
         return
-    c = d.complement
-    assert c == ChannelDims(*want[0])
-    assert d.interior == ChannelDims(*want[1])
-    if d.k > 0:
+    c = d.interior
+    assert c == ChannelDims(*want)
+    if d.k > 0:  # the complementary (m - mr, m - mt, m) channel
         assert (c.m_min, c.alpha, c.beta) == (m - d.m_max, d.alpha, d.k)
 
 

@@ -1,9 +1,9 @@
 """Every name the package and its modules export resolves, the CLI's
-import graph stays free of scipy, which only the tests need, and argument
-range checks, mode-count checks and reads of ``ChannelDims.complement``
-live in ``ensembles`` alone, ``simulate`` keys one stream per channel shape,
-every eigensolve is one of a named few, nothing sums by ``reduceat``,
-nothing calls a library QR, and each sample set fills one buffer."""
+import graph stays free of scipy, which only the tests need, argument
+range checks and mode-count checks live in ``ensembles`` alone,
+``simulate`` keys one stream per channel shape, every eigensolve is one of
+a named few, nothing sums by ``reduceat``, nothing calls a library QR, and
+each sample set fills one buffer."""
 
 import ast
 import importlib
@@ -112,20 +112,6 @@ def test_argument_range_checks_live_in_ensembles():
     assert not found, "range checks outside ensembles:\n" + "\n".join(found)
 
 
-def test_complement_is_read_in_ensembles_alone():
-    # the k > 0 reduction ("dims if k == 0, else dims.complement") has one
-    # home, ChannelDims.interior; every other module reads that
-    package = pathlib.Path(jacobi_fading.__file__).parent
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "ensembles.py"
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute) and node.attr == "complement"
-    ]
-    assert not found, "reads of .complement outside ensembles:\n" + "\n".join(found)
-
-
 MODE_COUNTS = {"mt", "mr", "m"}
 
 
@@ -195,8 +181,8 @@ def test_every_eigensolve_is_deliberate():
 
 
 def test_no_reduceat_in_the_package():
-    # the Beta variates sum their terms in numpy's reduce order row by row
-    # (simulate._group_sum), with no reduceat over a narrow trial-major axis
+    # the Beta variates add their terms row by row in index order, into one
+    # variate-major buffer: reduceat over a narrow trial-major axis is slower
     package = pathlib.Path(jacobi_fading.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
