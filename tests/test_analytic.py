@@ -371,6 +371,8 @@ def test_outage_single_mode_validation():
 @pytest.mark.parametrize(
     "call, message",
     [
+        (lambda: dmt_optimal_curve(ChannelDims(1, 3, 5)).diversity(-math.inf), "r must be finite"),
+        (lambda: dmt_optimal_curve(ChannelDims(3, 3, 4)).diversity(math.nan), "r must be finite"),
         (lambda: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(math.nan), "r must be finite"),
         (lambda: dmt_optimal_curve(ChannelDims(2, 2, 3)).diversity(math.inf), "r must be finite"),
         (lambda: outage_single_mode(1, 2, 1.0, math.inf), "rho must be finite"),
