@@ -14,8 +14,9 @@ estimators and points of a curve at the same (dims, trials, master_seed)
 see the same channels (common random numbers).  Inside a
 :func:`_shared_draws` block, which the CLI opens around each invocation,
 the rho- and r-independent draws are made once and every point reduces
-that one array (an outage curve's per-rho mutual information is computed
-once too); outside it, every call draws afresh.
+that one array (an outage curve's per-rho mutual information and the
+``count`` method's decision margins too); outside it, every call draws
+afresh.  An outage or ``count`` point counts the trials past its threshold.
 
 The spectral estimators (ergodic capacity, outage, the Alamouti and
 repetition errors, and the Jacobi side of the Rayleigh comparison) depend
@@ -152,6 +153,13 @@ def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
     else:
         stderr = 0.0  # degenerate sample (e.g. a fully unitary channel)
     return McEstimate(value=mean, stderr=stderr, trials=len(values), seed=cfg.master_seed)
+
+
+def _count_estimate(count: int, cfg: McConfig) -> McEstimate:
+    """_estimate of cfg.trials indicators, ``count`` of them 1, from the count alone."""
+    n = cfg.trials
+    stderr = math.sqrt(count * (n - count) / (n - 1)) / n if 0 < count < n else 0.0
+    return McEstimate(value=count / n, stderr=stderr, trials=n, seed=cfg.master_seed)
 
 
 @contextmanager
@@ -390,7 +398,8 @@ def mc_outage(
     """Fraction of draws whose mutual information falls below the rate.
 
     The rate is either a multiplexing ratio ``r`` (so R = r * log2(1 + rho))
-    or an absolute ``rate_bits``; exactly one must be given.
+    or an absolute ``rate_bits``; exactly one must be given.  It counts the
+    draws whose log2 det(I + rho B^T B), made once per rho, is below R.
     """
     require_positive(rho=rho)
     if (r is None) == (rate_bits is None):
@@ -405,28 +414,29 @@ def mc_outage(
         ("mutual-information", cfg.master_seed, dims, cfg.trials, rho),
         lambda: _log_det_values(dims, rho, cfg),
     )
-    return _estimate((mi < rate_bits).astype(float), cfg)
+    return _count_estimate(np.count_nonzero(mi < rate_bits), cfg)
 
 
 # For y >= 0, erfc(y) = exp(-y^2) S(t) / (1 + 2y), where S is smooth on
 # [-1, 1] in t = (y - 3.75) / (y + 3.75) (Shepherd & Laframboise, Math.
-# Comp. 36, 1981).  _ERFC_CHEB holds S's Chebyshev coefficients, the
-# interpolant at 64 Chebyshev nodes computed with mpmath at 40 digits and
-# cut after 24 terms; tests/test_simulate.py rebuilds them.
+# Comp. 36, 1981).  _ERFC_POLY holds S's coefficients in powers of t,
+# constant first: the 24-term interpolant at 64 Chebyshev nodes, computed
+# with mpmath at 40 digits and converted before rounding (sum |a_j| = 1.76);
+# tests/test_simulate.py rebuilds them.
 _ERFC_SCALE = 3.75
-_ERFC_CHEB = (
-    1.1775789345674017, -0.004590054580646478, -0.08424913336651792,
-    0.05920993999819189, -0.026658668435305753, 0.009074997670705265,
-    -0.002413163540417608, 0.0004907758365258086, -6.916973302501207e-05,
-    4.13902798607301e-06, 7.74038306619849e-07, -2.1886401049234397e-07,
-    1.076499946567091e-08, 4.521959811218287e-09, -7.754400208831351e-10,
-    -6.318088340886684e-11, 2.86879501093067e-11, 1.9455868545777347e-13,
-    -9.65469674843344e-13, 3.25254814814874e-14, 3.3478119482868056e-14,
-    -1.864562880419313e-15, -1.2507950530688648e-15, 7.418235256624044e-17,
+_ERFC_POLY = (
+    1.2375126308378275, -0.14024059858554697, 0.0035854154854790257,
+    0.0822767384901452, -0.10880393014244462, 0.09230432116037748,
+    -0.05869339857664934, 0.028362277418956406, -0.009746579683265262,
+    0.0017556258528952954, 0.000293714378044958, -0.0002901540805408417,
+    5.164652974177416e-05, 2.238423915508223e-05, -1.1438048033346894e-05,
+    -9.73559896736775e-07, 1.7419821586224816e-06, -5.7218230603224086e-08,
+    -2.4857126248016745e-07, 2.3263508708859124e-08, 3.197926671666804e-08,
+    -3.744210080962018e-09, -2.623107347133476e-09, 3.1114333809799254e-10,
 )
 # erfc(y) underflows from y = 27 on, so Q(x) is 0 from 27 sqrt(2) on.
 _Q_ZERO = 27.0 * math.sqrt(2.0)
-# values per Clenshaw pass: the loop's buffers then stay in cache
+# values per Horner pass: the loop's buffers then stay in cache
 _Q_BLOCK = 8192
 
 
@@ -435,18 +445,11 @@ def _q_upper(v: np.ndarray) -> np.ndarray:
     y = v * math.sqrt(0.5)
     t = y - _ERFC_SCALE
     t /= y + _ERFC_SCALE
-    twice_t = t + t
-    b0 = np.empty_like(t)
-    b1 = np.full_like(t, _ERFC_CHEB[-1])
-    b2 = np.zeros_like(t)
-    for c in _ERFC_CHEB[-2:0:-1]:  # Clenshaw: b0 = 2t b1 - b2 + c
-        np.multiply(twice_t, b1, out=b0)
-        b0 -= b2
-        b0 += c
-        b0, b1, b2 = b2, b0, b1
-    series = np.multiply(t, b1, out=b0)
-    series -= b2
-    series += _ERFC_CHEB[0]
+    series = t * _ERFC_POLY[-1]
+    for c in _ERFC_POLY[-2:0:-1]:  # Horner: series = (series + c) t
+        series += c
+        series *= t
+    series += _ERFC_POLY[0]
     # exp(-v^2 / 2) with v = h + (v - h), h = floor(16 v) / 16: h^2 is
     # exact, so rounding v^2 cannot cost the ~v^2 ulps it would
     h = np.floor(v * 16.0)
@@ -505,10 +508,11 @@ def mc_repetition_error(
     the unfaded SNR ``rho * sum(lambda)``.
 
     ``method="count"`` simulates the symbol decision through a drawn gain
-    ``||H11||_F^2`` and the combined noise, which given the channel is
-    CN(0, gain); ``method="conditional"`` averages the exact conditional
-    (given the spectrum) QPSK error instead, removing all noise-dimension
-    variance.  For deep tails dominated by near-zero eigenvalues see
+    ``||H11||_F^2``, QPSK signs and the combined noise, CN(0, gain) given
+    the channel, and counts the trials whose :func:`_decision_margins` are
+    at most -sqrt(rho / 2); ``method="conditional"`` averages the exact
+    conditional (given the spectrum) QPSK error instead, removing all
+    noise-dimension variance.  For deep tails dominated by near-zero eigenvalues see
     :func:`repetition_error_tail`.
     """
     require_nonnegative(rho=rho)
@@ -518,22 +522,28 @@ def mc_repetition_error(
         raise ValueError("method must be 'conditional' or 'count'")
 
     tag = f"{dims.mt},{dims.mr},{dims.m}"
-    gain = _trace_values(dims, cfg)
     kz = stream_key(cfg.master_seed, f"rep-count:noise:{tag}")
     ks = stream_key(cfg.master_seed, f"rep-count:sym:{tag}")
+    w = _drawn(("rep-count", kz, ks, dims, cfg.trials), lambda: _decision_margins(dims, cfg, kz, ks))
+    return _count_estimate(np.count_nonzero(w <= -math.sqrt(0.5 * rho)), cfg)
+
+
+def _decision_margins(dims: ChannelDims, cfg: McConfig, kz, ks) -> np.ndarray:
+    """w = min(s_re Re z, s_im Im z) / sqrt(g) per trial, -inf where the gain g is 0.
+
+    With QPSK signs s (stream ks) and noise z ~ CN(0, 1) (stream kz), the
+    decision sqrt(rho) g (s_re + i s_im) / sqrt(2) + sqrt(g) z has a sign
+    other than s's just when w <= -sqrt(rho / 2), up to rounding there.
+    """
+    gain, w = _trace_values(dims, cfg), np.full(cfg.trials, -np.inf)
 
     def chunk(lo, hi):
         signs = np.where(uniforms(ks, lo, hi, 2) < 0.5, -1.0, 1.0)
-        return complex_normals(kz, lo, hi, 1)[:, 0], signs[:, 0], signs[:, 1]
+        z, g = complex_normals(kz, lo, hi, 1)[:, 0], gain[lo:hi]
+        np.divide(np.minimum(signs[:, 0] * z.real, signs[:, 1] * z.imag), np.sqrt(g), out=w[lo:hi], where=g > 0)
 
-    draws = _drawn(("count", kz, ks, cfg.trials), lambda: _gather(cfg, chunk))
-    err = np.empty(cfg.trials)
-    for lo in range(0, cfg.trials, _CHUNK):  # chunk-sized temporaries only
-        g, noise, re_sign, im_sign = (a[lo:lo + _CHUNK] for a in (gain, *draws))
-        symbol = (re_sign + 1j * im_sign) / math.sqrt(2.0)
-        decision = math.sqrt(rho) * g * symbol + np.sqrt(g) * noise
-        err[lo:lo + _CHUNK] = (np.sign(decision.real) != re_sign) | (np.sign(decision.imag) != im_sign)
-    return _estimate(err, cfg)
+    _map_chunks(cfg, chunk)
+    return w
 
 
 def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
@@ -575,14 +585,14 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     """Outage of the 2x2 orthogonal space-time block scheme at rate r*log2(rho).
 
     The scheme's equivalent scalar channel has gain ||H11||_F^2, so outage
-    is the probability that ``log2(1 + ||H11||_F^2 rho) < r log2(rho)``.
+    is the fraction of draws with ``log2(1 + ||H11||_F^2 rho) < r log2(rho)``.
     """
     dims = ChannelDims(2, 2, m)
     require_positive(rho=rho)
     require_nonnegative(r=r)
     threshold = r * math.log2(rho)
     gain = _trace_values(dims, cfg)  # ||H11||_F^2
-    return _estimate((np.log2(1.0 + rho * gain) < threshold).astype(float), cfg)
+    return _count_estimate(np.count_nonzero(np.log2(1.0 + rho * gain) < threshold), cfg)
 
 
 def estimate_diversity_slope(points) -> float:
@@ -616,8 +626,8 @@ def _sorted_sample(values, name: str) -> np.ndarray:
 def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF.
 
-    The largest of |F(s_i) - i/n| and |F(s_i) - (i+1)/n| over the sorted
-    sample s_0 <= ... <= s_{n-1}, taken over blocks of _CHUNK points.
+    The largest of F(s_i) - i/n and (i+1)/n - F(s_i), bit for bit that of |F(s_i) - i/n|
+    and |F(s_i) - (i+1)/n|, over the sorted sample s_0 <= ... <= s_{n-1}, in _CHUNK blocks.
     """
     s = _sorted_sample(sample, "sample")
     n = len(s)
@@ -629,7 +639,7 @@ def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
             raise ValueError("cdf must return finite values in [0, 1]")
         below = np.arange(lo, lo + len(block)) / n
         above = np.arange(lo + 1, lo + len(block) + 1) / n
-        distance = max(distance, np.max(np.abs(block - below)), np.max(np.abs(block - above)))
+        distance = max(distance, np.max(block - below), np.max(above - block))
     return float(distance)
 
 

@@ -2,8 +2,8 @@
 import graph stays free of scipy, which only the tests need, argument
 range checks and mode-count checks live in ``ensembles`` alone,
 ``simulate`` keys one stream per channel shape, every eigensolve is one of
-a named few, nothing sums by ``reduceat``, nothing calls a library QR, and
-each sample set fills one buffer."""
+a named few, nothing sums by ``reduceat``, nothing calls a library QR,
+each sample set fills one buffer, and every indicator estimate is a count."""
 
 import ast
 import importlib
@@ -221,3 +221,31 @@ def test_sample_sets_fill_one_buffer():
         if _called_name(node) == "_gather"
     ]
     assert not found, "sample sets joined from per-chunk arrays:\n" + "\n".join(found)
+
+
+# Every Monte-Carlo estimate of the package, by (module, function) and
+# estimator.  _estimate averages a per-trial array: only ergodic capacity
+# and the conditional repetition error have one.  The indicator estimators
+# (the outages and the count repetition method) count the trials past a
+# threshold with _count_estimate, with no per-point 0/1 array.
+ESTIMATES_ALLOWED = {
+    "_estimate": {("simulate.py", "mc_ergodic_capacity"), ("simulate.py", "mc_repetition_error")},
+    "_count_estimate": {
+        ("simulate.py", "mc_outage"),
+        ("simulate.py", "mc_alamouti_outage"),
+        ("simulate.py", "mc_repetition_error"),
+    },
+}
+
+
+def test_indicator_estimates_are_counts():
+    # each allowed function estimates once, so mc_repetition_error averages
+    # in its conditional branch alone and counts in the other
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    found = sorted(
+        (estimator, path.name, function)
+        for path in sorted(package.glob("*.py"))
+        for estimator in ESTIMATES_ALLOWED
+        for function, _ in _sites(ast.parse(path.read_text()), lambda node: _called_name(node) == estimator)
+    )
+    assert found == sorted((estimator, *site) for estimator, sites in ESTIMATES_ALLOWED.items() for site in sites)

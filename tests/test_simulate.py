@@ -301,6 +301,23 @@ def test_stderr_scales_with_trials():
     assert ratio == pytest.approx(2.0, rel=0.1)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 100_003])
+def test_count_estimate_is_the_indicator_estimate(n):
+    # the count's mean and standard error are those of the 0/1 array it counts
+    cfg = McConfig(trials=n, master_seed=4)
+    order = np.random.default_rng(n).permutation(n)
+    for count in sorted({0, 1, n // 3, n - 1, n}):
+        indicators = np.zeros(n)
+        indicators[order[:count]] = 1.0
+        want = simulate._estimate(indicators, cfg)
+        got = simulate._count_estimate(np.count_nonzero(indicators), cfg)
+        assert (got.value, got.trials, got.seed) == (want.value, n, 4)
+        if count in (0, n):
+            assert got.stderr == want.stderr == 0.0
+        else:
+            assert abs(got.stderr - want.stderr) <= 4 * np.spacing(want.stderr)
+
+
 def test_qpsk_helpers():
     assert q_function(0.0) == pytest.approx(0.5, abs=1e-15)
     assert qpsk_bit_error(10.0) == pytest.approx(q_function(math.sqrt(10.0)), abs=1e-15)
@@ -309,12 +326,14 @@ def test_qpsk_helpers():
     assert qpsk_symbol_error(0.0) == pytest.approx(0.75, abs=1e-12)
 
 
-def _erfc_chebyshev_coefficients(terms=24, nodes=64):
-    """Chebyshev coefficients of S(t) = (1 + 2y) exp(y^2) erfc(y), y = c (1 + t) / (1 - t).
+def _erfc_monomial_coefficients(terms=24, nodes=64):
+    """Coefficients in powers of t of S(t) = (1 + 2y) exp(y^2) erfc(y), y = c (1 + t) / (1 - t).
 
-    The interpolant of S at ``nodes`` Chebyshev points of the first kind,
-    computed with mpmath at 40 digits and rounded to doubles; this is the
-    generator of ``simulate._ERFC_CHEB`` (c = ``simulate._ERFC_SCALE``).
+    The ``terms``-term Chebyshev interpolant of S at ``nodes`` Chebyshev
+    points of the first kind, computed with mpmath at 40 digits, converted
+    there to powers of t (T_{k+1} = 2t T_k - T_{k-1}) and only then rounded
+    to doubles, constant term first; this is the generator of
+    ``simulate._ERFC_POLY`` (c = ``simulate._ERFC_SCALE``).
     """
     with mp.workdps(40):
         scale = mp.mpf(simulate._ERFC_SCALE)
@@ -324,15 +343,17 @@ def _erfc_chebyshev_coefficients(terms=24, nodes=64):
             t = mp.cos(theta)
             y = scale * (1 + t) / (1 - t)
             samples.append((theta, (1 + 2 * y) * mp.exp(y * y) * mp.erfc(y)))
-        coeffs = []
-        for k in range(terms):
-            c = 2 * mp.fsum(f * mp.cos(k * theta) for theta, f in samples) / nodes
-            coeffs.append(float(c / 2 if k == 0 else c))
-    return tuple(coeffs)
+        cheb = [2 * mp.fsum(f * mp.cos(k * theta) for theta, f in samples) / nodes for k in range(terms)]
+        cheb[0] /= 2
+        zero, one = mp.mpf(0), mp.mpf(1)
+        basis = [[one] + [zero] * (terms - 1), [zero, one] + [zero] * (terms - 2)]  # T_0, T_1
+        while len(basis) < terms:
+            basis.append([2 * a - b for a, b in zip([zero] + basis[-1][:-1], basis[-2])])
+        return tuple(float(mp.fsum(c * poly[i] for c, poly in zip(cheb, basis))) for i in range(terms))
 
 
 def test_erfc_coefficients_rebuild_from_mpmath():
-    assert _erfc_chebyshev_coefficients() == simulate._ERFC_CHEB
+    assert _erfc_monomial_coefficients() == simulate._ERFC_POLY
 
 
 def test_q_function_against_mpmath():
@@ -367,7 +388,7 @@ def test_q_function_special_values_and_shapes():
     assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert q_function(np.empty((0, 4))).shape == (0, 4)
     assert q_function([0.0, 1.0]).shape == (2,)
-    big = np.linspace(-3.0, 45.0, 3 * simulate._Q_BLOCK + 5)  # several Clenshaw blocks
+    big = np.linspace(-3.0, 45.0, 3 * simulate._Q_BLOCK + 5)  # several Horner blocks
     assert np.array_equal(q_function(big), [q_function(v) for v in big])
 
 
@@ -560,6 +581,64 @@ def test_outage_reduces_once_per_rho(monkeypatch):
         assert len(reductions) == 2
     outside = [mc_outage(dims, 100.0, cfg, r=r) for r in rates]
     assert len(reductions) == 2 + len(rates)
+    assert inside == outside
+
+
+def _count_keys(tag, seed):
+    """The noise and symbol streams of the count repetition method."""
+    return stream_key(seed, f"rep-count:noise:{tag}"), stream_key(seed, f"rep-count:sym:{tag}")
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 10.0, 1e4])
+def test_decision_margins_decide_as_the_symbol_decision(rho, monkeypatch):
+    dims, cfg = ChannelDims(1, 2, 3), McConfig(trials=30_000, master_seed=9)
+    gain = simulate._trace_values(dims, cfg).copy()
+    gain[123] = 0.0  # the decision is then 0, which errs at every rho
+    monkeypatch.setattr(simulate, "_trace_values", lambda *args: gain)
+    kz, ks = _count_keys("1,2,3", 9)
+    # the symbol decision itself, in complex arithmetic
+    signs = np.where(philox.uniforms(ks, 0, cfg.trials, 2) < 0.5, -1.0, 1.0)
+    symbol = (signs[:, 0] + 1j * signs[:, 1]) / math.sqrt(2.0)
+    noise = philox.complex_normals(kz, 0, cfg.trials, 1)[:, 0]
+    decision = math.sqrt(rho) * gain * symbol + np.sqrt(gain) * noise
+    errs = (np.sign(decision.real) != signs[:, 0]) | (np.sign(decision.imag) != signs[:, 1])
+    w = simulate._decision_margins(dims, cfg, kz, ks)
+    assert np.array_equal(w <= -math.sqrt(rho / 2.0), errs)
+    assert w[123] == -math.inf and errs[123]
+    assert mc_repetition_error(dims, rho, cfg, method="count").value == np.count_nonzero(errs) / cfg.trials
+
+
+def test_count_method_draws_once_per_block(monkeypatch):
+    draws, gains = [], []
+    real_uniforms, real_normals, real_trace = simulate.uniforms, simulate.complex_normals, simulate._trace_values
+    dims, cfg = ChannelDims(1, 2, 3), McConfig(trials=20_000)
+    kz, ks = _count_keys("1,2,3", 0)
+
+    def uniforms(key, *args):
+        if key == ks:
+            draws.append("signs")
+        return real_uniforms(key, *args)
+
+    def complex_normals(key, *args):
+        if key == kz:
+            draws.append("noise")
+        return real_normals(key, *args)
+
+    def trace_values(*args):
+        gains.append(args)
+        return real_trace(*args)
+
+    monkeypatch.setattr(simulate, "uniforms", uniforms)
+    monkeypatch.setattr(simulate, "complex_normals", complex_normals)
+    monkeypatch.setattr(simulate, "_trace_values", trace_values)
+    rhos = 10.0 ** (np.arange(10.0, 45.0, 5.0) / 10.0)
+    chunks = math.ceil(cfg.trials / simulate._CHUNK)
+    with simulate._shared_draws():
+        inside = [mc_repetition_error(dims, rho, cfg, method="count") for rho in rhos]
+        # one sample set: each chunk's signs and noise once, one gain reduction
+        assert sorted(draws) == ["noise"] * chunks + ["signs"] * chunks and len(gains) == 1
+    outside = [mc_repetition_error(dims, rho, cfg, method="count") for rho in rhos]
+    assert len(draws) == 2 * chunks * (1 + len(rhos)) and len(gains) == 1 + len(rhos)
     assert inside == outside
 
 
