@@ -241,6 +241,12 @@ def _laguerre_capacity(n: int, alpha: int, rho: float) -> float:
     return value
 
 
+@cache
+def _laguerre_knots(n: int, alpha: int) -> list:
+    """[the read-only CDF at the grid points 0, step, 2 step, ...], grown by :func:`_laguerre_cdf`."""
+    return [np.zeros(1)]
+
+
 def _laguerre_cdf(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     """P(lam <= x) under the density above, for a 1-D float array ``x >= 0``.
 
@@ -248,6 +254,8 @@ def _laguerre_cdf(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     plus each point's integral from the grid point below it, all by 2-point
     Gauss-Legendre: no rule spans more than one step, so the error does not depend
     on the sample size.  (The closed form 1 - e^-x Q(x) cancels: 1.2e-9 at n = alpha = 8.)
+    The sums at the grid points are cached per (n, alpha) and grown by continuing the
+    sequential cumsum from the last one, so no value depends on earlier calls.
     """
 
     def integral(lo, width):
@@ -256,7 +264,14 @@ def _laguerre_cdf(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
 
     step = 1.0 / (_LAGUERRE_GRID_PER_N * n)
     cells = int(min(np.max(x), _laguerre_cutoff(n, alpha)) / step)
-    at_knots = np.cumsum(np.concatenate([[0.0], integral(step * np.arange(cells), step)]))
+    table = _laguerre_knots(n, alpha)
+    at_knots = table[0]
+    if len(at_knots) <= cells:
+        last = len(at_knots) - 1
+        at_knots = np.concatenate([at_knots, integral(step * np.arange(last, cells), step)])
+        np.add.accumulate(at_knots[last:], out=at_knots[last:])
+        at_knots.setflags(write=False)
+        table[0] = at_knots  # a racing call may store a shorter table; its knots agree bit for bit
     cdf = np.empty_like(x)
     for i in range(0, len(x), _LAGUERRE_BLOCK):
         part = x[i:i + _LAGUERRE_BLOCK]

@@ -33,23 +33,24 @@ def stream_key(master_seed: int, tag: str) -> tuple[int, int]:
 
 
 def _trial_words(key: tuple[int, int], lo: int, hi: int, words_per_trial: int) -> np.ndarray:
-    """Philox words for trials [lo, hi), shape (hi-lo, words_per_trial).
+    """Philox blocks for trials [lo, hi), shape (hi-lo, 4B), a fresh buffer.
 
     Trial ``t`` owns the ``B = ceil(words_per_trial / 4)`` blocks starting
-    at block ``t*B``, so the streams of distinct trials never overlap; the
-    padding words of a trial's last block are dropped.
+    at block ``t*B``, so the streams of distinct trials never overlap; its
+    words are the first words_per_trial of its row, the rest padding.
     """
     blocks = (words_per_trial + 3) // 4
     # a uint64 array: numpy reads a tuple of ints >= 2**63 through float64
     bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64), counter=lo * blocks)
-    words = bitgen.random_raw((hi - lo) * blocks * 4).reshape(hi - lo, blocks * 4)
-    return words[:, :words_per_trial]
+    return bitgen.random_raw((hi - lo) * blocks * 4).reshape(hi - lo, blocks * 4)
 
 
 def uniforms(key: tuple[int, int], lo: int, hi: int, n: int) -> np.ndarray:
     """Per-trial uniforms in (0, 1], shape (hi-lo, n)."""
-    words = _trial_words(key, lo, hi, n)
-    return ((words >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _TWO_M53
+    words = _trial_words(key, lo, hi, n)  # shifted in place, padding too: contiguous passes
+    words >>= np.uint64(11)
+    words += np.uint64(1)
+    return np.multiply(words[:, :n], _TWO_M53)  # one float64 array; each word converts exactly
 
 
 def complex_normals(key: tuple[int, int], lo: int, hi: int, n: int) -> np.ndarray:

@@ -134,18 +134,6 @@ def _map_chunks(cfg: McConfig, chunk_fn) -> list:
     return [chunk_fn(lo, hi) for lo, hi in spans]
 
 
-def _gather(cfg: McConfig, chunk_fn):
-    """:func:`_map_chunks`'s results joined along trials.
-
-    chunk_fn returns an array, or a tuple of arrays that are joined
-    componentwise.
-    """
-    parts = _map_chunks(cfg, chunk_fn)
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
-    return np.concatenate(parts, axis=0)
-
-
 def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
     mean = float(np.mean(values))
     if len(values) > 1 and float(np.max(values)) != float(np.min(values)):
@@ -326,16 +314,18 @@ def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig) -> np.ndarray:
 
     The LDL^T pivots of the tridiagonal I + rho B^T B are p_1 = 1 + rho d_1^2
     and p_i = q_i + rho d_i^2 with q_i = 1 + rho e_{i-1}^2 q_{i-1} / p_{i-1}:
-    every term is non-negative, so p_i >= 1 and nothing cancels.
+    every term is non-negative, so p_i >= 1 and nothing cancels.  One chunk
+    of trials at a time, so the temporaries are chunk-sized.
     """
     d2, e2 = _model_squares(dims, cfg)
     bits = np.zeros(cfg.trials)
-    q = 1.0
-    for i in range(d2.shape[1]):  # d2[:, i] and e2[:, i] are contiguous rows of the buffer
-        if i:
-            q = 1.0 + rho * e2[:, i - 1] * (q / p)
-        p = q + rho * d2[:, i]
-        bits += np.log2(p)
+    for lo in range(0, cfg.trials, _CHUNK):
+        d, e, q = d2[lo:lo + _CHUNK], e2[lo:lo + _CHUNK], 1.0
+        for i in range(d.shape[1]):  # d[:, i] and e[:, i] are contiguous rows of the buffer
+            if i:
+                q = 1.0 + rho * e[:, i - 1] * (q / p)
+            p = q + rho * d[:, i]
+            bits[lo:lo + _CHUNK] += np.log2(p)
     bits += dims.k * log2_1p(rho)
     if not np.all(np.isfinite(bits)):
         raise NumericalError("log det of the bidiagonal model is not finite")
@@ -592,7 +582,8 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     require_nonnegative(r=r)
     threshold = r * math.log2(rho)
     gain = _trace_values(dims, cfg)  # ||H11||_F^2
-    return _count_estimate(np.count_nonzero(np.log2(1.0 + rho * gain) < threshold), cfg)
+    blocks = (gain[lo:lo + _CHUNK] for lo in range(0, cfg.trials, _CHUNK))  # chunk-sized temporaries
+    return _count_estimate(sum(np.count_nonzero(np.log2(1.0 + rho * g) < threshold) for g in blocks), cfg)
 
 
 def estimate_diversity_slope(points) -> float:
@@ -623,24 +614,41 @@ def _sorted_sample(values, name: str) -> np.ndarray:
     return s
 
 
+# sorted-sample points per KS segment, whose ends are evaluated first
+_KS_STRIDE = 64
+
+
+def _ks_terms(cdf, s: np.ndarray, idx: np.ndarray):
+    """(F(s[idx]), the largest of F(s_i) - i/n and (i+1)/n - F(s_i) there); ValueError unless F is in [0, 1]."""
+    values = np.asarray(cdf(s[idx]), dtype=float)
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # nan fails both
+        raise ValueError("cdf must return finite values in [0, 1]")
+    return values, max(np.max(values - idx / len(s)), np.max((idx + 1) / len(s) - values))
+
+
 def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a callable CDF.
+    """One-sample Kolmogorov-Smirnov statistic against a callable CDF F, which must not decrease.
 
     The largest of F(s_i) - i/n and (i+1)/n - F(s_i), bit for bit that of |F(s_i) - i/n|
-    and |F(s_i) - (i+1)/n|, over the sorted sample s_0 <= ... <= s_{n-1}, in _CHUNK blocks.
+    and |F(s_i) - (i+1)/n|, over the sorted sample s_0 <= ... <= s_{n-1}.  F is called on
+    the knots i_j (every _KS_STRIDE-th index and the last), then once on the points of each
+    segment that can still attain the maximum: for i_j < i < i_{j+1}, monotonicity bounds
+    F(s_i) - i/n by F(s_{i_{j+1}}) - (i_j+1)/n and (i+1)/n - F(s_i) by i_{j+1}/n - F(s_{i_j}),
+    and rounding is monotone, so the computed terms obey the computed bounds and the result
+    is bit for bit that of evaluating F everywhere.  ValueError when F decreases from knot to
+    knot or an evaluated value leaves [0, 1]; a skipped value lies between two checked ones.
     """
     s = _sorted_sample(sample, "sample")
     n = len(s)
-    values = np.asarray(cdf(s), dtype=float)
-    distance = 0.0
-    for lo in range(0, n, _CHUNK):
-        block = values[lo:lo + _CHUNK]
-        if not np.all((block >= 0.0) & (block <= 1.0)):  # nan fails both
-            raise ValueError("cdf must return finite values in [0, 1]")
-        below = np.arange(lo, lo + len(block)) / n
-        above = np.arange(lo + 1, lo + len(block) + 1) / n
-        distance = max(distance, np.max(block - below), np.max(above - block))
-    return float(distance)
+    knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
+    f, distance = _ks_terms(cdf, s, knots)
+    if np.any(f[1:] < f[:-1]):
+        raise ValueError("cdf must be non-decreasing")
+    bound = np.maximum(f[1:] - (knots[:-1] + 1) / n, knots[1:] / n - f[:-1])
+    # the exact bounds need no slack; 1e-12 of it only costs evaluations
+    inner = (knots[:-1][bound >= distance - 1e-12, None] + np.arange(1, _KS_STRIDE)).ravel()
+    inner = inner[inner < n - 1]  # the last segment may be short
+    return float(max(distance, _ks_terms(cdf, s, inner)[1]) if inner.size else distance)
 
 
 @dataclass(frozen=True)

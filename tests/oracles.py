@@ -30,7 +30,20 @@ import numpy as np
 from jacobi_fading.ensembles import ChannelDims, snap_endpoints
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.philox import complex_normals, stream_key, uniforms
-from jacobi_fading.simulate import McConfig, _channel_key, _gather, _sorted_sample, channel_blocks
+from jacobi_fading.simulate import McConfig, _channel_key, _map_chunks, _sorted_sample, channel_blocks
+
+
+def _gather(cfg: McConfig, chunk_fn):
+    """:func:`~jacobi_fading.simulate._map_chunks`'s results joined along trials.
+
+    chunk_fn returns an array, or a tuple of arrays that are joined
+    componentwise.  The library fills each sample set in one buffer
+    instead; only these references join per-chunk arrays.
+    """
+    parts = _map_chunks(cfg, chunk_fn)
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p, axis=0) for p in zip(*parts))
+    return np.concatenate(parts, axis=0)
 
 
 def ks_distance(a: np.ndarray, b: np.ndarray) -> float:

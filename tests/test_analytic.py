@@ -338,6 +338,35 @@ def test_rayleigh_cdf_against_mpmath(mt, mr, trials):
     assert np.max(np.abs(cdf[picks] - want)) < 1e-12
 
 
+def _laguerre_cdf_rebuilt(n, alpha, x):
+    """_laguerre_cdf with its knot grid built for this call alone, up to min(max(x), L)."""
+
+    def integral(lo, width):
+        rule = zip(*analytic._legendre_rule(2))
+        return width * sum(w * analytic._laguerre_density(n, alpha, lo + t * width) for t, w in rule)
+
+    step = 1.0 / (analytic._LAGUERRE_GRID_PER_N * n)
+    cells = int(min(np.max(x), analytic._laguerre_cutoff(n, alpha)) / step)
+    at_knots = np.cumsum(np.concatenate([[0.0], integral(step * np.arange(cells), step)]))
+    below = np.minimum(x / step, cells).astype(np.intp)
+    return np.minimum(integral(step * below, x - step * below) + at_knots[below], 1.0)
+
+
+@pytest.mark.parametrize("n, alpha", [(2, 0), (3, 1)])
+@pytest.mark.parametrize("largest_first", [False, True], ids=["small-first", "large-first"])
+def test_laguerre_cdf_table_is_a_per_call_rebuild(n, alpha, largest_first):
+    # the cached knot table, built or grown by any sequence of calls, gives
+    # every point the bits of a grid rebuilt for that call; past the cutoff too
+    cutoff = analytic._laguerre_cutoff(n, alpha)
+    rng = np.random.default_rng(n + alpha)
+    calls = [np.sort(rng.uniform(0.0, top, 3_000)) for top in (0.5, 4.0, cutoff)]
+    calls[-1] = np.append(calls[-1], [cutoff, cutoff + 7.25])
+    analytic._laguerre_knots.cache_clear()
+    for x in (calls[::-1] if largest_first else calls) + [calls[1]]:
+        assert np.array_equal(analytic._laguerre_cdf(n, alpha, x), _laguerre_cdf_rebuilt(n, alpha, x))
+    assert not analytic._laguerre_knots(n, alpha)[0].flags.writeable
+
+
 def test_rayleigh_capacity_raises_when_truncated(monkeypatch):
     # a cutoff inside the bulk leaves mass beyond it that the coarse/fine
     # check cannot see; the edge check must raise, not return the value

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import betainc
 from scipy.stats import ks_2samp, kstest
 
-from jacobi_fading import philox, simulate
+from jacobi_fading import analytic, philox, simulate
 from jacobi_fading.analytic import ergodic_capacity, outage_single_mode
 from jacobi_fading.ensembles import ChannelDims, phase_fixed_qr
 from jacobi_fading.errors import NumericalError
@@ -28,6 +28,7 @@ from jacobi_fading.simulate import (
     repetition_error_tail,
     sample_spectra,
 )
+from jacobi_fading.specfun import log2_1p
 from oracles import haar_spectra, ks_distance, reference_spectra, reference_squares
 
 DIMS_224 = ChannelDims(2, 2, 4)
@@ -152,6 +153,23 @@ def test_pivot_log_det_against_mpmath(mt, mr, m, rho):
     d2, e2 = simulate._model_squares(dims, cfg)
     want = np.array([float(_mp_log_det(d2[t], e2[t], rho)) for t in range(cfg.trials)])
     assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("rho", [1e-6, 1.0, 100.0, 1e6])
+@pytest.mark.parametrize("mt, mr, m", [(2, 2, 4), (2, 2, 3), (4, 4, 8), (2, 2, 32)])
+def test_chunked_log_det_is_the_whole_array_formula(mt, mr, m, rho):
+    # the LDL^T pivot recurrence over all trials at once, as it was first written;
+    # 20 001 trials are two full chunks and a short one
+    dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=20_001, master_seed=3)
+    d2, e2 = simulate._model_squares(dims, cfg)
+    want, q = np.zeros(cfg.trials), 1.0
+    for i in range(d2.shape[1]):
+        if i:
+            q = 1.0 + rho * e2[:, i - 1] * (q / p)
+        p = q + rho * d2[:, i]
+        want += np.log2(p)
+    want += dims.k * log2_1p(rho)
+    assert np.array_equal(simulate._log_det_values(dims, rho, cfg), want)
 
 
 @pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7), (2, 2, 3), (1, 2, 3), (2, 2, 2)])
@@ -479,12 +497,88 @@ def test_ks_distance_basics():
 )
 def test_ks_distance_to_cdf_is_scipys(power, larger):
     # U^power against the uniform CDF: each one-sided term is the larger
-    # once, and 20 001 points span three blocks
+    # once, and 20 001 points end in a short segment between knots
     sample = philox.uniforms(stream_key(8, "ks"), 0, 20_001, 1)[:, 0] ** power
     sides = {side: kstest(sample, lambda x: x, alternative=side).statistic for side in ("greater", "less")}
     assert max(sides, key=sides.get) == larger
     want = kstest(sample, lambda x: x).statistic
     assert ks_distance_to_cdf(sample, lambda x: x) == pytest.approx(want, rel=0.0, abs=1e-15)
+
+
+def _full_ks(sample, cdf):
+    """The KS statistic with cdf evaluated at every sorted point: the pruned one's reference."""
+    s = np.sort(np.asarray(sample, dtype=float).ravel())
+    values, i = np.asarray(cdf(s), dtype=float), np.arange(len(s))
+    return float(max(np.max(values - i / len(s)), np.max((i + 1) / len(s) - values)))
+
+
+@pytest.mark.parametrize("seed", [7, 11, 23])
+def test_pruned_ks_is_the_full_evaluation_on_rayleigh_samples(seed):
+    def cdf(x):
+        return analytic._laguerre_cdf(2, 0, x)
+
+    for m in (8, 16, 32, 64):
+        lam = m * sample_spectra(ChannelDims(2, 2, m), McConfig(trials=100_000, master_seed=seed))
+        assert ks_distance_to_cdf(lam, cdf) == _full_ks(lam, cdf)
+
+
+def _random_ks_case(seed):
+    """A seeded (sample, non-decreasing cdf) pair: n from 1 to 20 000, continuous,
+    tied, or with a tie run shorter than a segment, against a smooth or a step CDF."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([1, 2, rng.integers(3, 64), 64, 65, 129, rng.integers(130, 3000), rng.integers(3000, 20_000)]))
+    p, q = rng.uniform(0.5, 3.0, size=2)
+    sample = rng.beta(*rng.uniform(0.5, 3.0, size=2), size=n)
+    if seed % 3 == 1:  # ties: a coarse grid of values
+        levels = rng.integers(2, 40)
+        sample = np.round(sample * levels) / levels
+    elif seed % 3 == 2 and n > 2:  # a run of equal values inside the sample
+        start = int(rng.integers(0, n - 1))
+        sample[start:start + int(rng.integers(1, 64))] = sample[start]
+    if seed % 2:
+        return sample, lambda x: np.floor(betainc(p, q, x) * 16.0) / 16.0
+    return sample, lambda x: betainc(p, q, x)
+
+
+def test_pruned_ks_is_the_full_evaluation_on_random_samples():
+    for seed in range(300):
+        sample, cdf = _random_ks_case(seed)
+        assert ks_distance_to_cdf(sample, cdf) == _full_ks(sample, cdf), seed
+
+
+def test_pruned_ks_finds_a_maximum_inside_a_segment():
+    # an even spread with a bump, and a run of 40 equal values from index 9995:
+    # F(s_i) - i/n peaks at the run's start, between knots 9984 and 10048
+    n = 20_000
+    u = (np.arange(n) + 0.5) / n
+    sample = u + 0.05 * np.exp(-(((u - 0.5) / 0.1) ** 2))
+    sample[9995:10035] = sample[10034]
+    sizes = []
+
+    def cdf(x):
+        sizes.append(len(x))
+        return np.clip(x, 0.0, 1.0)
+
+    got = ks_distance_to_cdf(sample, cdf)
+    i = np.arange(n)
+    terms = np.maximum(sample - i / n, (i + 1) / n - sample)
+    assert int(np.argmax(terms)) == 9995 and got == np.max(terms)
+    assert len(sizes) == 2 and sum(sizes) <= n // 10, sizes  # the knots, then the segments near the bump
+    assert got == _full_ks(sample, cdf)
+
+
+def test_rayleigh_ks_evaluates_few_points(monkeypatch):
+    sizes = []
+    real = analytic._laguerre_cdf
+
+    def counting(n, alpha, x):
+        sizes.append(len(x))
+        return real(n, alpha, x)
+
+    monkeypatch.setattr(analytic, "_laguerre_cdf", counting)
+    rayleigh_compare(ChannelDims(2, 2, 8), 100.0, McConfig(trials=100_000, master_seed=7))
+    # 2 * 10^5 scaled eigenvalues: the knots, then one call on the segments that can reach the maximum
+    assert len(sizes) == 2 and sum(sizes) <= 0.1 * 200_000, sizes
 
 
 def _brute_force_ks(a, b):
@@ -653,6 +747,8 @@ def test_count_method_draws_once_per_block(monkeypatch):
         (lambda: ks_distance_to_cdf([0.1, -math.inf], lambda x: x), "sample must be a non-empty sample"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: 5 + x), "cdf must return finite values in"),
         (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: x * math.nan), "cdf must return finite values in"),
+        (lambda: ks_distance_to_cdf([0.2, 0.5], lambda x: 1.0 - x), "cdf must be non-decreasing"),
+        (lambda: ks_distance_to_cdf(np.linspace(0.0, 1.0, 200), lambda x: np.cos(6.0 * x) ** 2), "cdf must be non-decreasing"),
         # a channel with too few modes is refused by ChannelDims before rayleigh_compare
         # runs; these two ids keep the names the rows had when rayleigh_compare
         # checked mt >= 1 and mr >= 1 itself
