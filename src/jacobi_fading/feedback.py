@@ -29,12 +29,14 @@ dither, closing-channel, closing-noise), keyed ``stream_key(seed,
 index, so use i's variates depend on its position only.  All channels are
 drawn by one Gram-Schmidt pass over the whole stack
 (:func:`.ensembles.phase_fixed_qr`, no LAPACK call per matrix) and
-completed by one stacked ``eigh``.  No step runs per use: the completion
-rows are orthogonal, so every use's conditional covariance is exactly I
-and the pads follow in closed form, and the relay recurrence and the
-backward peeling (use i depends on use i - l only) are affine maps along
-each delay chain, solved by a prefix scan in ceil(log2(n / l)) batched
-steps.  The combining identity also gives the receiver's noise in closed
+completed from an s x s problem each, s = m - mr: s pivoted Gram-Schmidt
+steps on the rank-s residual ``I - H11^+ H11``, stack-last, and one
+stacked ``eigh`` of the basis's s x s Gram (:func:`complete_unitary`).  No
+step runs per use: the completion rows are orthogonal, so every use's
+conditional covariance is exactly I and the pads follow in closed form,
+and the relay recurrence and the backward peeling (use i depends on use
+i - l only) are affine maps along each delay chain, solved by a prefix
+scan in ceil(log2(n / l)) batched steps.  The combining identity also gives the receiver's noise in closed
 form, covariance ``I - M^H D M`` per use from the peeling scan's prefix
 products: no covariance is scanned.
 """
@@ -152,11 +154,29 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     """Complete the block's columns to an isometry: H21 with H21^+H21 = I - H11^+H11.
 
     ``h11`` is one mr x mt block or a stack of them with shape (n, mr, mt).
-    Returns the (m - mr) x mt completion of each block, built from the
-    eigendecomposition of ``I - H11^+ H11``, its rows ordered by decreasing
-    eigenvalue and each eigenvector's largest entry rotated to the positive
-    real axis, so both ends of the link compute the identical matrix from
-    H11 alone.  A single block is computed as a one-row stack.
+    Returns the (m - mr) x mt completion of each block: the eigenvectors of
+    ``I - H11^+ H11`` scaled by the square roots of their eigenvalues, its
+    rows ordered by decreasing eigenvalue and each row's largest entry
+    rotated to the positive real axis, so both ends of the link compute the
+    identical matrix from H11 alone.  A single block is computed as a
+    one-row stack.
+
+    The residual R = I - H11^+ H11 has rank s = m - mr at most, so no mt x
+    mt eigenproblem is solved.  s steps of pivoted Gram-Schmidt on R's
+    columns, largest remaining diagonal first, give C (mt x s) with
+    R = C C^+: column e is the leftover column at the pivot over the
+    pivot's square root, and a pivot <= 0 gives a zero column.  What C
+    leaves of R must vanish within ``UNIT_TOL`` entry by entry, or
+    NumericalError is raised.  With U the eigenvectors of the s x s Gram
+    C^+ C by decreasing eigenvalue, column e of C U is R's eigenvector for
+    eigenvalue e scaled by its square root.  Where an eigenvalue repeats
+    (eigenvalue 1, when mt - mr >= 2) any basis of its eigenspace is
+    valid, and the pivot order fixes this one.  Every step is one numpy
+    call over the whole stack, laid out stack-last (:func:`_mul_last`), and
+    the one LAPACK call is a stacked s x s ``eigh``: far cheaper than an
+    mt x mt ``eigh`` per block on small blocks, but every step touches the
+    whole mt x mt residual, so dearer from about 12 x 12 blocks on (see
+    the README).
     """
     h11 = np.asarray(h11)
     if h11.ndim not in (2, 3) or h11.shape[-2:] != (dims.mr, dims.mt):
@@ -165,24 +185,33 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
         raise ValueError("a zero-padded completion needs mt + mr > m")
     if h11.ndim == 2:
         return complete_unitary(h11[None], dims)[0]
-    mt, k, s = dims.mt, dims.k, dims.m - dims.mr
-    residual = np.eye(mt) - h11.conj().swapaxes(-1, -2) @ h11
-    w, v = np.linalg.eigh(residual)
-    if np.any(w[:, 0] < -UNIT_TOL):
+    n, mt, s = len(h11), dims.mt, dims.m - dims.mr
+    # the residual, then what the basis leaves of it: (mt, mt, n), stack axis last
+    left = np.eye(mt)[:, :, None] - _gram_last(_stack_last(h11))
+    diag = np.diagonal(left, axis1=0, axis2=1).real  # (n, mt), a view that follows left
+    basis = np.zeros((mt, s, n), dtype=left.dtype)
+    at = np.arange(n)
+    for e in range(s):
+        j = np.argmax(diag, axis=1)
+        pivot = diag[at, j]
+        live = pivot > 0.0
+        basis[:, e] = left[:, j, at] * np.where(live, 1.0 / np.sqrt(np.where(live, pivot, 1.0)), 0.0)
+        left -= basis[:, None, e] * basis[None, :, e].conj()
+    if np.any(diag < -UNIT_TOL):
         raise NumericalError("I - H11^+H11 has a significantly negative eigenvalue")
-    w = np.clip(w, 0.0, None)
-    if s == 0:
-        if np.any(w[:, -1] > UNIT_TOL):
+    if np.any(np.abs(left) > UNIT_TOL):
+        if s == 0:
             raise NumericalError("columns are not orthonormal but no completion rows remain")
-        return np.zeros((len(h11), 0, mt), dtype=complex)
-    # eigh sorts ascending and s = mt - k: the top s eigenvalues carry the whole residual
-    if np.any(w[:, k - 1] > UNIT_TOL):
         raise NumericalError("residual rank exceeds the available completion rows")
-    top = v[:, :, ::-1][:, :, :s]  # one eigenvector column per completion row
-    # a unit eigenvector's largest entry is at least 1/sqrt(mt) in modulus
-    pivot = np.take_along_axis(top, np.argmax(np.abs(top), axis=1)[:, None, :], axis=1)
-    phase = pivot.conj() / np.abs(pivot)
-    return (np.sqrt(w[:, None, ::-1][:, :, :s]) * (top * phase).conj()).swapaxes(1, 2)
+    if s == 0:
+        return np.zeros((n, 0, mt), dtype=complex)
+    # eigh sorts ascending: reverse for rows by decreasing eigenvalue
+    u = np.linalg.eigh(np.moveaxis(_gram_last(basis), -1, 0))[1][:, :, ::-1]
+    rows = _mul_last(basis, _stack_last(u))  # column e is C u_e: (mt, s, n)
+    pivot = np.take_along_axis(rows, np.argmax(np.abs(rows), axis=0)[None], axis=0)
+    size = np.abs(pivot)
+    phase = np.where(size > 0.0, pivot.conj() / np.where(size > 0.0, size, 1.0), 1.0)
+    return np.ascontiguousarray((rows * phase).conj().transpose(2, 1, 0))
 
 
 class _FrameDraws(NamedTuple):
@@ -253,6 +282,16 @@ def _mul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stack_last(a: np.ndarray) -> np.ndarray:
+    """A contiguous copy of a stack of matrices with the stack axis moved last: (N, p, q) to (p, q, N)."""
+    return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+
+def _gram_last(a: np.ndarray) -> np.ndarray:
+    """``a^H a`` over a stack of small matrices with the stack axis last: (p, q, N) to (q, q, N)."""
+    return _mul_last(a.conj().swapaxes(0, 1), a)
+
+
 def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` over stacks of small matrices with the stack axis first, by :func:`_mul_last`."""
     return np.moveaxis(_mul_last(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
@@ -270,7 +309,7 @@ def _affine_scan(g, vec, l):
     (:func:`_mul_last`).
     """
     n, d = len(vec), l
-    g = np.ascontiguousarray(np.moveaxis(g, 0, -1))
+    g = _stack_last(g)
     x = vec.T[:, None, :].copy()  # a C-ordered copy, updated in place
     while d < n:
         head = g[:, :, d:]
@@ -303,8 +342,9 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
 
     h11 = draws.channels
     h21 = complete_unitary(h11, dims)
-    gram11 = _hermitian(h11) @ h11
-    deviation = np.max(np.abs(gram11 + _hermitian(h21) @ h21 - np.eye(mt)), axis=(1, 2))
+    # the combining identity H11^H H11 + H21^H H21 = I, on the stacked blocks, stack axis last
+    iso = _stack_last(np.concatenate([h11, h21], axis=1))
+    deviation = np.max(np.abs(_gram_last(iso) - np.eye(mt)[:, :, None]), axis=(0, 1))
     if np.any(deviation > _COMBINE_TOL):
         bad = int(np.argmax(deviation > _COMBINE_TOL))
         raise NumericalError(f"completion at use {bad} fails the combining identity")
@@ -352,9 +392,9 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     # relay, read from slots k: of use i + l's combined output (its known pad
     # removed).  So u_i = base_i[k:] + G_i u_{i+l} with G_i = (H21_i^H)[k:]:
     # one scan backwards in time, seeded by the l closing measures as rows
-    # with identity maps.  u_i's noise covariance K_i = gram11_i[k:, k:] +
-    # G_i K_{i+l} G_i^H, and the combining identity gives gram11[k:, k:] +
-    # G G^H = I, so the deficit I - K is a pure congruence of the seeds' D =
+    # with identity maps.  u_i's noise covariance K_i = (H11_i^H H11_i)[k:, k:]
+    # + G_i K_{i+l} G_i^H, and the combining identity gives (H11^H H11)[k:, k:]
+    # + G G^H = I, so the deficit I - K is a pure congruence of the seeds' D =
     # diag(1 - 1/gain): I - K_{i+l} = P D P^H, P the scan's prefix product on
     # row i + l.  Use i's combined noise has covariance I - M^H D M, M = P^H H21_i.
     offset = np.zeros((n, s), dtype=complex)

@@ -18,6 +18,11 @@ the library's Philox streams, so their samples are a pure function of
 LAPACK's QR with each column turned by the phase of R's diagonal entry:
 the library's Gram-Schmidt kernel must give the same Q up to rounding.
 
+``eigh_complete_unitary`` is the feedback completion as it was first
+written, one stacked ``eigh`` of the mt x mt residual I - H11^+ H11: the
+library's s x s path must give the same rows up to rounding, except where
+an eigenvalue repeats and any basis of its eigenspace is valid.
+
 ``reference_squares`` and ``reference_spectra`` are the bidiagonal model
 written the direct way, trial-major, each Beta variate's log terms added
 column by column in index order and ``np.where`` for the p < q flip, on
@@ -27,7 +32,7 @@ adds in the same order, must give the same bits.
 
 import numpy as np
 
-from jacobi_fading.ensembles import ChannelDims, snap_endpoints
+from jacobi_fading.ensembles import UNIT_TOL, ChannelDims, snap_endpoints
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.philox import complex_normals, stream_key, uniforms
 from jacobi_fading.simulate import McConfig, _channel_key, _map_chunks, _sorted_sample, channel_blocks
@@ -74,6 +79,33 @@ def lapack_phase_fixed_qr(a: np.ndarray) -> np.ndarray:
     if np.any(mag == 0.0):
         raise NumericalError("QR produced an exactly zero diagonal entry")
     return q * (d / mag)[..., None, :]
+
+
+def eigh_complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
+    """The (n, m - mr, mt) completions of a stack of blocks, from the mt x mt residual's ``eigh``.
+
+    Rows by decreasing eigenvalue, each the eigenvector scaled by the
+    eigenvalue's square root with its largest entry turned to the positive
+    real axis.
+    """
+    mt, k, s = dims.mt, dims.k, dims.m - dims.mr
+    residual = np.eye(mt) - h11.conj().swapaxes(-1, -2) @ h11
+    w, v = np.linalg.eigh(residual)
+    if np.any(w[:, 0] < -UNIT_TOL):
+        raise NumericalError("I - H11^+H11 has a significantly negative eigenvalue")
+    w = np.clip(w, 0.0, None)
+    if s == 0:
+        if np.any(w[:, -1] > UNIT_TOL):
+            raise NumericalError("columns are not orthonormal but no completion rows remain")
+        return np.zeros((len(h11), 0, mt), dtype=complex)
+    # eigh sorts ascending and s = mt - k: the top s eigenvalues carry the whole residual
+    if np.any(w[:, k - 1] > UNIT_TOL):
+        raise NumericalError("residual rank exceeds the available completion rows")
+    top = v[:, :, ::-1][:, :, :s]  # one eigenvector column per completion row
+    # a unit eigenvector's largest entry is at least 1/sqrt(mt) in modulus
+    pivot = np.take_along_axis(top, np.argmax(np.abs(top), axis=1)[:, None, :], axis=1)
+    phase = pivot.conj() / np.abs(pivot)
+    return (np.sqrt(w[:, None, ::-1][:, :, :s]) * (top * phase).conj()).swapaxes(1, 2)
 
 
 def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:

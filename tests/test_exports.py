@@ -2,8 +2,9 @@
 import graph stays free of scipy, which only the tests need, argument
 range checks and mode-count checks live in ``ensembles`` alone,
 ``simulate`` keys one stream per channel shape, every eigensolve is one of
-a named few, nothing sums by ``reduceat``, nothing calls a library QR,
-each sample set fills one buffer, and every indicator estimate is a count."""
+a named few, a feedback frame solves only s x s eigenproblems, nothing
+sums by ``reduceat``, nothing calls a library QR, each sample set fills
+one buffer, and every indicator estimate is a count."""
 
 import ast
 import importlib
@@ -13,9 +14,12 @@ import pkgutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import jacobi_fading
+from jacobi_fading.ensembles import ChannelDims
+from jacobi_fading.feedback import SchemeConfig, run_feedback_scheme
 
 MODULES = ["jacobi_fading"] + [
     f"jacobi_fading.{info.name}" for info in pkgutil.iter_modules(jacobi_fading.__path__)
@@ -160,7 +164,7 @@ EIGENSOLVES_ALLOWED = {
     ("analytic.py", "_legendre_rule"),  # Golub-Welsch nodes of the quadrature rule
     ("simulate.py", "_tridiagonal_spectra"),  # spectra outputs of the bidiagonal model
     ("ensembles.py", "verify_pinned_spectrum"),  # the check on whole Haar unitaries
-    ("feedback.py", "complete_unitary"),  # the null space that completes a channel use
+    ("feedback.py", "complete_unitary"),  # the s x s Gram of the completion basis
 }
 
 
@@ -178,6 +182,20 @@ def test_every_eigensolve_is_deliberate():
         if (path.name, function) not in EIGENSOLVES_ALLOWED
     ]
     assert not found, "eigensolves outside the allow-list:\n" + "\n".join(found)
+
+
+def test_feedback_frame_solves_only_s_by_s_eigenproblems(monkeypatch):
+    # a (4, 4, 6) frame completes each use from its s x s Gram, s = m - mr = 2,
+    # never from the mt x mt residual
+    shapes, eigh = [], np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    run_feedback_scheme(SchemeConfig(dims=ChannelDims(4, 4, 6), n_uses=200, delay=1))
+    assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), shapes
 
 
 def test_no_reduceat_in_the_package():

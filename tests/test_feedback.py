@@ -16,6 +16,7 @@ from jacobi_fading.feedback import (
 )
 from jacobi_fading.philox import stream_key, uniforms
 from jacobi_fading.simulate import channel_blocks, qpsk_bit_error
+from oracles import eigh_complete_unitary
 
 DIMS_223 = ChannelDims(2, 2, 3)
 
@@ -83,6 +84,55 @@ def test_completion_rejects_any_bad_block_in_a_stack():
         complete_unitary(h11, DIMS_223)
     with pytest.raises(ValueError):
         complete_unitary(h11[None], DIMS_223)
+
+
+@pytest.mark.parametrize("dims", [DIMS_223, ChannelDims(4, 4, 6), ChannelDims(4, 4, 7), ChannelDims(8, 8, 12)])
+def test_completion_matches_the_eigh_oracle(dims):
+    # s = m - mr = 1..4: the s x s path gives the mt x mt eigh's rows up to rounding
+    h11 = channels(dims, 1000, 6)
+    h21 = complete_unitary(h11, dims)
+    assert h21.shape == (1000, dims.m - dims.mr, dims.mt)
+    assert np.max(np.abs(h21 - eigh_complete_unitary(h11, dims))) < 1e-13
+    # the pads' closed form needs mutually orthogonal rows
+    cross = h21 @ h21.conj().swapaxes(1, 2)
+    assert np.max(np.abs(cross * (1.0 - np.eye(dims.m - dims.mr)))) < 1e-14
+
+
+def test_completion_in_a_repeated_eigenspace_matches_the_oracle_gram():
+    # mt - mr = 2: the residual's eigenvalue 1 repeats, and any basis of its
+    # eigenspace is a valid completion, so only H21^H H21 is pinned
+    dims = ChannelDims(4, 2, 4)
+    h11 = channels(dims, 1000, 7)
+    h21, want = complete_unitary(h11, dims), eigh_complete_unitary(h11, dims)
+    gram = h21.conj().swapaxes(1, 2) @ h21
+    assert np.max(np.abs(gram - want.conj().swapaxes(1, 2) @ want)) < 1e-13
+    cross = h21 @ h21.conj().swapaxes(1, 2)
+    assert np.max(np.abs(cross - np.eye(2))) < 1e-14
+
+
+def test_completion_of_orthonormal_columns_is_a_zero_row():
+    # the residual is exactly 0: every pivot is 0, which gives a zero row, not NaN
+    # (pytest turns any warning into an error)
+    h21 = complete_unitary(np.eye(2), DIMS_223)
+    assert h21.shape == (1, 2)
+    assert np.all(h21 == 0.0)
+
+
+def test_completion_rejects_an_off_diagonal_residual():
+    # H11^H H11 = [[1, -1/2], [-1/2, 1]] leaves the residual [[0, 1/2], [1/2, 0]]:
+    # its diagonal is 0, so a check on the diagonal alone would pass it
+    w, v = np.linalg.eigh(np.array([[1.0, -0.5], [-0.5, 1.0]]))
+    h11 = (v * np.sqrt(w)) @ v.T
+    np.testing.assert_allclose(np.eye(2) - h11.T @ h11, [[0.0, 0.5], [0.5, 0.0]], atol=1e-15)
+    with pytest.raises(NumericalError):
+        complete_unitary(h11, DIMS_223)
+
+
+@pytest.mark.parametrize("dims", [DIMS_223, ChannelDims(4, 4, 6)])
+def test_completion_rejects_a_block_above_unit_norm(dims):
+    h11 = 1.1 * channels(dims, 5, 8)
+    with pytest.raises(NumericalError, match="significantly negative eigenvalue"):
+        complete_unitary(h11, dims)
 
 
 def test_scheme_config_validation():
