@@ -209,7 +209,6 @@ def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
 # entries, has density (1/n) sum_{k<n} k!/(k+alpha)! L_k^alpha(lam)^2 lam^alpha e^-lam,
 # alpha = |mt - mr| (Telatar, Eur. Trans. Telecommun. 10, 1999), cut at _laguerre_cutoff.
 _LAGUERRE_GRID_PER_N = 256  # CDF grid steps per unit of lam, per eigenvalue
-_LAGUERRE_BLOCK = 8192  # CDF points per pass, so the temporaries stay in cache
 
 
 def _laguerre_cutoff(n: int, alpha: int) -> float:
@@ -241,43 +240,35 @@ def _laguerre_capacity(n: int, alpha: int, rho: float) -> float:
     return value
 
 
+def _laguerre_cells(n: int, alpha: int, lo: np.ndarray, width: float | np.ndarray) -> np.ndarray:
+    """The density above integrated over [lo, lo + width] by 2-point Gauss-Legendre."""
+    rule = zip(*_legendre_rule(2))
+    return width * sum(w * _laguerre_density(n, alpha, lo + t * width) for t, w in rule)
+
+
 @cache
-def _laguerre_knots(n: int, alpha: int) -> list:
-    """[the read-only CDF at the grid points 0, step, 2 step, ...], grown by :func:`_laguerre_cdf`."""
-    return [np.zeros(1)]
+def _laguerre_knots(n: int, alpha: int) -> np.ndarray:
+    """Read-only CDF at the grid points 0, step, 2 step, ... up to L, step 1/(_LAGUERRE_GRID_PER_N * n),
+    built once: the sequential cumulative sum of the cells' integrals."""
+    step = 1.0 / (_LAGUERRE_GRID_PER_N * n)
+    cells = _laguerre_cells(n, alpha, step * np.arange(int(_laguerre_cutoff(n, alpha) / step)), step)
+    at_knots = np.add.accumulate(np.concatenate([[0.0], cells]))
+    at_knots.setflags(write=False)
+    return at_knots
 
 
 def _laguerre_cdf(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     """P(lam <= x) under the density above, for a 1-D float array ``x >= 0``.
 
-    Summed on a grid of step 1/(_LAGUERRE_GRID_PER_N * n) up to min(max(x), L),
-    plus each point's integral from the grid point below it, all by 2-point
+    The CDF at the grid point below each point (the last, L, for points past it), from
+    :func:`_laguerre_knots`, plus the integral from there, both by 2-point
     Gauss-Legendre: no rule spans more than one step, so the error does not depend
     on the sample size.  (The closed form 1 - e^-x Q(x) cancels: 1.2e-9 at n = alpha = 8.)
-    The sums at the grid points are cached per (n, alpha) and grown by continuing the
-    sequential cumsum from the last one, so no value depends on earlier calls.
     """
-
-    def integral(lo, width):
-        rule = zip(*_legendre_rule(2))
-        return width * sum(w * _laguerre_density(n, alpha, lo + t * width) for t, w in rule)
-
     step = 1.0 / (_LAGUERRE_GRID_PER_N * n)
-    cells = int(min(np.max(x), _laguerre_cutoff(n, alpha)) / step)
-    table = _laguerre_knots(n, alpha)
-    at_knots = table[0]
-    if len(at_knots) <= cells:
-        last = len(at_knots) - 1
-        at_knots = np.concatenate([at_knots, integral(step * np.arange(last, cells), step)])
-        np.add.accumulate(at_knots[last:], out=at_knots[last:])
-        at_knots.setflags(write=False)
-        table[0] = at_knots  # a racing call may store a shorter table; its knots agree bit for bit
-    cdf = np.empty_like(x)
-    for i in range(0, len(x), _LAGUERRE_BLOCK):
-        part = x[i:i + _LAGUERRE_BLOCK]
-        below = np.minimum(part / step, cells).astype(np.intp)
-        cdf[i:i + _LAGUERRE_BLOCK] = integral(step * below, part - step * below) + at_knots[below]
-    return np.minimum(cdf, 1.0, out=cdf)
+    at_knots = _laguerre_knots(n, alpha)
+    below = np.minimum(x / step, len(at_knots) - 1).astype(np.intp)
+    return np.minimum(_laguerre_cells(n, alpha, step * below, x - step * below) + at_knots[below], 1.0)
 
 
 def outage_single_mode(mr: int, m: int, rate_bits: float, rho: float) -> float:

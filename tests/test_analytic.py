@@ -355,8 +355,9 @@ def _laguerre_cdf_rebuilt(n, alpha, x):
 @pytest.mark.parametrize("n, alpha", [(2, 0), (3, 1)])
 @pytest.mark.parametrize("largest_first", [False, True], ids=["small-first", "large-first"])
 def test_laguerre_cdf_table_is_a_per_call_rebuild(n, alpha, largest_first):
-    # the cached knot table, built or grown by any sequence of calls, gives
-    # every point the bits of a grid rebuilt for that call; past the cutoff too
+    # the cached knot table, built once up to the cutoff, gives every point
+    # the bits of a grid rebuilt for that call alone, in either call order;
+    # past the cutoff too
     cutoff = analytic._laguerre_cutoff(n, alpha)
     rng = np.random.default_rng(n + alpha)
     calls = [np.sort(rng.uniform(0.0, top, 3_000)) for top in (0.5, 4.0, cutoff)]
@@ -364,7 +365,7 @@ def test_laguerre_cdf_table_is_a_per_call_rebuild(n, alpha, largest_first):
     analytic._laguerre_knots.cache_clear()
     for x in (calls[::-1] if largest_first else calls) + [calls[1]]:
         assert np.array_equal(analytic._laguerre_cdf(n, alpha, x), _laguerre_cdf_rebuilt(n, alpha, x))
-    assert not analytic._laguerre_knots(n, alpha)[0].flags.writeable
+    assert not analytic._laguerre_knots(n, alpha).flags.writeable
 
 
 def test_rayleigh_capacity_raises_when_truncated(monkeypatch):

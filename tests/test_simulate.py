@@ -458,6 +458,27 @@ def test_alamouti_unitary_and_pinned_gains():
     assert est4.value > 0.0
 
 
+def test_alamouti_outage_against_the_exact_trace_law():
+    # (2,2,4) has k = 0 and eigenvalues of J(2; 0, 0), density 6 (l1 - l2)^2 on
+    # [0, 1]^2, so P(||H11||_F^2 <= t) = t^4 / 2 for t <= 1.  Outage at rate
+    # r log2(rho) is P(||H11||_F^2 < (rho^r - 1) / rho): none at 0 dB, where a
+    # rate of r log2(1 + rho) would give ((sqrt(2) - 1)^4) / 2 = 0.0147
+    cfg = McConfig(trials=400_000, master_seed=5)
+    at_0db = mc_alamouti_outage(4, 1.0, 0.5, cfg)
+    assert at_0db.value == 0.0 and at_0db.stderr == 0.0
+    at_10db = mc_alamouti_outage(4, 10.0, 0.5, cfg)
+    want = ((math.sqrt(10.0) - 1.0) / 10.0) ** 4 / 2.0
+    assert abs(at_10db.value - want) <= 3.0 * at_10db.stderr, (at_10db, want)
+
+
+def test_ergodic_pinned_modes_low_snr_limit():
+    # (2,2,2) is a whole unitary: both modes pinned at gain 1, so every trial
+    # is 2 log2(1 + rho) and the pinned share must not round 1 + rho
+    est = mc_ergodic_capacity(ChannelDims(2, 2, 2), 1e-15, McConfig(trials=1_000, master_seed=5))
+    assert est.value == pytest.approx(2.0 * log2_1p(1e-15), rel=1e-14, abs=0.0)
+    assert est.stderr == 0.0
+
+
 def test_slope_estimator():
     pts = [(rho, rho**-2.0) for rho in (10.0, 100.0, 1000.0)]
     assert estimate_diversity_slope(pts) == pytest.approx(2.0, abs=1e-12)
