@@ -410,7 +410,7 @@ def _write_manifest(path: str, args, csv_text: str) -> None:
     manifest = {
         "subcommand": args.command,
         "parameters": params,
-        "master_seed": getattr(args, "seed", 0),
+        "master_seed": args.seed,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "output_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),

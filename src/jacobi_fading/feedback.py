@@ -131,7 +131,7 @@ class SchemeReport:
     are 1 by construction: the pads top every relay slot up to unit
     variance and the completion rows are orthogonal, so each use's
     conditional covariance is I.  ``per_mode_power_empirical`` averages the
-    realized |x_j|^2.
+    realized |x_j|^2.  ``stream_noise_max_cross_corr`` is 0.0 at k = 1.
     """
 
     per_stream_snr: np.ndarray
@@ -176,7 +176,7 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     the one LAPACK call is a stacked s x s ``eigh``: far cheaper than an
     mt x mt ``eigh`` per block on small blocks, but every step touches the
     whole mt x mt residual, so dearer from about 12 x 12 blocks on (see
-    the README).
+    the README).  s = 0 gives empty rows by the same steps, on 0 x 0 Grams.
     """
     h11 = np.asarray(h11)
     if h11.ndim not in (2, 3) or h11.shape[-2:] != (dims.mr, dims.mt):
@@ -200,11 +200,7 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     if np.any(diag < -UNIT_TOL):
         raise NumericalError("I - H11^+H11 has a significantly negative eigenvalue")
     if np.any(np.abs(left) > UNIT_TOL):
-        if s == 0:
-            raise NumericalError("columns are not orthonormal but no completion rows remain")
         raise NumericalError("residual rank exceeds the available completion rows")
-    if s == 0:
-        return np.zeros((n, 0, mt), dtype=complex)
     # eigh sorts ascending: reverse for rows by decreasing eigenvalue
     u = np.linalg.eigh(np.moveaxis(_gram_last(basis), -1, 0))[1][:, :, ::-1]
     rows = _mul_last(basis, _stack_last(u))  # column e is C u_e: (mt, s, n)
@@ -260,10 +256,6 @@ def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
         closing_channels=closing_channels,
         closing_noise=closing_noise.reshape(windows, dims.mt, dims.mr),
     )
-
-
-def _hermitian(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
 
 
 def _mul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,8 +391,8 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     # row i + l.  Use i's combined noise has covariance I - M^H D M, M = P^H H21_i.
     offset = np.zeros((n, s), dtype=complex)
     offset[:n - l] = sqrt_rho * pad[l:]
-    h21h = _hermitian(h21)
-    base = np.einsum("nij,nj->ni", _hermitian(h11), ys) - np.einsum("nij,nj->ni", h21h, offset)
+    h21h = h21.conj().swapaxes(1, 2)
+    base = np.einsum("nji,nj->ni", h11.conj(), ys) - np.einsum("nij,nj->ni", h21h, offset)
     seed_meas = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s)
     side, chain = _affine_scan(
         np.concatenate([np.broadcast_to(np.eye(s), (l, s, s)), h21h[::-1, k:]]),
@@ -409,7 +401,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     )
     side, chain = side[::-1][l:], chain[::-1][l:]  # row i: u_{i+l} and its P
     y_tilde = base + np.einsum("nij,nj->ni", h21h, side)
-    m_noise = _stack_mul(_hermitian(chain), h21)
+    m_noise = _stack_mul(chain.conj().swapaxes(1, 2), h21)
     # row i + l is on the chain of closing measure (i - n) mod l
     deficit = (1.0 - 1.0 / gain).reshape(l, s)[(np.arange(n) - n) % l]
 
@@ -419,14 +411,11 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     noise_cov_error = float(np.max(np.abs(weighted.conj().T @ m_noise.reshape(-1, mt)))) / n
     per_stream_snr = rho / np.mean(cond_var_stream, axis=0)
 
-    if k >= 2:
-        stream_noise = y_tilde[:, :k] - sqrt_rho * xs[:, :k]
-        c = (stream_noise.conj().T @ stream_noise) / n
-        denom = np.sqrt(np.outer(np.diag(c).real, np.diag(c).real))
-        corr = np.abs(c) / denom
-        max_corr = float(np.max(corr - np.eye(k) * corr))
-    else:
-        max_corr = 0.0
+    stream_noise = y_tilde[:, :k] - sqrt_rho * xs[:, :k]
+    c = (stream_noise.conj().T @ stream_noise) / n
+    denom = np.sqrt(np.outer(np.diag(c).real, np.diag(c).real))
+    corr = np.abs(c) / denom
+    max_corr = float(np.max(corr - np.eye(k) * corr))
 
     sent = draws.symbols
     ber = None

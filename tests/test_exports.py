@@ -184,9 +184,11 @@ def test_every_eigensolve_is_deliberate():
     assert not found, "eigensolves outside the allow-list:\n" + "\n".join(found)
 
 
-def test_feedback_frame_solves_only_s_by_s_eigenproblems(monkeypatch):
-    # a (4, 4, 6) frame completes each use from its s x s Gram, s = m - mr = 2,
-    # never from the mt x mt residual
+@pytest.mark.parametrize("dims", [ChannelDims(4, 4, 6), ChannelDims(2, 3, 3)], ids=["s2", "s0"])
+def test_feedback_frame_solves_only_s_by_s_eigenproblems(monkeypatch, dims):
+    # a frame completes each use from its s x s Gram, s = m - mr (2 and 0),
+    # never from the mt x mt residual; s = 0 takes the same stacked eigh
+    s = dims.m - dims.mr
     shapes, eigh = [], np.linalg.eigh
 
     def recording_eigh(a, *args, **kwargs):
@@ -194,8 +196,8 @@ def test_feedback_frame_solves_only_s_by_s_eigenproblems(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    run_feedback_scheme(SchemeConfig(dims=ChannelDims(4, 4, 6), n_uses=200, delay=1))
-    assert shapes and all(shape[-2:] == (2, 2) for shape in shapes), shapes
+    run_feedback_scheme(SchemeConfig(dims=dims, n_uses=200, delay=1))
+    assert shapes and all(shape[-2:] == (s, s) for shape in shapes), shapes
 
 
 def test_no_reduceat_in_the_package():

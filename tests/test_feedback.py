@@ -51,6 +51,12 @@ def test_completion_degenerate_no_rows():
     h11 = channels(dims, 1, 3)[0]
     h21 = complete_unitary(h11, dims)
     assert h21.shape == (0, 2)
+    # s = 0 takes the general path: no pivot step runs and the rank check alone decides
+    for stack in (channels(dims, 4, 3), np.repeat(np.eye(3, 2)[None], 4, axis=0)):
+        h21 = complete_unitary(stack, dims)
+        assert h21.shape == (4, 0, 2) and h21.dtype == stack.dtype
+        with pytest.raises(NumericalError, match="residual rank exceeds the available completion rows"):
+            complete_unitary(stack / 2.0, dims)
 
 
 def test_completion_rejects_impossible_input():
@@ -220,6 +226,19 @@ def test_scheme_stream_noise_cross_correlation():
     rep = run_feedback_scheme(SchemeConfig(dims=dims, n_uses=4000, delay=2, rho=10.0))
     assert rep.stream_noise_max_cross_corr < 0.05
     assert np.all(np.abs(rep.per_stream_snr - 10.0) < 0.2)
+
+
+@pytest.mark.parametrize("dims", [DIMS_223, ChannelDims(3, 3, 5)])
+@pytest.mark.parametrize("fresh", [True, False])
+@pytest.mark.parametrize("modulation", ["qpsk", "gaussian"])
+def test_single_stream_noise_has_no_cross_correlation(dims, fresh, modulation):
+    # k = 1: the one stream's correlation with itself is removed exactly
+    for seed in (0, 3, 11):
+        rep = run_feedback_scheme(SchemeConfig(
+            dims=dims, n_uses=100, delay=2, modulation=modulation, master_seed=seed,
+            fresh_channel_each_use=fresh,
+        ))
+        assert rep.stream_noise_max_cross_corr == 0.0
 
 
 def test_scheme_two_streams_high_snr_ber():
