@@ -400,7 +400,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         l,
     )
     side, chain = side[::-1][l:], chain[::-1][l:]  # row i: u_{i+l} and its P
-    y_tilde = base + np.einsum("nij,nj->ni", h21h, side)
+    y_tilde = base[:, :k] + np.einsum("nij,nj->ni", h21h[:, :k], side)  # the k stream slots
     m_noise = _stack_mul(chain.conj().swapaxes(1, 2), h21)
     # row i + l is on the chain of closing measure (i - n) mod l
     deficit = (1.0 - 1.0 / gain).reshape(l, s)[(np.arange(n) - n) % l]
@@ -411,7 +411,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     noise_cov_error = float(np.max(np.abs(weighted.conj().T @ m_noise.reshape(-1, mt)))) / n
     per_stream_snr = rho / np.mean(cond_var_stream, axis=0)
 
-    stream_noise = y_tilde[:, :k] - sqrt_rho * xs[:, :k]
+    stream_noise = y_tilde - sqrt_rho * xs[:, :k]
     c = (stream_noise.conj().T @ stream_noise) / n
     denom = np.sqrt(np.outer(np.diag(c).real, np.diag(c).real))
     corr = np.abs(c) / denom
@@ -420,9 +420,8 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     sent = draws.symbols
     ber = None
     if cfg.modulation == "qpsk":
-        meas = y_tilde[:, :k]
-        bit_errs = np.sum(np.sign(meas.real) != np.sign(sent.real))
-        bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
+        bit_errs = np.sum(np.sign(y_tilde.real) != np.sign(sent.real))
+        bit_errs += np.sum(np.sign(y_tilde.imag) != np.sign(sent.imag))
         ber = float(bit_errs / (2 * sent.size))
 
     per_use_rate = log2_1p(rho)

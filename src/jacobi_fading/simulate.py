@@ -7,7 +7,7 @@ counter-based stream keyed by ``(master_seed, tag, t)`` (see
 and symbols have tags of their own.  Estimates are therefore a pure
 function of (experiment parameters, trials, master_seed): worker count
 only changes how chunks of trials are scheduled, never which variates a
-trial sees, and chunk results are combined in a fixed order.
+trial sees.
 
 Because that stream depends on neither the estimator nor rho or r, all
 estimators and points of a curve at the same (dims, trials, master_seed)
@@ -88,8 +88,9 @@ __all__ = [
     "qpsk_symbol_error",
 ]
 
-# Fixed chunk grid: results must not depend on worker count, so trials are
-# always partitioned the same way and partial results combined in order.
+# Trials per pass of every per-trial kernel, so that a pass's temporaries
+# stay in cache, and the thread pool's unit of work.  No value depends on
+# it: every trial reads its own stream, and no reduction runs per chunk.
 _CHUNK = 8192
 
 # Memo of sample sets, set only inside a _shared_draws block.  A context
@@ -212,27 +213,22 @@ def _beta_variates(p: np.ndarray, q: np.ndarray, u: np.ndarray, x: np.ndarray) -
     within (r_j - 1) units of roundoff, relative (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, sec. 4.2), and r_j is at most
     m_min + min(a, b) in the bidiagonal model: no other order buys
-    anything.  The returned 1 - x rows reuse that scratch array: row j is
-    free once variate j is read, since variate j's terms start at row j or
-    later.
+    anything.
     """
     r, s = np.minimum(p, q), np.maximum(p, q)
     starts = np.cumsum(r) - r
     divisor = np.repeat(s - starts, r) + np.arange(r.sum())
     terms = np.log(u.T, out=np.empty(u.T.shape))
     terms /= divisor[:, None]
+    y = np.empty(x.shape)
     for j, (start, count) in enumerate(zip(starts, r)):
         log_x = terms[start]
         for i in range(start + 1, start + count):
             log_x += terms[i]
-        # x's row first: log_x may be row j itself, which then takes 1 - x
-        if p[j] < q[j]:
-            np.negative(np.expm1(log_x, out=x[j]), out=x[j])
-            np.exp(log_x, out=terms[j])
-        else:
-            np.exp(log_x, out=x[j])
-            np.negative(np.expm1(log_x, out=terms[j]), out=terms[j])
-    return terms[: len(p)]
+        product, rest = (x[j], y[j]) if p[j] >= q[j] else (y[j], x[j])
+        np.exp(log_x, out=product)
+        np.negative(np.expm1(log_x, out=rest), out=rest)
+    return y
 
 
 def _bidiagonal_chunk(dims: ChannelDims, key, lo: int, hi: int, out: np.ndarray) -> None:
@@ -426,8 +422,6 @@ _ERFC_POLY = (
 )
 # erfc(y) underflows from y = 27 on, so Q(x) is 0 from 27 sqrt(2) on.
 _Q_ZERO = 27.0 * math.sqrt(2.0)
-# values per Horner pass: the loop's buffers then stay in cache
-_Q_BLOCK = 8192
 
 
 def _q_upper(v: np.ndarray) -> np.ndarray:
@@ -469,8 +463,8 @@ def q_function(x):
     out = np.zeros(x.shape)
     flat = out.reshape(-1)
     live = np.flatnonzero(v < _Q_ZERO)
-    for lo in range(0, live.size, _Q_BLOCK):
-        idx = live[lo:lo + _Q_BLOCK]
+    for lo in range(0, live.size, _CHUNK):  # a Horner pass per chunk of values
+        idx = live[lo:lo + _CHUNK]
         flat[idx] = _q_upper(v[idx])
     np.subtract(1.0, out, out=out, where=x < 0.0)
     np.copyto(out, x, where=np.isnan(x))
@@ -574,16 +568,17 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
 def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimate:
     """Outage of the 2x2 orthogonal space-time block scheme at rate r*log2(rho).
 
-    The scheme's equivalent scalar channel has gain ||H11||_F^2, so outage
-    is the fraction of draws with ``log2(1 + ||H11||_F^2 rho) < r log2(rho)``.
+    The scheme's equivalent scalar channel has gain g = ||H11||_F^2, and
+    log2(1 + rho g) < r log2(rho) just when g < (rho^r - 1) / rho, so the
+    estimate is the fraction of draws whose gain is below that threshold.
+    Where rho^r overflows the threshold is inf and every draw is in outage.
     """
     dims = ChannelDims(2, 2, m)
     require_positive(rho=rho)
     require_nonnegative(r=r)
-    threshold = r * math.log2(rho)
-    gain = _trace_values(dims, cfg)  # ||H11||_F^2
-    blocks = (gain[lo:lo + _CHUNK] for lo in range(0, cfg.trials, _CHUNK))  # chunk-sized temporaries
-    return _count_estimate(sum(np.count_nonzero(np.log2(1.0 + rho * g) < threshold) for g in blocks), cfg)
+    with np.errstate(over="ignore"):
+        threshold = np.expm1(r * np.log(rho)) / rho
+    return _count_estimate(np.count_nonzero(_trace_values(dims, cfg) < threshold), cfg)
 
 
 def estimate_diversity_slope(points) -> float:

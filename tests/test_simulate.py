@@ -242,6 +242,30 @@ def test_kernel_has_the_bits_of_the_sequential_reference(mt, mr, m, workers):
     assert np.array_equal(sample_spectra(dims, cfg), reference_spectra(dims, cfg))
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_no_value_depends_on_the_chunk_size(monkeypatch, workers):
+    # _CHUNK sizes the kernels' passes and the pool's work units only; 20 001
+    # trials end in a partial chunk at both sizes
+    dims, cfg = ChannelDims(3, 3, 7), McConfig(trials=20_001, master_seed=5, workers=workers)
+
+    def outputs():
+        values = [
+            *simulate._model_squares(dims, cfg),
+            sample_spectra(dims, cfg),
+            simulate._log_det_values(dims, 10.0, cfg),
+            simulate._trace_values(dims, cfg),
+            q_function(np.linspace(-3.0, 45.0, cfg.trials)),
+        ]
+        estimates = [mc_repetition_error(dims, 2.0, cfg, method) for method in ("conditional", "count")]
+        estimates.append(mc_alamouti_outage(5, 10.0, 0.5, cfg))
+        values += [np.array([e.value, e.stderr]) for e in estimates]
+        return [np.ascontiguousarray(v).tobytes() for v in values]
+
+    default = outputs()
+    monkeypatch.setattr(simulate, "_CHUNK", 1000)
+    assert outputs() == default
+
+
 def test_mc_capacity_matches_analytic():
     cfg = McConfig(trials=100_000)
     est = mc_ergodic_capacity(DIMS_224, 10.0, cfg)
@@ -406,7 +430,7 @@ def test_q_function_special_values_and_shapes():
     assert out[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert q_function(np.empty((0, 4))).shape == (0, 4)
     assert q_function([0.0, 1.0]).shape == (2,)
-    big = np.linspace(-3.0, 45.0, 3 * simulate._Q_BLOCK + 5)  # several Horner blocks
+    big = np.linspace(-3.0, 45.0, 3 * simulate._CHUNK + 5)  # several Horner passes
     assert np.array_equal(q_function(big), [q_function(v) for v in big])
 
 
@@ -469,6 +493,25 @@ def test_alamouti_outage_against_the_exact_trace_law():
     at_10db = mc_alamouti_outage(4, 10.0, 0.5, cfg)
     want = ((math.sqrt(10.0) - 1.0) / 10.0) ** 4 / 2.0
     assert abs(at_10db.value - want) <= 3.0 * at_10db.stderr, (at_10db, want)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_alamouti_gain_threshold_counts_the_log_form(m):
+    # g < (rho^r - 1) / rho is the event log2(1 + rho g) < r log2(rho), with
+    # no outage at all for rho <= 1 or r = 0
+    cfg = McConfig(trials=20_000, master_seed=3)
+    gain = simulate._trace_values(ChannelDims(2, 2, m), cfg)
+    for rho in (0.25, 0.5, 1.0, *(10.0 ** (np.arange(0.0, 55.0, 5.0) / 10.0))):
+        for r in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5):
+            want = np.count_nonzero(np.log2(1.0 + rho * gain) < r * np.log2(rho))
+            assert mc_alamouti_outage(m, rho, r, cfg).value == want / cfg.trials, (rho, r)
+
+
+def test_alamouti_outage_is_certain_where_rho_to_the_r_overflows():
+    # at 3080 dB rho^2 overflows, and so does rho g for gains above 1.8;
+    # the threshold is inf and every draw is in outage
+    est = mc_alamouti_outage(4, 1e308, 2.0, McConfig(trials=20_000, master_seed=3))
+    assert est.value == 1.0 and est.stderr == 0.0
 
 
 def test_ergodic_pinned_modes_low_snr_limit():
