@@ -49,6 +49,9 @@ __all__ = [
 _QUAD_RTOL = 1e-13
 _PANEL_EXTRA_NODES = 16
 _PANEL_CHECK_NODES = 8
+# A grid of points is integrated in blocks of whole points of about this many
+# panels, so the node arrays do not grow with the grid's length.
+_BLOCK_PANELS = 1024
 
 
 def _orthonormal_mean_square(lam, g, diag, off):
@@ -149,43 +152,87 @@ def graded_integral(
     integrand's polynomial factor and sets the nodes per panel; ``f`` maps
     an array of points to an array of values.  :class:`NumericalError` is raised when the sum
     moves by more than ``_QUAD_RTOL * max(floor, |value|)`` on adding
-    nodes to every panel, or is not finite.
+    nodes to every panel, or is not finite.  It is the one-point case of
+    the grid form that integrates a whole closed-form curve in one pass.
     """
     require_integers(degree=degree)
     require_reals(edge=edge, ratio=ratio, floor=floor)
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    if not (edge > 0.0 and ratio > 1.0):
-        raise ValueError(f"need edge > 0 and ratio > 1, got edge={edge}, ratio={ratio}")
-    edges = [0.0]
-    while edge < 1.0:
-        edges.append(edge)
-        edge *= ratio
-    edges.append(1.0)
-    lo = np.asarray(edges[:-1])[:, None]
-    width = np.diff(edges)[:, None]
-
-    def panel_sum(n: int) -> float:
-        nodes, weights = _legendre_rule(n)
-        return float(np.sum(width * weights * f(lo + width * nodes)))
-
-    n = degree // 2 + _PANEL_EXTRA_NODES
-    coarse = panel_sum(n)
-    value = panel_sum(n + _PANEL_CHECK_NODES)
-    if not abs(value - coarse) <= _QUAD_RTOL * max(floor, abs(value)):
-        raise NumericalError(
-            f"graded quadrature did not converge on {len(edges) - 1} panels: "
-            f"{n} and {n + _PANEL_CHECK_NODES} nodes per panel give {coarse!r} and {value!r}"
-        )
-    return value
+    return float(_graded_integrals(lambda lam, point: f(lam), [edge], degree, ratio, floor)[0])
 
 
-def _capacity_integral(dims: ChannelDims, rho: float) -> float:
-    def integrand(lam):
-        return dims.m_min / math.log(2.0) * np.log1p(rho * lam) * _jacobi_density(dims, lam)
+def _graded_integrals(f, edges, degree: int, ratio: float = 4.0, floor: float = 0.0) -> np.ndarray:
+    """:func:`graded_integral` of ``lam -> f(lam, j)`` from ``edges[j]``, at every grid point j.
 
-    degree = 2 * (dims.m_min - 1) + dims.alpha + dims.beta
-    return graded_integral(integrand, 1.0 / rho, degree, floor=1.0)
+    The grid runs in blocks of whole points, about _BLOCK_PANELS panels each.  A block's
+    panels lie point after point in one array, and ``f`` is called on it once per rule with
+    ``point``, the column of each panel's grid index (an integrand reads ``rho[point]``).
+    Each point's value is the sum of its own rows: the terms and the order of a
+    one-point call, so every value is bit for bit the point's value on its own.  The
+    convergence check runs per point, and the first point in grid order that fails it is
+    the one :class:`NumericalError` names.
+    """
+    for edge in edges:
+        if not (edge > 0.0 and ratio > 1.0):
+            raise ValueError(f"need edge > 0 and ratio > 1, got edge={edge}, ratio={ratio}")
+    values, block, panels = np.empty(len(edges)), [], 0
+    for point, edge in enumerate(edges):
+        cuts = [0.0]
+        while edge < 1.0:
+            cuts.append(edge)
+            edge *= ratio
+        cuts.append(1.0)
+        block.append(cuts)
+        panels += len(cuts) - 1
+        if panels >= _BLOCK_PANELS or point == len(edges) - 1:
+            first = point + 1 - len(block)
+            values[first:point + 1] = _graded_block(f, block, first, degree // 2 + _PANEL_EXTRA_NODES, floor)
+            block, panels = [], 0
+    return values
+
+
+def _graded_block(f, block: list, first: int, n: int, floor: float) -> list:
+    """The checked sums of grid points first, first + 1, ..., whose panel edges are ``block``."""
+    counts = [len(cuts) - 1 for cuts in block]
+    lo = np.array([a for cuts in block for a in cuts[:-1]])[:, None]
+    width = np.array([b - a for cuts in block for a, b in zip(cuts, cuts[1:])])[:, None]
+    point = np.repeat(np.arange(first, first + len(block)), counts)[:, None]
+    rows = np.cumsum([0] + counts).tolist()
+
+    def panel_sums(m: int) -> list:
+        nodes, weights = _legendre_rule(m)
+        terms = width * weights * f(lo + width * nodes, point)
+        return [float(terms[a:b].sum()) for a, b in zip(rows, rows[1:])]
+
+    coarse, values = panel_sums(n), panel_sums(n + _PANEL_CHECK_NODES)
+    for count, c, value in zip(counts, coarse, values):
+        if not abs(value - c) <= _QUAD_RTOL * max(floor, abs(value)):
+            raise NumericalError(
+                f"graded quadrature did not converge on {count} panels: "
+                f"{n} and {n + _PANEL_CHECK_NODES} nodes per panel give {c!r} and {value!r}"
+            )
+    return values
+
+
+def _capacity_curve(dims: ChannelDims, rhos) -> list[float]:
+    """:func:`ergodic_capacity` at each of ``rhos``, the interior's integrals in one quadrature pass."""
+    for rho in rhos:
+        require_nonnegative(rho=rho)
+    caps = [dims.k * log2_1p(rho) for rho in rhos]
+    interior, live = dims.interior, [j for j, rho in enumerate(rhos) if rho > 0.0]
+    if interior is None or not live:
+        return caps
+    rho = np.array([rhos[j] for j in live], dtype=float)
+
+    def integrand(lam, point):
+        return interior.m_min / math.log(2.0) * np.log1p(rho[point] * lam) * _jacobi_density(interior, lam)
+
+    degree = 2 * (interior.m_min - 1) + interior.alpha + interior.beta
+    integrals = _graded_integrals(integrand, [1.0 / rhos[j] for j in live], degree, floor=1.0)
+    for j, integral in zip(live, integrals.tolist()):
+        caps[j] += integral
+    return caps
 
 
 def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
@@ -197,11 +244,7 @@ def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
     raises :class:`NumericalError` when more nodes move it by over 1e-13
     relative, or by over 1e-13 bits where it is below 1 bit.
     """
-    require_nonnegative(rho=rho)
-    if rho == 0.0:
-        return 0.0
-    cap, interior = dims.k * log2_1p(rho), dims.interior
-    return cap if interior is None else cap + _capacity_integral(interior, rho)
+    return _capacity_curve(dims, [rho])[0]
 
 
 # The i.i.d. Rayleigh channel, the m -> infinity limit of the m-scaled spectrum:

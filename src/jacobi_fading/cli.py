@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analytic, feedback, simulate
-from .ensembles import ChannelDims
+from .ensembles import ChannelDims, require_nonnegative, require_positive
 from .errors import NumericalError
 from .specfun import log2_1p
 
@@ -81,6 +81,11 @@ def _db_to_linear(db: float) -> float:
         raise ValueError(f"{db!r} dB is beyond the float range") from None
 
 
+def _snr_grid(text: str) -> list[tuple[float, float]]:
+    """(dB, linear) of every point of an SNR grid, all converted before any estimator runs."""
+    return [(db, _db_to_linear(db)) for db in _parse_grid(text)]
+
+
 def _rate_unit(rho_db: float, rho: float) -> float:
     """log2(1 + rho), the bits of one normalised rate unit; ValueError where 1 + rho rounds to 1."""
     if 1.0 + rho == 1.0:
@@ -131,17 +136,15 @@ def _mc_config(args) -> simulate.McConfig:
 def _cmd_ergodic(args) -> _Output:
     dims = _dims_from_args(args)
     # every grid point is checked before any estimator runs
-    grid = [(rho_db, _db_to_linear(rho_db)) for rho_db in _parse_grid(args.rho_db)]
+    grid = _snr_grid(args.rho_db)
     norms = [_rate_unit(rho_db, rho) for rho_db, rho in grid]
-    rows = []
-    for (rho_db, rho), norm in zip(grid, norms):
-        if args.method == "analytic":
-            cap = analytic.ergodic_capacity(dims, rho)
-            stderr = None
-        else:
-            est = simulate.mc_ergodic_capacity(dims, rho, _mc_config(args))
-            cap, stderr = est.value, est.stderr
-        rows.append([rho_db, cap, cap / norm, stderr])
+    rhos = [rho for _, rho in grid]
+    if args.method == "analytic":
+        caps, stderrs = analytic._capacity_curve(dims, rhos), [None] * len(rhos)
+    else:
+        ests = [simulate.mc_ergodic_capacity(dims, rho, _mc_config(args)) for rho in rhos]
+        caps, stderrs = [est.value for est in ests], [est.stderr for est in ests]
+    rows = [[rho_db, cap, cap / norm, stderr] for (rho_db, _), cap, norm, stderr in zip(grid, caps, norms, stderrs)]
     return _Output(["rho_db", "capacity_bits", "capacity_normalized", "stderr"], rows)
 
 
@@ -149,17 +152,20 @@ def _cmd_outage(args) -> _Output:
     dims = _dims_from_args(args)
     rho = _db_to_linear(args.rho_db)
     cfg = _mc_config(args)
-    rows = []
+    # every rate is checked before any estimator runs
     if args.r is not None:
-        for r in _parse_grid(args.r):
-            est = simulate.mc_outage(dims, rho, cfg, r=r)
-            rows.append([r, est.value, est.stderr])
+        ratios = _parse_grid(args.r)
+        for r in ratios:
+            require_nonnegative(r=r)
+        ests = [simulate.mc_outage(dims, rho, cfg, r=r) for r in ratios]
     else:
         norm = _rate_unit(args.rho_db, rho)
-        for rate in _parse_grid(args.rate_bits):
-            est = simulate.mc_outage(dims, rho, cfg, rate_bits=rate)
-            rows.append([rate / norm, est.value, est.stderr])
-    return _Output(["r", "outage", "stderr"], rows)
+        rates = _parse_grid(args.rate_bits)
+        for rate in rates:
+            require_nonnegative(rate_bits=rate)
+        ests = [simulate.mc_outage(dims, rho, cfg, rate_bits=rate) for rate in rates]
+        ratios = [rate / norm for rate in rates]
+    return _Output(["r", "outage", "stderr"], [[r, est.value, est.stderr] for r, est in zip(ratios, ests)])
 
 
 def _cmd_rho_norm(args) -> _Output:
@@ -198,22 +204,24 @@ def _cmd_dmt(args) -> _Output:
 
 def _cmd_repetition(args) -> _Output:
     dims = _dims_from_args(args)
-    rows = []
-    for rho_db in _parse_grid(args.rho_db):
-        rho = _db_to_linear(rho_db)
-        if args.method == "tail":
-            rows.append([rho_db, simulate.repetition_error_tail(dims, rho), 0.0])
-        else:
-            est = simulate.mc_repetition_error(dims, rho, _mc_config(args), method=args.method)
-            rows.append([rho_db, est.value, est.stderr])
+    grid = _snr_grid(args.rho_db)  # every grid point is checked before any estimator runs
+    rhos = [rho for _, rho in grid]
+    if args.method == "tail":
+        errors, stderrs = simulate._tail_curve(dims, rhos).tolist(), [0.0] * len(rhos)
+    else:
+        ests = [simulate.mc_repetition_error(dims, rho, _mc_config(args), method=args.method) for rho in rhos]
+        errors, stderrs = [est.value for est in ests], [est.stderr for est in ests]
+    rows = [[rho_db, p, stderr] for (rho_db, _), p, stderr in zip(grid, errors, stderrs)]
     return _Output(["rho_db", "error_prob", "stderr"], rows)
 
 
 def _cmd_alamouti(args) -> _Output:
     cfg = _mc_config(args)
+    grid = _snr_grid(args.rho_db)
+    for _, rho in grid:  # every grid point is checked before any estimator runs
+        require_positive(rho=rho)
     rows = []
-    for rho_db in _parse_grid(args.rho_db):
-        rho = _db_to_linear(rho_db)
+    for rho_db, rho in grid:
         est = simulate.mc_alamouti_outage(args.m, rho, args.r, cfg)
         rows.append([rho_db, est.value, est.stderr])
     return _Output(["rho_db", "outage", "stderr"], rows)
@@ -260,11 +268,13 @@ def _cmd_feedback(args) -> _Output:
 def _cmd_rayleigh(args) -> _Output:
     cfg = _mc_config(args)
     channels = [_dims_from_args(args, m) for m in _parse_int_list(args.m)]
-    for dims in channels:  # every m is checked before any is sampled
+    for dims in channels:  # every m and SNR is checked before any is sampled
         simulate._check_comparable(dims)
+    grid = _snr_grid(args.rho_bar_db)
+    for _, rho_bar in grid:
+        require_positive(rho_bar=rho_bar)
     rows = []
-    for rho_bar_db in _parse_grid(args.rho_bar_db):
-        rho_bar = _db_to_linear(rho_bar_db)
+    for rho_bar_db, rho_bar in grid:
         for dims in channels:
             row = simulate.rayleigh_compare(dims, rho_bar, cfg)
             rows.append(

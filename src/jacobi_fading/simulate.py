@@ -540,11 +540,17 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     :class:`NumericalError` when the quadrature does not settle to a
     relative 1e-13.
     """
-    require_nonnegative(rho=rho)
-    shift = float(dims.k)
-    residual = dims.interior
+    return float(_tail_curve(dims, [rho])[0])
+
+
+def _tail_curve(dims: ChannelDims, rhos) -> np.ndarray:
+    """:func:`repetition_error_tail` at each of ``rhos``, from one quadrature pass."""
+    for rho in rhos:
+        require_nonnegative(rho=rho)
+    shift, residual = float(dims.k), dims.interior
+    rho = np.array(rhos, dtype=float)
     if residual is None:
-        return float(qpsk_symbol_error(rho * shift))
+        return qpsk_symbol_error(rho * shift)
     if residual.m_min != 1:
         raise ValueError(
             "tail evaluation requires an effective single-eigenvalue spectrum; "
@@ -555,14 +561,14 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     # sqrt(lam) the integrand is smooth and decays like exp(-rho u^2 / 2).
     # Ratio-2 panels in u from 1/sqrt(rho) are the ratio-4 panels in lam
     # from 1/rho that the capacity integral uses.
-    def integrand(u):
+    def integrand(u, point):
         lam = u * u
         density = analytic.eigen_density(residual, lam)
-        return 2.0 * u * qpsk_symbol_error(rho * (shift + lam)) * density
+        return 2.0 * u * qpsk_symbol_error(rho[point] * (shift + lam)) * density
 
     degree = 2 * (residual.alpha + residual.beta) + 1
-    edge = 1.0 / math.sqrt(rho) if rho > 0.0 else 1.0
-    return analytic.graded_integral(integrand, edge, degree, ratio=2.0)
+    edges = [1.0 / math.sqrt(r) if r > 0.0 else 1.0 for r in rhos]
+    return analytic._graded_integrals(integrand, edges, degree, ratio=2.0)
 
 
 def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimate:

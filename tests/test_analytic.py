@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from jacobi_fading import analytic, specfun
+from jacobi_fading import analytic, simulate, specfun
 from jacobi_fading.analytic import (
     dmt_optimal_curve,
     eigen_density,
@@ -114,6 +114,61 @@ def test_graded_quadrature_raises_when_unconverged(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(NumericalError):
         analytic.graded_integral(lambda x: np.full_like(x, np.nan), 0.5, 0)
+
+
+def _graded_integral_loop(f, edge, degree, ratio, floor):
+    """The one-point graded quadrature as a plain loop over panels, the reference for the curves."""
+    edges = [0.0]
+    while edge < 1.0:
+        edges.append(edge)
+        edge *= ratio
+    edges.append(1.0)
+    lo, width = np.asarray(edges[:-1])[:, None], np.diff(edges)[:, None]
+    sums = []
+    for n in (degree // 2 + analytic._PANEL_EXTRA_NODES,) * 2:
+        nodes, weights = analytic._legendre_rule(n + analytic._PANEL_CHECK_NODES * len(sums))
+        sums.append(float(np.sum(width * weights * f(lo + width * nodes))))
+    assert abs(sums[1] - sums[0]) <= analytic._QUAD_RTOL * max(floor, abs(sums[1]))
+    return sums[1]
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 2), (2, 2, 4), (4, 4, 8), (8, 8, 64), (2, 2, 3), (2, 3, 7)])
+def test_capacity_curve_is_the_per_point_loop_bit_for_bit(monkeypatch, dims):
+    # one pass over a grid, in one block or in many, against each point
+    # integrated alone by the loop the grid form replaced
+    dims, rhos = ChannelDims(*dims), [0.0] + [10.0 ** (db / 10.0) for db in range(-30, 121, 7)]
+    core = dims.interior
+    degree = 2 * (core.m_min - 1) + core.alpha + core.beta
+
+    def alone(rho):
+        if rho == 0.0:
+            return 0.0
+        f = lambda lam: core.m_min / math.log(2.0) * np.log1p(rho * lam) * analytic._jacobi_density(core, lam)
+        return dims.k * specfun.log2_1p(rho) + _graded_integral_loop(f, 1.0 / rho, degree, 4.0, 1.0)
+
+    want = [alone(rho) for rho in rhos]
+    assert analytic._capacity_curve(dims, rhos) == want
+    monkeypatch.setattr(analytic, "_BLOCK_PANELS", 5)
+    assert analytic._capacity_curve(dims, rhos) == want
+    assert [ergodic_capacity(dims, rho) for rho in rhos] == want
+
+
+def test_tail_curve_is_the_per_point_loop_bit_for_bit(monkeypatch):
+    dims, rhos = ChannelDims(1, 2, 3), [0.0] + [10.0 ** (db / 10.0) for db in range(0, 61, 4)]
+
+    def alone(rho):
+        def f(u):
+            lam = u * u
+            return 2.0 * u * simulate.qpsk_symbol_error(rho * lam) * eigen_density(dims, lam)
+
+        degree = 2 * (dims.alpha + dims.beta) + 1
+        return _graded_integral_loop(f, 1.0 / math.sqrt(rho) if rho > 0.0 else 1.0, degree, 2.0, 0.0)
+
+    want = [alone(rho) for rho in rhos]
+    assert simulate._tail_curve(dims, rhos).tolist() == want
+    monkeypatch.setattr(analytic, "_BLOCK_PANELS", 3)
+    assert simulate._tail_curve(dims, rhos).tolist() == want
+    assert [repetition_error_tail(dims, rho) for rho in rhos] == want
 
 
 def test_capacity_rejects_non_finite_snr():

@@ -10,6 +10,7 @@ import pytest
 from jacobi_fading import __version__, analytic, cli, simulate
 from jacobi_fading.cli import _parse_grid, main
 from jacobi_fading.ensembles import ChannelDims
+from jacobi_fading.errors import NumericalError
 from jacobi_fading.specfun import log2_1p
 
 
@@ -496,3 +497,80 @@ def test_parser_is_built_once_per_process(tmp_path, capsys):
     assert [code for code, _, _ in shared] == [2, 0, 0, 0]
     assert shared[1][2].strip() == __version__
     assert shared[2][1] != shared[3][1] and shared[3][1].startswith(b"r,outage,stderr\n")
+
+
+CLOSED_FORM_GRIDS = [
+    (["ergodic", "--mt", "1", "--mr", "1", "--m", "2", "--method", "analytic"], "0:120:10"),
+    (["ergodic", "--mt", "4", "--mr", "4", "--m", "8", "--method", "analytic"], "0:120:10"),
+    (["ergodic", "--mt", "8", "--mr", "8", "--m", "64", "--method", "analytic"], "0:120:10"),
+    (["ergodic", "--mt", "2", "--mr", "2", "--m", "3", "--method", "analytic"], "0:120:10"),
+    (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--method", "tail"], "10:40:5"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixed, grid", CLOSED_FORM_GRIDS, ids=["ergodic-112", "ergodic-448", "ergodic-8864", "ergodic-223", "tail-123"]
+)
+def test_closed_form_rows_match_points_run_alone(tmp_path, monkeypatch, fixed, grid):
+    # one quadrature pass integrates the whole curve; each row must be the
+    # bytes of its point run on its own, in one block or in many
+    _, grid_out = run_cli(fixed + ["--rho-db", grid], tmp_path, "grid.csv")
+    grid_lines = grid_out.read_text().splitlines()
+    alone = []
+    for i, point in enumerate(_parse_grid(grid)):
+        _, out = run_cli(fixed + ["--rho-db", repr(point)], tmp_path, f"p{i}.csv")
+        alone += out.read_text().splitlines()[1:]
+    assert len(grid_lines) == len(alone) + 1 > 7
+    assert grid_lines[1:] == alone
+    for panels in (1, 7, 40):
+        monkeypatch.setattr(analytic, "_BLOCK_PANELS", panels)
+        _, out = run_cli(fixed + ["--rho-db", grid], tmp_path, f"blocks{panels}.csv")
+        assert out.read_text().splitlines() == grid_lines
+
+
+def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monkeypatch):
+    # too few nodes per panel: the curve raises for its first unconverged
+    # point and no row of it is written
+    monkeypatch.setattr(analytic, "_PANEL_EXTRA_NODES", 1)
+    with pytest.raises(NumericalError, match="graded quadrature did not converge"):
+        analytic._capacity_curve(ChannelDims(1, 1, 2), [10.0, 1e12])
+    args = ["ergodic", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", "10,120", "--method", "analytic"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 1
+    assert "numerical failure: graded quadrature did not converge" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, estimator",
+    [
+        (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000", "--method", "mc"],
+         (simulate, "mc_ergodic_capacity")),
+        (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000"], (analytic, "_capacity_curve")),
+        (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10,20,4000"],
+         (simulate, "mc_repetition_error")),
+        (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10,20,4000", "--method", "tail"],
+         (simulate, "_tail_curve")),
+        (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,4000"], (simulate, "mc_alamouti_outage")),
+        (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,-4000"], (simulate, "mc_alamouti_outage")),
+        (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--r", "0.5,1,-1"],
+         (simulate, "mc_outage")),
+        (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--rate-bits", "1,2,-1"],
+         (simulate, "mc_outage")),
+        (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,20,4000"],
+         (simulate, "rayleigh_compare")),
+        (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,-4000"],
+         (simulate, "rayleigh_compare")),
+    ],
+    ids=["ergodic-mc", "ergodic-analytic", "repetition", "repetition-tail", "alamouti-high", "alamouti-zero",
+         "outage-r", "outage-rate-bits", "rayleigh-high", "rayleigh-zero"],
+)
+def test_every_grid_point_is_checked_before_any_estimator_runs(tmp_path, capsys, monkeypatch, args, estimator):
+    def never(*args, **kwargs):
+        raise AssertionError("an estimator ran before the grid was checked")
+
+    monkeypatch.setattr(*estimator, never)
+    code, out = run_cli(args + ["--trials", "100"], tmp_path)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,8 @@ range checks and mode-count checks live in ``ensembles`` alone,
 ``simulate`` keys one stream per channel shape, every eigensolve is one of
 a named few, a feedback frame solves only s x s eigenproblems, nothing
 sums by ``reduceat``, nothing calls a library QR, each sample set fills
-one buffer, and every indicator estimate is a count."""
+one buffer, every indicator estimate is a count, and a closed-form curve
+takes one quadrature pass."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import jacobi_fading
+from jacobi_fading import analytic, cli, simulate
 from jacobi_fading.ensembles import ChannelDims
 from jacobi_fading.feedback import SchemeConfig, run_feedback_scheme
 
@@ -269,3 +271,21 @@ def test_indicator_estimates_are_counts():
         for function, _ in _sites(ast.parse(path.read_text()), lambda node: _called_name(node) == estimator)
     )
     assert found == sorted((estimator, *site) for estimator, sites in ESTIMATES_ALLOWED.items() for site in sites)
+
+
+@pytest.mark.parametrize(
+    "module, name, args",
+    [
+        (analytic, "_jacobi_density", ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "0:120:10"]),
+        (simulate, "q_function",
+         ["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10:40:5", "--method", "tail"]),
+    ],
+    ids=["ergodic-13", "repetition-tail-7"],
+)
+def test_closed_form_curve_is_one_quadrature_pass(tmp_path, monkeypatch, module, name, args):
+    # the integrand runs once per rule (coarse and check) for the whole
+    # curve, not once per rule and SNR point
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    assert cli.main(args + ["--out", str(tmp_path / "curve.csv")]) == 0
+    assert len(calls) == 2
