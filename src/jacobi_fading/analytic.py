@@ -21,7 +21,7 @@ from functools import cache
 
 import numpy as np
 
-from .ensembles import ChannelDims, require_integers, require_nonnegative, require_reals
+from .ensembles import ChannelDims, require_nonnegative, require_reals
 from .errors import NumericalError
 from .specfun import inv_reg_inc_beta, log2_1p, reg_inc_beta
 
@@ -32,13 +32,12 @@ __all__ = [
     "outage_single_mode",
     "rho_norm",
     "dmt_optimal_curve",
-    "graded_integral",
 ]
 
 # The k = 0 capacity integrand is a polynomial of degree
 # 2(m_min - 1) + alpha + beta times log(1 + rho*lam), whose branch point at
 # -1/rho crowds [0, 1] as rho grows, so one Gauss rule on [0, 1] needs more
-# nodes the higher the SNR.  graded_integral instead cuts [0, 1] into
+# nodes the higher the SNR.  _graded_integrals instead cuts [0, 1] into
 # Gauss-Legendre panels [0, e], [e, 4e], [4e, 16e], ... with e = 1/rho:
 # every panel then sits at a fixed relative distance from the branch point
 # and converges at the same geometric rate whatever rho is (Trefethen,
@@ -140,30 +139,17 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def graded_integral(
-    f, edge: float, degree: int, ratio: float = 4.0, floor: float = 0.0
-) -> float:
-    """Integral of ``f`` over [0, 1] on geometrically graded Gauss-Legendre panels.
-
-    The panel edges are 0, edge, edge*ratio, edge*ratio^2, ... below 1, then
-    1 (a single panel when ``edge >= 1``).  This suits an integrand whose
-    only non-polynomial feature has length scale ``edge`` and sits at or
-    next to 0.  ``degree``, an integer >= 0, is the degree of the
-    integrand's polynomial factor and sets the nodes per panel; ``f`` maps
-    an array of points to an array of values.  :class:`NumericalError` is raised when the sum
-    moves by more than ``_QUAD_RTOL * max(floor, |value|)`` on adding
-    nodes to every panel, or is not finite.  It is the one-point case of
-    the grid form that integrates a whole closed-form curve in one pass.
-    """
-    require_integers(degree=degree)
-    require_reals(edge=edge, ratio=ratio, floor=floor)
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return float(_graded_integrals(lambda lam, point: f(lam), [edge], degree, ratio, floor)[0])
-
-
 def _graded_integrals(f, edges, degree: int, ratio: float = 4.0, floor: float = 0.0) -> np.ndarray:
-    """:func:`graded_integral` of ``lam -> f(lam, j)`` from ``edges[j]``, at every grid point j.
+    """Integral of ``lam -> f(lam, j)`` over [0, 1] on geometrically graded Gauss-Legendre
+    panels, at every grid point j.
+
+    Point j's panel edges are 0, e, e*ratio, e*ratio^2, ... below 1, then 1, with
+    e = ``edges[j]`` > 0 (a single panel when e >= 1) and ``ratio`` > 1.  This suits an
+    integrand whose only non-polynomial feature has length scale e and sits at or next to
+    0.  ``degree``, the degree of the integrand's polynomial factor, sets the nodes per
+    panel, degree//2 + _PANEL_EXTRA_NODES.  :class:`NumericalError` is raised when a point's
+    sum moves by more than ``_QUAD_RTOL * max(floor, |value|)`` on adding
+    _PANEL_CHECK_NODES nodes to every panel, or is not finite.
 
     The grid runs in blocks of whole points, about _BLOCK_PANELS panels each.  A block's
     panels lie point after point in one array, and ``f`` is called on it once per rule with
@@ -240,7 +226,7 @@ def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
 
     ``k`` single-mode capacities pinned at ``log2(1 + rho)``, plus the
     spectral integral of ``dims.interior`` (none when mt or mr is m) on
-    SNR-graded Gauss-Legendre panels (see :func:`graded_integral`), which
+    SNR-graded Gauss-Legendre panels (see :func:`_graded_integrals`), which
     raises :class:`NumericalError` when more nodes move it by over 1e-13
     relative, or by over 1e-13 bits where it is below 1 bit.
     """
@@ -272,12 +258,12 @@ def _laguerre_capacity(n: int, alpha: int, rho: float) -> float:
     is also raised when the integrand at L exceeds 1e-17 of the value."""
     cutoff = _laguerre_cutoff(n, alpha)
 
-    def integrand(t):
+    def integrand(t, point=None):
         lam = cutoff * t
         return n * cutoff / math.log(2.0) * np.log1p(rho * lam) * _laguerre_density(n, alpha, lam)
 
     edge, degree = min(1.0 / rho, 1.0) / cutoff, 2 * (n - 1) + alpha
-    value = graded_integral(integrand, edge, degree, ratio=2.0, floor=1.0)
+    value = float(_graded_integrals(integrand, [edge], degree, ratio=2.0, floor=1.0)[0])
     if not integrand(np.array(1.0)) <= 1e-17 * value:
         raise NumericalError(f"Rayleigh capacity {value!r} is truncated at the cutoff {cutoff}")
     return value
@@ -337,14 +323,18 @@ def rho_norm(mr: int, m: int, epsilon: float) -> float:
     """Smallest ``rho / (2^R - 1)`` supporting outage <= epsilon (mt = 1).
 
     Linear scale.  For the lossless case ``mr = m`` (k = 1) the answer is exactly 1
-    (0 dB): the minimal power is the unfaded single-mode requirement.
+    (0 dB): the minimal power is the unfaded single-mode requirement.  Raises
+    :class:`NumericalError` where the answer overflows a float.
     """
     require_reals(epsilon=epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if ChannelDims(1, mr, m).k:
         return 1.0
-    return 1.0 / inv_reg_inc_beta(epsilon, mr, m - mr)
+    value = 1.0 / inv_reg_inc_beta(epsilon, mr, m - mr)
+    if value == math.inf:
+        raise NumericalError(f"rho_norm(mr={mr}, m={m}, epsilon={epsilon!r}) is beyond the float range")
+    return value
 
 
 @dataclass(frozen=True)

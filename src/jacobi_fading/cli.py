@@ -268,11 +268,10 @@ def _cmd_feedback(args) -> _Output:
 def _cmd_rayleigh(args) -> _Output:
     cfg = _mc_config(args)
     channels = [_dims_from_args(args, m) for m in _parse_int_list(args.m)]
-    for dims in channels:  # every m and SNR is checked before any is sampled
-        simulate._check_comparable(dims)
     grid = _snr_grid(args.rho_bar_db)
-    for _, rho_bar in grid:
-        require_positive(rho_bar=rho_bar)
+    for dims in channels:  # every m and SNR is checked before any is sampled
+        for _, rho_bar in grid:
+            simulate._check_comparable(dims, rho_bar)
     rows = []
     for rho_bar_db, rho_bar in grid:
         for dims in channels:
@@ -304,23 +303,6 @@ def _cmd_rayleigh(args) -> _Output:
     )
 
 
-def _add_dims(p):
-    p.add_argument("--mt", type=int, required=True, help="transmit modes")
-    p.add_argument("--mr", type=int, required=True, help="receive modes")
-    p.add_argument("--m", type=int, required=True, help="total supported modes")
-
-
-def _add_mc(p):
-    p.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (speed only, never results)")
-
-
-def _add_io(p):
-    p.add_argument("--seed", type=int, default=0, help="master seed (default constant 0; no env fallback)")
-    p.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
-    p.add_argument("--manifest", default=None, help="manifest JSON path (default <out>.manifest.json when --out is a file)")
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and reused for the process."""
@@ -330,40 +312,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    dims, mc, io_ = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    dims.add_argument("--mt", type=int, required=True, help="transmit modes")
+    dims.add_argument("--mr", type=int, required=True, help="receive modes")
+    dims.add_argument("--m", type=int, required=True, help="total supported modes")
+    mc.add_argument("--trials", type=int, default=100_000, help="Monte-Carlo trials")
+    mc.add_argument("--workers", type=int, default=1, help="worker threads (speed only, never results)")
+    io_.add_argument("--seed", type=int, default=0, help="master seed (default constant 0; no env fallback)")
+    io_.add_argument("--out", default="-", help="CSV output path, '-' for stdout")
+    io_.add_argument("--manifest", default=None, help="manifest JSON path (default <out>.manifest.json when --out is a file)")
 
-    p = sub.add_parser("ergodic", help="ergodic capacity over an SNR grid (bits)")
-    _add_dims(p)
+    p = sub.add_parser("ergodic", help="ergodic capacity over an SNR grid (bits)", parents=[dims, mc, io_])
     p.add_argument("--rho-db", required=True, help="per-mode SNR grid in dB (start:stop:step, list, or value)")
     p.add_argument("--method", choices=["analytic", "mc"], default="analytic")
-    _add_mc(p)
-    _add_io(p)
     p.set_defaults(fn=_cmd_ergodic)
 
-    p = sub.add_parser("outage", help="outage probability over a rate grid")
-    _add_dims(p)
+    p = sub.add_parser("outage", help="outage probability over a rate grid", parents=[dims, mc, io_])
     p.add_argument("--rho-db", type=float, required=True, help="per-mode SNR in dB")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--r", help="multiplexing-ratio grid (rate = r*log2(1+rho))")
     group.add_argument("--rate-bits", help="absolute rate grid in bits per channel use")
-    _add_mc(p)
-    _add_io(p)
     p.set_defaults(fn=_cmd_outage)
 
-    p = sub.add_parser("rho-norm", help="normalized SNR to reach a target outage (dB)")
+    p = sub.add_parser("rho-norm", help="normalized SNR to reach a target outage (dB)", parents=[io_])
     p.add_argument("--m", required=True, help="total modes (int or list)")
     p.add_argument("--mr", default="all", help="receive modes (int, list, or 'all')")
     p.add_argument("--epsilon", required=True, help="target outage probabilities (list)")
-    _add_io(p)
     p.set_defaults(fn=_cmd_rho_norm)
 
-    p = sub.add_parser("dmt", help="optimal diversity-multiplexing curve")
-    _add_dims(p)
+    p = sub.add_parser("dmt", help="optimal diversity-multiplexing curve", parents=[dims, io_])
     p.add_argument("--json", default=None, help="also write the curve as JSON here")
-    _add_io(p)
     p.set_defaults(fn=_cmd_dmt)
 
-    p = sub.add_parser("repetition", help="repetition-scheme QPSK error rate vs SNR")
-    _add_dims(p)
+    p = sub.add_parser("repetition", help="repetition-scheme QPSK error rate vs SNR", parents=[dims, mc, io_])
     p.add_argument("--rho-db", required=True, help="SNR grid in dB")
     p.add_argument(
         "--method",
@@ -371,35 +352,27 @@ def _build_parser() -> argparse.ArgumentParser:
         default="conditional",
         help="conditional: spectrum MC with exact noise averaging; count: full symbol counting; tail: deterministic deep-tail quadrature",
     )
-    _add_mc(p)
-    _add_io(p)
     p.set_defaults(fn=_cmd_repetition)
 
-    p = sub.add_parser("alamouti", help="2x2 orthogonal block scheme outage vs SNR")
+    p = sub.add_parser("alamouti", help="2x2 orthogonal block scheme outage vs SNR", parents=[mc, io_])
     p.add_argument("--m", type=int, required=True, help="total supported modes (>= 2)")
     p.add_argument("--r", type=float, required=True, help="multiplexing gain (rate = r*log2(rho))")
     p.add_argument("--rho-db", required=True, help="SNR grid in dB")
-    _add_mc(p)
-    _add_io(p)
     p.set_defaults(fn=_cmd_alamouti)
 
-    p = sub.add_parser("feedback", help="run the zero-outage delayed-feedback scheme")
-    _add_dims(p)
+    p = sub.add_parser("feedback", help="run the zero-outage delayed-feedback scheme", parents=[dims, io_])
     p.add_argument("--rho-db", type=float, default=10.0, help="per-mode SNR in dB")
     p.add_argument("--uses", type=int, default=1000, help="frame length in channel uses")
     p.add_argument("--delay", type=int, default=1, help="feedback delay in channel uses")
     p.add_argument("--modulation", choices=["qpsk", "gaussian"], default="qpsk")
     p.add_argument("--hold-channel", action="store_true", help="hold one realization for the whole frame")
-    _add_io(p)
     p.set_defaults(fn=_cmd_feedback)
 
-    p = sub.add_parser("rayleigh", help="compare against the i.i.d. Rayleigh baseline on a shared received-SNR axis")
+    p = sub.add_parser("rayleigh", help="compare against the i.i.d. Rayleigh baseline on a shared received-SNR axis", parents=[mc, io_])
     p.add_argument("--mt", type=int, required=True, help="transmit modes")
     p.add_argument("--mr", type=int, required=True, help="receive modes")
     p.add_argument("--m", required=True, help="total-mode list, every entry >= mt+mr")
     p.add_argument("--rho-bar-db", required=True, help="average received SNR per mode, dB grid")
-    _add_mc(p)
-    _add_io(p)
     p.set_defaults(fn=_cmd_rayleigh)
 
     return parser

@@ -284,11 +284,6 @@ def _gram_last(a: np.ndarray) -> np.ndarray:
     return _mul_last(a.conj().swapaxes(0, 1), a)
 
 
-def _stack_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over stacks of small matrices with the stack axis first, by :func:`_mul_last`."""
-    return np.moveaxis(_mul_last(np.moveaxis(a, 0, -1), np.moveaxis(b, 0, -1)), -1, 0)
-
-
 def _affine_scan(g, vec, l):
     """Solve x_r = g_r x_{r-l} + vec_r for every row r; return x and the maps' prefix products.
 
@@ -401,7 +396,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     )
     side, chain = side[::-1][l:], chain[::-1][l:]  # row i: u_{i+l} and its P
     y_tilde = base[:, :k] + np.einsum("nij,nj->ni", h21h[:, :k], side)  # the k stream slots
-    m_noise = _stack_mul(chain.conj().swapaxes(1, 2), h21)
+    m_noise = np.einsum("nji,njk->nik", chain.conj(), h21)
     # row i + l is on the chain of closing measure (i - n) mod l
     deficit = (1.0 - 1.0 / gain).reshape(l, s)[(np.arange(n) - n) % l]
 

@@ -563,7 +563,7 @@ def _tail_curve(dims: ChannelDims, rhos) -> np.ndarray:
     # from 1/rho that the capacity integral uses.
     def integrand(u, point):
         lam = u * u
-        density = analytic.eigen_density(residual, lam)
+        density = analytic._jacobi_density(residual, lam)
         return 2.0 * u * qpsk_symbol_error(rho[point] * (shift + lam)) * density
 
     degree = 2 * (residual.alpha + residual.beta) + 1
@@ -666,10 +666,16 @@ class RayleighComparison:
     frobenius_expected: float
 
 
-def _check_comparable(dims: ChannelDims) -> None:
-    """ValueError unless m >= mt + mr (k = 0), which :func:`rayleigh_compare` needs."""
+def _check_comparable(dims: ChannelDims, rho_bar: float) -> None:
+    """ValueError unless m >= mt + mr (k = 0) and ``rho_bar > 0`` keeps both SNR products
+    finite, which :func:`rayleigh_compare` needs: rho = rho_bar m / mt, and the baseline's
+    rho_bar / mt times lam up to its cutoff L."""
     if dims.k:
         raise ValueError(f"the comparison needs m >= mt + mr, got mt={dims.mt}, mr={dims.mr}, m={dims.m}")
+    require_positive(rho_bar=rho_bar)
+    peak = rho_bar / dims.mt * analytic._laguerre_cutoff(dims.m_min, dims.alpha)
+    if not (math.isfinite(rho_bar * dims.m / dims.mt) and math.isfinite(peak)):
+        raise ValueError(f"rho_bar={rho_bar!r} overflows the SNR products of the {dims} comparison")
 
 
 def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> RayleighComparison:
@@ -684,8 +690,7 @@ def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> Raylei
     of the min(mt, mr) nonzero Wishart eigenvalues it converges to, which
     needs ``m >= mt + mr`` (k = 0).
     """
-    _check_comparable(dims)
-    require_positive(rho_bar=rho_bar)
+    _check_comparable(dims, rho_bar)
     n, alpha = dims.m_min, dims.alpha
     rho = rho_bar * dims.m / dims.mt
     lam = sample_spectra(dims, cfg)

@@ -123,6 +123,8 @@ def _inverse_lower(p: float, a: int, b: int) -> float:
     lo, hi = -math.inf, 0.0
     for _ in range(_NEWTON_MAX_ITER):
         x = math.exp(u)
+        if x == 0.0:  # the start, left of the root, underflows: so does the root, to within rounding
+            raise NumericalError(f"inv_reg_inc_beta({p!r}, {a}, {b}) is below the float range")
         if x * (a + b) > a:
             value = 1.0 - _binomial_tail(1.0 - x, b, a)[0]
             slope = math.exp(a * u + (b - 1) * math.log1p(-x) - log_beta)

@@ -113,7 +113,7 @@ def test_graded_quadrature_raises_when_unconverged(monkeypatch):
         repetition_error_tail(ChannelDims(1, 2, 3), 1e4)
     monkeypatch.undo()
     with pytest.raises(NumericalError):
-        analytic.graded_integral(lambda x: np.full_like(x, np.nan), 0.5, 0)
+        analytic._graded_integrals(lambda x, point: np.full_like(x, np.nan), [0.5], 0)
 
 
 def _graded_integral_loop(f, edge, degree, ratio, floor):
@@ -475,8 +475,8 @@ def test_outage_single_mode_validation():
         (lambda: rho_norm(2, "4", 0.1), "m must be an integer"),
         (lambda: rho_norm(5, 4, 0.1), "need 1 <= mr <= m"),
         (lambda: outage_single_mode(0, 3, 1.0, 10.0), "need 1 <= mr <= m"),
-        (lambda: analytic.graded_integral(lambda lam: lam, 0.0, 2), "need edge > 0 and ratio > 1"),
-        (lambda: analytic.graded_integral(lambda lam: lam, 0.5, 2, ratio=1.0), "need edge > 0 and ratio > 1"),
+        (lambda: analytic._graded_integrals(lambda lam, point: lam, [0.0], 2), "need edge > 0 and ratio > 1"),
+        (lambda: analytic._graded_integrals(lambda lam, point: lam, [0.5], 2, ratio=1.0), "need edge > 0 and ratio > 1"),
         (lambda: specfun.reg_inc_beta(0.5, 0, 3), "a and b must be >= 1"),
     ],
 )
@@ -501,7 +501,6 @@ REAL_ARGUMENTS = [
     ("r", lambda v: dmt_optimal_curve(ChannelDims(2, 2, 4)).diversity(v)),
     ("x", lambda v: specfun.reg_inc_beta(v, 2, 3)),
     ("p", lambda v: specfun.inv_reg_inc_beta(v, 2, 3)),
-    ("edge", lambda v: analytic.graded_integral(lambda lam: lam, v, 2)),
 ]
 
 
@@ -522,6 +521,21 @@ def test_rho_norm_values():
         rho_norm(2, 4, 0.0)
     with pytest.raises(ValueError):
         rho_norm(2, 4, 1.0)
+
+
+@pytest.mark.parametrize("epsilon", [5e-324, 1e-320])
+def test_rho_norm_raises_where_it_overflows(epsilon):
+    # rho_norm(1, 2, eps) is 1/eps, past the float range below about 5.6e-309
+    with pytest.raises(NumericalError, match=rf"^rho_norm\(mr=1, m=2, epsilon={epsilon!r}\) is beyond the float range$"):
+        rho_norm(1, 2, epsilon)
+
+
+def test_inverse_incomplete_beta_raises_where_its_root_underflows():
+    # I_x(1, 2) = 2x - x^2: the root at p = 5e-324 is 2.5e-324, which rounds to 0
+    with pytest.raises(NumericalError, match=r"^inv_reg_inc_beta\(5e-324, 1, 2\) is below the float range$"):
+        specfun.inv_reg_inc_beta(5e-324, 1, 2)
+    with pytest.raises(NumericalError):
+        rho_norm(1, 3, 5e-324)
 
 
 def test_rho_norm_guarantee():

@@ -111,6 +111,13 @@ def test_rayleigh_checks_every_m_before_sampling(tmp_path, capsys, monkeypatch):
     assert draws == [] and not out.exists()
 
 
+def test_rho_norm_overflow_exits_1(tmp_path, capsys):
+    code, out = run_cli(["rho-norm", "--m", "2", "--mr", "1", "--epsilon", "5e-324"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == "numerical failure: rho_norm(mr=1, m=2, epsilon=5e-324) is beyond the float range\n"
+    assert not out.exists()
+
+
 def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch):
     # a cutoff inside the bulk: the baseline capacity must fail loudly
     monkeypatch.setattr(analytic, "_laguerre_cutoff", lambda n, alpha: 10.0)
@@ -561,9 +568,14 @@ def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monk
          (simulate, "rayleigh_compare")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,-4000"],
          (simulate, "rayleigh_compare")),
+        # the Rayleigh baseline's rho_bar / mt * L, then rho_bar * m, past the float range
+        (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,3070"],
+         (simulate, "rayleigh_compare")),
+        (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,3075"],
+         (simulate, "rayleigh_compare")),
     ],
     ids=["ergodic-mc", "ergodic-analytic", "repetition", "repetition-tail", "alamouti-high", "alamouti-zero",
-         "outage-r", "outage-rate-bits", "rayleigh-high", "rayleigh-zero"],
+         "outage-r", "outage-rate-bits", "rayleigh-high", "rayleigh-zero", "rayleigh-3070", "rayleigh-3075"],
 )
 def test_every_grid_point_is_checked_before_any_estimator_runs(tmp_path, capsys, monkeypatch, args, estimator):
     def never(*args, **kwargs):

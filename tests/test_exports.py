@@ -59,6 +59,8 @@ FINITENESS_TESTS_ALLOWED = {
     ("cli.py", "_parse_grid"),  # command-line grid text, before any library call
     ("cli.py", "_db_to_linear"),  # a command-line dB value, before any library call
     ("cli.py", "render"),  # refuses to write a non-finite result
+    ("analytic.py", "rho_norm"),  # a computed result, 1/x past the float range
+    ("simulate.py", "_check_comparable"),  # SNR products computed from rho_bar, past the float range
     ("simulate.py", "_log_det_values"),  # a computed array, not an argument
     ("simulate.py", "_trace_values"),  # a computed array, not an argument
     ("simulate.py", "_sorted_sample"),  # a whole sample array, not a scalar argument
@@ -104,18 +106,30 @@ def _finiteness_tests(tree):
     )
 
 
+def _package_sites(find, skip=()):
+    """(module, enclosing function, line) of every site that ``find`` returns, module by module."""
+    package = pathlib.Path(jacobi_fading.__file__).parent
+    return [
+        (path.name, function, line)
+        for path in sorted(package.glob("*.py"))
+        if path.name not in skip
+        for function, line in find(ast.parse(path.read_text()))
+    ]
+
+
+def _check_allow_list(sites, allowed, what):
+    """Every site is allowed, and every allowed (module, function) still has a site."""
+    found = [f"{name}:{line}: in {function}" for name, function, line in sites if (name, function) not in allowed]
+    assert not found, f"{what} outside the allow-list:\n" + "\n".join(found)
+    stale = sorted(allowed - {(name, function) for name, function, _ in sites})
+    assert not stale, f"allow-list entries with no {what}: {stale}"
+
+
 def test_argument_range_checks_live_in_ensembles():
     # finite-and->=0 / finite-and->0 checks go through require_nonnegative and
     # require_positive, so every module raises the same messages
-    package = pathlib.Path(jacobi_fading.__file__).parent
-    found = [
-        f"{path.name}:{line}: in {function}"
-        for path in sorted(package.glob("*.py"))
-        if path.name != "ensembles.py"
-        for function, line in _finiteness_tests(ast.parse(path.read_text()))
-        if (path.name, function) not in FINITENESS_TESTS_ALLOWED
-    ]
-    assert not found, "range checks outside ensembles:\n" + "\n".join(found)
+    sites = _package_sites(_finiteness_tests, skip={"ensembles.py"})
+    _check_allow_list(sites, FINITENESS_TESTS_ALLOWED, "finiteness tests")
 
 
 MODE_COUNTS = {"mt", "mr", "m"}
@@ -176,14 +190,7 @@ def _eigensolves(tree):
 
 
 def test_every_eigensolve_is_deliberate():
-    package = pathlib.Path(jacobi_fading.__file__).parent
-    found = [
-        f"{path.name}:{line}: in {function}"
-        for path in sorted(package.glob("*.py"))
-        for function, line in _eigensolves(ast.parse(path.read_text()))
-        if (path.name, function) not in EIGENSOLVES_ALLOWED
-    ]
-    assert not found, "eigensolves outside the allow-list:\n" + "\n".join(found)
+    _check_allow_list(_package_sites(_eigensolves), EIGENSOLVES_ALLOWED, "eigensolves")
 
 
 @pytest.mark.parametrize("dims", [ChannelDims(4, 4, 6), ChannelDims(2, 3, 3)], ids=["s2", "s0"])

@@ -513,3 +513,37 @@ def test_both_ends_compute_the_same_completion():
     receiver = complete_unitary(rep.trace.channels, ChannelDims(4, 4, 6))
     assert np.array_equal(receiver, rep.trace.completions)
 
+
+
+def _scaled_completions(monkeypatch, factor):
+    real = feedback.complete_unitary
+    monkeypatch.setattr(feedback, "complete_unitary", lambda h11, dims: factor * real(h11, dims))
+
+
+def test_scheme_rejects_a_completion_off_the_combining_identity(monkeypatch):
+    _scaled_completions(monkeypatch, 1.1)
+    with pytest.raises(NumericalError, match="^completion at use 0 fails the combining identity$"):
+        run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=8))
+
+
+def test_scheme_rejects_a_negative_pad_variance(monkeypatch):
+    # held realization: |row|^2 = 0.113 and max |H21^H H21| = 0.069, so rows scaled by 10
+    # move the identity by 6.8 and the pad variance to 1 - 11.3; a tolerance of 8 passes
+    # the first and not the second
+    monkeypatch.setattr(feedback, "_COMBINE_TOL", 8.0)
+    _scaled_completions(monkeypatch, 10.0)
+    with pytest.raises(NumericalError, match="^a completion row has norm above 1: the pad variance is negative$"):
+        run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=8, fresh_channel_each_use=False))
+
+
+def test_scheme_rejects_a_closing_gain_below_k(monkeypatch):
+    # a closing window's gain ||H11||_F^2 is at least k = 1 and at most 2: halved blocks give at most 0.5
+    real = feedback._draw_frame
+
+    def halved(cfg):
+        draws = real(cfg)
+        return draws._replace(closing_channels=0.5 * draws.closing_channels)
+
+    monkeypatch.setattr(feedback, "_draw_frame", halved)
+    with pytest.raises(NumericalError, match="^closing window gain fell below the pinned bound k$"):
+        run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=8))

@@ -1,6 +1,7 @@
 """Monte-Carlo engine: reproducibility, oracles, and estimator structure."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -666,6 +667,20 @@ def test_ks_distance_is_the_supremum_over_sample_points(a, b):
     assert ks_distance(a, b) == pytest.approx(want, abs=1e-15)
     assert ks_distance(a, b) == pytest.approx(ks_2samp(a, b).statistic, abs=1e-15)
     assert ks_distance(b, a) == ks_distance(a, b)
+
+
+@pytest.mark.parametrize("rho_bar_db", [3070, 3075])
+def test_rayleigh_compare_rejects_snr_products_past_the_float_range(monkeypatch, rho_bar_db):
+    # at (2, 2, 8), 3070 dB overflows the baseline's rho_bar / mt * lam at its cutoff L = 56
+    # and 3075 dB overflows rho_bar * m: one ValueError naming rho_bar, before any draw, with
+    # no warning (the suite turns warnings into errors)
+    def never(*args):
+        raise AssertionError("sampled before rho_bar was checked")
+
+    monkeypatch.setattr(simulate, "uniforms", never)
+    rho_bar = 10.0 ** (rho_bar_db / 10.0)
+    with pytest.raises(ValueError, match="^" + re.escape(f"rho_bar={rho_bar!r} overflows the SNR products")):
+        rayleigh_compare(ChannelDims(2, 2, 8), rho_bar, McConfig(trials=100))
 
 
 def test_rayleigh_compare_draws_no_channels(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from scipy import special as sp
 
 from jacobi_fading import specfun
-from jacobi_fading.analytic import _legendre_rule, graded_integral
+from jacobi_fading.analytic import _legendre_rule
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.specfun import inv_reg_inc_beta, reg_inc_beta
 
@@ -167,9 +167,6 @@ def test_invalid_arguments_raise():
         reg_inc_beta(0.5, 0.0, 1)
     with pytest.raises(ValueError):
         inv_reg_inc_beta(1.5, 1, 1)
-    for degree in (-1, 2.5):
-        with pytest.raises(ValueError, match="degree"):
-            graded_integral(np.log1p, 1.0, degree)
     for fn in (reg_inc_beta, inv_reg_inc_beta):
         with pytest.raises(ValueError, match="a must be an integer"):
             fn(0.5, 1.5, 1)
