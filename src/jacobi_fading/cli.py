@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analytic, feedback, simulate
-from .ensembles import ChannelDims, require_nonnegative, require_positive
+from .ensembles import ChannelDims, require_nonnegative
 from .errors import NumericalError
 from .specfun import log2_1p
 
@@ -142,7 +142,7 @@ def _cmd_ergodic(args) -> _Output:
     if args.method == "analytic":
         caps, stderrs = analytic._capacity_curve(dims, rhos), [None] * len(rhos)
     else:
-        ests = [simulate.mc_ergodic_capacity(dims, rho, _mc_config(args)) for rho in rhos]
+        ests = simulate._ergodic_curve(dims, rhos, _mc_config(args))
         caps, stderrs = [est.value for est in ests], [est.stderr for est in ests]
     rows = [[rho_db, cap, cap / norm, stderr] for (rho_db, _), cap, norm, stderr in zip(grid, caps, norms, stderrs)]
     return _Output(["rho_db", "capacity_bits", "capacity_normalized", "stderr"], rows)
@@ -157,14 +157,12 @@ def _cmd_outage(args) -> _Output:
         ratios = _parse_grid(args.r)
         for r in ratios:
             require_nonnegative(r=r)
-        ests = [simulate.mc_outage(dims, rho, cfg, r=r) for r in ratios]
+        rates = [r * log2_1p(rho) for r in ratios]
     else:
         norm = _rate_unit(args.rho_db, rho)
         rates = _parse_grid(args.rate_bits)
-        for rate in rates:
-            require_nonnegative(rate_bits=rate)
-        ests = [simulate.mc_outage(dims, rho, cfg, rate_bits=rate) for rate in rates]
         ratios = [rate / norm for rate in rates]
+    ests = simulate._outage_curve(dims, rho, cfg, rates)
     return _Output(["r", "outage", "stderr"], [[r, est.value, est.stderr] for r, est in zip(ratios, ests)])
 
 
@@ -209,21 +207,16 @@ def _cmd_repetition(args) -> _Output:
     if args.method == "tail":
         errors, stderrs = simulate._tail_curve(dims, rhos).tolist(), [0.0] * len(rhos)
     else:
-        ests = [simulate.mc_repetition_error(dims, rho, _mc_config(args), method=args.method) for rho in rhos]
+        ests = simulate._repetition_curve(dims, rhos, _mc_config(args), args.method)
         errors, stderrs = [est.value for est in ests], [est.stderr for est in ests]
     rows = [[rho_db, p, stderr] for (rho_db, _), p, stderr in zip(grid, errors, stderrs)]
     return _Output(["rho_db", "error_prob", "stderr"], rows)
 
 
 def _cmd_alamouti(args) -> _Output:
-    cfg = _mc_config(args)
     grid = _snr_grid(args.rho_db)
-    for _, rho in grid:  # every grid point is checked before any estimator runs
-        require_positive(rho=rho)
-    rows = []
-    for rho_db, rho in grid:
-        est = simulate.mc_alamouti_outage(args.m, rho, args.r, cfg)
-        rows.append([rho_db, est.value, est.stderr])
+    ests = simulate._alamouti_curve(args.m, [rho for _, rho in grid], args.r, _mc_config(args))
+    rows = [[rho_db, est.value, est.stderr] for (rho_db, _), est in zip(grid, ests)]
     return _Output(["rho_db", "outage", "stderr"], rows)
 
 
@@ -272,35 +265,17 @@ def _cmd_rayleigh(args) -> _Output:
     for dims in channels:  # every m and SNR is checked before any is sampled
         for _, rho_bar in grid:
             simulate._check_comparable(dims, rho_bar)
-    rows = []
-    for rho_bar_db, rho_bar in grid:
-        for dims in channels:
-            row = simulate.rayleigh_compare(dims, rho_bar, cfg)
-            rows.append(
-                [
-                    row.m,
-                    rho_bar_db,
-                    row.capacity_jacobi,
-                    row.capacity_rayleigh,
-                    0.0,  # the baseline is exact
-                    row.ks_scaled_vs_wishart,
-                    row.frobenius_mean,
-                    row.capacity_jacobi - row.capacity_rayleigh,
-                ]
-            )
-    return _Output(
-        [
-            "m",
-            "rho_bar_db",
-            "capacity_jacobi_bits",
-            "capacity_rayleigh_bits",
-            "rayleigh_stderr",
-            "ks_scaled_spectrum",
-            "frobenius_mean",
-            "capacity_gap_bits",
-        ],
-        rows,
-    )
+    # one spectrum sample per m; the rows go rho_bar outer, m inner
+    per_m = [simulate._rayleigh_rows(dims, [rho_bar for _, rho_bar in grid], cfg) for dims in channels]
+    rows = [
+        [row.m, rho_bar_db, row.capacity_jacobi, row.capacity_rayleigh, 0.0,  # the baseline is exact
+         row.ks_scaled_vs_wishart, row.frobenius_mean, row.capacity_jacobi - row.capacity_rayleigh]
+        for (rho_bar_db, _), at_rho_bar in zip(grid, zip(*per_m))
+        for row in at_rho_bar
+    ]
+    header = ["m", "rho_bar_db", "capacity_jacobi_bits", "capacity_rayleigh_bits", "rayleigh_stderr",
+              "ks_scaled_spectrum", "frobenius_mean", "capacity_gap_bits"]
+    return _Output(header, rows)
 
 
 @functools.cache
@@ -408,8 +383,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with simulate._shared_draws():
-            out = args.fn(args)
+        out = args.fn(args)
         text = out.render()
         if args.out == "-":
             sys.stdout.write(text)

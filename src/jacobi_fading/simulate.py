@@ -11,12 +11,15 @@ trial sees.
 
 Because that stream depends on neither the estimator nor rho or r, all
 estimators and points of a curve at the same (dims, trials, master_seed)
-see the same channels (common random numbers).  Inside a
-:func:`_shared_draws` block, which the CLI opens around each invocation,
-the rho- and r-independent draws are made once and every point reduces
-that one array (an outage curve's per-rho mutual information and the
-``count`` method's decision margins too); outside it, every call draws
-afresh.  An outage or ``count`` point counts the trials past its threshold.
+see the same channels (common random numbers).  Each estimator has a
+private curve form (:func:`_ergodic_curve`, :func:`_outage_curve`,
+:func:`_repetition_curve`, :func:`_alamouti_curve`, :func:`_rayleigh_rows`),
+which the CLI calls once per grid: it checks every point, draws the rho-
+and r-independent sample set once, and reduces it at each point (an
+outage curve's mutual information at its one rho and the ``count``
+method's decision margins too).  A public estimator is its curve at one
+point, so every call draws afresh.  An outage or ``count`` point counts
+the trials past its threshold.
 
 The spectral estimators (ergodic capacity, outage, the Alamouti and
 repetition errors, and the Jacobi side of the Rayleigh comparison) depend
@@ -54,8 +57,6 @@ index order, into the row of its first term.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,10 +93,6 @@ __all__ = [
 # stay in cache, and the thread pool's unit of work.  No value depends on
 # it: every trial reads its own stream, and no reduction runs per chunk.
 _CHUNK = 8192
-
-# Memo of sample sets, set only inside a _shared_draws block.  A context
-# variable, not a module global, so nothing outlives the block.
-_SHARED: ContextVar[dict | None] = ContextVar("jacobi_fading_shared_draws", default=None)
 
 
 @dataclass(frozen=True)
@@ -149,35 +146,6 @@ def _count_estimate(count: int, cfg: McConfig) -> McEstimate:
     n = cfg.trials
     stderr = math.sqrt(count * (n - count) / (n - 1)) / n if 0 < count < n else 0.0
     return McEstimate(value=count / n, stderr=stderr, trials=n, seed=cfg.master_seed)
-
-
-@contextmanager
-def _shared_draws():
-    """Within this block, draw each sample set once and share it.
-
-    A sample set is identified by everything that decides its values: the
-    stream key(s), which hash seed, tag and dims, and the trial count.
-    Worker count is left out since it never changes results.  Shared arrays
-    are read-only, so no caller can alter another's.
-    """
-    token = _SHARED.set({})
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _drawn(ident: tuple, draw):
-    """draw(), or the result of an identical earlier draw in a shared block."""
-    memo = _SHARED.get()
-    if memo is None:
-        return draw()
-    if ident not in memo:
-        arrays = draw()
-        for a in arrays if isinstance(arrays, tuple) else (arrays,):
-            a.flags.writeable = False
-        memo[ident] = arrays
-    return memo[ident]
 
 
 def channel_blocks(dims: ChannelDims, key, lo: int, hi: int) -> np.ndarray:
@@ -266,7 +234,7 @@ def _channel_key(dims: ChannelDims, cfg: McConfig):
 
 
 def _model_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(d^2, e^2) of :func:`_bidiagonal_chunk` for cfg.trials channels, drawn once per sample set.
+    """(d^2, e^2) of :func:`_bidiagonal_chunk` for cfg.trials channels, drawn once per curve.
 
     Shapes (trials, n) and (trials, n-1): transposed views of one
     (2n-1, trials) buffer whose chunks are filled in place, so each
@@ -274,13 +242,9 @@ def _model_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.nda
     """
     key = _channel_key(dims, cfg)
     n = dims.m_min - dims.k  # unpinned modes
-
-    def draw():
-        squares = np.empty((max(2 * n - 1, 0), cfg.trials))
-        _map_chunks(cfg, lambda lo, hi: _bidiagonal_chunk(dims, key, lo, hi, squares[:, lo:hi]))
-        return squares[:n].T, squares[n:].T
-
-    return _drawn(("squares", key, dims, cfg.trials), draw)
+    squares = np.empty((max(2 * n - 1, 0), cfg.trials))
+    _map_chunks(cfg, lambda lo, hi: _bidiagonal_chunk(dims, key, lo, hi, squares[:, lo:hi]))
+    return squares[:n].T, squares[n:].T
 
 
 def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -305,17 +269,17 @@ def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(gram).T
 
 
-def _log_det_values(dims: ChannelDims, rho: float, cfg: McConfig) -> np.ndarray:
-    """log2 det(I + rho B^T B) per trial, plus k log2(1 + rho) for the pinned modes.
+def _log_det_values(dims: ChannelDims, rho: float, squares) -> np.ndarray:
+    """log2 det(I + rho B^T B) per trial of the :func:`_model_squares` pair, plus k log2(1 + rho).
 
     The LDL^T pivots of the tridiagonal I + rho B^T B are p_1 = 1 + rho d_1^2
     and p_i = q_i + rho d_i^2 with q_i = 1 + rho e_{i-1}^2 q_{i-1} / p_{i-1}:
     every term is non-negative, so p_i >= 1 and nothing cancels.  One chunk
     of trials at a time, so the temporaries are chunk-sized.
     """
-    d2, e2 = _model_squares(dims, cfg)
-    bits = np.zeros(cfg.trials)
-    for lo in range(0, cfg.trials, _CHUNK):
+    d2, e2 = squares
+    bits = np.zeros(len(d2))
+    for lo in range(0, len(d2), _CHUNK):
         d, e, q = d2[lo:lo + _CHUNK], e2[lo:lo + _CHUNK], 1.0
         for i in range(d.shape[1]):  # d[:, i] and e[:, i] are contiguous rows of the buffer
             if i:
@@ -345,33 +309,37 @@ def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     Shape (trials, m_min): the interior eigenvalues of :func:`_bidiagonal_chunk`
     on the estimators' stream, then k exact ones, clamped to [0, 1] and
     snapped by :func:`~jacobi_fading.ensembles.snap_endpoints`; drawn once
-    per sample set.  The result is the transposed view of one
-    (m_min, trials) buffer that each chunk fills in place.
+    per call, so a Rayleigh curve draws it once per m.  The result is the
+    transposed view of one (m_min, trials) buffer that each chunk fills in
+    place.
     """
     key = _channel_key(dims, cfg)
     n = dims.m_min - dims.k  # unpinned modes
+    spectra = np.empty((dims.m_min, cfg.trials))
 
-    def draw():
-        spectra = np.empty((dims.m_min, cfg.trials))
+    def chunk(lo, hi):
+        squares = np.empty((max(2 * n - 1, 0), hi - lo))
+        _bidiagonal_chunk(dims, key, lo, hi, squares)
+        rows = spectra[:, lo:hi]
+        rows[:n] = _tridiagonal_spectra(squares[:n], squares[n:])
+        rows[n:] = 1.0
+        rows[...] = snap_endpoints(rows)
 
-        def chunk(lo, hi):
-            squares = np.empty((max(2 * n - 1, 0), hi - lo))
-            _bidiagonal_chunk(dims, key, lo, hi, squares)
-            rows = spectra[:, lo:hi]
-            rows[:n] = _tridiagonal_spectra(squares[:n], squares[n:])
-            rows[n:] = 1.0
-            rows[...] = snap_endpoints(rows)
-
-        _map_chunks(cfg, chunk)
-        return spectra.T
-
-    return _drawn(("bidiagonal", key, dims, cfg.trials), draw)
+    _map_chunks(cfg, chunk)
+    return spectra.T
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
     """Empirical mean of log2 det(I + rho * H11^+ H11) over fresh draws (bits)."""
-    require_nonnegative(rho=rho)
-    return _estimate(_log_det_values(dims, rho, cfg), cfg)
+    return _ergodic_curve(dims, [rho], cfg)[0]
+
+
+def _ergodic_curve(dims: ChannelDims, rhos, cfg: McConfig) -> list[McEstimate]:
+    """:func:`mc_ergodic_capacity` at each of ``rhos``, from one sample set."""
+    for rho in rhos:
+        require_nonnegative(rho=rho)
+    squares = _model_squares(dims, cfg)
+    return [_estimate(_log_det_values(dims, rho, squares), cfg) for rho in rhos]
 
 
 def mc_outage(
@@ -393,14 +361,16 @@ def mc_outage(
     if r is not None:
         require_nonnegative(r=r)
         rate_bits = r * log2_1p(rho)
-    else:
-        require_nonnegative(rate_bits=rate_bits)
-    # every rate of a curve at this rho compares against the same values
-    mi = _drawn(
-        ("mutual-information", cfg.master_seed, dims, cfg.trials, rho),
-        lambda: _log_det_values(dims, rho, cfg),
-    )
-    return _count_estimate(np.count_nonzero(mi < rate_bits), cfg)
+    return _outage_curve(dims, rho, cfg, [rate_bits])[0]
+
+
+def _outage_curve(dims: ChannelDims, rho: float, cfg: McConfig, rates_bits) -> list[McEstimate]:
+    """:func:`mc_outage` at each of ``rates_bits``, from one log det per trial."""
+    require_positive(rho=rho)
+    for rate in rates_bits:
+        require_nonnegative(rate_bits=rate)
+    mi = _log_det_values(dims, rho, _model_squares(dims, cfg))
+    return [_count_estimate(np.count_nonzero(mi < rate), cfg) for rate in rates_bits]
 
 
 # For y >= 0, erfc(y) = exp(-y^2) S(t) / (1 + 2y), where S is smooth on
@@ -499,17 +469,24 @@ def mc_repetition_error(
     noise-dimension variance.  For deep tails dominated by near-zero eigenvalues see
     :func:`repetition_error_tail`.
     """
-    require_nonnegative(rho=rho)
+    return _repetition_curve(dims, [rho], cfg, method)[0]
+
+
+def _repetition_curve(dims: ChannelDims, rhos, cfg: McConfig, method: str) -> list[McEstimate]:
+    """:func:`mc_repetition_error` at each of ``rhos``, from one gain or margin per trial."""
+    for rho in rhos:
+        require_nonnegative(rho=rho)
     if method == "conditional":
-        return _estimate(qpsk_symbol_error(rho * _trace_values(dims, cfg)), cfg)
+        gain = _trace_values(dims, cfg)
+        return [_estimate(qpsk_symbol_error(rho * gain), cfg) for rho in rhos]
     if method != "count":
         raise ValueError("method must be 'conditional' or 'count'")
 
     tag = f"{dims.mt},{dims.mr},{dims.m}"
     kz = stream_key(cfg.master_seed, f"rep-count:noise:{tag}")
     ks = stream_key(cfg.master_seed, f"rep-count:sym:{tag}")
-    w = _drawn(("rep-count", kz, ks, dims, cfg.trials), lambda: _decision_margins(dims, cfg, kz, ks))
-    return _count_estimate(np.count_nonzero(w <= -math.sqrt(0.5 * rho)), cfg)
+    w = _decision_margins(dims, cfg, kz, ks)
+    return [_count_estimate(np.count_nonzero(w <= -math.sqrt(0.5 * rho)), cfg) for rho in rhos]
 
 
 def _decision_margins(dims: ChannelDims, cfg: McConfig, kz, ks) -> np.ndarray:
@@ -579,12 +556,19 @@ def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimat
     estimate is the fraction of draws whose gain is below that threshold.
     Where rho^r overflows the threshold is inf and every draw is in outage.
     """
+    return _alamouti_curve(m, [rho], r, cfg)[0]
+
+
+def _alamouti_curve(m: int, rhos, r: float, cfg: McConfig) -> list[McEstimate]:
+    """:func:`mc_alamouti_outage` at each of ``rhos``, from one gain per trial."""
     dims = ChannelDims(2, 2, m)
-    require_positive(rho=rho)
+    for rho in rhos:
+        require_positive(rho=rho)
     require_nonnegative(r=r)
+    gain = _trace_values(dims, cfg)
     with np.errstate(over="ignore"):
-        threshold = np.expm1(r * np.log(rho)) / rho
-    return _count_estimate(np.count_nonzero(_trace_values(dims, cfg) < threshold), cfg)
+        thresholds = [np.expm1(r * np.log(rho)) / rho for rho in rhos]
+    return [_count_estimate(np.count_nonzero(gain < threshold), cfg) for threshold in thresholds]
 
 
 def estimate_diversity_slope(points) -> float:
@@ -690,17 +674,28 @@ def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> Raylei
     of the min(mt, mr) nonzero Wishart eigenvalues it converges to, which
     needs ``m >= mt + mr`` (k = 0).
     """
-    _check_comparable(dims, rho_bar)
+    return _rayleigh_rows(dims, [rho_bar], cfg)[0]
+
+
+def _rayleigh_rows(dims: ChannelDims, rho_bars, cfg: McConfig) -> list[RayleighComparison]:
+    """:func:`rayleigh_compare` at each of ``rho_bars``, from one spectrum sample, KS distance and mean."""
+    for rho_bar in rho_bars:
+        _check_comparable(dims, rho_bar)
     n, alpha = dims.m_min, dims.alpha
-    rho = rho_bar * dims.m / dims.mt
+    rhos = [rho_bar * dims.m / dims.mt for rho_bar in rho_bars]
     lam = sample_spectra(dims, cfg)
-    return RayleighComparison(
-        m=dims.m,
-        rho_bar=rho_bar,
-        rho_per_mode=rho,
-        capacity_jacobi=analytic.ergodic_capacity(dims, rho),
-        capacity_rayleigh=analytic._laguerre_capacity(n, alpha, rho_bar / dims.mt),
-        ks_scaled_vs_wishart=ks_distance_to_cdf(dims.m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x)),
-        frobenius_mean=float(np.mean(np.sum(lam, axis=1))),
-        frobenius_expected=dims.mt * dims.mr / dims.m,
-    )
+    ks = ks_distance_to_cdf(dims.m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x))
+    frobenius = float(np.mean(np.sum(lam, axis=1)))
+    return [
+        RayleighComparison(
+            m=dims.m,
+            rho_bar=rho_bar,
+            rho_per_mode=rho,
+            capacity_jacobi=capacity,
+            capacity_rayleigh=analytic._laguerre_capacity(n, alpha, rho_bar / dims.mt),
+            ks_scaled_vs_wishart=ks,
+            frobenius_mean=frobenius,
+            frobenius_expected=dims.mt * dims.mr / dims.m,
+        )
+        for rho_bar, rho, capacity in zip(rho_bars, rhos, analytic._capacity_curve(dims, rhos))
+    ]

@@ -10,6 +10,7 @@ safeguarded Newton iteration in ``log x``.  ``log2_1p`` is the scalar
 from __future__ import annotations
 
 import math
+import sys
 from functools import cache
 from math import lgamma, log
 
@@ -124,7 +125,7 @@ def _inverse_lower(p: float, a: int, b: int) -> float:
     for _ in range(_NEWTON_MAX_ITER):
         x = math.exp(u)
         if x == 0.0:  # the start, left of the root, underflows: so does the root, to within rounding
-            raise NumericalError(f"inv_reg_inc_beta({p!r}, {a}, {b}) is below the float range")
+            break
         if x * (a + b) > a:
             value = 1.0 - _binomial_tail(1.0 - x, b, a)[0]
             slope = math.exp(a * u + (b - 1) * math.log1p(-x) - log_beta)
@@ -146,6 +147,8 @@ def _inverse_lower(p: float, a: int, b: int) -> float:
         u -= step
         if not lo < u < hi:
             u = 0.5 * (lo + hi) if lo > -math.inf else hi - 1.0
+    if x < sys.float_info.min:  # an underflow, or a subnormal iterate no relative step test can settle
+        raise NumericalError(f"inv_reg_inc_beta({p!r}, {a}, {b}) is below the float range")
     raise NumericalError(
         f"inv_reg_inc_beta({p!r}, {a}, {b}) did not converge in {_NEWTON_MAX_ITER} steps"
     )
@@ -156,7 +159,9 @@ def inv_reg_inc_beta(p: float, a: int, b: int) -> float:
 
     For ``p > 1/2`` it solves ``I_{1-x}(b, a) = 1 - p`` instead, so the
     iteration always starts below the median.  Raises
-    :class:`NumericalError` rather than return an unconverged value.
+    :class:`NumericalError` rather than return an unconverged value: a
+    range error where an iterate that has not settled is below the normal
+    floats (the step test is relative, and subnormals lack the precision).
     """
     a, b = _beta_params(a, b)
     require_reals(p=p)

@@ -538,6 +538,19 @@ def test_inverse_incomplete_beta_raises_where_its_root_underflows():
         rho_norm(1, 3, 5e-324)
 
 
+@pytest.mark.parametrize("p, b", [(1e-320, 3), (1e-320, 5), (1e-320, 6), (1e-320, 7),
+                                  (1e-322, 3), (1e-322, 6), (1e-322, 7), (1e-322, 8)])
+def test_inverse_incomplete_beta_raises_the_range_error_at_a_subnormal_root(p, b):
+    # the root, about p / b, is subnormal: no relative step test can settle it
+    with pytest.raises(NumericalError, match=rf"^inv_reg_inc_beta\({p!r}, 1, {b}\) is below the float range$"):
+        specfun.inv_reg_inc_beta(p, 1, b)
+
+
+def test_inverse_incomplete_beta_keeps_the_subnormal_roots_it_settles():
+    # I_x(1, 2) = 2x - x^2: at p = 1e-320 the root 5e-321 settles, subnormal as it is
+    assert specfun.inv_reg_inc_beta(1e-320, 1, 2) == 5e-321
+
+
 def test_rho_norm_guarantee():
     # rho/(2^R - 1) >= rho_norm really does cap the outage at epsilon
     mr, m, eps, rate = 2, 4, 1e-3, 1.5

@@ -128,12 +128,20 @@ def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_subnormal_inverse_exits_1_with_the_range_message(tmp_path, capsys):
+    # rho_norm(1, 4, 1e-320) inverts I_x(1, 3) at a root near 3.3e-321, below the normal floats
+    code, out = run_cli(["rho-norm", "--m", "4", "--mr", "1", "--epsilon", "1e-320"], tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == "numerical failure: inv_reg_inc_beta(1e-320, 1, 3) is below the float range\n"
+    assert not out.exists()
+
+
 def test_non_finite_estimate_exits_1(tmp_path, capsys, monkeypatch):
     # the table refuses a non-finite value rather than write it
     monkeypatch.setattr(
         simulate,
-        "mc_ergodic_capacity",
-        lambda dims, rho, cfg: simulate.McEstimate(math.nan, math.nan, cfg.trials, cfg.master_seed),
+        "_ergodic_curve",
+        lambda dims, rhos, cfg: [simulate.McEstimate(math.nan, math.nan, cfg.trials, cfg.master_seed) for _ in rhos],
     )
     args = ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10", "--method", "mc", "--trials", "100"]
     code, out = run_cli(args, tmp_path)
@@ -552,27 +560,27 @@ def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monk
     "args, estimator",
     [
         (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000", "--method", "mc"],
-         (simulate, "mc_ergodic_capacity")),
+         (simulate, "_model_squares")),
         (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000"], (analytic, "_capacity_curve")),
         (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10,20,4000"],
-         (simulate, "mc_repetition_error")),
+         (simulate, "_model_squares")),
         (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10,20,4000", "--method", "tail"],
          (simulate, "_tail_curve")),
-        (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,4000"], (simulate, "mc_alamouti_outage")),
-        (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,-4000"], (simulate, "mc_alamouti_outage")),
+        (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,4000"], (simulate, "_model_squares")),
+        (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,-4000"], (simulate, "_model_squares")),
         (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--r", "0.5,1,-1"],
-         (simulate, "mc_outage")),
+         (simulate, "_model_squares")),
         (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--rate-bits", "1,2,-1"],
-         (simulate, "mc_outage")),
+         (simulate, "_model_squares")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,20,4000"],
-         (simulate, "rayleigh_compare")),
+         (simulate, "_rayleigh_rows")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,-4000"],
-         (simulate, "rayleigh_compare")),
+         (simulate, "_rayleigh_rows")),
         # the Rayleigh baseline's rho_bar / mt * L, then rho_bar * m, past the float range
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,3070"],
-         (simulate, "rayleigh_compare")),
+         (simulate, "_rayleigh_rows")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,3075"],
-         (simulate, "rayleigh_compare")),
+         (simulate, "_rayleigh_rows")),
     ],
     ids=["ergodic-mc", "ergodic-analytic", "repetition", "repetition-tail", "alamouti-high", "alamouti-zero",
          "outage-r", "outage-rate-bits", "rayleigh-high", "rayleigh-zero", "rayleigh-3070", "rayleigh-3075"],

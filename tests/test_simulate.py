@@ -55,16 +55,6 @@ def test_worker_count_never_changes_results():
         assert one.value == many.value and one.stderr == many.stderr
 
 
-def test_shared_draws_keyed_by_everything_that_decides_them():
-    with simulate._shared_draws():
-        base = sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1))
-        assert sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1, workers=2)) is base
-        assert not base.flags.writeable
-        assert len(sample_spectra(DIMS_224, McConfig(trials=6_000, master_seed=1))) == 6_000
-        assert not np.array_equal(sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=2)), base)
-    assert sample_spectra(DIMS_224, McConfig(trials=5_000, master_seed=1)).flags.writeable
-
-
 @pytest.mark.parametrize("mt, mr, m", [(1, 3, 8), (3, 2, 4), (2, 2, 3), (4, 4, 6), (2, 2, 64), (4, 4, 8)])
 def test_bidiagonal_model_matches_haar_spectra(mt, mr, m):
     # alpha > 0, mt > mr, k > 0, m = 64 and m_min = 4 against truncated-Haar channels
@@ -150,8 +140,8 @@ def _mp_log_det(d2, e2, rho):
 @pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7)])
 def test_pivot_log_det_against_mpmath(mt, mr, m, rho):
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=100, master_seed=7)
-    got = simulate._log_det_values(dims, rho, cfg)
     d2, e2 = simulate._model_squares(dims, cfg)
+    got = simulate._log_det_values(dims, rho, (d2, e2))
     want = np.array([float(_mp_log_det(d2[t], e2[t], rho)) for t in range(cfg.trials)])
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
@@ -170,7 +160,7 @@ def test_chunked_log_det_is_the_whole_array_formula(mt, mr, m, rho):
         p = q + rho * d2[:, i]
         want += np.log2(p)
     want += dims.k * log2_1p(rho)
-    assert np.array_equal(simulate._log_det_values(dims, rho, cfg), want)
+    assert np.array_equal(simulate._log_det_values(dims, rho, simulate._model_squares(dims, cfg)), want)
 
 
 @pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7), (2, 2, 3), (1, 2, 3), (2, 2, 2)])
@@ -253,7 +243,7 @@ def test_no_value_depends_on_the_chunk_size(monkeypatch, workers):
         values = [
             *simulate._model_squares(dims, cfg),
             sample_spectra(dims, cfg),
-            simulate._log_det_values(dims, 10.0, cfg),
+            simulate._log_det_values(dims, 10.0, simulate._model_squares(dims, cfg)),
             simulate._trace_values(dims, cfg),
             q_function(np.linspace(-3.0, 45.0, cfg.trials)),
         ]
@@ -265,6 +255,32 @@ def test_no_value_depends_on_the_chunk_size(monkeypatch, workers):
     default = outputs()
     monkeypatch.setattr(simulate, "_CHUNK", 1000)
     assert outputs() == default
+
+
+def test_stderr_is_calibrated_against_exact_values():
+    # z = (estimate - exact) / stderr over 40 fixed seeds is about N(0, 1) when
+    # the stderr is right: sum z^2 within the two-sided p = 0.01 chi-square bounds
+    # on 40 degrees of freedom per row and on 200 pooled; a stderr 0.7 or 1.4
+    # times the true one roughly doubles or halves the sums
+    t = math.expm1(0.5 * math.log(10.0)) / 10.0  # the Alamouti gain threshold at r = 0.5, 10 dB
+    rows = {  # (estimator at a seeded config, exact value)
+        "ergodic-448-10dB": (lambda cfg: mc_ergodic_capacity(ChannelDims(4, 4, 8), 10.0, cfg),
+                             ergodic_capacity(ChannelDims(4, 4, 8), 10.0)),
+        "ergodic-2232-20dB": (lambda cfg: mc_ergodic_capacity(ChannelDims(2, 2, 32), 100.0, cfg),
+                              ergodic_capacity(ChannelDims(2, 2, 32), 100.0)),
+        "outage-124-1bit-10dB": (lambda cfg: mc_outage(ChannelDims(1, 2, 4), 10.0, cfg, rate_bits=1.0),
+                                 outage_single_mode(2, 4, 1.0, 10.0)),
+        # the (2,2,4) gain g = ||H11||_F^2 has P(g < t) = t^4 / 2 for t <= 1
+        "alamouti-4-r0.5-10dB": (lambda cfg: mc_alamouti_outage(4, 10.0, 0.5, cfg), t**4 / 2.0),
+        "repetition-123-20dB": (lambda cfg: mc_repetition_error(ChannelDims(1, 2, 3), 100.0, cfg),
+                                repetition_error_tail(ChannelDims(1, 2, 3), 100.0)),
+    }
+    sums = {}
+    for name, (estimate, exact) in rows.items():
+        ests = [estimate(McConfig(trials=20_000, master_seed=seed)) for seed in range(1000, 1040)]
+        sums[name] = sum(((est.value - exact) / est.stderr) ** 2 for est in ests)
+    assert all(20.7 <= total <= 66.8 for total in sums.values()), sums
+    assert 152.2 <= sum(sums.values()) <= 255.3, sums
 
 
 def test_mc_capacity_matches_analytic():
@@ -328,8 +344,10 @@ def test_mc_outage_argument_contract():
         (lambda cfg: mc_outage(DIMS_224, 10.0, cfg, rate_bits=True), "rate_bits"),
         (lambda cfg: mc_outage(DIMS_224, 10.0, cfg, r=True), "r"),
         (lambda cfg: mc_alamouti_outage(4, 10.0, True, cfg), "r"),
+        # r log2(1 + rho) past the float range is no rate either
+        (lambda cfg: mc_outage(DIMS_224, 10.0, cfg, r=1e308), "rate_bits"),
     ],
-    ids=["negative-rate_bits", "bool-rate_bits", "bool-r", "alamouti-bool-r"],
+    ids=["negative-rate_bits", "bool-rate_bits", "bool-r", "alamouti-bool-r", "r-rate-overflows"],
 )
 def test_outage_rates_must_be_real_and_nonnegative(call, name):
     # as analytic.outage_single_mode does: a negative rate is an error, not outage 0
@@ -715,12 +733,11 @@ def test_rayleigh_grid_draws_each_spectrum_once(monkeypatch):
 
     monkeypatch.setattr(simulate, "_tridiagonal_spectra", counting)
     cfg = McConfig(trials=2_000)
-    grid = [(ChannelDims(2, 2, m), rho_bar) for rho_bar in (10.0, 100.0) for m in (5, 8)]
-    with simulate._shared_draws():
-        # the sample sets do not depend on rho_bar, so a grid reuses them
-        inside = [rayleigh_compare(dims, rho_bar, cfg) for dims, rho_bar in grid]
-        assert len(solves) == 2
-    outside = [rayleigh_compare(dims, rho_bar, cfg) for dims, rho_bar in grid]
+    channels, rho_bars = [ChannelDims(2, 2, m) for m in (5, 8)], [10.0, 100.0]
+    # the sample sets do not depend on rho_bar, so a curve over it draws each once
+    inside = [row for dims in channels for row in simulate._rayleigh_rows(dims, rho_bars, cfg)]
+    assert len(solves) == 2
+    outside = [rayleigh_compare(dims, rho_bar, cfg) for dims in channels for rho_bar in rho_bars]
     assert len(solves) == 2 + 4
     assert inside == outside
 
@@ -747,11 +764,10 @@ def test_outage_reduces_once_per_rho(monkeypatch):
     monkeypatch.setattr(simulate, "_log_det_values", counting)
     dims, cfg = ChannelDims(2, 2, 3), McConfig(trials=2_000)
     rates = np.linspace(1.0, 2.0, 41)
-    with simulate._shared_draws():
-        inside = [mc_outage(dims, 100.0, cfg, r=r) for r in rates]
-        assert len(reductions) == 1
-        mc_outage(dims, 10.0, cfg, r=1.5)
-        assert len(reductions) == 2
+    inside = simulate._outage_curve(dims, 100.0, cfg, [r * log2_1p(100.0) for r in rates])
+    assert len(reductions) == 1
+    simulate._outage_curve(dims, 10.0, cfg, [1.5 * log2_1p(10.0)])
+    assert len(reductions) == 2
     outside = [mc_outage(dims, 100.0, cfg, r=r) for r in rates]
     assert len(reductions) == 2 + len(rates)
     assert inside == outside
@@ -806,10 +822,9 @@ def test_count_method_draws_once_per_block(monkeypatch):
     monkeypatch.setattr(simulate, "_trace_values", trace_values)
     rhos = 10.0 ** (np.arange(10.0, 45.0, 5.0) / 10.0)
     chunks = math.ceil(cfg.trials / simulate._CHUNK)
-    with simulate._shared_draws():
-        inside = [mc_repetition_error(dims, rho, cfg, method="count") for rho in rhos]
-        # one sample set: each chunk's signs and noise once, one gain reduction
-        assert sorted(draws) == ["noise"] * chunks + ["signs"] * chunks and len(gains) == 1
+    inside = simulate._repetition_curve(dims, rhos, cfg, "count")
+    # one sample set: each chunk's signs and noise once, one gain reduction
+    assert sorted(draws) == ["noise"] * chunks + ["signs"] * chunks and len(gains) == 1
     outside = [mc_repetition_error(dims, rho, cfg, method="count") for rho in rhos]
     assert len(draws) == 2 * chunks * (1 + len(rhos)) and len(gains) == 1 + len(rhos)
     assert inside == outside

@@ -1,4 +1,4 @@
-"""Print the sha256 of the CSV of every benchmark op, to check that a change keeps output bytes.
+"""Print the sha256 of the CSV and manifest of every benchmark op, to check that a change keeps output bytes.
 
 usage (from anywhere):
     python3 tools/op_csv_hashes.py --seed N
@@ -6,15 +6,19 @@ usage (from anywhere):
 Each op of the workloads in ``bench/workloads.py`` runs through
 ``jacobi_fading.cli.main`` (from this checkout's ``src``) in this one
 process, with its argv plus ``--seed <N + seed_offset> --out <file>``, the
-file in a temporary directory.  One line per op, ``<workload>-<index>
-<sha256>``, goes to standard output; nothing is written under ``bench/``.
-Run it on two checkouts at the same seed and diff the outputs.
+file in a temporary directory.  Two lines per op go to standard output:
+``<workload>-<index> <sha256>`` of the CSV, then
+``<workload>-<index>.manifest <sha256>`` of its manifest with the
+``timestamp`` field dropped, re-serialised as JSON with sorted keys.
+Nothing is written under ``bench/``.  Run it on two checkouts at the same
+seed and diff the outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -41,7 +45,12 @@ def main(argv=None) -> int:
                     print(f"{workload}-{index} failed with exit code {code}", file=sys.stderr)
                     return code
                 with open(out, "rb") as f:
-                    print(f"{workload}-{index} {hashlib.sha256(f.read()).hexdigest()}", flush=True)
+                    print(f"{workload}-{index} {hashlib.sha256(f.read()).hexdigest()}")
+                with open(out + ".manifest.json") as f:
+                    manifest = json.load(f)
+                del manifest["timestamp"]
+                text = json.dumps(manifest, sort_keys=True)
+                print(f"{workload}-{index}.manifest {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
     return 0
 
 
