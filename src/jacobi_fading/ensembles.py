@@ -213,8 +213,10 @@ def snap_endpoints(lams: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(lams)):
         raise NumericalError("eigensolver returned non-finite eigenvalues")
-    lams = np.clip(lams, 0.0, 1.0)
-    return np.where(lams >= 1.0 - UNIT_TOL, 1.0, np.where(lams <= UNIT_TOL, 0.0, lams))
+    lams = np.asarray(np.clip(lams, 0.0, 1.0))  # clip copies; asarray turns a 0-d result back into an array
+    np.copyto(lams, 1.0, where=lams >= 1.0 - UNIT_TOL)
+    np.copyto(lams, 0.0, where=lams <= UNIT_TOL)
+    return lams
 
 
 def verify_pinned_spectrum(unitaries: np.ndarray, dims: ChannelDims) -> PinnedSpectrumReport:

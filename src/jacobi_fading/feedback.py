@@ -30,10 +30,13 @@ index, so use i's variates depend on its position only.  All channels are
 drawn by one Gram-Schmidt pass over the whole stack
 (:func:`.ensembles.phase_fixed_qr`, no LAPACK call per matrix) and
 completed from an s x s problem each, s = m - mr: s pivoted Gram-Schmidt
-steps on the rank-s residual ``I - H11^+ H11``, stack-last, and one
-stacked ``eigh`` of the basis's s x s Gram (:func:`complete_unitary`).  No
-step runs per use: the completion rows are orthogonal, so every use's
-conditional covariance is exactly I and the pads follow in closed form,
+steps on the rank-s residual ``I - H11^+ H11``, stack-last, then the
+eigenvectors of the basis's s x s Gram, in closed form at s <= 2 (one
+complex Jacobi rotation at s = 2) and by one stacked ``eigh`` from s = 3
+on (:func:`complete_unitary`).  H11's Gram is formed once per frame and
+also checks the combining identity.  No step runs per use: the completion
+rows are orthogonal, so every use's conditional covariance is exactly I
+and the pads follow in closed form,
 and the relay recurrence and the backward peeling (use i depends on use
 i - l only) are affine maps along each delay chain, solved by a prefix
 scan in ceil(log2(n / l)) batched steps.  The combining identity also gives the receiver's noise in closed
@@ -169,14 +172,16 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     leaves of R must vanish within ``UNIT_TOL`` entry by entry, or
     NumericalError is raised.  With U the eigenvectors of the s x s Gram
     C^+ C by decreasing eigenvalue, column e of C U is R's eigenvector for
-    eigenvalue e scaled by its square root.  Where an eigenvalue repeats
-    (eigenvalue 1, when mt - mr >= 2) any basis of its eigenspace is
-    valid, and the pivot order fixes this one.  Every step is one numpy
-    call over the whole stack, laid out stack-last (:func:`_mul_last`), and
-    the one LAPACK call is a stacked s x s ``eigh``: far cheaper than an
+    eigenvalue e scaled by its square root.  U is found in closed form at
+    s <= 2: the identity at s <= 1, one complex Jacobi rotation at s = 2;
+    only s >= 3 calls a stacked s x s ``eigh``.  Where an eigenvalue
+    repeats (eigenvalue 1, when mt - mr >= 2) any basis of its eigenspace
+    is valid, and the pivot order and the rotation fix this one.  Every
+    step is one numpy call over the whole stack, laid out stack-last
+    (:func:`_mul_last`, in :func:`_completion_last`): far cheaper than an
     mt x mt ``eigh`` per block on small blocks, but every step touches the
     whole mt x mt residual, so dearer from about 12 x 12 blocks on (see
-    the README).  s = 0 gives empty rows by the same steps, on 0 x 0 Grams.
+    the README).  s = 0 gives empty rows by the same steps.
     """
     h11 = np.asarray(h11)
     if h11.ndim not in (2, 3) or h11.shape[-2:] != (dims.mr, dims.mt):
@@ -185,9 +190,20 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
         raise ValueError("a zero-padded completion needs mt + mr > m")
     if h11.ndim == 2:
         return complete_unitary(h11[None], dims)[0]
+    return np.ascontiguousarray(_completion_last(h11, dims)[0].conj().transpose(2, 1, 0))
+
+
+def _completion_last(h11: np.ndarray, dims: ChannelDims) -> tuple[np.ndarray, np.ndarray]:
+    """H21^H of each block of an (n, mr, mt) stack, and the H11^H H11 it formed, both stack-last.
+
+    Returns the (mt, s, n) conjugate transposes of :func:`complete_unitary`'s
+    rows and the (mt, mt, n) Gram, so a caller checks the combining
+    identity H11^H H11 + H21^H H21 = I without forming either again.
+    """
     n, mt, s = len(h11), dims.mt, dims.m - dims.mr
+    gram = _gram_last(_stack_last(h11))
     # the residual, then what the basis leaves of it: (mt, mt, n), stack axis last
-    left = np.eye(mt)[:, :, None] - _gram_last(_stack_last(h11))
+    left = np.eye(mt)[:, :, None] - gram
     diag = np.diagonal(left, axis1=0, axis2=1).real  # (n, mt), a view that follows left
     basis = np.zeros((mt, s, n), dtype=left.dtype)
     at = np.arange(n)
@@ -201,13 +217,51 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
         raise NumericalError("I - H11^+H11 has a significantly negative eigenvalue")
     if np.any(np.abs(left) > UNIT_TOL):
         raise NumericalError("residual rank exceeds the available completion rows")
-    # eigh sorts ascending: reverse for rows by decreasing eigenvalue
-    u = np.linalg.eigh(np.moveaxis(_gram_last(basis), -1, 0))[1][:, :, ::-1]
-    rows = _mul_last(basis, _stack_last(u))  # column e is C u_e: (mt, s, n)
+    if s <= 1:
+        rows = basis  # a 1 x 1 Gram's eigenvector is 1
+    elif s == 2:
+        rows = _rotate_pair(basis)
+    else:
+        # eigh sorts ascending: reverse for rows by decreasing eigenvalue
+        u = np.linalg.eigh(np.moveaxis(_gram_last(basis), -1, 0))[1][:, :, ::-1]
+        rows = _mul_last(basis, _stack_last(u))  # column e is C u_e: (mt, s, n)
     pivot = np.take_along_axis(rows, np.argmax(np.abs(rows), axis=0)[None], axis=0)
     size = np.abs(pivot)
     phase = np.where(size > 0.0, pivot.conj() / np.where(size > 0.0, size, 1.0), 1.0)
-    return np.ascontiguousarray((rows * phase).conj().transpose(2, 1, 0))
+    return rows * phase, gram
+
+
+def _rotate_pair(basis: np.ndarray) -> np.ndarray:
+    """C U for a stack-last (mt, 2, n) basis C, U the eigenvectors of C^H C by decreasing eigenvalue.
+
+    One complex Jacobi rotation diagonalises the Gram [[a, g], [g*, b]],
+    a = |c_0|^2, b = |c_1|^2, g = c_0^H c_1: with w = g* / |g| the
+    rotated columns cos c_0 - sin w c_1 and sin c_0 + cos w c_1 are
+    orthogonal, of squared norms a - t|g| and b + t|g|, for Rutishauser's
+    tangent t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)) with
+    zeta = (b - a) / 2|g|, cos = 1 / sqrt(1 + t^2) and sin = t cos.  Here
+    t is that form multiplied through by 2|g|, so |t| <= 1 with no
+    division by |g|; g = 0 gives t = 0, no rotation.  The column with the
+    larger norm comes first.
+    """
+    c0, c1 = basis[:, 0], basis[:, 1]
+    a = np.sum(c0.real ** 2 + c0.imag ** 2, axis=0)
+    b = np.sum(c1.real ** 2 + c1.imag ** 2, axis=0)
+    g = np.sum(c0.conj() * c1, axis=0)
+    size = np.abs(g)
+    gap = b - a
+    denominator = np.where(size > 0.0, np.abs(gap) + np.hypot(gap, 2.0 * size), 1.0)
+    t = np.where(gap < 0.0, -2.0, 2.0) * size / denominator
+    cos = 1.0 / np.sqrt(1.0 + t * t)
+    sin = t * cos
+    w = np.where(size > 0.0, g.conj() / np.where(size > 0.0, size, 1.0), 1.0)
+    x0, y0 = cos, -sin * w  # the (c_0, c_1) coefficients of the column of squared norm a - t|g|
+    x1, y1 = sin, cos * w  # and of b + t|g|
+    swap = gap + 2.0 * t * size > 0.0  # the second is the larger
+    rows = np.empty_like(basis)
+    rows[:, 0] = np.where(swap, x1, x0) * c0 + np.where(swap, y1, y0) * c1
+    rows[:, 1] = np.where(swap, x0, x1) * c0 + np.where(swap, y0, y1) * c1
+    return rows
 
 
 class _FrameDraws(NamedTuple):
@@ -328,10 +382,11 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     draws = _draw_frame(cfg)
 
     h11 = draws.channels
-    h21 = complete_unitary(h11, dims)
-    # the combining identity H11^H H11 + H21^H H21 = I, on the stacked blocks, stack axis last
-    iso = _stack_last(np.concatenate([h11, h21], axis=1))
-    deviation = np.max(np.abs(_gram_last(iso) - np.eye(mt)[:, :, None]), axis=(0, 1))
+    h21h, gram = _completion_last(h11, dims)
+    h21 = np.ascontiguousarray(h21h.conj().transpose(2, 1, 0))
+    # the combining identity H11^H H11 + H21^H H21 = I, stack axis last
+    identity = gram + _mul_last(h21h, h21h.conj().swapaxes(0, 1))
+    deviation = np.max(np.abs(identity - np.eye(mt)[:, :, None]), axis=(0, 1))
     if np.any(deviation > _COMBINE_TOL):
         bad = int(np.argmax(deviation > _COMBINE_TOL))
         raise NumericalError(f"completion at use {bad} fails the combining identity")

@@ -258,7 +258,8 @@ def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
         return d2  # the variate itself
     if n == 2:
         p, r = d2[0], e2[0] + d2[1]
-        lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.sqrt(d2[0] * e2[0]))
+        h = 0.5 * (p - r)  # an h * h that underflows sits far below UNIT_TOL's snap to 0
+        lam_max = 0.5 * (p + r) + np.sqrt(h * h + d2[0] * e2[0])
         # det / lam_max keeps the small eigenvalue's relative accuracy
         return np.stack((d2[0] * d2[1] / lam_max, lam_max))
     gram = np.zeros((trials, n, n))  # B^T B, symmetric tridiagonal

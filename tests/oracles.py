@@ -198,7 +198,8 @@ def reference_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
             interior = d2
         elif n == 2:
             p, r = d2[:, 0], e2[:, 0] + d2[:, 1]
-            lam_max = 0.5 * (p + r) + np.hypot(0.5 * (p - r), np.sqrt(d2[:, 0] * e2[:, 0]))
+            h = 0.5 * (p - r)
+            lam_max = 0.5 * (p + r) + np.sqrt(h * h + d2[:, 0] * e2[:, 0])
             interior = np.stack((d2[:, 0] * d2[:, 1] / lam_max, lam_max), axis=1)
         else:
             gram = np.zeros((trials, n, n))

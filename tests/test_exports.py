@@ -180,7 +180,7 @@ EIGENSOLVES_ALLOWED = {
     ("analytic.py", "_legendre_rule"),  # Golub-Welsch nodes of the quadrature rule
     ("simulate.py", "_tridiagonal_spectra"),  # spectra outputs of the bidiagonal model
     ("ensembles.py", "verify_pinned_spectrum"),  # the check on whole Haar unitaries
-    ("feedback.py", "complete_unitary"),  # the s x s Gram of the completion basis
+    ("feedback.py", "_completion_last"),  # the s x s Gram of the completion basis, s >= 3 only
 }
 
 
@@ -193,10 +193,13 @@ def test_every_eigensolve_is_deliberate():
     _check_allow_list(_package_sites(_eigensolves), EIGENSOLVES_ALLOWED, "eigensolves")
 
 
-@pytest.mark.parametrize("dims", [ChannelDims(4, 4, 6), ChannelDims(2, 3, 3)], ids=["s2", "s0"])
+@pytest.mark.parametrize(
+    "dims", [ChannelDims(4, 4, 6), ChannelDims(2, 3, 3), ChannelDims(4, 4, 7)], ids=["s2", "s0", "s3"]
+)
 def test_feedback_frame_solves_only_s_by_s_eigenproblems(monkeypatch, dims):
-    # a frame completes each use from its s x s Gram, s = m - mr (2 and 0),
-    # never from the mt x mt residual; s = 0 takes the same stacked eigh
+    # a frame completes each use from its s x s Gram, s = m - mr, never from
+    # the mt x mt residual: in closed form at s <= 2, with no eigh at all,
+    # and by a stacked s x s eigh from s = 3 on
     s = dims.m - dims.mr
     shapes, eigh = [], np.linalg.eigh
 
@@ -206,7 +209,10 @@ def test_feedback_frame_solves_only_s_by_s_eigenproblems(monkeypatch, dims):
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     run_feedback_scheme(SchemeConfig(dims=dims, n_uses=200, delay=1))
-    assert shapes and all(shape[-2:] == (s, s) for shape in shapes), shapes
+    if s <= 2:
+        assert shapes == []
+    else:
+        assert shapes and all(shape[-2:] == (s, s) for shape in shapes), shapes
 
 
 def test_no_reduceat_in_the_package():

@@ -116,6 +116,18 @@ def test_completion_in_a_repeated_eigenspace_matches_the_oracle_gram():
     assert np.max(np.abs(cross - np.eye(2))) < 1e-14
 
 
+def test_completion_of_a_degenerate_pair_is_finite_and_orthonormal():
+    # s = 2 with g = c_0^H c_1 = 0 exactly and a = b = 1: the Jacobi rotation's
+    # tangent has no direction to take and must not divide by |g| (pytest turns
+    # any warning into an error)
+    dims = ChannelDims(4, 2, 4)
+    h11 = np.stack([np.eye(2, 4), np.eye(2, 4, 2)])
+    h21 = complete_unitary(h11, dims)
+    assert np.all(np.isfinite(h21))
+    assert np.max(np.abs(h21 @ h21.conj().swapaxes(1, 2) - np.eye(2))) == 0.0
+    assert np.max(np.abs(h11 @ h21.conj().swapaxes(1, 2))) == 0.0
+
+
 def test_completion_of_orthonormal_columns_is_a_zero_row():
     # the residual is exactly 0: every pivot is 0, which gives a zero row, not NaN
     # (pytest turns any warning into an error)
@@ -514,10 +526,14 @@ def test_both_ends_compute_the_same_completion():
     assert np.array_equal(receiver, rep.trace.completions)
 
 
-
 def _scaled_completions(monkeypatch, factor):
-    real = feedback.complete_unitary
-    monkeypatch.setattr(feedback, "complete_unitary", lambda h11, dims: factor * real(h11, dims))
+    real = feedback._completion_last
+
+    def scaled(h11, dims):
+        rows, gram = real(h11, dims)
+        return factor * rows, gram
+
+    monkeypatch.setattr(feedback, "_completion_last", scaled)
 
 
 def test_scheme_rejects_a_completion_off_the_combining_identity(monkeypatch):

@@ -146,6 +146,23 @@ def test_pivot_log_det_against_mpmath(mt, mr, m, rho):
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
 
+@pytest.mark.parametrize("mt, mr, m", [(2, 2, 4), (2, 2, 64)])
+def test_two_mode_spectra_against_mpmath(mt, mr, m):
+    # n = 2: B^T B = [[p, sqrt(d_1^2 e_1^2)], [., r]], p = d_1^2 and r = e_1^2 + d_2^2,
+    # the squares taken as exact; at 40 digits the small eigenvalue is det / lam_max too
+    dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=9_000, master_seed=7)
+    d2, e2 = simulate._model_squares(dims, cfg)
+    got = simulate._tridiagonal_spectra(d2.T, e2.T)
+    want = np.empty_like(got)
+    with mp.workdps(40):
+        for t in range(cfg.trials):
+            p, sq_d2, sq_e1 = (mp.mpf(v) for v in (d2[t, 0], d2[t, 1], e2[t, 0]))
+            r = sq_e1 + sq_d2
+            lam_max = (p + r) / 2 + mp.sqrt(((p - r) / 2) ** 2 + p * sq_e1)
+            want[:, t] = float(p * sq_d2 / lam_max), float(lam_max)
+    assert np.max(np.abs(got - want) / want) <= 1e-15
+
+
 @pytest.mark.parametrize("rho", [1e-6, 1.0, 100.0, 1e6])
 @pytest.mark.parametrize("mt, mr, m", [(2, 2, 4), (2, 2, 3), (4, 4, 8), (2, 2, 32)])
 def test_chunked_log_det_is_the_whole_array_formula(mt, mr, m, rho):
@@ -281,6 +298,30 @@ def test_stderr_is_calibrated_against_exact_values():
         sums[name] = sum(((est.value - exact) / est.stderr) ** 2 for est in ests)
     assert all(20.7 <= total <= 66.8 for total in sums.values()), sums
     assert 152.2 <= sum(sums.values()) <= 255.3, sums
+
+
+def test_count_stderr_is_calibrated_against_exact_values():
+    # the three estimators whose stderr is _count_estimate's, from a count of
+    # indicator events: sum z^2 over the same 40 seeds within the two-sided
+    # p = 0.01 chi-square bounds on 40 degrees of freedom per row and on 120
+    # pooled.  10 dB, not 20, for the repetition row: about 6 events per run at
+    # 20 dB, where a run with none has stderr 0
+    t = math.expm1(0.5 * math.log(10.0)) / 10.0  # the Alamouti gain threshold at r = 0.5, 10 dB
+    rows = {  # (estimator at a seeded config, exact value)
+        "outage-124-1bit-10dB": (lambda cfg: mc_outage(ChannelDims(1, 2, 4), 10.0, cfg, rate_bits=1.0),
+                                 outage_single_mode(2, 4, 1.0, 10.0)),
+        "alamouti-4-r0.5-10dB": (lambda cfg: mc_alamouti_outage(4, 10.0, 0.5, cfg), t**4 / 2.0),
+        "repetition-count-123-10dB": (
+            lambda cfg: mc_repetition_error(ChannelDims(1, 2, 3), 10.0, cfg, method="count"),
+            repetition_error_tail(ChannelDims(1, 2, 3), 10.0),
+        ),
+    }
+    sums = {}
+    for name, (estimate, exact) in rows.items():
+        ests = [estimate(McConfig(trials=20_000, master_seed=seed)) for seed in range(1000, 1040)]
+        sums[name] = sum(((est.value - exact) / est.stderr) ** 2 for est in ests)
+    assert all(20.7 <= total <= 66.8 for total in sums.values()), sums
+    assert 83.9 <= sum(sums.values()) <= 163.6, sums
 
 
 def test_mc_capacity_matches_analytic():

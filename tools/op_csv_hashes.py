@@ -1,7 +1,7 @@
 """Print the sha256 of the CSV and manifest of every benchmark op, to check that a change keeps output bytes.
 
 usage (from anywhere):
-    python3 tools/op_csv_hashes.py --seed N
+    python3 tools/op_csv_hashes.py --seed N [--keep DIR]
 
 Each op of the workloads in ``bench/workloads.py`` runs through
 ``jacobi_fading.cli.main`` (from this checkout's ``src``) in this one
@@ -11,7 +11,9 @@ file in a temporary directory.  Two lines per op go to standard output:
 ``<workload>-<index>.manifest <sha256>`` of its manifest with the
 ``timestamp`` field dropped, re-serialised as JSON with sorted keys.
 Nothing is written under ``bench/``.  Run it on two checkouts at the same
-seed and diff the outputs.
+seed and diff the outputs.  With ``--keep DIR`` each op's CSV is also
+copied to ``DIR/<workload>-<index>.csv`` (DIR is created if missing), for
+``tools/csv_cell_diff.py`` to compare cell by cell.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -34,7 +37,10 @@ from jacobi_fading import cli  # noqa: E402
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--keep", metavar="DIR", help="also copy each op's CSV to DIR/<workload>-<index>.csv")
     args = parser.parse_args(argv)
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "op.csv")
         for workload in workloads.WORKLOADS:
@@ -46,6 +52,8 @@ def main(argv=None) -> int:
                     return code
                 with open(out, "rb") as f:
                     print(f"{workload}-{index} {hashlib.sha256(f.read()).hexdigest()}")
+                if args.keep:
+                    shutil.copyfile(out, os.path.join(args.keep, f"{workload}-{index}.csv"))
                 with open(out + ".manifest.json") as f:
                     manifest = json.load(f)
                 del manifest["timestamp"]
