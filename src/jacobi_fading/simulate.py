@@ -34,9 +34,11 @@ parameter there is an integer, so each variate is exactly a product of
 uniform powers; a trial reads ``n^2 + n*min(a, b)`` uniforms, a fixed
 count that does not grow with m.  The estimators reduce B's squared
 entries directly, with no eigensolve: capacity and outage read
-log2 det(I + rho B^T B) from the pivots of its tridiagonal LDL^T
-factorisation, and the Alamouti and repetition errors read the trace of
-B^T B.  Pinned eigenvalues (k > 0) add exactly k log2(1 + rho) and k.
+log2 det(I + rho B^T B) from its characteristic polynomial in rho, whose
+n coefficients each chunk computes as it is drawn
+(:func:`_det_coefficients`), one Horner pass and one log per trial and
+point; the Alamouti and repetition errors read the trace of B^T B.
+Pinned eigenvalues (k > 0) add exactly k log2(1 + rho) and k.
 Only outputs that are spectra (:func:`sample_spectra`, behind
 :func:`rayleigh_compare` too) diagonalise B^T B.
 The Rayleigh baseline is not sampled: it is closed-form (:mod:`.analytic`).
@@ -47,8 +49,9 @@ scheme and, as whole Haar unitaries, for
 obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
 
 Each sample set lives in one preallocated, variate-major buffer: the
-squares of B in a (2n-1, trials) array, spectra in an (m_min, trials) one,
-handed out as transposed (trials, ...) views.  Every chunk of trials fills
+squares of B in a (2n-1, trials) array, the polynomial coefficients in an
+(n, trials) one, spectra in an (m_min, trials) one; squares and spectra
+are handed out as transposed (trials, ...) views.  Every chunk of trials fills
 its own slice in place, pool threads fill disjoint slices, and every stage
 reads contiguous rows.  A Beta variate's log terms are added row by row in
 index order, into the row of its first term.
@@ -133,12 +136,23 @@ def _map_chunks(cfg: McConfig, chunk_fn) -> list:
 
 
 def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
-    mean = float(np.mean(values))
-    if len(values) > 1 and float(np.max(values)) != float(np.min(values)):
-        stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-    else:
-        stderr = 0.0  # degenerate sample (e.g. a fully unitary channel)
-    return McEstimate(value=mean, stderr=stderr, trials=len(values), seed=cfg.master_seed)
+    """Mean and stderr of ``values``, bit for bit np.mean and np.std(ddof=1) / sqrt(n), in two passes.
+
+    A constant sample (e.g. a fully unitary channel) has stderr 0, though its
+    rounded mean may differ from its value: its squared deviations sum to
+    below n (1e-12 mean)^2, and only a sample that small is checked.
+    """
+    n = len(values)
+    mean = float(np.add.reduce(values) / n)
+    stderr = 0.0
+    if n > 1:
+        squares = np.subtract(values, mean)
+        np.square(squares, out=squares)
+        total = float(np.add.reduce(squares))
+        small = 1e-12 * mean
+        if total > n * small * small or float(np.max(values)) != float(np.min(values)):
+            stderr = math.sqrt(total / (n - 1)) / math.sqrt(n)
+    return McEstimate(value=mean, stderr=stderr, trials=n, seed=cfg.master_seed)
 
 
 def _count_estimate(count: int, cfg: McConfig) -> McEstimate:
@@ -270,26 +284,77 @@ def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(gram).T
 
 
-def _log_det_values(dims: ChannelDims, rho: float, squares) -> np.ndarray:
-    """log2 det(I + rho B^T B) per trial of the :func:`_model_squares` pair, plus k log2(1 + rho).
+def _det_coefficients(squares: np.ndarray, out: np.ndarray) -> None:
+    """c_1..c_n of det(I + rho B^T B) = 1 + sum_j c_j rho^j per trial, into ``out``, from B's squares.
 
-    The LDL^T pivots of the tridiagonal I + rho B^T B are p_1 = 1 + rho d_1^2
-    and p_i = q_i + rho d_i^2 with q_i = 1 + rho e_{i-1}^2 q_{i-1} / p_{i-1}:
-    every term is non-negative, so p_i >= 1 and nothing cancels.  One chunk
-    of trials at a time, so the temporaries are chunk-sized.
+    ``squares`` is a (2n-1, t) block of :func:`_bidiagonal_chunk`, ``out``
+    (n, t), row j-1 for c_j.  The running products of the LDL^T pivots of
+    I + rho B^T B obey Q_i = P_{i-1} + rho e_{i-1}^2 Q_{i-1} and
+    P_i = Q_i + rho d_i^2 P_{i-1}, P_0 = Q_1 = 1, det = P_n: a factor rho
+    shifts a row, every term is non-negative, and nothing cancels.  Rows
+    are updated in place from the top down, so the old rows a step reads
+    are not yet overwritten.
     """
-    d2, e2 = squares
-    bits = np.zeros(len(d2))
-    for lo in range(0, len(d2), _CHUNK):
-        d, e, q = d2[lo:lo + _CHUNK], e2[lo:lo + _CHUNK], 1.0
-        for i in range(d.shape[1]):  # d[:, i] and e[:, i] are contiguous rows of the buffer
-            if i:
-                q = 1.0 + rho * e[:, i - 1] * (q / p)
-            p = q + rho * d[:, i]
-            bits[lo:lo + _CHUNK] += np.log2(p)
-    bits += dims.k * log2_1p(rho)
+    n = len(out)
+    if not n:
+        return
+    d2, e2 = squares[:n], squares[n:]
+    p, q = out, np.empty((n - 1, out.shape[1]))  # P_i and Q_i, row j-1 for rho^j
+    p[0] = d2[0]  # P_1 = 1 + rho d_1^2
+    for i in range(1, n):  # P_i, Q_i (rows 0..i-1 and 0..i-2) become P_{i+1}, Q_{i+1}
+        d, e = d2[i], e2[i - 1]
+        np.multiply(p[i - 1], d, out=p[i])
+        for j in range(i - 1, 0, -1):
+            np.multiply(q[j - 1], e, out=q[j])
+            q[j] += p[j]
+            np.multiply(p[j - 1], d, out=p[j])
+            p[j] += q[j]
+        np.add(p[0], e, out=q[0])  # the rho^1 rows: Q_i and P_i have constant term 1
+        np.add(q[0], d, out=p[0])
+
+
+def _model_coefficients(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
+    """(n, trials) c_1..c_n of :func:`_det_coefficients`, drawn once per curve; a chunk keeps no squares."""
+    key = _channel_key(dims, cfg)
+    n = dims.m_min - dims.k  # unpinned modes
+    coefficients = np.empty((n, cfg.trials))
+
+    def chunk(lo, hi):
+        squares = np.empty((max(2 * n - 1, 0), hi - lo))
+        _bidiagonal_chunk(dims, key, lo, hi, squares)
+        _det_coefficients(squares, coefficients[:, lo:hi])
+
+    _map_chunks(cfg, chunk)
+    return coefficients
+
+
+def _log_det_values(dims: ChannelDims, rho: float, coefficients: np.ndarray) -> np.ndarray:
+    """log2 det(I + rho B^T B) + k log2(1 + rho) per trial, from :func:`_model_coefficients`.
+
+    log1p(S) / ln 2 with S = sum_{j>=1} c_j rho^j by Horner: no term is
+    negative, so it is accurate as rho -> 0.  Where S overflows, log2 det >
+    1024 and n log2 rho + log2 sum_{j>=0} c_j rho^(j-n) cannot cancel.
+    """
+    n, pinned = len(coefficients), dims.k * log2_1p(rho)
+    bits = np.zeros(coefficients.shape[1])
+    if n:
+        with np.errstate(over="ignore"):  # an S that overflows takes the second form
+            np.multiply(coefficients[-1], rho, out=bits)
+            for c in coefficients[-2::-1]:  # S = (...(c_n rho + c_{n-1}) rho + ... + c_1) rho
+                bits += c
+                bits *= rho
+        np.log1p(bits, out=bits)
+        bits /= math.log(2.0)
+    bits += pinned
     if not np.all(np.isfinite(bits)):
-        raise NumericalError("log det of the bidiagonal model is not finite")
+        over = np.flatnonzero(np.isinf(bits))  # S overflowed (or a coefficient is inf)
+        tail = np.ones(over.size)  # c_0, then Horner in 1 / rho
+        for c in coefficients[:, over]:
+            tail /= rho
+            tail += c
+        bits[over] = n * math.log2(rho) + np.log2(tail) + pinned
+        if not np.all(np.isfinite(bits)):
+            raise NumericalError("log det of the bidiagonal model is not finite")
     return bits
 
 
@@ -339,8 +404,8 @@ def _ergodic_curve(dims: ChannelDims, rhos, cfg: McConfig) -> list[McEstimate]:
     """:func:`mc_ergodic_capacity` at each of ``rhos``, from one sample set."""
     for rho in rhos:
         require_nonnegative(rho=rho)
-    squares = _model_squares(dims, cfg)
-    return [_estimate(_log_det_values(dims, rho, squares), cfg) for rho in rhos]
+    coefficients = _model_coefficients(dims, cfg)
+    return [_estimate(_log_det_values(dims, rho, coefficients), cfg) for rho in rhos]
 
 
 def mc_outage(
@@ -370,7 +435,7 @@ def _outage_curve(dims: ChannelDims, rho: float, cfg: McConfig, rates_bits) -> l
     require_positive(rho=rho)
     for rate in rates_bits:
         require_nonnegative(rate_bits=rate)
-    mi = _log_det_values(dims, rho, _model_squares(dims, cfg))
+    mi = _log_det_values(dims, rho, _model_coefficients(dims, cfg))
     return [_count_estimate(np.count_nonzero(mi < rate), cfg) for rate in rates_bits]
 
 
@@ -434,9 +499,14 @@ def q_function(x):
     out = np.zeros(x.shape)
     flat = out.reshape(-1)
     live = np.flatnonzero(v < _Q_ZERO)
-    for lo in range(0, live.size, _CHUNK):  # a Horner pass per chunk of values
-        idx = live[lo:lo + _CHUNK]
-        flat[idx] = _q_upper(v[idx])
+    if live.size == v.size:  # the common case: contiguous slices, no gather and scatter
+        src, dst = v, flat
+    else:
+        src, dst = v[live], np.empty(live.size)
+    for lo in range(0, src.size, _CHUNK):  # a Horner pass per chunk of values
+        dst[lo:lo + _CHUNK] = _q_upper(src[lo:lo + _CHUNK])
+    if dst is not flat:
+        flat[live] = dst
     np.subtract(1.0, out, out=out, where=x < 0.0)
     np.copyto(out, x, where=np.isnan(x))
     return out if out.ndim else out[()]
@@ -591,9 +661,12 @@ def estimate_diversity_slope(points) -> float:
     return float(-np.polyfit(log_rho, log_p, 1)[0])
 
 
-def _sorted_sample(values, name: str) -> np.ndarray:
-    """values flattened and sorted; ValueError naming it if empty or not all finite."""
-    s = np.asarray(values, dtype=float).flatten(order="K")  # one copy, sorted in place
+def _sorted_sample(values, name: str, in_place: bool = False) -> np.ndarray:
+    """values flattened and sorted; ValueError naming it if empty or not all finite.
+
+    A copy unless ``in_place``, which sorts ``values``, a 1-D float array, itself.
+    """
+    s = values if in_place else np.asarray(values, dtype=float).flatten(order="K")  # one copy
     s.sort()
     if len(s) == 0 or not np.isfinite(s[0]) or not np.isfinite(s[-1]):
         raise ValueError(f"{name} must be a non-empty sample of finite values")
@@ -624,7 +697,11 @@ def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
     is bit for bit that of evaluating F everywhere.  ValueError when F decreases from knot to
     knot or an evaluated value leaves [0, 1]; a skipped value lies between two checked ones.
     """
-    s = _sorted_sample(sample, "sample")
+    return _sorted_ks(_sorted_sample(sample, "sample"), cdf)
+
+
+def _sorted_ks(s: np.ndarray, cdf) -> float:
+    """:func:`ks_distance_to_cdf` of the sorted, finite, non-empty sample ``s``."""
     n = len(s)
     knots = np.append(np.arange(0, n - 1, _KS_STRIDE), n - 1)
     f, distance = _ks_terms(cdf, s, knots)
@@ -685,8 +762,12 @@ def _rayleigh_rows(dims: ChannelDims, rho_bars, cfg: McConfig) -> list[RayleighC
     n, alpha = dims.m_min, dims.alpha
     rhos = [rho_bar * dims.m / dims.mt for rho_bar in rho_bars]
     lam = sample_spectra(dims, cfg)
-    ks = ks_distance_to_cdf(dims.m * lam, lambda x: analytic._laguerre_cdf(n, alpha, x))
     frobenius = float(np.mean(np.sum(lam, axis=1)))
+    # the spectra buffer itself, sorted and then scaled: x -> m x is monotone,
+    # so this is bit for bit the sorted m-scaled sample, with no copy
+    scaled = _sorted_sample(lam.T.reshape(-1), "sample", in_place=True)
+    scaled *= dims.m
+    ks = _sorted_ks(scaled, lambda x: analytic._laguerre_cdf(n, alpha, x))
     return [
         RayleighComparison(
             m=dims.m,

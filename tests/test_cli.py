@@ -560,7 +560,7 @@ def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monk
     "args, estimator",
     [
         (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000", "--method", "mc"],
-         (simulate, "_model_squares")),
+         (simulate, "_model_coefficients")),
         (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000"], (analytic, "_capacity_curve")),
         (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10,20,4000"],
          (simulate, "_model_squares")),
@@ -569,9 +569,9 @@ def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monk
         (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,4000"], (simulate, "_model_squares")),
         (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,-4000"], (simulate, "_model_squares")),
         (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--r", "0.5,1,-1"],
-         (simulate, "_model_squares")),
+         (simulate, "_model_coefficients")),
         (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--rate-bits", "1,2,-1"],
-         (simulate, "_model_squares")),
+         (simulate, "_model_coefficients")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,20,4000"],
          (simulate, "_rayleigh_rows")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,-4000"],
@@ -594,3 +594,8 @@ def test_every_grid_point_is_checked_before_any_estimator_runs(tmp_path, capsys,
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+    # without its bad last point the grid reaches the patched function, so
+    # the check above is not vacuous
+    good = [arg.rsplit(",", 1)[0] for arg in args]
+    with pytest.raises(AssertionError, match="an estimator ran"):
+        run_cli(good + ["--trials", "100"], tmp_path)

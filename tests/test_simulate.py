@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -124,8 +125,8 @@ def test_spectral_estimators_call_no_eigensolver(monkeypatch):
     assert 0.0 <= mc_alamouti_outage(8, 100.0, 0.5, cfg).value <= 1.0
 
 
-def _mp_log_det(d2, e2, rho):
-    """log2 det(I + rho B^T B) by mpmath's LU, B^T B built from the squares at 50 digits."""
+def _mp_log_det(d2, e2, rho, k=0):
+    """log2 det(I + rho B^T B) + k log2(1 + rho) by mpmath's LU, B^T B built from the squares at 50 digits."""
     n = len(d2)
     with mp.workdps(50):
         a = mp.eye(n)
@@ -133,17 +134,34 @@ def _mp_log_det(d2, e2, rho):
             a[i, i] += rho * (mp.mpf(d2[i]) + (mp.mpf(e2[i - 1]) if i else 0))
             if i + 1 < n:
                 a[i, i + 1] = a[i + 1, i] = rho * mp.sqrt(mp.mpf(d2[i]) * mp.mpf(e2[i]))
-        return mp.log(mp.det(a), 2)
+        return mp.log(mp.det(a), 2) + k * mp.log(1 + mp.mpf(rho), 2)
 
 
-@pytest.mark.parametrize("rho", [1.0, 1e6, 1e12])
-@pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7)])
-def test_pivot_log_det_against_mpmath(mt, mr, m, rho):
+@pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7), (2, 2, 4), (2, 2, 32), (2, 2, 3), (1, 2, 3)])
+def test_log_det_against_mpmath(mt, mr, m):
+    # per trial, from rho = 1e-15, where log det is about rho trace / ln 2, up to 1e12
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=100, master_seed=7)
     d2, e2 = simulate._model_squares(dims, cfg)
-    got = simulate._log_det_values(dims, rho, (d2, e2))
-    want = np.array([float(_mp_log_det(d2[t], e2[t], rho)) for t in range(cfg.trials)])
-    assert np.max(np.abs(got - want) / want) <= 1e-14
+    coefficients = simulate._model_coefficients(dims, cfg)
+    for rho in (1e-15, 1e-6, 1e-2, 1.0, 100.0, 1e6, 1e12):
+        got = simulate._log_det_values(dims, rho, coefficients)
+        want = np.array([float(_mp_log_det(d2[t], e2[t], rho, dims.k)) for t in range(cfg.trials)])
+        assert np.max(np.abs(got - want) / want) <= 1e-15, rho
+
+
+@pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (2, 2, 4), (2, 2, 3)])
+def test_log_det_where_the_polynomial_overflows(mt, mr, m):
+    # sum_j c_j rho^j overflows at every rho here for (4,4,8) and from 1e160 on
+    # for (2,2,4); there log det is n log2 rho plus the log of the sum in
+    # powers of 1 / rho, quietly (warnings are errors in this suite).  With
+    # n = 1, (2,2,3) never overflows: k log2(1 + rho) near the float limit
+    dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=100, master_seed=7)
+    d2, e2 = simulate._model_squares(dims, cfg)
+    coefficients = simulate._model_coefficients(dims, cfg)
+    for rho in (1e80, 1e160, 1e300, 1.7e308):
+        got = simulate._log_det_values(dims, rho, coefficients)
+        want = np.array([float(_mp_log_det(d2[t], e2[t], rho, dims.k)) for t in range(cfg.trials)])
+        assert np.max(np.abs(got - want) / want) <= 1e-15, rho
 
 
 @pytest.mark.parametrize("mt, mr, m", [(2, 2, 4), (2, 2, 64)])
@@ -163,21 +181,37 @@ def test_two_mode_spectra_against_mpmath(mt, mr, m):
     assert np.max(np.abs(got - want) / want) <= 1e-15
 
 
+def _whole_array_polynomial(d2, e2):
+    """Coefficients of det(I + rho B^T B) over all trials at once, rho^0 first: shape (n + 1, trials).
+
+    P_i = Q_i + rho d_i^2 P_{i-1} and Q_{i+1} = P_i + rho e_i^2 Q_i, with
+    P_0 = Q_1 = 1, as polynomials: a factor rho prepends a zero row.
+    """
+    trials, n = d2.shape
+    one, zero = np.ones((1, trials)), np.zeros((1, trials))
+    p, q = np.vstack([one, d2[:, :1].T]), one  # P_1, Q_1
+    for i in range(1, n):
+        q = p + e2[:, i - 1] * np.vstack([zero, q])
+        p = np.vstack([q, zero]) + d2[:, i] * np.vstack([zero, p])
+    return p
+
+
 @pytest.mark.parametrize("rho", [1e-6, 1.0, 100.0, 1e6])
 @pytest.mark.parametrize("mt, mr, m", [(2, 2, 4), (2, 2, 3), (4, 4, 8), (2, 2, 32)])
-def test_chunked_log_det_is_the_whole_array_formula(mt, mr, m, rho):
-    # the LDL^T pivot recurrence over all trials at once, as it was first written;
-    # 20 001 trials are two full chunks and a short one
+def test_chunked_polynomial_is_the_whole_array_polynomial(mt, mr, m, rho):
+    # the polynomial built chunk by chunk as the sample set is drawn is, bit
+    # for bit, the one built over all trials at once, and so is its log det by
+    # Horner; 20 001 trials are two full chunks and a short one
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=20_001, master_seed=3)
     d2, e2 = simulate._model_squares(dims, cfg)
-    want, q = np.zeros(cfg.trials), 1.0
-    for i in range(d2.shape[1]):
-        if i:
-            q = 1.0 + rho * e2[:, i - 1] * (q / p)
-        p = q + rho * d2[:, i]
-        want += np.log2(p)
-    want += dims.k * log2_1p(rho)
-    assert np.array_equal(simulate._log_det_values(dims, rho, simulate._model_squares(dims, cfg)), want)
+    whole = _whole_array_polynomial(d2, e2)
+    chunked = simulate._model_coefficients(dims, cfg)
+    assert np.array_equal(chunked, whole[1:])
+    s = whole[-1] * rho
+    for c in whole[-2:0:-1]:
+        s = (s + c) * rho
+    want = np.log1p(s) / math.log(2.0) + dims.k * log2_1p(rho)
+    assert np.array_equal(simulate._log_det_values(dims, rho, chunked), want)
 
 
 @pytest.mark.parametrize("mt, mr, m", [(4, 4, 8), (3, 2, 7), (2, 2, 3), (1, 2, 3), (2, 2, 2)])
@@ -193,20 +227,26 @@ def test_sample_spectra_audits_the_estimators(mt, mr, m):
     # the estimator's, up to rounding, not up to Monte-Carlo noise
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=20_000)
     lam = sample_spectra(dims, cfg)
-    for rho in (1.0, 100.0, 1e6):
-        want = np.mean(np.sum(np.log2(1.0 + rho * lam), axis=1))
+    for rho in (1e-15, 1e-6, 1.0, 100.0, 1e6):
+        want = np.mean(np.sum(np.log1p(rho * lam), axis=1)) / math.log(2.0)
         assert mc_ergodic_capacity(dims, rho, cfg).value == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_non_finite_squares_raise(monkeypatch):
-    real = simulate._model_squares
+    real_squares, real_coefficients = simulate._model_squares, simulate._model_coefficients
 
-    def poisoned(*args):
-        d2, e2 = (a.copy() for a in real(*args))
+    def poisoned_squares(*args):
+        d2, e2 = (a.copy() for a in real_squares(*args))
         d2[17, 1] = math.nan
         return d2, e2
 
-    monkeypatch.setattr(simulate, "_model_squares", poisoned)
+    def poisoned_coefficients(*args):
+        coefficients = real_coefficients(*args).copy()
+        coefficients[1, 17] = math.nan
+        return coefficients
+
+    monkeypatch.setattr(simulate, "_model_squares", poisoned_squares)
+    monkeypatch.setattr(simulate, "_model_coefficients", poisoned_coefficients)
     cfg = McConfig(trials=1_000)
     with pytest.raises(NumericalError, match="log det"):
         mc_ergodic_capacity(ChannelDims(3, 3, 6), 10.0, cfg)
@@ -260,7 +300,8 @@ def test_no_value_depends_on_the_chunk_size(monkeypatch, workers):
         values = [
             *simulate._model_squares(dims, cfg),
             sample_spectra(dims, cfg),
-            simulate._log_det_values(dims, 10.0, simulate._model_squares(dims, cfg)),
+            simulate._model_coefficients(dims, cfg),
+            simulate._log_det_values(dims, 10.0, simulate._model_coefficients(dims, cfg)),
             simulate._trace_values(dims, cfg),
             q_function(np.linspace(-3.0, 45.0, cfg.trials)),
         ]
@@ -272,6 +313,46 @@ def test_no_value_depends_on_the_chunk_size(monkeypatch, workers):
     default = outputs()
     monkeypatch.setattr(simulate, "_CHUNK", 1000)
     assert outputs() == default
+
+
+def _draw_working_set(dims):
+    """Bytes one chunk of the bidiagonal model holds at once: its Philox words,
+    their uniforms and log terms, and the Beta variates and their complements."""
+    core = dims.interior
+    words = core.m_min ** 2 + core.m_min * min(core.alpha, core.beta)
+    return 8 * simulate._CHUNK * (3 * words + 2 * (2 * core.m_min - 1))
+
+
+def _peak_bytes(call):
+    """Peak traced memory of call() above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_curves_keep_one_sample_set_and_no_copy():
+    # a curve at 1e5 trials holds its sample set and one chunk's draw, or the
+    # few per-trial rows of a reduction, but not the (2n - 1, trials) squares
+    # buffer of the model or a copy of the spectra
+    trials = 100_000
+    ergodic, rhos = ChannelDims(4, 4, 8), [1.0, 10.0, 100.0, 1000.0]
+    rayleigh, rho_bars = ChannelDims(2, 2, 64), [10.0, 100.0]
+    simulate._ergodic_curve(ergodic, rhos, McConfig(trials=100))  # caches and imports first
+    simulate._rayleigh_rows(rayleigh, rho_bars, McConfig(trials=100))
+    cfg = McConfig(trials=trials, master_seed=1)
+    n = ergodic.m_min
+    # the coefficients, then either a chunk's draw or a point's log det and deviations
+    budget = 8 * n * trials + max(_draw_working_set(ergodic), 8 * 2 * trials)
+    peak = _peak_bytes(lambda: simulate._ergodic_curve(ergodic, rhos, cfg))
+    assert peak < budget, (peak, budget)
+    # the spectra, the row sums of the Frobenius mean, and a chunk's draw
+    budget = 8 * rayleigh.m_min * trials + 8 * trials + _draw_working_set(rayleigh)
+    peak = _peak_bytes(lambda: simulate._rayleigh_rows(rayleigh, rho_bars, cfg))
+    assert peak < budget, (peak, budget)
 
 
 def test_stderr_is_calibrated_against_exact_values():
@@ -322,6 +403,25 @@ def test_count_stderr_is_calibrated_against_exact_values():
         sums[name] = sum(((est.value - exact) / est.stderr) ** 2 for est in ests)
     assert all(20.7 <= total <= 66.8 for total in sums.values()), sums
     assert 83.9 <= sum(sums.values()) <= 163.6, sums
+
+
+def test_stderr_of_the_trace_and_a_pinned_ergodic_row_is_calibrated():
+    # the mean-estimator rows the first calibration test leaves out: the
+    # trace, whose mean E||H11||_F^2 = mt mr / m is exact by Haar symmetry, and
+    # ergodic capacity with k = 1 pinned mode.  Same 40 seeds and p = 0.01
+    # chi-square bounds, on 40 degrees of freedom per row and 80 pooled
+    rows = {  # (estimator at a seeded config, exact value)
+        "trace-327": (lambda cfg: simulate._estimate(simulate._trace_values(ChannelDims(3, 2, 7), cfg), cfg),
+                      3 * 2 / 7),
+        "ergodic-223-10dB": (lambda cfg: mc_ergodic_capacity(ChannelDims(2, 2, 3), 10.0, cfg),
+                             ergodic_capacity(ChannelDims(2, 2, 3), 10.0)),
+    }
+    sums = {}
+    for name, (estimate, exact) in rows.items():
+        ests = [estimate(McConfig(trials=20_000, master_seed=seed)) for seed in range(1000, 1040)]
+        sums[name] = sum(((est.value - exact) / est.stderr) ** 2 for est in ests)
+    assert all(20.7 <= total <= 66.8 for total in sums.values()), sums
+    assert 51.2 <= sum(sums.values()) <= 116.3, sums
 
 
 def test_mc_capacity_matches_analytic():
@@ -401,6 +501,30 @@ def test_stderr_scales_with_trials():
     large = mc_ergodic_capacity(DIMS_224, 10.0, McConfig(trials=100_000))
     ratio = small.stderr / large.stderr
     assert ratio == pytest.approx(2.0, rel=0.1)
+
+
+def test_estimate_has_the_bits_of_numpy_mean_and_std():
+    cfg, rng = McConfig(trials=1, master_seed=6), np.random.default_rng(42)
+    # numpy's pairwise sum works in blocks of 8 and 128 values
+    lengths = [2, 3, 7, 8, 9, 127, 128, 129, 3000, *rng.integers(2, 3001, size=20)]
+    for n in lengths:
+        for sample in (
+            rng.standard_normal(n),
+            np.log2(1.0 + 100.0 * rng.random(n)),
+            1.0 + 1e-14 * rng.standard_normal(n),  # tiny spread: not constant, checked as such
+            np.where(rng.random(n) < 0.5, 0.25, 0.75),
+        ):
+            est = simulate._estimate(sample, cfg)
+            assert (est.trials, est.seed) == (n, 6)
+            assert est.value == float(np.mean(sample))
+            assert est.stderr == float(np.std(sample, ddof=1) / math.sqrt(n))
+    # a constant sample has stderr 0, even where its rounded mean is not its value
+    assert np.mean([0.1] * 3) != 0.1 and np.std([0.1] * 3, ddof=1) > 0.0
+    for value, n in [(0.1, 3), (3 * math.log2(10.0), 5_000), (0.0, 4), (1e-300, 7), (1e200, 10), (-2.5, 129)]:
+        est = simulate._estimate(np.full(n, value), cfg)
+        assert est.value == float(np.mean(np.full(n, value))) and est.stderr == 0.0
+    one = simulate._estimate(np.array([0.7]), cfg)
+    assert (one.value, one.stderr) == (0.7, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100_003])
