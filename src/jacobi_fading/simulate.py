@@ -136,23 +136,12 @@ def _map_chunks(cfg: McConfig, chunk_fn) -> list:
 
 
 def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
-    """Mean and stderr of ``values``, bit for bit np.mean and np.std(ddof=1) / sqrt(n), in two passes.
-
-    A constant sample (e.g. a fully unitary channel) has stderr 0, though its
-    rounded mean may differ from its value: its squared deviations sum to
-    below n (1e-12 mean)^2, and only a sample that small is checked.
-    """
-    n = len(values)
-    mean = float(np.add.reduce(values) / n)
-    stderr = 0.0
-    if n > 1:
-        squares = np.subtract(values, mean)
-        np.square(squares, out=squares)
-        total = float(np.add.reduce(squares))
-        small = 1e-12 * mean
-        if total > n * small * small or float(np.max(values)) != float(np.min(values)):
-            stderr = math.sqrt(total / (n - 1)) / math.sqrt(n)
-    return McEstimate(value=mean, stderr=stderr, trials=n, seed=cfg.master_seed)
+    mean = float(np.mean(values))
+    if len(values) > 1 and float(np.max(values)) != float(np.min(values)):
+        stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    else:
+        stderr = 0.0  # degenerate sample (e.g. a fully unitary channel)
+    return McEstimate(value=mean, stderr=stderr, trials=len(values), seed=cfg.master_seed)
 
 
 def _count_estimate(count: int, cfg: McConfig) -> McEstimate:
@@ -313,19 +302,28 @@ def _det_coefficients(squares: np.ndarray, out: np.ndarray) -> None:
         np.add(q[0], d, out=p[0])
 
 
-def _model_coefficients(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
-    """(n, trials) c_1..c_n of :func:`_det_coefficients`, drawn once per curve; a chunk keeps no squares."""
+def _reduce_model(dims: ChannelDims, cfg: McConfig, rows: int, reduce) -> np.ndarray:
+    """A (rows, trials) buffer, each chunk's slice filled by reduce(squares, slice) as it is drawn.
+
+    ``squares`` is the chunk's (2n-1, t) block of :func:`_bidiagonal_chunk`,
+    n = m_min - k; only the reduction outlives the chunk.
+    """
     key = _channel_key(dims, cfg)
     n = dims.m_min - dims.k  # unpinned modes
-    coefficients = np.empty((n, cfg.trials))
+    out = np.empty((rows, cfg.trials))
 
     def chunk(lo, hi):
         squares = np.empty((max(2 * n - 1, 0), hi - lo))
         _bidiagonal_chunk(dims, key, lo, hi, squares)
-        _det_coefficients(squares, coefficients[:, lo:hi])
+        reduce(squares, out[:, lo:hi])
 
     _map_chunks(cfg, chunk)
-    return coefficients
+    return out
+
+
+def _model_coefficients(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
+    """(n, trials) c_1..c_n of :func:`_det_coefficients`, drawn once per curve; a chunk keeps no squares."""
+    return _reduce_model(dims, cfg, dims.m_min - dims.k, _det_coefficients)
 
 
 def _log_det_values(dims: ChannelDims, rho: float, coefficients: np.ndarray) -> np.ndarray:
@@ -379,20 +377,14 @@ def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     transposed view of one (m_min, trials) buffer that each chunk fills in
     place.
     """
-    key = _channel_key(dims, cfg)
     n = dims.m_min - dims.k  # unpinned modes
-    spectra = np.empty((dims.m_min, cfg.trials))
 
-    def chunk(lo, hi):
-        squares = np.empty((max(2 * n - 1, 0), hi - lo))
-        _bidiagonal_chunk(dims, key, lo, hi, squares)
-        rows = spectra[:, lo:hi]
+    def spectra(squares, rows):
         rows[:n] = _tridiagonal_spectra(squares[:n], squares[n:])
         rows[n:] = 1.0
         rows[...] = snap_endpoints(rows)
 
-    _map_chunks(cfg, chunk)
-    return spectra.T
+    return _reduce_model(dims, cfg, dims.m_min, spectra).T
 
 
 def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
@@ -499,14 +491,9 @@ def q_function(x):
     out = np.zeros(x.shape)
     flat = out.reshape(-1)
     live = np.flatnonzero(v < _Q_ZERO)
-    if live.size == v.size:  # the common case: contiguous slices, no gather and scatter
-        src, dst = v, flat
-    else:
-        src, dst = v[live], np.empty(live.size)
-    for lo in range(0, src.size, _CHUNK):  # a Horner pass per chunk of values
-        dst[lo:lo + _CHUNK] = _q_upper(src[lo:lo + _CHUNK])
-    if dst is not flat:
-        flat[live] = dst
+    for lo in range(0, live.size, _CHUNK):  # a Horner pass per chunk of values
+        idx = live[lo:lo + _CHUNK]
+        flat[idx] = _q_upper(v[idx])
     np.subtract(1.0, out, out=out, where=x < 0.0)
     np.copyto(out, x, where=np.isnan(x))
     return out if out.ndim else out[()]
@@ -661,16 +648,12 @@ def estimate_diversity_slope(points) -> float:
     return float(-np.polyfit(log_rho, log_p, 1)[0])
 
 
-def _sorted_sample(values, name: str, in_place: bool = False) -> np.ndarray:
-    """values flattened and sorted; ValueError naming it if empty or not all finite.
-
-    A copy unless ``in_place``, which sorts ``values``, a 1-D float array, itself.
-    """
-    s = values if in_place else np.asarray(values, dtype=float).flatten(order="K")  # one copy
-    s.sort()
-    if len(s) == 0 or not np.isfinite(s[0]) or not np.isfinite(s[-1]):
+def _sorted_sample(values: np.ndarray, name: str) -> np.ndarray:
+    """The 1-D float array ``values``, sorted in place; ValueError naming it if empty or not all finite."""
+    values.sort()
+    if len(values) == 0 or not np.isfinite(values[0]) or not np.isfinite(values[-1]):
         raise ValueError(f"{name} must be a non-empty sample of finite values")
-    return s
+    return values
 
 
 # sorted-sample points per KS segment, whose ends are evaluated first
@@ -697,7 +680,8 @@ def ks_distance_to_cdf(sample: np.ndarray, cdf) -> float:
     is bit for bit that of evaluating F everywhere.  ValueError when F decreases from knot to
     knot or an evaluated value leaves [0, 1]; a skipped value lies between two checked ones.
     """
-    return _sorted_ks(_sorted_sample(sample, "sample"), cdf)
+    s = np.asarray(sample, dtype=float).flatten(order="K")  # one copy, sorted in place
+    return _sorted_ks(_sorted_sample(s, "sample"), cdf)
 
 
 def _sorted_ks(s: np.ndarray, cdf) -> float:
@@ -765,7 +749,7 @@ def _rayleigh_rows(dims: ChannelDims, rho_bars, cfg: McConfig) -> list[RayleighC
     frobenius = float(np.mean(np.sum(lam, axis=1)))
     # the spectra buffer itself, sorted and then scaled: x -> m x is monotone,
     # so this is bit for bit the sorted m-scaled sample, with no copy
-    scaled = _sorted_sample(lam.T.reshape(-1), "sample", in_place=True)
+    scaled = _sorted_sample(lam.T.reshape(-1), "sample")
     scaled *= dims.m
     ks = _sorted_ks(scaled, lambda x: analytic._laguerre_cdf(n, alpha, x))
     return [

@@ -60,7 +60,8 @@ def ks_distance(a: np.ndarray, b: np.ndarray) -> float:
     The walk ends at 0, so the last point never sets the supremum.
     """
     n_a, n_b = np.size(a), np.size(b)
-    merged = np.concatenate([_sorted_sample(a, "a"), _sorted_sample(b, "b")])
+    merged = np.concatenate([_sorted_sample(np.array(a, dtype=float).ravel(), "a"),
+                             _sorted_sample(np.array(b, dtype=float).ravel(), "b")])
     order = np.argsort(merged, kind="stable")  # two sorted runs: one merge
     merged = merged[order]
     scaled = np.where(order < n_a, n_b, -n_a)

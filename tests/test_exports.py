@@ -241,7 +241,7 @@ def test_no_qr_in_the_package():
 
 
 # Each fills one preallocated buffer chunk by chunk, with no joined per-chunk arrays.
-FILLED_IN_PLACE = {"_model_squares", "_model_coefficients", "sample_spectra"}
+FILLED_IN_PLACE = {"_model_squares", "_reduce_model", "_model_coefficients", "sample_spectra"}
 
 
 def test_sample_sets_fill_one_buffer():
