@@ -6,7 +6,7 @@ counter-based stream keyed by ``(master_seed, tag, t)`` (see
 :mod:`jacobi_fading.philox`); only the ``count`` repetition method's noise
 and symbols have tags of their own.  Estimates are therefore a pure
 function of (experiment parameters, trials, master_seed): worker count
-only changes how chunks of trials are scheduled, never which variates a
+only changes which thread runs a chunk of trials, never which variates a
 trial sees.
 
 Because that stream depends on neither the estimator nor rho or r, all
@@ -49,17 +49,20 @@ scheme and, as whole Haar unitaries, for
 obtained by phase-fixed QR of an ``m x m_min`` Ginibre block.
 
 Each sample set lives in one preallocated, variate-major buffer: the
-squares of B in a (2n-1, trials) array, the polynomial coefficients in an
-(n, trials) one, spectra in an (m_min, trials) one; squares and spectra
-are handed out as transposed (trials, ...) views.  Every chunk of trials fills
-its own slice in place, pool threads fill disjoint slices, and every stage
-reads contiguous rows.  A Beta variate's log terms are added row by row in
-index order, into the row of its first term.
+polynomial coefficients in an (n, trials) array, the gains in a (1, trials)
+one, spectra in an (m_min, trials) one, handed out as a transposed view.
+Each chunk of trials draws B's squares into a (2n-1, t) block that only it
+holds and reduces them into its own slice.  The calling thread and up to
+workers - 1 helper threads take chunks from one shared iterator, so a thread
+that gets no core leaves its chunks to the others; every stage reads
+contiguous rows.  A Beta variate's log terms are added row by row in index
+order, into the row of its first term.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +96,8 @@ __all__ = [
 ]
 
 # Trials per pass of every per-trial kernel, so that a pass's temporaries
-# stay in cache, and the thread pool's unit of work.  No value depends on
-# it: every trial reads its own stream, and no reduction runs per chunk.
+# stay in cache, and the unit of work a thread takes in _map_chunks.  No value
+# depends on it: every trial reads its own stream, and no reduction runs per chunk.
 _CHUNK = 8192
 
 
@@ -125,14 +128,27 @@ class McEstimate:
 
 
 def _map_chunks(cfg: McConfig, chunk_fn) -> list:
-    """[chunk_fn(lo, hi) for each span of the fixed chunk grid], in order, threaded if asked."""
+    """[chunk_fn(lo, hi) for each span of the fixed chunk grid], in order; no span starts after one raises."""
     spans = [(lo, min(lo + _CHUNK, cfg.trials)) for lo in range(0, cfg.trials, _CHUNK)]
-    if cfg.workers > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # its import cost is paid only here
+    results, errors, work = [None] * len(spans), [], iter(enumerate(spans))
 
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            return list(pool.map(lambda span: chunk_fn(*span), spans))
-    return [chunk_fn(lo, hi) for lo, hi in spans]
+    def run():
+        for i, (lo, hi) in work:
+            try:
+                results[i] = chunk_fn(lo, hi)
+            except BaseException as error:
+                errors.append(error)
+                list(work)  # hands out every span left, so no thread starts another
+
+    helpers = [threading.Thread(target=run) for _ in range(min(cfg.workers, len(spans)) - 1)]
+    for helper in helpers:
+        helper.start()
+    run()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
@@ -234,20 +250,6 @@ def _bidiagonal_chunk(dims: ChannelDims, key, lo: int, hi: int, out: np.ndarray)
 def _channel_key(dims: ChannelDims, cfg: McConfig):
     """The one stream of the bidiagonal model for this channel shape and master seed."""
     return stream_key(cfg.master_seed, f"bidiagonal:{dims.mt},{dims.mr},{dims.m}")
-
-
-def _model_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(d^2, e^2) of :func:`_bidiagonal_chunk` for cfg.trials channels, drawn once per curve.
-
-    Shapes (trials, n) and (trials, n-1): transposed views of one
-    (2n-1, trials) buffer whose chunks are filled in place, so each
-    column is contiguous.
-    """
-    key = _channel_key(dims, cfg)
-    n = dims.m_min - dims.k  # unpinned modes
-    squares = np.empty((max(2 * n - 1, 0), cfg.trials))
-    _map_chunks(cfg, lambda lo, hi: _bidiagonal_chunk(dims, key, lo, hi, squares[:, lo:hi]))
-    return squares[:n].T, squares[n:].T
 
 
 def _tridiagonal_spectra(d2: np.ndarray, e2: np.ndarray) -> np.ndarray:
@@ -357,11 +359,14 @@ def _log_det_values(dims: ChannelDims, rho: float, coefficients: np.ndarray) -> 
 
 
 def _trace_values(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
-    """trace(B^T B) + k = ||H11||_F^2 per trial."""
-    d2, e2 = _model_squares(dims, cfg)
-    gain = np.full(cfg.trials, float(dims.k))
-    for column in (*d2.T, *e2.T):  # contiguous rows, added in the fixed order k + d^2 + e^2
-        gain += column
+    """trace(B^T B) + k = ||H11||_F^2 per trial, each chunk summed as it is drawn."""
+
+    def trace(squares, row):
+        row[...] = dims.k
+        for square in squares:  # contiguous rows, added in the fixed order k + d^2 + e^2
+            row += square
+
+    gain = _reduce_model(dims, cfg, 1, trace)[0]
     if not np.all(np.isfinite(gain)):
         raise NumericalError("trace of the bidiagonal model is not finite")
     return gain

@@ -27,7 +27,9 @@ an eigenvalue repeats and any basis of its eigenspace is valid.
 written the direct way, trial-major, each Beta variate's log terms added
 column by column in index order and ``np.where`` for the p < q flip, on
 the library's stream: the library's in-place, variate-major kernel, which
-adds in the same order, must give the same bits.
+adds in the same order, must give the same bits.  ``model_squares`` keeps
+that kernel's squares for every trial, which the library's estimators
+reduce chunk by chunk and never hold whole.
 """
 
 import numpy as np
@@ -35,7 +37,9 @@ import numpy as np
 from jacobi_fading.ensembles import UNIT_TOL, ChannelDims, snap_endpoints
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.philox import complex_normals, stream_key, uniforms
-from jacobi_fading.simulate import McConfig, _channel_key, _map_chunks, _sorted_sample, channel_blocks
+from jacobi_fading.simulate import (
+    McConfig, _channel_key, _map_chunks, _reduce_model, _sorted_sample, channel_blocks,
+)
 
 
 def _gather(cfg: McConfig, chunk_fn):
@@ -180,6 +184,21 @@ def _reference_chunk(dims: ChannelDims, key, lo: int, hi: int) -> tuple[np.ndarr
     x[:, 1:n] *= y[:, n:]
     x[:, n:] *= y[:, : n - 1]
     return x[:, :n], x[:, n:]
+
+
+def model_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(d^2, e^2) of the library's :func:`~jacobi_fading.simulate._bidiagonal_chunk`, through ``_reduce_model``.
+
+    Shapes (trials, n) and (trials, n-1): transposed views of one
+    (2n-1, trials) buffer, so each column is contiguous.
+    """
+    n = dims.m_min - dims.k  # unpinned modes
+
+    def keep(squares, out):
+        out[...] = squares
+
+    squares = _reduce_model(dims, cfg, max(2 * n - 1, 0), keep)
+    return squares[:n].T, squares[n:].T
 
 
 def reference_squares(dims: ChannelDims, cfg: McConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -35,13 +35,10 @@ def test_every_exported_name_resolves(name):
     assert not stale, f"{name}.__all__ names missing attributes: {stale}"
 
 
-def test_cli_import_loads_no_scipy():
+def _child_stdout(code):
+    """Standard output of ``python -c code`` in a fresh interpreter that imports this checkout's package."""
     src = str(pathlib.Path(jacobi_fading.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = (
-        "import jacobi_fading.cli, sys; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -50,7 +47,27 @@ def test_cli_import_loads_no_scipy():
         timeout=60,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import jacobi_fading.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    assert _child_stdout(code) == "[]"
+
+
+def test_threaded_monte_carlo_loads_no_thread_pool_or_logging():
+    # three chunks of trials on the caller and a helper thread
+    argv = "rayleigh --mt 2 --mr 2 --m 8 --rho-bar-db 20 --trials 20000 --workers 2".split()
+    code = (
+        "import contextlib, io, sys; from jacobi_fading import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    assert _child_stdout(code) == "0 []"
 
 
 # Finiteness tests outside ensembles that are not argument range checks,
@@ -241,7 +258,7 @@ def test_no_qr_in_the_package():
 
 
 # Each fills one preallocated buffer chunk by chunk, with no joined per-chunk arrays.
-FILLED_IN_PLACE = {"_model_squares", "_reduce_model", "_model_coefficients", "sample_spectra"}
+FILLED_IN_PLACE = {"_reduce_model", "_model_coefficients", "_trace_values", "sample_spectra"}
 
 
 def test_sample_sets_fill_one_buffer():

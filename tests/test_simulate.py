@@ -2,6 +2,8 @@
 
 import math
 import re
+import threading
+import time
 import tracemalloc
 
 import mpmath as mp
@@ -31,7 +33,7 @@ from jacobi_fading.simulate import (
     sample_spectra,
 )
 from jacobi_fading.specfun import log2_1p
-from oracles import haar_spectra, ks_distance, reference_spectra, reference_squares
+from oracles import haar_spectra, ks_distance, model_squares, reference_spectra, reference_squares
 
 DIMS_224 = ChannelDims(2, 2, 4)
 DIMS_228 = ChannelDims(2, 2, 8)
@@ -141,7 +143,7 @@ def _mp_log_det(d2, e2, rho, k=0):
 def test_log_det_against_mpmath(mt, mr, m):
     # per trial, from rho = 1e-15, where log det is about rho trace / ln 2, up to 1e12
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=100, master_seed=7)
-    d2, e2 = simulate._model_squares(dims, cfg)
+    d2, e2 = model_squares(dims, cfg)
     coefficients = simulate._model_coefficients(dims, cfg)
     for rho in (1e-15, 1e-6, 1e-2, 1.0, 100.0, 1e6, 1e12):
         got = simulate._log_det_values(dims, rho, coefficients)
@@ -156,7 +158,7 @@ def test_log_det_where_the_polynomial_overflows(mt, mr, m):
     # powers of 1 / rho, quietly (warnings are errors in this suite).  With
     # n = 1, (2,2,3) never overflows: k log2(1 + rho) near the float limit
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=100, master_seed=7)
-    d2, e2 = simulate._model_squares(dims, cfg)
+    d2, e2 = model_squares(dims, cfg)
     coefficients = simulate._model_coefficients(dims, cfg)
     for rho in (1e80, 1e160, 1e300, 1.7e308):
         got = simulate._log_det_values(dims, rho, coefficients)
@@ -169,7 +171,7 @@ def test_two_mode_spectra_against_mpmath(mt, mr, m):
     # n = 2: B^T B = [[p, sqrt(d_1^2 e_1^2)], [., r]], p = d_1^2 and r = e_1^2 + d_2^2,
     # the squares taken as exact; at 40 digits the small eigenvalue is det / lam_max too
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=9_000, master_seed=7)
-    d2, e2 = simulate._model_squares(dims, cfg)
+    d2, e2 = model_squares(dims, cfg)
     got = simulate._tridiagonal_spectra(d2.T, e2.T)
     want = np.empty_like(got)
     with mp.workdps(40):
@@ -203,7 +205,7 @@ def test_chunked_polynomial_is_the_whole_array_polynomial(mt, mr, m, rho):
     # for bit, the one built over all trials at once, and so is its log det by
     # Horner; 20 001 trials are two full chunks and a short one
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=20_001, master_seed=3)
-    d2, e2 = simulate._model_squares(dims, cfg)
+    d2, e2 = model_squares(dims, cfg)
     whole = _whole_array_polynomial(d2, e2)
     chunked = simulate._model_coefficients(dims, cfg)
     assert np.array_equal(chunked, whole[1:])
@@ -233,19 +235,18 @@ def test_sample_spectra_audits_the_estimators(mt, mr, m):
 
 
 def test_non_finite_squares_raise(monkeypatch):
-    real_squares, real_coefficients = simulate._model_squares, simulate._model_coefficients
+    real_chunk, real_coefficients = simulate._bidiagonal_chunk, simulate._model_coefficients
 
-    def poisoned_squares(*args):
-        d2, e2 = (a.copy() for a in real_squares(*args))
-        d2[17, 1] = math.nan
-        return d2, e2
+    def poisoned_chunk(dims, key, lo, hi, out):
+        real_chunk(dims, key, lo, hi, out)
+        out[1, 17] = math.nan  # d_2^2 of trial 17
 
     def poisoned_coefficients(*args):
         coefficients = real_coefficients(*args).copy()
         coefficients[1, 17] = math.nan
         return coefficients
 
-    monkeypatch.setattr(simulate, "_model_squares", poisoned_squares)
+    monkeypatch.setattr(simulate, "_bidiagonal_chunk", poisoned_chunk)
     monkeypatch.setattr(simulate, "_model_coefficients", poisoned_coefficients)
     cfg = McConfig(trials=1_000)
     with pytest.raises(NumericalError, match="log det"):
@@ -284,7 +285,7 @@ def test_beta_variates_from_uniform_products(p, q):
 def test_kernel_has_the_bits_of_the_sequential_reference(mt, mr, m, workers):
     # 20 001 trials end in a partial chunk
     dims, cfg = ChannelDims(mt, mr, m), McConfig(trials=20_001, master_seed=5, workers=workers)
-    d2, e2 = simulate._model_squares(dims, cfg)
+    d2, e2 = model_squares(dims, cfg)
     want_d2, want_e2 = reference_squares(dims, cfg)
     assert np.array_equal(d2, want_d2) and np.array_equal(e2, want_e2)
     assert np.array_equal(sample_spectra(dims, cfg), reference_spectra(dims, cfg))
@@ -292,13 +293,13 @@ def test_kernel_has_the_bits_of_the_sequential_reference(mt, mr, m, workers):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_no_value_depends_on_the_chunk_size(monkeypatch, workers):
-    # _CHUNK sizes the kernels' passes and the pool's work units only; 20 001
+    # _CHUNK sizes the kernels' passes and the threads' units of work only; 20 001
     # trials end in a partial chunk at both sizes
     dims, cfg = ChannelDims(3, 3, 7), McConfig(trials=20_001, master_seed=5, workers=workers)
 
     def outputs():
         values = [
-            *simulate._model_squares(dims, cfg),
+            *model_squares(dims, cfg),
             sample_spectra(dims, cfg),
             simulate._model_coefficients(dims, cfg),
             simulate._log_det_values(dims, 10.0, simulate._model_coefficients(dims, cfg)),
@@ -313,6 +314,50 @@ def test_no_value_depends_on_the_chunk_size(monkeypatch, workers):
     default = outputs()
     monkeypatch.setattr(simulate, "_CHUNK", 1000)
     assert outputs() == default
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_chunk_results_come_back_in_span_order(workers):
+    def chunk(lo, hi):
+        if lo == 0:
+            time.sleep(0.01)  # the first span finishes last when a helper takes the others
+        return lo, hi
+
+    c = simulate._CHUNK  # 20 001 trials: two full chunks and a short one
+    assert simulate._map_chunks(McConfig(trials=20_001, workers=workers), chunk) == [(0, c), (c, 2 * c), (2 * c, 20_001)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_a_chunk_error_reaches_the_caller_after_every_helper_ends(workers):
+    before, started = threading.active_count(), []
+
+    def chunk(lo, hi):
+        started.append(lo)
+        if lo == simulate._CHUNK:
+            raise NumericalError("span 1 failed")
+
+    with pytest.raises(NumericalError, match="span 1 failed"):
+        simulate._map_chunks(McConfig(trials=20_001, workers=workers), chunk)
+    assert threading.active_count() == before
+    if workers == 1:  # in order, and no span starts after the one that raised
+        assert started == [0, simulate._CHUNK]
+
+
+@pytest.mark.parametrize("trials, workers", [(20_001, 1), (20_001, 2), (20_001, 3), (20_001, 8), (100, 8)])
+def test_at_most_one_helper_thread_per_extra_worker_and_span(monkeypatch, trials, workers):
+    started, ran_on = [], set()
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    spans = -(-trials // simulate._CHUNK)
+    simulate._map_chunks(McConfig(trials=trials, workers=workers), lambda lo, hi: ran_on.add(threading.get_ident()))
+    assert len(started) <= min(workers, spans) - 1
+    if workers == 1 or spans == 1:  # no thread is started: the caller runs every span
+        assert not started and ran_on == {threading.get_ident()}
 
 
 def _draw_working_set(dims):
