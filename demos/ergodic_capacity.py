@@ -15,14 +15,21 @@ from jacobi_fading import ChannelDims, McConfig, ergodic_capacity, mc_ergodic_ca
 
 RHO_DB = np.arange(0.0, 31.0, 5.0)
 
+RHOS = [10 ** (db / 10) for db in RHO_DB]
+NORMS = [np.log2(1 + rho) for rho in RHOS]
+
+
+def print_normalized(channels):
+    """One row per SNR of each channel's capacity over log2(1 + rho), one call per channel."""
+    columns = [ergodic_capacity(dims, RHOS) for dims in channels]
+    for db, norm, row in zip(RHO_DB, NORMS, zip(*columns)):
+        print(f"{db:8.0f} " + "".join(f" {v / norm:7.3f}" for v in row))
+
+
 print("normalized ergodic capacity, m = 4, all (mt, mr) combinations")
-print("rho [dB] " + "".join(f"  ({mt},{mr})" for mt, mr in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)]))
-for db in RHO_DB:
-    rho = 10 ** (db / 10)
-    norm = np.log2(1 + rho)
-    row = [ergodic_capacity(ChannelDims(mt, mr, 4), rho) / norm
-           for mt, mr in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)]]
-    print(f"{db:8.0f} " + "".join(f" {v:7.3f}" for v in row))
+shapes = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)]
+print("rho [dB] " + "".join(f"  ({mt},{mr})" for mt, mr in shapes))
+print_normalized([ChannelDims(mt, mr, 4) for mt, mr in shapes])
 print()
 print("note the floor at k = mt + mr - 4 for the oversubscribed pairs;")
 print("(4,4) is the fully addressed, perfectly unitary channel.")
@@ -30,11 +37,7 @@ print()
 
 print("fixed mt = mr = 2, growing total mode count m (power leaks away)")
 print("rho [dB] " + "".join(f"   m={m:<3d}" for m in (2, 3, 4, 6, 8, 16)))
-for db in RHO_DB:
-    rho = 10 ** (db / 10)
-    norm = np.log2(1 + rho)
-    row = [ergodic_capacity(ChannelDims(2, 2, m), rho) / norm for m in (2, 3, 4, 6, 8, 16)]
-    print(f"{db:8.0f} " + "".join(f" {v:7.3f}" for v in row))
+print_normalized([ChannelDims(2, 2, m) for m in (2, 3, 4, 6, 8, 16)])
 print()
 
 print("Monte-Carlo cross-check at 10 dB (100k fresh channel draws per point)")

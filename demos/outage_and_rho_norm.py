@@ -22,15 +22,17 @@ RHO = 10 ** (RHO_DB / 10)
 print(f"outage vs normalized rate r at {RHO_DB:.0f} dB, m = 4 (100k draws per point)")
 cfg = McConfig(trials=100_000, master_seed=0)
 r_grid = np.arange(0.25, 2.01, 0.25)
-print("   r    " + "".join(f"  ({mt},{mr})   " for mt, mr in [(1, 1), (2, 2), (2, 3), (3, 3)]))
-for r in r_grid:
+channels = [ChannelDims(mt, mr, 4) for mt, mr in [(1, 1), (2, 2), (2, 3), (3, 3)]]
+# one call per channel: its 100k draws serve every r of the column
+columns = [mc_outage(dims, RHO, cfg, r=r_grid) for dims in channels]
+print("   r    " + "".join(f"  ({dims.mt},{dims.mr})   " for dims in channels))
+for i, r in enumerate(r_grid):
     cells = []
-    for mt, mr in [(1, 1), (2, 2), (2, 3), (3, 3)]:
-        dims = ChannelDims(mt, mr, 4)
+    for dims, column in zip(channels, columns):
         if dims.k > 0 and r < dims.k:
             cells.append("    0 (exact)")
             continue
-        est = mc_outage(dims, RHO, cfg, r=float(r))
+        est = column[i]
         cells.append(f" {est.value:11.5f}" if est.value else "    0/100000 ")
     print(f"  {r:4.2f} " + "".join(cells))
 print()

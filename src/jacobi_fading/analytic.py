@@ -16,12 +16,13 @@ belongs to the CLI boundary.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .ensembles import ChannelDims, require_nonnegative, require_reals
+from .ensembles import ChannelDims, grid_points, require_nonnegative, require_reals
 from .errors import NumericalError
 from .specfun import inv_reg_inc_beta, log2_1p, reg_inc_beta
 
@@ -201,36 +202,31 @@ def _graded_block(f, block: list, first: int, n: int, floor: float) -> list:
     return values
 
 
-def _capacity_curve(dims: ChannelDims, rhos) -> list[float]:
-    """:func:`ergodic_capacity` at each of ``rhos``, the interior's integrals in one quadrature pass."""
-    for rho in rhos:
-        require_nonnegative(rho=rho)
-    caps = [dims.k * log2_1p(rho) for rho in rhos]
-    interior, live = dims.interior, [j for j, rho in enumerate(rhos) if rho > 0.0]
-    if interior is None or not live:
-        return caps
-    rho = np.array([rhos[j] for j in live], dtype=float)
-
-    def integrand(lam, point):
-        return interior.m_min / math.log(2.0) * np.log1p(rho[point] * lam) * _jacobi_density(interior, lam)
-
-    degree = 2 * (interior.m_min - 1) + interior.alpha + interior.beta
-    integrals = _graded_integrals(integrand, [1.0 / rhos[j] for j in live], degree, floor=1.0)
-    for j, integral in zip(live, integrals.tolist()):
-        caps[j] += integral
-    return caps
-
-
-def ergodic_capacity(dims: ChannelDims, rho: float) -> float:
+def ergodic_capacity(dims: ChannelDims, rho: float | Sequence[float]) -> float | list[float]:
     """Ergodic capacity in bits per channel use at per-mode SNR ``rho``.
 
     ``k`` single-mode capacities pinned at ``log2(1 + rho)``, plus the
     spectral integral of ``dims.interior`` (none when mt or mr is m) on
     SNR-graded Gauss-Legendre panels (see :func:`_graded_integrals`), which
     raises :class:`NumericalError` when more nodes move it by over 1e-13
-    relative, or by over 1e-13 bits where it is below 1 bit.
+    relative, or by over 1e-13 bits where it is below 1 bit.  A grid of
+    ``rho`` (a non-empty 1-D list, tuple or ndarray) gives the list of its
+    points' floats, from one quadrature pass.
     """
-    return _capacity_curve(dims, [rho])[0]
+    rhos, grid = grid_points("rho", rho, require_nonnegative)
+    caps = [dims.k * log2_1p(rho) for rho in rhos]
+    interior, live = dims.interior, [j for j, rho in enumerate(rhos) if rho > 0.0]
+    if interior is not None and live:
+        rho = np.array([rhos[j] for j in live], dtype=float)
+
+        def integrand(lam, point):
+            return interior.m_min / math.log(2.0) * np.log1p(rho[point] * lam) * _jacobi_density(interior, lam)
+
+        degree = 2 * (interior.m_min - 1) + interior.alpha + interior.beta
+        integrals = _graded_integrals(integrand, [1.0 / rhos[j] for j in live], degree, floor=1.0)
+        for j, integral in zip(live, integrals.tolist()):
+            caps[j] += integral
+    return caps if grid else caps[0]
 
 
 # The i.i.d. Rayleigh channel, the m -> infinity limit of the m-scaled spectrum:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__, analytic, feedback, simulate
-from .ensembles import ChannelDims, require_nonnegative
+from .ensembles import ChannelDims
 from .errors import NumericalError
 from .specfun import log2_1p
 
@@ -140,9 +140,9 @@ def _cmd_ergodic(args) -> _Output:
     norms = [_rate_unit(rho_db, rho) for rho_db, rho in grid]
     rhos = [rho for _, rho in grid]
     if args.method == "analytic":
-        caps, stderrs = analytic._capacity_curve(dims, rhos), [None] * len(rhos)
+        caps, stderrs = analytic.ergodic_capacity(dims, rhos), [None] * len(rhos)
     else:
-        ests = simulate._ergodic_curve(dims, rhos, _mc_config(args))
+        ests = simulate.mc_ergodic_capacity(dims, rhos, _mc_config(args))
         caps, stderrs = [est.value for est in ests], [est.stderr for est in ests]
     rows = [[rho_db, cap, cap / norm, stderr] for (rho_db, _), cap, norm, stderr in zip(grid, caps, norms, stderrs)]
     return _Output(["rho_db", "capacity_bits", "capacity_normalized", "stderr"], rows)
@@ -152,17 +152,15 @@ def _cmd_outage(args) -> _Output:
     dims = _dims_from_args(args)
     rho = _db_to_linear(args.rho_db)
     cfg = _mc_config(args)
-    # every rate is checked before any estimator runs
+    # mc_outage checks every rate before it draws
     if args.r is not None:
         ratios = _parse_grid(args.r)
-        for r in ratios:
-            require_nonnegative(r=r)
-        rates = [r * log2_1p(rho) for r in ratios]
+        ests = simulate.mc_outage(dims, rho, cfg, r=ratios)
     else:
         norm = _rate_unit(args.rho_db, rho)
         rates = _parse_grid(args.rate_bits)
         ratios = [rate / norm for rate in rates]
-    ests = simulate._outage_curve(dims, rho, cfg, rates)
+        ests = simulate.mc_outage(dims, rho, cfg, rate_bits=rates)
     return _Output(["r", "outage", "stderr"], [[r, est.value, est.stderr] for r, est in zip(ratios, ests)])
 
 
@@ -205,9 +203,9 @@ def _cmd_repetition(args) -> _Output:
     grid = _snr_grid(args.rho_db)  # every grid point is checked before any estimator runs
     rhos = [rho for _, rho in grid]
     if args.method == "tail":
-        errors, stderrs = simulate._tail_curve(dims, rhos).tolist(), [0.0] * len(rhos)
+        errors, stderrs = simulate.repetition_error_tail(dims, rhos), [0.0] * len(rhos)
     else:
-        ests = simulate._repetition_curve(dims, rhos, _mc_config(args), args.method)
+        ests = simulate.mc_repetition_error(dims, rhos, _mc_config(args), args.method)
         errors, stderrs = [est.value for est in ests], [est.stderr for est in ests]
     rows = [[rho_db, p, stderr] for (rho_db, _), p, stderr in zip(grid, errors, stderrs)]
     return _Output(["rho_db", "error_prob", "stderr"], rows)
@@ -215,7 +213,7 @@ def _cmd_repetition(args) -> _Output:
 
 def _cmd_alamouti(args) -> _Output:
     grid = _snr_grid(args.rho_db)
-    ests = simulate._alamouti_curve(args.m, [rho for _, rho in grid], args.r, _mc_config(args))
+    ests = simulate.mc_alamouti_outage(args.m, [rho for _, rho in grid], args.r, _mc_config(args))
     rows = [[rho_db, est.value, est.stderr] for (rho_db, _), est in zip(grid, ests)]
     return _Output(["rho_db", "outage", "stderr"], rows)
 
@@ -266,7 +264,7 @@ def _cmd_rayleigh(args) -> _Output:
         for _, rho_bar in grid:
             simulate._check_comparable(dims, rho_bar)
     # one spectrum sample per m; the rows go rho_bar outer, m inner
-    per_m = [simulate._rayleigh_rows(dims, [rho_bar for _, rho_bar in grid], cfg) for dims in channels]
+    per_m = [simulate.rayleigh_compare(dims, [rho_bar for _, rho_bar in grid], cfg) for dims in channels]
     rows = [
         [row.m, rho_bar_db, row.capacity_jacobi, row.capacity_rayleigh, 0.0,  # the baseline is exact
          row.ks_scaled_vs_wishart, row.frobenius_mean, row.capacity_jacobi - row.capacity_rayleigh]

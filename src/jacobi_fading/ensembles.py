@@ -13,8 +13,9 @@ Spectra come from the bidiagonal model, channels from
 dimensions, the phase-fixed QR and the endpoint rule they share, a batched
 check of the pinned structure on full Haar unitaries, the argument
 contract of every public entry point (``require_integers``,
-``require_reals``, ``require_nonnegative``, ``require_positive``) and the
-one pinned-eigenvalue tolerance, ``UNIT_TOL``.  Mode counts are checked
+``require_reals``, ``require_nonnegative``, ``require_positive``, and
+``grid_points`` for an SNR or rate that may be a whole grid) and the one
+pinned-eigenvalue tolerance, ``UNIT_TOL``.  Mode counts are checked
 by :class:`ChannelDims` alone: every entry point that takes (mt, mr, m),
 whole or in part, builds one.
 
@@ -84,6 +85,22 @@ def require_positive(**values) -> None:
     for name, value in values.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0")
+
+
+def grid_points(name: str, value, check) -> tuple[list, bool]:
+    """(points, whether ``value`` is a grid) of the argument ``name``, each point passed to check(name=point).
+
+    A non-empty 1-D list, tuple or ndarray is a grid, its points used as
+    given, and anything else one point; ValueError naming ``name`` for an
+    empty or multi-dimensional grid (a nested list fails ``check``).
+    """
+    grid = isinstance(value, (list, tuple, np.ndarray))
+    if grid and not (getattr(value, "ndim", 1) == 1 and len(value)):
+        raise ValueError(f"{name} must be a number or a non-empty 1-D sequence of numbers")
+    points = list(value) if grid else [value]
+    for point in points:
+        check(**{name: point})
+    return points, grid
 
 
 @dataclass(frozen=True)

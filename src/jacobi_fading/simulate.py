@@ -11,15 +11,14 @@ trial sees.
 
 Because that stream depends on neither the estimator nor rho or r, all
 estimators and points of a curve at the same (dims, trials, master_seed)
-see the same channels (common random numbers).  Each estimator has a
-private curve form (:func:`_ergodic_curve`, :func:`_outage_curve`,
-:func:`_repetition_curve`, :func:`_alamouti_curve`, :func:`_rayleigh_rows`),
-which the CLI calls once per grid: it checks every point, draws the rho-
-and r-independent sample set once, and reduces it at each point (an
-outage curve's mutual information at its one rho and the ``count``
-method's decision margins too).  A public estimator is its curve at one
-point, so every call draws afresh.  An outage or ``count`` point counts
-the trials past its threshold.
+see the same channels (common random numbers).  So each estimator takes a
+whole curve: given a grid for its SNR (for :func:`mc_outage`, its rate), a
+non-empty 1-D list, tuple or ndarray, it checks every point, draws the rho-
+and r-independent sample set once, reduces it at each point (an outage
+curve's mutual information at its one rho and the ``count`` method's
+decision margins too) and returns the list of estimates, each equal to its
+point's call alone; given a number it returns that point's estimate.  An
+outage or ``count`` point counts the trials past its threshold.
 
 The spectral estimators (ergodic capacity, outage, the Alamouti and
 repetition errors, and the Jacobi side of the Rayleigh comparison) depend
@@ -63,13 +62,14 @@ from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
 from .ensembles import (
-    ChannelDims, phase_fixed_qr, require_integers,
+    ChannelDims, grid_points, phase_fixed_qr, require_integers,
     require_nonnegative, require_positive, snap_endpoints,
 )
 from .errors import NumericalError
@@ -392,48 +392,43 @@ def sample_spectra(dims: ChannelDims, cfg: McConfig) -> np.ndarray:
     return _reduce_model(dims, cfg, dims.m_min, spectra).T
 
 
-def mc_ergodic_capacity(dims: ChannelDims, rho: float, cfg: McConfig) -> McEstimate:
-    """Empirical mean of log2 det(I + rho * H11^+ H11) over fresh draws (bits)."""
-    return _ergodic_curve(dims, [rho], cfg)[0]
+def mc_ergodic_capacity(
+    dims: ChannelDims, rho: float | Sequence[float], cfg: McConfig
+) -> McEstimate | list[McEstimate]:
+    """Empirical mean of log2 det(I + rho * H11^+ H11) over fresh draws (bits).
 
-
-def _ergodic_curve(dims: ChannelDims, rhos, cfg: McConfig) -> list[McEstimate]:
-    """:func:`mc_ergodic_capacity` at each of ``rhos``, from one sample set."""
-    for rho in rhos:
-        require_nonnegative(rho=rho)
+    A grid of ``rho`` gives the list of its points' estimates, from one draw.
+    """
+    rhos, grid = grid_points("rho", rho, require_nonnegative)
     coefficients = _model_coefficients(dims, cfg)
-    return [_estimate(_log_det_values(dims, rho, coefficients), cfg) for rho in rhos]
+    estimates = [_estimate(_log_det_values(dims, rho, coefficients), cfg) for rho in rhos]
+    return estimates if grid else estimates[0]
 
 
 def mc_outage(
     dims: ChannelDims,
     rho: float,
     cfg: McConfig,
-    r: float | None = None,
-    rate_bits: float | None = None,
-) -> McEstimate:
+    r: float | Sequence[float] | None = None,
+    rate_bits: float | Sequence[float] | None = None,
+) -> McEstimate | list[McEstimate]:
     """Fraction of draws whose mutual information falls below the rate.
 
     The rate is either a multiplexing ratio ``r`` (so R = r * log2(1 + rho))
     or an absolute ``rate_bits``; exactly one must be given.  It counts the
-    draws whose log2 det(I + rho B^T B), made once per rho, is below R.
+    draws whose log2 det(I + rho B^T B), made once per call, is below R.
+    A grid of ``r`` or ``rate_bits`` gives the list of its rates' estimates.
     """
     require_positive(rho=rho)
     if (r is None) == (rate_bits is None):
         raise ValueError("give exactly one of r or rate_bits")
     if r is not None:
-        require_nonnegative(r=r)
-        rate_bits = r * log2_1p(rho)
-    return _outage_curve(dims, rho, cfg, [rate_bits])[0]
-
-
-def _outage_curve(dims: ChannelDims, rho: float, cfg: McConfig, rates_bits) -> list[McEstimate]:
-    """:func:`mc_outage` at each of ``rates_bits``, from one log det per trial."""
-    require_positive(rho=rho)
-    for rate in rates_bits:
-        require_nonnegative(rate_bits=rate)
+        ratios, grid = grid_points("r", r, require_nonnegative)
+        rate_bits = [ratio * log2_1p(rho) for ratio in ratios] if grid else r * log2_1p(rho)
+    rates, grid = grid_points("rate_bits", rate_bits, require_nonnegative)
     mi = _log_det_values(dims, rho, _model_coefficients(dims, cfg))
-    return [_count_estimate(np.count_nonzero(mi < rate), cfg) for rate in rates_bits]
+    estimates = [_count_estimate(np.count_nonzero(mi < rate), cfg) for rate in rates]
+    return estimates if grid else estimates[0]
 
 
 # For y >= 0, erfc(y) = exp(-y^2) S(t) / (1 + 2y), where S is smooth on
@@ -516,8 +511,8 @@ def qpsk_symbol_error(snr):
 
 
 def mc_repetition_error(
-    dims: ChannelDims, rho: float, cfg: McConfig, method: str = "conditional"
-) -> McEstimate:
+    dims: ChannelDims, rho: float | Sequence[float], cfg: McConfig, method: str = "conditional"
+) -> McEstimate | list[McEstimate]:
     """Symbol error rate of the one-symbol repetition scheme with MRC.
 
     One uncoded QPSK symbol is repeated across the mt transmit slots of a
@@ -530,26 +525,22 @@ def mc_repetition_error(
     at most -sqrt(rho / 2); ``method="conditional"`` averages the exact
     conditional (given the spectrum) QPSK error instead, removing all
     noise-dimension variance.  For deep tails dominated by near-zero eigenvalues see
-    :func:`repetition_error_tail`.
+    :func:`repetition_error_tail`.  A grid of ``rho`` gives the list of its
+    points' estimates, from one gain or margin per trial.
     """
-    return _repetition_curve(dims, [rho], cfg, method)[0]
-
-
-def _repetition_curve(dims: ChannelDims, rhos, cfg: McConfig, method: str) -> list[McEstimate]:
-    """:func:`mc_repetition_error` at each of ``rhos``, from one gain or margin per trial."""
-    for rho in rhos:
-        require_nonnegative(rho=rho)
+    rhos, grid = grid_points("rho", rho, require_nonnegative)
     if method == "conditional":
         gain = _trace_values(dims, cfg)
-        return [_estimate(qpsk_symbol_error(rho * gain), cfg) for rho in rhos]
-    if method != "count":
+        estimates = [_estimate(qpsk_symbol_error(rho * gain), cfg) for rho in rhos]
+    elif method == "count":
+        tag = f"{dims.mt},{dims.mr},{dims.m}"
+        kz = stream_key(cfg.master_seed, f"rep-count:noise:{tag}")
+        ks = stream_key(cfg.master_seed, f"rep-count:sym:{tag}")
+        w = _decision_margins(dims, cfg, kz, ks)
+        estimates = [_count_estimate(np.count_nonzero(w <= -math.sqrt(0.5 * rho)), cfg) for rho in rhos]
+    else:
         raise ValueError("method must be 'conditional' or 'count'")
-
-    tag = f"{dims.mt},{dims.mr},{dims.m}"
-    kz = stream_key(cfg.master_seed, f"rep-count:noise:{tag}")
-    ks = stream_key(cfg.master_seed, f"rep-count:sym:{tag}")
-    w = _decision_margins(dims, cfg, kz, ks)
-    return [_count_estimate(np.count_nonzero(w <= -math.sqrt(0.5 * rho)), cfg) for rho in rhos]
+    return estimates if grid else estimates[0]
 
 
 def _decision_margins(dims: ChannelDims, cfg: McConfig, kz, ks) -> np.ndarray:
@@ -570,7 +561,7 @@ def _decision_margins(dims: ChannelDims, cfg: McConfig, kz, ks) -> np.ndarray:
     return w
 
 
-def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
+def repetition_error_tail(dims: ChannelDims, rho: float | Sequence[float]) -> float | list[float]:
     """Deterministic repetition-scheme error for single-eigenvalue spectra.
 
     Integrates the exact conditional QPSK symbol error against the spectral
@@ -578,19 +569,15 @@ def repetition_error_tail(dims: ChannelDims, rho: float) -> float:
     gain), which stays accurate in tails far beyond Monte-Carlo reach.
     Requires that interior to have ``m_min == 1``.  Raises
     :class:`NumericalError` when the quadrature does not settle to a
-    relative 1e-13.
+    relative 1e-13.  A grid of ``rho`` gives the list of its points'
+    floats, from one quadrature pass.
     """
-    return float(_tail_curve(dims, [rho])[0])
-
-
-def _tail_curve(dims: ChannelDims, rhos) -> np.ndarray:
-    """:func:`repetition_error_tail` at each of ``rhos``, from one quadrature pass."""
-    for rho in rhos:
-        require_nonnegative(rho=rho)
+    rhos, grid = grid_points("rho", rho, require_nonnegative)
     shift, residual = float(dims.k), dims.interior
     rho = np.array(rhos, dtype=float)
     if residual is None:
-        return qpsk_symbol_error(rho * shift)
+        errors = qpsk_symbol_error(rho * shift).tolist()
+        return errors if grid else errors[0]
     if residual.m_min != 1:
         raise ValueError(
             "tail evaluation requires an effective single-eigenvalue spectrum; "
@@ -608,30 +595,29 @@ def _tail_curve(dims: ChannelDims, rhos) -> np.ndarray:
 
     degree = 2 * (residual.alpha + residual.beta) + 1
     edges = [1.0 / math.sqrt(r) if r > 0.0 else 1.0 for r in rhos]
-    return analytic._graded_integrals(integrand, edges, degree, ratio=2.0)
+    errors = analytic._graded_integrals(integrand, edges, degree, ratio=2.0).tolist()
+    return errors if grid else errors[0]
 
 
-def mc_alamouti_outage(m: int, rho: float, r: float, cfg: McConfig) -> McEstimate:
+def mc_alamouti_outage(
+    m: int, rho: float | Sequence[float], r: float, cfg: McConfig
+) -> McEstimate | list[McEstimate]:
     """Outage of the 2x2 orthogonal space-time block scheme at rate r*log2(rho).
 
     The scheme's equivalent scalar channel has gain g = ||H11||_F^2, and
     log2(1 + rho g) < r log2(rho) just when g < (rho^r - 1) / rho, so the
     estimate is the fraction of draws whose gain is below that threshold.
     Where rho^r overflows the threshold is inf and every draw is in outage.
+    A grid of ``rho`` gives the list of its points' estimates, from one draw.
     """
-    return _alamouti_curve(m, [rho], r, cfg)[0]
-
-
-def _alamouti_curve(m: int, rhos, r: float, cfg: McConfig) -> list[McEstimate]:
-    """:func:`mc_alamouti_outage` at each of ``rhos``, from one gain per trial."""
     dims = ChannelDims(2, 2, m)
-    for rho in rhos:
-        require_positive(rho=rho)
+    rhos, grid = grid_points("rho", rho, require_positive)
     require_nonnegative(r=r)
     gain = _trace_values(dims, cfg)
     with np.errstate(over="ignore"):
         thresholds = [np.expm1(r * np.log(rho)) / rho for rho in rhos]
-    return [_count_estimate(np.count_nonzero(gain < threshold), cfg) for threshold in thresholds]
+    estimates = [_count_estimate(np.count_nonzero(gain < threshold), cfg) for threshold in thresholds]
+    return estimates if grid else estimates[0]
 
 
 def estimate_diversity_slope(points) -> float:
@@ -729,7 +715,9 @@ def _check_comparable(dims: ChannelDims, rho_bar: float) -> None:
         raise ValueError(f"rho_bar={rho_bar!r} overflows the SNR products of the {dims} comparison")
 
 
-def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> RayleighComparison:
+def rayleigh_compare(
+    dims: ChannelDims, rho_bar: float | Sequence[float], cfg: McConfig
+) -> RayleighComparison | list[RayleighComparison]:
     """Compare the truncated-unitary channel against the Rayleigh baseline.
 
     ``rho_bar`` is the average SNR per receive mode, the common axis of the
@@ -739,15 +727,10 @@ def rayleigh_compare(dims: ChannelDims, rho_bar: float, cfg: McConfig) -> Raylei
     ``rho_bar / mt`` per antenna.  The row reports both exact capacities
     and the KS distance from the sampled m-scaled spectrum to the exact law
     of the min(mt, mr) nonzero Wishart eigenvalues it converges to, which
-    needs ``m >= mt + mr`` (k = 0).
+    needs ``m >= mt + mr`` (k = 0).  A grid of ``rho_bar`` gives the list
+    of its points' rows, from one spectrum sample, KS distance and mean.
     """
-    return _rayleigh_rows(dims, [rho_bar], cfg)[0]
-
-
-def _rayleigh_rows(dims: ChannelDims, rho_bars, cfg: McConfig) -> list[RayleighComparison]:
-    """:func:`rayleigh_compare` at each of ``rho_bars``, from one spectrum sample, KS distance and mean."""
-    for rho_bar in rho_bars:
-        _check_comparable(dims, rho_bar)
+    rho_bars, grid = grid_points("rho_bar", rho_bar, lambda rho_bar: _check_comparable(dims, rho_bar))
     n, alpha = dims.m_min, dims.alpha
     rhos = [rho_bar * dims.m / dims.mt for rho_bar in rho_bars]
     lam = sample_spectra(dims, cfg)
@@ -757,7 +740,7 @@ def _rayleigh_rows(dims: ChannelDims, rho_bars, cfg: McConfig) -> list[RayleighC
     scaled = _sorted_sample(lam.T.reshape(-1), "sample")
     scaled *= dims.m
     ks = _sorted_ks(scaled, lambda x: analytic._laguerre_cdf(n, alpha, x))
-    return [
+    rows = [
         RayleighComparison(
             m=dims.m,
             rho_bar=rho_bar,
@@ -768,5 +751,6 @@ def _rayleigh_rows(dims: ChannelDims, rho_bars, cfg: McConfig) -> list[RayleighC
             frobenius_mean=frobenius,
             frobenius_expected=dims.mt * dims.mr / dims.m,
         )
-        for rho_bar, rho, capacity in zip(rho_bars, rhos, analytic._capacity_curve(dims, rhos))
+        for rho_bar, rho, capacity in zip(rho_bars, rhos, analytic.ergodic_capacity(dims, rhos))
     ]
+    return rows if grid else rows[0]

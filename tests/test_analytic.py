@@ -147,9 +147,9 @@ def test_capacity_curve_is_the_per_point_loop_bit_for_bit(monkeypatch, dims):
         return dims.k * specfun.log2_1p(rho) + _graded_integral_loop(f, 1.0 / rho, degree, 4.0, 1.0)
 
     want = [alone(rho) for rho in rhos]
-    assert analytic._capacity_curve(dims, rhos) == want
+    assert analytic.ergodic_capacity(dims, rhos) == want
     monkeypatch.setattr(analytic, "_BLOCK_PANELS", 5)
-    assert analytic._capacity_curve(dims, rhos) == want
+    assert analytic.ergodic_capacity(dims, rhos) == want
     assert [ergodic_capacity(dims, rho) for rho in rhos] == want
 
 
@@ -165,9 +165,9 @@ def test_tail_curve_is_the_per_point_loop_bit_for_bit(monkeypatch):
         return _graded_integral_loop(f, 1.0 / math.sqrt(rho) if rho > 0.0 else 1.0, degree, 2.0, 0.0)
 
     want = [alone(rho) for rho in rhos]
-    assert simulate._tail_curve(dims, rhos).tolist() == want
+    assert repetition_error_tail(dims, rhos) == want
     monkeypatch.setattr(analytic, "_BLOCK_PANELS", 3)
-    assert simulate._tail_curve(dims, rhos).tolist() == want
+    assert repetition_error_tail(dims, rhos) == want
     assert [repetition_error_tail(dims, rho) for rho in rhos] == want
 
 

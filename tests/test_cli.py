@@ -140,7 +140,7 @@ def test_non_finite_estimate_exits_1(tmp_path, capsys, monkeypatch):
     # the table refuses a non-finite value rather than write it
     monkeypatch.setattr(
         simulate,
-        "_ergodic_curve",
+        "mc_ergodic_capacity",
         lambda dims, rhos, cfg: [simulate.McEstimate(math.nan, math.nan, cfg.trials, cfg.master_seed) for _ in rhos],
     )
     args = ["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10", "--method", "mc", "--trials", "100"]
@@ -548,7 +548,7 @@ def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monk
     # point and no row of it is written
     monkeypatch.setattr(analytic, "_PANEL_EXTRA_NODES", 1)
     with pytest.raises(NumericalError, match="graded quadrature did not converge"):
-        analytic._capacity_curve(ChannelDims(1, 1, 2), [10.0, 1e12])
+        analytic.ergodic_capacity(ChannelDims(1, 1, 2), [10.0, 1e12])
     args = ["ergodic", "--mt", "1", "--mr", "1", "--m", "2", "--rho-db", "10,120", "--method", "analytic"]
     code, out = run_cli(args, tmp_path)
     assert code == 1
@@ -561,11 +561,11 @@ def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monk
     [
         (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000", "--method", "mc"],
          (simulate, "_model_coefficients")),
-        (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000"], (analytic, "_capacity_curve")),
+        (["ergodic", "--mt", "2", "--mr", "2", "--m", "4", "--rho-db", "10,20,4000"], (analytic, "ergodic_capacity")),
         (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10,20,4000"],
          (simulate, "_trace_values")),
         (["repetition", "--mt", "1", "--mr", "2", "--m", "3", "--rho-db", "10,20,4000", "--method", "tail"],
-         (simulate, "_tail_curve")),
+         (simulate, "repetition_error_tail")),
         (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,4000"], (simulate, "_trace_values")),
         (["alamouti", "--m", "4", "--r", "0.5", "--rho-db", "0,10,-4000"], (simulate, "_trace_values")),
         (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--r", "0.5,1,-1"],
@@ -573,14 +573,14 @@ def test_closed_form_curve_fails_whole_when_a_point_fails(tmp_path, capsys, monk
         (["outage", "--mt", "2", "--mr", "2", "--m", "3", "--rho-db", "20", "--rate-bits", "1,2,-1"],
          (simulate, "_model_coefficients")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,20,4000"],
-         (simulate, "_rayleigh_rows")),
+         (simulate, "rayleigh_compare")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,-4000"],
-         (simulate, "_rayleigh_rows")),
+         (simulate, "rayleigh_compare")),
         # the Rayleigh baseline's rho_bar / mt * L, then rho_bar * m, past the float range
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,3070"],
-         (simulate, "_rayleigh_rows")),
+         (simulate, "rayleigh_compare")),
         (["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "10,3075"],
-         (simulate, "_rayleigh_rows")),
+         (simulate, "rayleigh_compare")),
     ],
     ids=["ergodic-mc", "ergodic-analytic", "repetition", "repetition-tail", "alamouti-high", "alamouti-zero",
          "outage-r", "outage-rate-bits", "rayleigh-high", "rayleigh-zero", "rayleigh-3070", "rayleigh-3075"],

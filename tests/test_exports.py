@@ -177,7 +177,7 @@ def test_mode_counts_are_checked_by_channel_dims():
 # keyed once per channel shape, so every spectral estimator and
 # sample_spectra read one sample set; the count repetition method's noise
 # and symbols are not channel draws and keep streams of their own.
-STREAM_KEYS_ALLOWED = {"_channel_key", "_repetition_curve"}
+STREAM_KEYS_ALLOWED = {"_channel_key", "mc_repetition_error"}
 
 
 def test_one_channel_stream_in_simulate():
@@ -281,17 +281,17 @@ def test_sample_sets_fill_one_buffer():
 # (the outages and the count repetition method) count the trials past a
 # threshold with _count_estimate, with no per-point 0/1 array.
 ESTIMATES_ALLOWED = {
-    "_estimate": {("simulate.py", "_ergodic_curve"), ("simulate.py", "_repetition_curve")},
+    "_estimate": {("simulate.py", "mc_ergodic_capacity"), ("simulate.py", "mc_repetition_error")},
     "_count_estimate": {
-        ("simulate.py", "_outage_curve"),
-        ("simulate.py", "_alamouti_curve"),
-        ("simulate.py", "_repetition_curve"),
+        ("simulate.py", "mc_outage"),
+        ("simulate.py", "mc_alamouti_outage"),
+        ("simulate.py", "mc_repetition_error"),
     },
 }
 
 
 def test_indicator_estimates_are_counts():
-    # each allowed function estimates once, so _repetition_curve averages
+    # each allowed function estimates once, so mc_repetition_error averages
     # in its conditional branch alone and counts in the other
     package = pathlib.Path(jacobi_fading.__file__).parent
     found = sorted(

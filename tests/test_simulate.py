@@ -19,6 +19,8 @@ from jacobi_fading.errors import NumericalError
 from jacobi_fading.philox import stream_key
 from jacobi_fading.simulate import (
     McConfig,
+    McEstimate,
+    RayleighComparison,
     estimate_diversity_slope,
     ks_distance_to_cdf,
     mc_alamouti_outage,
@@ -386,17 +388,17 @@ def test_curves_keep_one_sample_set_and_no_copy():
     trials = 100_000
     ergodic, rhos = ChannelDims(4, 4, 8), [1.0, 10.0, 100.0, 1000.0]
     rayleigh, rho_bars = ChannelDims(2, 2, 64), [10.0, 100.0]
-    simulate._ergodic_curve(ergodic, rhos, McConfig(trials=100))  # caches and imports first
-    simulate._rayleigh_rows(rayleigh, rho_bars, McConfig(trials=100))
+    mc_ergodic_capacity(ergodic, rhos, McConfig(trials=100))  # caches and imports first
+    rayleigh_compare(rayleigh, rho_bars, McConfig(trials=100))
     cfg = McConfig(trials=trials, master_seed=1)
     n = ergodic.m_min
     # the coefficients, then either a chunk's draw or a point's log det and deviations
     budget = 8 * n * trials + max(_draw_working_set(ergodic), 8 * 2 * trials)
-    peak = _peak_bytes(lambda: simulate._ergodic_curve(ergodic, rhos, cfg))
+    peak = _peak_bytes(lambda: mc_ergodic_capacity(ergodic, rhos, cfg))
     assert peak < budget, (peak, budget)
     # the spectra, the row sums of the Frobenius mean, and a chunk's draw
     budget = 8 * rayleigh.m_min * trials + 8 * trials + _draw_working_set(rayleigh)
-    peak = _peak_bytes(lambda: simulate._rayleigh_rows(rayleigh, rho_bars, cfg))
+    peak = _peak_bytes(lambda: rayleigh_compare(rayleigh, rho_bars, cfg))
     assert peak < budget, (peak, budget)
 
 
@@ -938,7 +940,7 @@ def test_rayleigh_grid_draws_each_spectrum_once(monkeypatch):
     cfg = McConfig(trials=2_000)
     channels, rho_bars = [ChannelDims(2, 2, m) for m in (5, 8)], [10.0, 100.0]
     # the sample sets do not depend on rho_bar, so a curve over it draws each once
-    inside = [row for dims in channels for row in simulate._rayleigh_rows(dims, rho_bars, cfg)]
+    inside = [row for dims in channels for row in rayleigh_compare(dims, rho_bars, cfg)]
     assert len(solves) == 2
     outside = [rayleigh_compare(dims, rho_bar, cfg) for dims in channels for rho_bar in rho_bars]
     assert len(solves) == 2 + 4
@@ -967,9 +969,9 @@ def test_outage_reduces_once_per_rho(monkeypatch):
     monkeypatch.setattr(simulate, "_log_det_values", counting)
     dims, cfg = ChannelDims(2, 2, 3), McConfig(trials=2_000)
     rates = np.linspace(1.0, 2.0, 41)
-    inside = simulate._outage_curve(dims, 100.0, cfg, [r * log2_1p(100.0) for r in rates])
+    inside = mc_outage(dims, 100.0, cfg, rate_bits=[r * log2_1p(100.0) for r in rates])
     assert len(reductions) == 1
-    simulate._outage_curve(dims, 10.0, cfg, [1.5 * log2_1p(10.0)])
+    mc_outage(dims, 10.0, cfg, rate_bits=[1.5 * log2_1p(10.0)])
     assert len(reductions) == 2
     outside = [mc_outage(dims, 100.0, cfg, r=r) for r in rates]
     assert len(reductions) == 2 + len(rates)
@@ -1025,12 +1027,58 @@ def test_count_method_draws_once_per_block(monkeypatch):
     monkeypatch.setattr(simulate, "_trace_values", trace_values)
     rhos = 10.0 ** (np.arange(10.0, 45.0, 5.0) / 10.0)
     chunks = math.ceil(cfg.trials / simulate._CHUNK)
-    inside = simulate._repetition_curve(dims, rhos, cfg, "count")
+    inside = mc_repetition_error(dims, rhos, cfg, "count")
     # one sample set: each chunk's signs and noise once, one gain reduction
     assert sorted(draws) == ["noise"] * chunks + ["signs"] * chunks and len(gains) == 1
     outside = [mc_repetition_error(dims, rho, cfg, method="count") for rho in rhos]
     assert len(draws) == 2 * chunks * (1 + len(rhos)) and len(gains) == 1 + len(rhos)
     assert inside == outside
+
+
+_GRID_CFG = McConfig(trials=20_000, master_seed=5)  # three chunks
+
+# (estimator at one grid argument, that argument's name, a grid of it, the type of one point's value)
+GRID_ESTIMATORS = {
+    "ergodic_capacity": (lambda x: ergodic_capacity(ChannelDims(2, 3, 7), x), "rho", [0.0, 1.0, 1e3, 1e9], float),
+    "repetition_error_tail": (lambda x: repetition_error_tail(ChannelDims(1, 2, 3), x), "rho", [0.0, 10.0, 1e4], float),
+    "mc_ergodic_capacity": (lambda x: mc_ergodic_capacity(ChannelDims(2, 2, 4), x, _GRID_CFG), "rho",
+                            [0.0, 10.0, 1e4], McEstimate),
+    "mc_outage-r": (lambda x: mc_outage(ChannelDims(2, 2, 3), 100.0, _GRID_CFG, r=x), "r", [0.5, 1.0, 1.5], McEstimate),
+    "mc_outage-rate_bits": (lambda x: mc_outage(ChannelDims(2, 2, 3), 100.0, _GRID_CFG, rate_bits=x), "rate_bits",
+                            [1.0, 8.0, 9.5], McEstimate),
+    "mc_repetition_error": (lambda x: mc_repetition_error(ChannelDims(1, 2, 3), x, _GRID_CFG), "rho",
+                            [0.0, 10.0, 100.0], McEstimate),
+    "mc_repetition_error-count": (lambda x: mc_repetition_error(ChannelDims(1, 2, 3), x, _GRID_CFG, "count"), "rho",
+                                  [0.0, 10.0, 100.0], McEstimate),
+    "mc_alamouti_outage": (lambda x: mc_alamouti_outage(4, x, 0.5, _GRID_CFG), "rho", [1.0, 10.0, 100.0], McEstimate),
+    "rayleigh_compare": (lambda x: rayleigh_compare(ChannelDims(2, 2, 8), x, _GRID_CFG), "rho_bar",
+                         [1.0, 10.0, 100.0], RayleighComparison),
+}
+
+
+@pytest.mark.parametrize("estimator", list(GRID_ESTIMATORS))
+def test_a_grid_call_is_its_points_called_alone_from_one_draw(monkeypatch, estimator):
+    call, name, points, kind = GRID_ESTIMATORS[estimator]
+    events, real_chunk, real_integrals = [], simulate._bidiagonal_chunk, analytic._graded_integrals
+    monkeypatch.setattr(simulate, "_bidiagonal_chunk", lambda *args: events.append(args[2]) or real_chunk(*args))
+    monkeypatch.setattr(analytic, "_graded_integrals", lambda *args, **kw: events.append("quad") or real_integrals(*args, **kw))
+    # an empty, 2-D, ragged or non-numeric grid, or one bad point at its end, fails naming the argument untouched
+    for bad in ([], [points], np.array([points]), [[points[0]], points[1:]], "10", points + ["10"], points + [-1.0]):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(bad)
+    assert events == []
+    alone = [call(point) for point in points]
+    assert all(type(value) is kind for value in alone)
+    for grid in (points, tuple(points), np.array(points)):
+        events.clear()
+        assert call(grid) == alone
+        # one sample set (chunks from trial 0, 8192, 16384), or one quadrature pass; the
+        # Rayleigh rows also integrate their exact baseline once per point
+        drawn = [lo for lo in events if lo != "quad"]
+        if kind is float:
+            assert drawn == [] and events == ["quad"]
+        else:
+            assert drawn == [0, simulate._CHUNK, 2 * simulate._CHUNK]
 
 
 @pytest.mark.parametrize(
