@@ -30,18 +30,20 @@ index, so use i's variates depend on its position only.  All channels are
 drawn by one Gram-Schmidt pass over the whole stack
 (:func:`.ensembles.phase_fixed_qr`, no LAPACK call per matrix) and
 completed from an s x s problem each, s = m - mr: s pivoted Gram-Schmidt
-steps on the rank-s residual ``I - H11^+ H11``, stack-last, then the
-eigenvectors of the basis's s x s Gram, in closed form at s <= 2 (one
-complex Jacobi rotation at s = 2) and by one stacked ``eigh`` from s = 3
-on (:func:`complete_unitary`).  H11's Gram is formed once per frame and
-also checks the combining identity.  No step runs per use: the completion
-rows are orthogonal, so every use's conditional covariance is exactly I
-and the pads follow in closed form,
-and the relay recurrence and the backward peeling (use i depends on use
-i - l only) are affine maps along each delay chain, solved by a prefix
-scan in ceil(log2(n / l)) batched steps.  The combining identity also gives the receiver's noise in closed
-form, covariance ``I - M^H D M`` per use from the peeling scan's prefix
-products: no covariance is scanned.
+steps on the rank-s residual ``I - H11^+ H11``, then the eigenvectors of
+the basis's s x s Gram, in closed form at s <= 2 (one complex Jacobi
+rotation at s = 2) and by one stacked ``eigh`` from s = 3 on
+(:func:`complete_unitary`).  H11's Gram is formed once per frame and also
+checks the combining identity.  No step runs per use: the completion rows
+are orthogonal, so every use's conditional covariance is exactly I and the
+pads follow in closed form, and the relay recurrence and the backward
+peeling (use i depends on use i - l only) are affine maps along each delay
+chain, solved by a prefix scan in ceil(log2(n / l)) batched steps.  The
+combining identity also gives the receiver's noise in closed form,
+covariance ``I - M^H D M`` per use from the peeling scan's prefix
+products: no covariance is scanned.  Every per-use array keeps the use
+axis last, (mr, mt, n) from the channel draw on, so each small product is
+a few contiguous multiplies (:func:`_mul_last`); the trace holds views.
 """
 
 from __future__ import annotations
@@ -190,18 +192,18 @@ def complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
         raise ValueError("a zero-padded completion needs mt + mr > m")
     if h11.ndim == 2:
         return complete_unitary(h11[None], dims)[0]
-    return np.ascontiguousarray(_completion_last(h11, dims)[0].conj().transpose(2, 1, 0))
+    return np.ascontiguousarray(_completion_last(_stack_last(h11), dims)[0].conj().transpose(2, 1, 0))
 
 
 def _completion_last(h11: np.ndarray, dims: ChannelDims) -> tuple[np.ndarray, np.ndarray]:
-    """H21^H of each block of an (n, mr, mt) stack, and the H11^H H11 it formed, both stack-last.
+    """H21^H of each block of an (mr, mt, n) stack, and the H11^H H11 it formed, all stack-last.
 
     Returns the (mt, s, n) conjugate transposes of :func:`complete_unitary`'s
     rows and the (mt, mt, n) Gram, so a caller checks the combining
     identity H11^H H11 + H21^H H21 = I without forming either again.
     """
-    n, mt, s = len(h11), dims.mt, dims.m - dims.mr
-    gram = _gram_last(_stack_last(h11))
+    mt, s, n = dims.mt, dims.m - dims.mr, h11.shape[-1]
+    gram = _gram_last(h11)
     # the residual, then what the basis leaves of it: (mt, mt, n), stack axis last
     left = np.eye(mt)[:, :, None] - gram
     diag = np.diagonal(left, axis1=0, axis2=1).real  # (n, mt), a view that follows left
@@ -224,7 +226,7 @@ def _completion_last(h11: np.ndarray, dims: ChannelDims) -> tuple[np.ndarray, np
     else:
         # eigh sorts ascending: reverse for rows by decreasing eigenvalue
         u = np.linalg.eigh(np.moveaxis(_gram_last(basis), -1, 0))[1][:, :, ::-1]
-        rows = _mul_last(basis, _stack_last(u))  # column e is C u_e: (mt, s, n)
+        rows = _mul_last(basis, np.moveaxis(u, 0, -1))  # column e is C u_e: (mt, s, n)
     pivot = np.take_along_axis(rows, np.argmax(np.abs(rows), axis=0)[None], axis=0)
     size = np.abs(pivot)
     phase = np.where(size > 0.0, pivot.conj() / np.where(size > 0.0, size, 1.0), 1.0)
@@ -265,9 +267,9 @@ def _rotate_pair(basis: np.ndarray) -> np.ndarray:
 
 
 class _FrameDraws(NamedTuple):
-    """Every random variate of one frame, row i belonging to use (or closing window) i."""
+    """Every random variate of one frame: use (or closing window) i is row i, or slice i of the last axis."""
 
-    channels: np.ndarray          # (n, mr, mt), or (1, mr, mt) for a held realization
+    channels: np.ndarray          # (mr, mt, n), or (mr, mt, 1) for a held realization
     symbols: np.ndarray           # (n, k) new symbols
     noise: np.ndarray             # (n, mr)
     dither: np.ndarray            # (n, s) CN(0, 1), scaled by the pad deviation
@@ -281,7 +283,8 @@ def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
     Each role reads its own stream ``stream_key(seed, "feedback:<role>")``
     with the use (or closing window) index as the trial index, so use i's
     variates depend on its position only.  Every use draws its k new
-    symbols (2k uniforms for QPSK, one bit each).
+    symbols (2k uniforms for QPSK, one bit each).  The channel blocks are
+    moved stack-last as they are drawn, the frame's one transposing copy.
     """
     dims, n = cfg.dims, cfg.n_uses
     k, s = dims.k, dims.m - dims.mr
@@ -291,11 +294,11 @@ def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
         return stream_key(cfg.master_seed, f"feedback:{role}")
 
     if cfg.fresh_channel_each_use:
-        channels = channel_blocks(dims, key("channel"), 0, n)
+        channels = _stack_last(channel_blocks(dims, key("channel"), 0, n))
         closing_channels = channel_blocks(dims, key("closing-channel"), 0, windows)
     else:
-        channels = channel_blocks(dims, key("channel"), 0, 1)
-        closing_channels = np.repeat(channels, windows, axis=0)
+        held = channel_blocks(dims, key("channel"), 0, 1)
+        channels, closing_channels = _stack_last(held), np.repeat(held, windows, axis=0)
     if cfg.modulation == "qpsk":
         bits = uniforms(key("symbols"), 0, n, 2 * k) > 0.5
         symbols = ((2.0 * bits[:, 0::2] - 1.0) + 1j * (2.0 * bits[:, 1::2] - 1.0)) / math.sqrt(2.0)
@@ -313,13 +316,15 @@ def _draw_frame(cfg: SchemeConfig) -> _FrameDraws:
 
 
 def _mul_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` over stacks of small matrices with the stack axis last: (p, q, N) by (q, r, N).
+    """``a @ b`` over stacks of small matrices with the stack axis last: (p, q, N) by (q, r, N) or (q, N).
 
     numpy's batched ``@`` pays a fixed cost per matrix that dominates at
     these sizes (inner dimension 1 to 4).  Here the product is an add loop
     over the inner dimension, each term one multiply over the whole stack,
     which is contiguous when the stack axis is last.
     """
+    if b.ndim == 2:
+        return _mul_last(a, b[:, None])[:, 0]
     if a.shape[1] == 0:
         return np.zeros(a.shape[:1] + b.shape[1:], dtype=np.result_type(a, b))
     out = a[:, :1] * b[None, 0]
@@ -341,23 +346,22 @@ def _gram_last(a: np.ndarray) -> np.ndarray:
 def _affine_scan(g, vec, l):
     """Solve x_r = g_r x_{r-l} + vec_r for every row r; return x and the maps' prefix products.
 
-    ``g`` and ``vec`` stack an (s, s) map and an s-vector per row; rows
-    r < l start from a zero state.  Recursive doubling (Blelloch 1990)
-    composes each row's map with the one d rows back, for d = l, 2l, 4l, ...,
-    so the recurrence takes ceil(log2(N / l)) batched steps, not N / l.
-    Row r's prefix product is g_r g_{r-l} ... g_{r mod l}, the composed map
-    of its delay chain.  The steps run on copies with the row axis last
-    (:func:`_mul_last`).
+    Stack-last, like the frame: ``g`` is (s, s, N), an (s, s) map per row,
+    and ``vec`` is (s, N), an s-vector per row; x is (s, N) and the prefix
+    products (s, s, N).  Rows r < l start from a zero state.  Recursive
+    doubling (Blelloch 1990) composes each row's map with the one d rows
+    back, for d = l, 2l, 4l, ..., so the recurrence takes ceil(log2(N / l))
+    batched steps, not N / l.  Row r's prefix product is g_r g_{r-l} ...
+    g_{r mod l}, the composed map of its delay chain.
     """
-    n, d = len(vec), l
-    g = _stack_last(g)
-    x = vec.T[:, None, :].copy()  # a C-ordered copy, updated in place
+    n, d = vec.shape[-1], l
+    x = vec.copy()  # updated in place
     while d < n:
         head = g[:, :, d:]
-        x[:, :, d:] += _mul_last(head, x[:, :, :-d])
+        x[:, d:] += _mul_last(head, x[:, :-d])
         g = np.concatenate([g[:, :, :d], _mul_last(head, g[:, :, :-d])], axis=2)
         d *= 2
-    return x[:, 0, :].T, np.moveaxis(g, -1, 0)
+    return x, g
 
 
 def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
@@ -383,40 +387,39 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
 
     h11 = draws.channels
     h21h, gram = _completion_last(h11, dims)
-    h21 = np.ascontiguousarray(h21h.conj().transpose(2, 1, 0))
-    # the combining identity H11^H H11 + H21^H H21 = I, stack axis last
-    identity = gram + _mul_last(h21h, h21h.conj().swapaxes(0, 1))
+    h21 = h21h.conj().swapaxes(0, 1)
+    # the combining identity H11^H H11 + H21^H H21 = I
+    identity = gram + _mul_last(h21h, h21)
     deviation = np.max(np.abs(identity - np.eye(mt)[:, :, None]), axis=(0, 1))
     if np.any(deviation > _COMBINE_TOL):
         bad = int(np.argmax(deviation > _COMBINE_TOL))
         raise NumericalError(f"completion at use {bad} fails the combining identity")
     if not cfg.fresh_channel_each_use:
-        h11, h21 = (np.repeat(a, n, axis=0) for a in (h11, h21))
+        h11, h21, h21h = (np.broadcast_to(a, a.shape[:2] + (n,)) for a in (h11, h21, h21h))
 
     # relay slot e of use i carries row e of use i - l's completion applied
     # to x_{i-l}, of conditional variance |row e|^2 (the rows are orthogonal
     # and x_{i-l} has covariance I); the pad tops it up to 1.  The first l
     # uses relay nothing and pad at unit variance.
-    pad_var = np.ones((n, s))
-    pad_var[l:] = 1.0 - np.sum(np.abs(h21[:-l]) ** 2, axis=2)
+    pad_var = np.ones((s, n))
+    pad_var[:, l:] = 1.0 - np.sum(np.abs(h21[:, :, :-l]) ** 2, axis=1)
     if np.any(pad_var < -_COMBINE_TOL):
         raise NumericalError("a completion row has norm above 1: the pad variance is negative")
     # rows spanning the null space of H11 (mt > mr) have norm 1: their pad is exactly 0
     pad_var[pad_var < _PAD_SNAP] = 0.0
-    pad = np.sqrt(pad_var) * draws.dither
+    pad = np.sqrt(pad_var) * draws.dither.T
     cond_power = np.ones((n, mt))  # the diagonal of every use's covariance, I
 
     # forward relay: v_i = R2 v_{i-l} + (R1 sym_{i-l} + pad_i), R = use i - l's
     # completion split at column k
-    g = np.zeros((n, s, s), dtype=complex)
-    g[l:] = h21[:-l, :, k:]
+    g = np.zeros((s, s, n), dtype=complex)
+    g[:, :, l:] = h21[:, k:, :-l]
     vec = pad.copy()
-    vec[l:] += np.einsum("nij,nj->ni", h21[:-l, :, :k], draws.symbols[:-l])
-    xs = np.empty((n, mt), dtype=complex)
-    xs[:, :k] = draws.symbols
-    xs[:, k:] = _affine_scan(g, vec, l)[0]
-    relay_content = xs[:, k:] - pad
-    ys = np.einsum("nij,nj->ni", sqrt_rho * h11, xs) + draws.noise
+    vec[:, l:] += _mul_last(h21[:, :k, :-l], draws.symbols[:-l].T)
+    xs = np.empty((mt, n), dtype=complex)
+    xs[:k] = draws.symbols.T
+    xs[k:] = _affine_scan(g, vec, l)[0]
+    ys = _mul_last(sqrt_rho * h11, xs) + draws.noise.T
 
     # closing: convey the l outstanding completion projections, one scalar
     # per repetition window of mt uses on a held realization; window
@@ -427,7 +430,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         raise NumericalError("closing window gain fell below the pinned bound k")
     min_gain = float(np.min(gain)) if s else float("nan")  # s == 0: no closing needed
     combined_noise = np.einsum("wij,wji->w", hc.conj(), draws.closing_noise)
-    w_close = np.einsum("nij,nj->ni", h21[n - l:], xs[n - l:])
+    w_close = _mul_last(h21[:, :, n - l:], xs[:, n - l:])
     overhead = l * s * mt
 
     # backward peeling: use i combines with the side measure u_{i+l} of its
@@ -439,53 +442,49 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     # + G G^H = I, so the deficit I - K is a pure congruence of the seeds' D =
     # diag(1 - 1/gain): I - K_{i+l} = P D P^H, P the scan's prefix product on
     # row i + l.  Use i's combined noise has covariance I - M^H D M, M = P^H H21_i.
-    offset = np.zeros((n, s), dtype=complex)
-    offset[:n - l] = sqrt_rho * pad[l:]
-    h21h = h21.conj().swapaxes(1, 2)
-    base = np.einsum("nji,nj->ni", h11.conj(), ys) - np.einsum("nij,nj->ni", h21h, offset)
-    seed_meas = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s)
+    offset = np.zeros((s, n), dtype=complex)
+    offset[:, :n - l] = sqrt_rho * pad[:, l:]
+    base = _mul_last(h11.conj().swapaxes(0, 1), ys) - _mul_last(h21h, offset)
+    seed_meas = sqrt_rho * w_close + (combined_noise / gain).reshape(l, s).T
     side, chain = _affine_scan(
-        np.concatenate([np.broadcast_to(np.eye(s), (l, s, s)), h21h[::-1, k:]]),
-        np.concatenate([seed_meas[::-1], base[::-1, k:]]),
+        np.concatenate([np.broadcast_to(np.eye(s)[:, :, None], (s, s, l)), h21h[k:, :, ::-1]], axis=2),
+        np.concatenate([seed_meas[:, ::-1], base[k:, ::-1]], axis=1),
         l,
     )
-    side, chain = side[::-1][l:], chain[::-1][l:]  # row i: u_{i+l} and its P
-    y_tilde = base[:, :k] + np.einsum("nij,nj->ni", h21h[:, :k], side)  # the k stream slots
-    m_noise = np.einsum("nji,njk->nik", chain.conj(), h21)
+    side, chain = side[:, ::-1][:, l:], chain[:, :, ::-1][:, :, l:]  # use i: u_{i+l} and its P
+    y_tilde = base[:k] + _mul_last(h21h[:k], side)  # the k stream slots
+    m_noise = _mul_last(chain.conj().swapaxes(0, 1), h21)
     # row i + l is on the chain of closing measure (i - n) mod l
-    deficit = (1.0 - 1.0 / gain).reshape(l, s)[(np.arange(n) - n) % l]
+    deficit = (1.0 - 1.0 / gain).reshape(l, s).T[:, (np.arange(n) - n) % l]
 
     # measurements
-    cond_var_stream = 1.0 - np.sum(deficit[:, :, None] * np.abs(m_noise[:, :, :k]) ** 2, axis=1)
-    weighted = (deficit[:, :, None] * m_noise).reshape(-1, mt)
-    noise_cov_error = float(np.max(np.abs(weighted.conj().T @ m_noise.reshape(-1, mt)))) / n
-    per_stream_snr = rho / np.mean(cond_var_stream, axis=0)
+    cond_var_stream = 1.0 - np.sum(deficit[:, None] * np.abs(m_noise[:, :k]) ** 2, axis=0)
+    weighted = deficit[:, None] * m_noise
+    noise_cov_error = float(np.max(np.abs(np.sum(weighted.conj() @ m_noise.swapaxes(1, 2), axis=0)))) / n
+    per_stream_snr = rho / np.mean(cond_var_stream, axis=1)
 
-    stream_noise = y_tilde - sqrt_rho * xs[:, :k]
-    c = (stream_noise.conj().T @ stream_noise) / n
-    denom = np.sqrt(np.outer(np.diag(c).real, np.diag(c).real))
-    corr = np.abs(c) / denom
+    stream_noise = y_tilde - sqrt_rho * xs[:k]
+    c = (stream_noise.conj() @ stream_noise.T) / n
+    corr = np.abs(c) / np.sqrt(np.outer(np.diag(c).real, np.diag(c).real))
     max_corr = float(np.max(corr - np.eye(k) * corr))
 
     sent = draws.symbols
     ber = None
     if cfg.modulation == "qpsk":
-        bit_errs = np.sum(np.sign(y_tilde.real) != np.sign(sent.real))
-        bit_errs += np.sum(np.sign(y_tilde.imag) != np.sign(sent.imag))
+        bit_errs = np.sum(np.sign(y_tilde.real) != np.sign(sent.real.T))
+        bit_errs += np.sum(np.sign(y_tilde.imag) != np.sign(sent.imag.T))
         ber = float(bit_errs / (2 * sent.size))
 
-    per_use_rate = log2_1p(rho)
-    achieved_rate = k * n * per_use_rate / (n + overhead)
-    mi_streams = float(np.sum(np.log2(1.0 + rho / cond_var_stream)))
-    mi_per_use = mi_streams / (n + overhead)
+    achieved_rate = k * n * log2_1p(rho) / (n + overhead)
+    mi_per_use = float(np.sum(np.log2(1.0 + rho / cond_var_stream))) / (n + overhead)
 
     trace = FrameTrace(
-        channels=h11,
-        completions=h21,
-        transmitted=xs,
+        channels=np.moveaxis(h11, -1, 0),
+        completions=np.moveaxis(h21, -1, 0),
+        transmitted=xs.T,
         new_symbols=sent,
-        relay_content=relay_content,
-        dither=pad,
+        relay_content=(xs[k:] - pad).T,
+        dither=pad.T,
         cond_mode_power=cond_power,
     )
     return SchemeReport(
@@ -495,7 +494,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         ber=ber,
         overhead_uses=overhead,
         per_mode_power=np.mean(cond_power, axis=0),
-        per_mode_power_empirical=np.mean(np.abs(xs) ** 2, axis=0),
+        per_mode_power_empirical=np.mean(np.abs(xs) ** 2, axis=1),
         mutual_information_per_use=mi_per_use,
         stream_noise_max_cross_corr=max_corr,
         min_closing_gain=min_gain,

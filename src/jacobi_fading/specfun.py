@@ -59,26 +59,32 @@ def _beta_params(a, b) -> tuple[int, int]:
 
 
 def _binomial_tail(x: float, a: int, b: int) -> tuple[float, float]:
-    """``I_x(a, b)`` and ``x * dI/dx`` for ``0 < x <= a / (a + b)``.
+    """``I_x(a, b)`` and ``x * dI/dx`` for ``0 < x < 1``.
 
     ``I_x(a, b) = P(Bin(n, x) >= a)`` with ``n = a + b - 1``.  Below the
-    mean the terms ``C(n, j) x^j (1-x)^(n-j)``, ``j = a .. n``, only fall,
-    so they are summed upward from the first, which also gives the
-    derivative: ``x * dI/dx = x^a (1-x)^(b-1) / B(a, b) = a * first term``.
+    mean ``a / (a + b)`` the terms ``C(n, j) x^j (1-x)^(n-j)``, ``j = a .. n``,
+    only fall, so they are summed upward from the first, which also gives
+    the derivative: ``x * dI/dx = x^a (1-x)^(b-1) / B(a, b) = a * first term``.
+    Above the mean the value is ``1 - I_{1-x}(b, a)``, whose terms fall the
+    same way, and the slope ``x / (1 - x)`` times that tail's own.
     """
+    flip = x * (a + b) > a
+    y, a, b = (1.0 - x, b, a) if flip else (x, a, b)
     n = a + b - 1
-    x_pow = x**a
-    if x_pow >= _POW_MIN and n <= _EXACT_COMB_MAX:
-        term = math.comb(n, a) * x_pow * (1.0 - x) ** (b - 1)
+    y_pow = y**a
+    if y_pow >= _POW_MIN and n <= _EXACT_COMB_MAX:
+        term = math.comb(n, a) * y_pow * (1.0 - y) ** (b - 1)
     else:
-        term = math.exp(_log_choose(n, a) + a * log(x) + (b - 1) * math.log1p(-x))
+        term = math.exp(_log_choose(n, a) + a * log(y) + (b - 1) * math.log1p(-y))
     lead = total = term
-    odds = x / (1.0 - x)
+    odds = y / (1.0 - y)
     for j in range(a, n):
         term *= (n - j) / (j + 1) * odds
         total += term
         if term < _TAIL_RTOL * total:
             break
+    if flip:
+        return 1.0 - total, x / y * a * lead
     return total, a * lead
 
 
@@ -98,8 +104,6 @@ def reg_inc_beta(x: float, a: int, b: int) -> float:
         raise ValueError("x must lie in [0, 1]")
     if x == 0.0 or x == 1.0:
         return float(x)
-    if x * (a + b) > a:
-        return 1.0 - _binomial_tail(1.0 - x, b, a)[0]
     return _binomial_tail(x, a, b)[0]
 
 
@@ -119,18 +123,13 @@ def _inverse_lower(p: float, a: int, b: int) -> float:
     ``g''/g' = a - (b-1) x/(1-x) - g'``, unless that would more than double
     it; a step that leaves the bracket of the root is bisected instead.
     """
-    log_beta = _log_beta(a, b)
-    u = (log(p) + log(a) + log_beta) / a
+    u = (log(p) + log(a) + _log_beta(a, b)) / a
     lo, hi = -math.inf, 0.0
     for _ in range(_NEWTON_MAX_ITER):
         x = math.exp(u)
         if x == 0.0:  # the start, left of the root, underflows: so does the root, to within rounding
             break
-        if x * (a + b) > a:
-            value = 1.0 - _binomial_tail(1.0 - x, b, a)[0]
-            slope = math.exp(a * u + (b - 1) * math.log1p(-x) - log_beta)
-        else:
-            value, slope = _binomial_tail(x, a, b)
+        value, slope = _binomial_tail(x, a, b)
         if slope > 0.0:
             step = log(value / p) * value / slope
             bend = 1.0 - 0.5 * step * (a - (b - 1) * x / (1.0 - x) - slope / value)

@@ -118,8 +118,12 @@ def test_rho_norm_overflow_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch):
-    # a cutoff inside the bulk: the baseline capacity must fail loudly
+def test_rayleigh_truncation_exits_1(tmp_path, capsys, monkeypatch, request):
+    # a cutoff inside the bulk: the baseline capacity must fail loudly.  The
+    # knots are cached per (n, alpha): cleared before, so they are cut here,
+    # and after, so no later test reads the truncated ones
+    analytic._laguerre_knots.cache_clear()
+    request.addfinalizer(analytic._laguerre_knots.cache_clear)
     monkeypatch.setattr(analytic, "_laguerre_cutoff", lambda n, alpha: 10.0)
     args = ["rayleigh", "--mt", "2", "--mr", "2", "--m", "8", "--rho-bar-db", "20", "--trials", "100"]
     code, out = run_cli(args, tmp_path)

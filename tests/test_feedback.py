@@ -339,7 +339,7 @@ def _reference_frame(cfg):
     cond_power = np.empty((n, mt))
     sigmas = np.empty((n, mt, mt), dtype=complex)
     for i in range(n):
-        h11 = d.channels[i if cfg.fresh_channel_each_use else 0]
+        h11 = d.channels[..., i if cfg.fresh_channel_each_use else 0]
         h21 = complete_unitary(h11, dims)
         channels[i] = h11
         completions[i] = h21
@@ -504,7 +504,8 @@ def test_affine_scan_matches_sequential_loop(s, n, l, identity_seeds):
         g[:l] = np.eye(s)
     vec = cn(n, s)
     before = [g.copy(), vec.copy()]
-    got_x, got_prefix = feedback._affine_scan(g, vec, l)
+    got_x, got_prefix = feedback._affine_scan(np.moveaxis(g, 0, -1), vec.T, l)  # the scan's stack-last layout
+    got_x, got_prefix = got_x.T, np.moveaxis(got_prefix, -1, 0)
     assert all(np.array_equal(a, b) for a, b in zip((g, vec), before))  # the inputs are left untouched
     want_x, want_prefix = _sequential_scan(g, vec, l)
     assert np.max(np.abs(got_x - want_x)) < 1e-13

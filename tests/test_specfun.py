@@ -144,6 +144,22 @@ def test_reg_inc_beta_branches_against_mpmath(x, a, b):
         assert abs(inv_reg_inc_beta(p, a, b) - x) <= 1e-12 * x
 
 
+def test_inverse_from_an_underflowed_start():
+    # the Newton start x0 = (p a B(a, b))^(1/a) = 0.197 has I_x0 = 0 in floats, slope
+    # and all: the first step is an infinite one out of the bracket, then bisected
+    p, a, b = 1e-307, 704, 176
+    assert reg_inc_beta(math.exp((math.log(p) + math.log(a) + specfun._log_beta(a, b)) / a), a, b) == 0.0
+    x = inv_reg_inc_beta(p, a, b)
+    assert x == pytest.approx(0.20924587363288946, rel=1e-13)
+    # mp.betainc is unreliable at this size: Newton on the binomial sum itself
+    with mp.workdps(40):
+        n, want = a + b - 1, mp.mpf(x)
+        for _ in range(4):
+            tail = mp.fsum(mp.binomial(n, j) * want**j * (1 - want) ** (n - j) for j in range(a, n + 1))
+            want -= (tail - p) * mp.beta(a, b) / (want ** (a - 1) * (1 - want) ** (b - 1))
+        assert abs(x - want) <= 1e-13 * want
+
+
 def test_unsettled_inverse_raises(monkeypatch):
     monkeypatch.setattr(specfun, "_NEWTON_MAX_ITER", 1)
     with pytest.raises(NumericalError, match="did not converge"):
