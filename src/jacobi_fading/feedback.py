@@ -113,15 +113,16 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class FrameTrace:
-    """Everything the run transmitted and saw, for audits."""
+    """Everything the run transmitted and saw, for audits: views of the frame's own arrays.
 
-    channels: np.ndarray        # (n, mr, mt) realized blocks
-    completions: np.ndarray     # (n, s, mt)
-    transmitted: np.ndarray     # (n, mt) actual slot contents
-    new_symbols: np.ndarray     # (n, k)
-    relay_content: np.ndarray   # (n, s) completion-projected old signal
-    dither: np.ndarray          # (n, s) known padding added on top
-    cond_mode_power: np.ndarray  # (n, mt) E|x_j|^2 given the channel sequence
+    Use i's k new symbols are ``transmitted[i, :k]`` and its relay content,
+    the completion-projected old signal, is ``transmitted[i, k:] - dither[i]``.
+    """
+
+    channels: np.ndarray     # (n, mr, mt) realized blocks
+    completions: np.ndarray  # (n, s, mt)
+    transmitted: np.ndarray  # (n, mt) actual slot contents
+    dither: np.ndarray       # (n, s) known padding added on top of the relay
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,9 @@ class SchemeReport:
     The noise statistics integrate the Gaussian dimensions exactly (the
     combined-noise covariance of every use is an algebraic function of the
     realized channels), leaving only the channel-sequence dependence.
-    ``per_mode_power`` averages the exact conditional (over symbols and
-    dither, given channels) second moments of each transmit mode, which
-    are 1 by construction: the pads top every relay slot up to unit
-    variance and the completion rows are orthogonal, so each use's
+    Each mode's conditional power (over symbols and dither, given the
+    channels) is 1 by construction: the pads top every relay slot up to
+    unit variance and the completion rows are orthogonal, so each use's
     conditional covariance is I.  ``per_mode_power_empirical`` averages the
     realized |x_j|^2.  ``stream_noise_max_cross_corr`` is 0.0 at k = 1.
     """
@@ -144,7 +144,6 @@ class SchemeReport:
     achieved_rate: float
     ber: float | None
     overhead_uses: int
-    per_mode_power: np.ndarray
     per_mode_power_empirical: np.ndarray
     mutual_information_per_use: float
     stream_noise_max_cross_corr: float
@@ -401,14 +400,14 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     # to x_{i-l}, of conditional variance |row e|^2 (the rows are orthogonal
     # and x_{i-l} has covariance I); the pad tops it up to 1.  The first l
     # uses relay nothing and pad at unit variance.
-    pad_var = np.ones((s, n))
-    pad_var[:, l:] = 1.0 - np.sum(np.abs(h21[:, :, :-l]) ** 2, axis=1)
+    relay_var = np.zeros((s, n))
+    relay_var[:, l:] = np.sum(np.abs(h21[:, :, :-l]) ** 2, axis=1)
+    pad_var = 1.0 - relay_var
     if np.any(pad_var < -_COMBINE_TOL):
         raise NumericalError("a completion row has norm above 1: the pad variance is negative")
     # rows spanning the null space of H11 (mt > mr) have norm 1: their pad is exactly 0
     pad_var[pad_var < _PAD_SNAP] = 0.0
     pad = np.sqrt(pad_var) * draws.dither.T
-    cond_power = np.ones((n, mt))  # the diagonal of every use's covariance, I
 
     # forward relay: v_i = R2 v_{i-l} + (R1 sym_{i-l} + pad_i), R = use i - l's
     # completion split at column k
@@ -468,11 +467,11 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
     corr = np.abs(c) / np.sqrt(np.outer(np.diag(c).real, np.diag(c).real))
     max_corr = float(np.max(corr - np.eye(k) * corr))
 
-    sent = draws.symbols
+    sent = xs[:k]
     ber = None
     if cfg.modulation == "qpsk":
-        bit_errs = np.sum(np.sign(y_tilde.real) != np.sign(sent.real.T))
-        bit_errs += np.sum(np.sign(y_tilde.imag) != np.sign(sent.imag.T))
+        bit_errs = np.sum(np.sign(y_tilde.real) != np.sign(sent.real))
+        bit_errs += np.sum(np.sign(y_tilde.imag) != np.sign(sent.imag))
         ber = float(bit_errs / (2 * sent.size))
 
     achieved_rate = k * n * log2_1p(rho) / (n + overhead)
@@ -482,10 +481,7 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         channels=np.moveaxis(h11, -1, 0),
         completions=np.moveaxis(h21, -1, 0),
         transmitted=xs.T,
-        new_symbols=sent,
-        relay_content=(xs[k:] - pad).T,
         dither=pad.T,
-        cond_mode_power=cond_power,
     )
     return SchemeReport(
         per_stream_snr=per_stream_snr,
@@ -493,7 +489,6 @@ def run_feedback_scheme(cfg: SchemeConfig) -> SchemeReport:
         achieved_rate=achieved_rate,
         ber=ber,
         overhead_uses=overhead,
-        per_mode_power=np.mean(cond_power, axis=0),
         per_mode_power_empirical=np.mean(np.abs(xs) ** 2, axis=1),
         mutual_information_per_use=mi_per_use,
         stream_noise_max_cross_corr=max_corr,

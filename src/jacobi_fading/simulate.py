@@ -151,12 +151,28 @@ def _map_chunks(cfg: McConfig, chunk_fn) -> list:
     return results
 
 
+# A sample that is not constant deviates from its mean by at least a
+# quarter ulp of its largest magnitude somewhere: from this magnitude on,
+# at least 2^-310, whose square is still a normal number.
+_SCALE_BELOW = 2.0 ** -256
+
+
 def _estimate(values: np.ndarray, cfg: McConfig) -> McEstimate:
+    """The sample's mean and standard error, with the bits of numpy's ``mean`` and ``std``.
+
+    Squared deviations below 2^-1022 lose bits, and below 2^-1075 all of
+    them, so a sample whose largest magnitude is below ``_SCALE_BELOW`` is
+    scaled by a power of two to [0.5, 1) before the deviation, which is
+    scaled back after.  Scaling by a power of two is exact, so the scaled
+    squares carry the deviation in full.  Larger samples are not scaled.
+    """
     mean = float(np.mean(values))
-    if len(values) > 1 and float(np.max(values)) != float(np.min(values)):
-        stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
-    else:
-        stderr = 0.0  # degenerate sample (e.g. a fully unitary channel)
+    stderr = 0.0  # degenerate sample (e.g. a fully unitary channel)
+    if len(values) > 1 and (hi := float(np.max(values))) != (lo := float(np.min(values))):
+        top = max(abs(hi), abs(lo))
+        exponent = math.frexp(top)[1] if top < _SCALE_BELOW else 0
+        scaled = np.ldexp(values, -exponent) if exponent else values
+        stderr = math.ldexp(float(np.std(scaled, ddof=1) / math.sqrt(len(values))), exponent)
     return McEstimate(value=mean, stderr=stderr, trials=len(values), seed=cfg.master_seed)
 
 

@@ -23,6 +23,13 @@ written, one stacked ``eigh`` of the mt x mt residual I - H11^+ H11: the
 library's s x s path must give the same rows up to rounding, except where
 an eigenvalue repeats and any basis of its eigenspace is valid.
 
+``reference_frame`` is the feedback scheme one use at a time, the
+algorithm the batched frame replaces, on the frame's own draws: the
+batched run must give the same trace and measures up to rounding.  It
+carries every use's conditional covariance through the relay, so
+``mode_power_deviation`` reads each use's per-mode power from it instead
+of trusting the batched frame's closed form.
+
 ``reference_squares`` and ``reference_spectra`` are the bidiagonal model
 written the direct way, trial-major, each Beta variate's log terms added
 column by column in index order and ``np.where`` for the p < q flip, on
@@ -32,10 +39,15 @@ that kernel's squares for every trial, which the library's estimators
 reduce chunk by chunk and never hold whole.
 """
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
+from jacobi_fading import feedback
 from jacobi_fading.ensembles import UNIT_TOL, ChannelDims, snap_endpoints
 from jacobi_fading.errors import NumericalError
+from jacobi_fading.feedback import SchemeConfig
 from jacobi_fading.philox import complex_normals, stream_key, uniforms
 from jacobi_fading.simulate import (
     McConfig, _channel_key, _map_chunks, _reduce_model, _sorted_sample, channel_blocks,
@@ -111,6 +123,112 @@ def eigh_complete_unitary(h11: np.ndarray, dims: ChannelDims) -> np.ndarray:
     pivot = np.take_along_axis(top, np.argmax(np.abs(top), axis=1)[:, None, :], axis=1)
     phase = pivot.conj() / np.abs(pivot)
     return (np.sqrt(w[:, None, ::-1][:, :, :s]) * (top * phase).conj()).swapaxes(1, 2)
+
+
+def reference_frame(cfg: SchemeConfig) -> SimpleNamespace:
+    """The feedback scheme one channel use at a time, fed the batched run's own draws.
+
+    This is the per-use algorithm the batched recurrences replace: each use
+    completes its block with :func:`~jacobi_fading.feedback.complete_unitary`,
+    relays the l-uses-old vector, carries the transmit vector's exact
+    conditional covariance (over symbols and dither, given the channels)
+    through the relay, pads each relay slot up to unit power where the
+    relay leaves room, and the receiver peels backwards one use at a time.
+    Returns the report's measured numbers, the trace, every use's
+    covariance ``sigmas`` (n, mt, mt) and its diagonal ``cond_power``
+    (n, mt): the per-use, per-mode conditional power.  A relay slot whose
+    relay alone runs above unit power gets no pad and keeps that power.
+    """
+    d = feedback._draw_frame(cfg)
+    dims, n, l, rho = cfg.dims, cfg.n_uses, cfg.delay, cfg.rho
+    mt, mr, k = dims.mt, dims.mr, dims.k
+    s = dims.m - mr
+    sqrt_rho = math.sqrt(rho)
+
+    channels = np.empty((n, mr, mt), dtype=complex)
+    completions = np.empty((n, s, mt), dtype=complex)
+    xs = np.empty((n, mt), dtype=complex)
+    ys = np.empty((n, mr), dtype=complex)
+    dither = np.zeros((n, s), dtype=complex)
+    sigmas = np.empty((n, mt, mt), dtype=complex)
+    for i in range(n):
+        h11 = d.channels[..., i if cfg.fresh_channel_each_use else 0]
+        h21 = feedback.complete_unitary(h11, dims)
+        channels[i] = h11
+        completions[i] = h21
+        if i >= l:
+            w_rel = completions[i - l] @ xs[i - l]
+            c_rel = completions[i - l] @ sigmas[i - l] @ completions[i - l].conj().T
+        else:
+            w_rel = np.zeros(s, dtype=complex)
+            c_rel = np.zeros((s, s), dtype=complex)
+        pad_var = 1.0 - np.diag(c_rel).real
+        pad_var[pad_var < 64 * np.finfo(float).eps] = 0.0  # rounding residue on a unit-norm row
+        pad = np.sqrt(pad_var) * d.dither[i]
+        dither[i] = pad
+        sigma = np.zeros((mt, mt), dtype=complex)
+        sigma[:k, :k] = np.eye(k)
+        sigma[k:, k:] = c_rel + np.diag(pad_var)
+        sigmas[i] = sigma
+        x = np.concatenate([d.symbols[i], w_rel + pad])
+        xs[i] = x
+        ys[i] = sqrt_rho * h11 @ x + d.noise[i]
+
+    side_meas = [None] * n
+    side_cov = [None] * n
+    for j in range(n - l, n):
+        w_close = completions[j] @ xs[j]
+        meas = np.zeros(s, dtype=complex)
+        var = np.zeros(s)
+        for e in range(s):
+            window = (j - (n - l)) * s + e
+            hc = d.closing_channels[window]
+            gain = float(np.sum(np.abs(hc) ** 2))
+            combined_noise = complex(np.einsum("ij,ji->", hc.conj(), d.closing_noise[window]))
+            meas[e] = sqrt_rho * w_close[e] + combined_noise / gain
+            var[e] = 1.0 / gain
+        side_meas[j] = meas
+        side_cov[j] = np.diag(var)
+
+    stream_meas = np.empty((n, k), dtype=complex)
+    cond_cov_sum = np.zeros((mt, mt), dtype=complex)
+    cond_var_stream = np.empty((n, k))
+    for i in range(n - 1, -1, -1):
+        v = side_meas[i] if s else np.zeros(0, dtype=complex)
+        cov_v = side_cov[i] if s else np.zeros((0, 0))
+        h11, h21 = channels[i], completions[i]
+        y_tilde = h11.conj().T @ ys[i] + h21.conj().T @ v
+        cov_z = h11.conj().T @ h11 + h21.conj().T @ (cov_v @ h21)
+        stream_meas[i] = y_tilde[:k]
+        cond_var_stream[i] = np.diag(cov_z).real[:k]
+        cond_cov_sum += cov_z
+        if i >= l:
+            side_meas[i - l] = y_tilde[k:] - sqrt_rho * dither[i]
+            side_cov[i - l] = cov_z[k:, k:]
+
+    ber = None
+    if cfg.modulation == "qpsk":
+        sent, meas = d.symbols.ravel(), stream_meas.ravel()
+        bit_errs = np.sum(np.sign(meas.real) != np.sign(sent.real))
+        bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
+        ber = float(bit_errs / (2 * len(sent)))
+    return SimpleNamespace(
+        per_stream_snr=rho / np.mean(cond_var_stream, axis=0),
+        noise_cov_error=float(np.max(np.abs(cond_cov_sum / n - np.eye(mt)))),
+        ber=ber,
+        trace=feedback.FrameTrace(channels=channels, completions=completions, transmitted=xs, dither=dither),
+        sigmas=sigmas,
+        cond_power=np.diagonal(sigmas, axis1=1, axis2=2).real,
+    )
+
+
+def mode_power_deviation(cfg: SchemeConfig) -> float:
+    """The largest |conditional power - 1| over every use and transmit mode of :func:`reference_frame`.
+
+    Not a mean over uses: a completion whose rows are not orthogonal moves
+    single uses far more than the per-mode mean.
+    """
+    return float(np.max(np.abs(reference_frame(cfg).cond_power - 1.0)))
 
 
 def gram_eigenvalues(h11: np.ndarray) -> np.ndarray:

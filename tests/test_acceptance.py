@@ -13,6 +13,7 @@ reflects the mathematics, not a defect in the code under test.
 import math
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 from jacobi_fading.analytic import (
@@ -36,8 +37,9 @@ from jacobi_fading.simulate import (
     rayleigh_compare,
     repetition_error_tail,
 )
+from jacobi_fading import feedback
 from jacobi_fading.feedback import SchemeConfig, run_feedback_scheme
-from oracles import haar_spectra, ks_distance, sample_jacobi_spectra_wishart
+from oracles import haar_spectra, ks_distance, mode_power_deviation, sample_jacobi_spectra_wishart
 
 
 def _passed(label: str, detail: str = ""):
@@ -208,16 +210,28 @@ def test_criterion_07_diversity_multiplexing():
     )
 
 
+def _power_clause(cfg: SchemeConfig) -> float:
+    """Criterion 8's power clause: every mode of every use at unit conditional power, within 0.03.
+
+    The power is the per-use algorithm's, which carries each use's
+    conditional covariance through the relay (``oracles.reference_frame``);
+    the largest deviation over uses and modes is held to the bound.
+    """
+    power_dev = mode_power_deviation(cfg)
+    assert power_dev < 0.03, (cfg.dims, cfg.delay, power_dev)
+    return power_dev
+
+
 def test_criterion_08_feedback_scheme():
     """Unfaded streams: SNR, noise covariance, power, BER, and frame rate."""
     dims = ChannelDims(2, 2, 3)
     rho, n = 10.0, 1000
     for delay in (1, 4):
-        rep = run_feedback_scheme(SchemeConfig(dims=dims, n_uses=n, delay=delay, rho=rho))
+        cfg = SchemeConfig(dims=dims, n_uses=n, delay=delay, rho=rho)
+        rep = run_feedback_scheme(cfg)
         assert np.all(np.abs(rep.per_stream_snr - rho) < 0.02 * rho), (delay, rep.per_stream_snr)
         assert rep.noise_cov_error < 0.05, (delay, rep.noise_cov_error)
-        power_dev = float(np.max(np.abs(rep.per_mode_power - 1.0)))
-        assert power_dev < 0.03, (delay, rep.per_mode_power)
+        power_dev = _power_clause(cfg)
         p_bit = float(qpsk_bit_error(rho))
         n_bits = 2 * dims.k * n
         bound = 3 * math.sqrt(p_bit * (1 - p_bit) / n_bits)
@@ -227,6 +241,9 @@ def test_criterion_08_feedback_scheme():
             f"snr {rep.per_stream_snr[0]:.3f}, cov dev {rep.noise_cov_error:.1e}, "
             f"power dev {power_dev:.1e}, ber {rep.ber:.2e} vs {p_bit:.2e}",
         )
+    for delay in (1, 4):  # s = 2 relay slots: two completion rows that must stay orthogonal
+        power_dev = _power_clause(SchemeConfig(dims=ChannelDims(4, 4, 6), n_uses=n, delay=delay, rho=rho))
+        _passed(f"criterion 8 power (4,4,6) (l={delay})", f"power dev {power_dev:.1e}")
     ok = 0
     for frame_seed in range(100):
         rep = run_feedback_scheme(
@@ -237,6 +254,22 @@ def test_criterion_08_feedback_scheme():
             ok += 1
     assert ok == 100, f"mutual information supported the rate in {ok}/100 frames"
     _passed("criterion 8 frame rate", "mutual information >= 0.95 k log2(11) (1 - ov/n) in 100/100 frames")
+
+
+def test_criterion_08_power_clause_fails_on_rotated_completion_rows(monkeypatch):
+    # turn the two rows of every s = 2 completion by a fixed rotation: the
+    # combining identity still holds, but the rows are no longer orthogonal,
+    # so the relays of later uses run above unit power
+    real = feedback._rotate_pair
+
+    def rotated(basis):
+        rows = real(basis)
+        return np.stack([0.8 * rows[:, 0] - 0.6 * rows[:, 1], 0.6 * rows[:, 0] + 0.8 * rows[:, 1]], axis=1)
+
+    monkeypatch.setattr(feedback, "_rotate_pair", rotated)
+    for delay in (1, 4):
+        with pytest.raises(AssertionError):
+            _power_clause(SchemeConfig(dims=ChannelDims(4, 4, 6), n_uses=1000, delay=delay, rho=10.0))
 
 
 def test_criterion_09_rayleigh_convergence():

@@ -1,7 +1,7 @@
 """Zero-outage feedback scheme: completion algebra and end-to-end runs."""
 
 import math
-from types import SimpleNamespace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,13 +10,14 @@ from jacobi_fading import feedback
 from jacobi_fading.ensembles import ChannelDims
 from jacobi_fading.errors import NumericalError
 from jacobi_fading.feedback import (
+    FrameTrace,
     SchemeConfig,
     complete_unitary,
     run_feedback_scheme,
 )
 from jacobi_fading.philox import stream_key, uniforms
 from jacobi_fading.simulate import channel_blocks, qpsk_bit_error
-from oracles import eigh_complete_unitary
+from oracles import eigh_complete_unitary, mode_power_deviation, reference_frame
 
 DIMS_223 = ChannelDims(2, 2, 3)
 
@@ -200,10 +201,11 @@ def test_scheme_config_accepts_numpy_integers():
 
 
 def test_scheme_delivers_unfaded_streams():
-    rep = run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=1000, delay=1, rho=10.0))
+    cfg = SchemeConfig(dims=DIMS_223, n_uses=1000, delay=1, rho=10.0)
+    rep = run_feedback_scheme(cfg)
     assert np.all(np.abs(rep.per_stream_snr - 10.0) < 0.2)
     assert rep.noise_cov_error < 0.05
-    assert np.all(np.abs(rep.per_mode_power - 1.0) < 0.03)
+    assert mode_power_deviation(cfg) < 0.03
     assert rep.overhead_uses == 1 * 2 * 1  # l * mt * (m - mr)
     assert rep.achieved_rate <= math.log2(11.0)
     assert rep.achieved_rate == pytest.approx(math.log2(11.0) * 1000 / 1002, rel=1e-12)
@@ -212,8 +214,9 @@ def test_scheme_delivers_unfaded_streams():
 
 def test_scheme_first_uses_relay_zeros():
     rep = run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=50, delay=3, rho=10.0))
-    assert np.all(rep.trace.relay_content[:3] == 0.0)
-    assert np.any(rep.trace.relay_content[3:] != 0.0)
+    relay_content = rep.trace.transmitted[:, DIMS_223.k:] - rep.trace.dither
+    assert np.all(relay_content[:3] == 0.0)
+    assert np.any(relay_content[3:] != 0.0)
 
 
 def test_scheme_ber_matches_scalar_awgn():
@@ -272,11 +275,10 @@ def test_scheme_mutual_information_supports_rate():
 
 
 def test_scheme_gaussian_modulation():
-    rep = run_feedback_scheme(
-        SchemeConfig(dims=DIMS_223, n_uses=500, delay=1, rho=10.0, modulation="gaussian")
-    )
+    cfg = SchemeConfig(dims=DIMS_223, n_uses=500, delay=1, rho=10.0, modulation="gaussian")
+    rep = run_feedback_scheme(cfg)
     assert rep.ber is None
-    assert np.all(np.abs(rep.per_mode_power - 1.0) < 1e-9)
+    assert mode_power_deviation(cfg) < 1e-9
     assert np.all(np.abs(rep.per_stream_snr - 10.0) < 0.2)
 
 
@@ -297,8 +299,9 @@ def test_scheme_reproducible():
 
 
 def test_per_mode_power_report():
-    rep = run_feedback_scheme(SchemeConfig(dims=DIMS_223, n_uses=1000, delay=1, rho=10.0))
-    assert np.all(np.abs(rep.per_mode_power - 1.0) < 1e-12)
+    cfg = SchemeConfig(dims=DIMS_223, n_uses=1000, delay=1, rho=10.0)
+    rep = run_feedback_scheme(cfg)
+    assert mode_power_deviation(cfg) < 1e-12
     # QPSK new-symbol slots have |x| = 1 exactly, so the realized power of
     # mode 0 is exactly 1 too
     assert rep.per_mode_power_empirical[0] == pytest.approx(1.0, abs=1e-12)
@@ -312,117 +315,7 @@ def test_qpsk_symbols_are_k_bit_pairs_per_use(dims):
     rep = run_feedback_scheme(SchemeConfig(dims=dims, n_uses=n, delay=2, master_seed=seed))
     bits = uniforms(stream_key(seed, "feedback:symbols"), 0, n, 2 * dims.k) > 0.5
     want = ((2.0 * bits[:, 0::2] - 1.0) + 1j * (2.0 * bits[:, 1::2] - 1.0)) / math.sqrt(2.0)
-    assert rep.trace.new_symbols.shape == (n, dims.k)
-    assert np.array_equal(rep.trace.new_symbols, want)
-
-
-def _reference_frame(cfg):
-    """The scheme one channel use at a time, fed the batched run's own draws.
-
-    This is the per-use algorithm the batched recurrences replace: each use
-    completes its block, relays the l-uses-old vector with its exact
-    conditional covariance, pads the relay slots to unit power, and the
-    receiver peels backwards one use at a time.
-    """
-    d = feedback._draw_frame(cfg)
-    dims, n, l, rho = cfg.dims, cfg.n_uses, cfg.delay, cfg.rho
-    mt, mr, k = dims.mt, dims.mr, dims.k
-    s = dims.m - mr
-    sqrt_rho = math.sqrt(rho)
-
-    channels = np.empty((n, mr, mt), dtype=complex)
-    completions = np.empty((n, s, mt), dtype=complex)
-    xs = np.empty((n, mt), dtype=complex)
-    ys = np.empty((n, mr), dtype=complex)
-    relay_content = np.zeros((n, s), dtype=complex)
-    dither = np.zeros((n, s), dtype=complex)
-    cond_power = np.empty((n, mt))
-    sigmas = np.empty((n, mt, mt), dtype=complex)
-    for i in range(n):
-        h11 = d.channels[..., i if cfg.fresh_channel_each_use else 0]
-        h21 = complete_unitary(h11, dims)
-        channels[i] = h11
-        completions[i] = h21
-        if i >= l:
-            w_rel = completions[i - l] @ xs[i - l]
-            c_rel = completions[i - l] @ sigmas[i - l] @ completions[i - l].conj().T
-        else:
-            w_rel = np.zeros(s, dtype=complex)
-            c_rel = np.zeros((s, s), dtype=complex)
-        relay_content[i] = w_rel
-        pad_var = 1.0 - np.diag(c_rel).real
-        pad_var[pad_var < 64 * np.finfo(float).eps] = 0.0  # rounding residue on a unit-norm row
-        pad = np.sqrt(pad_var) * d.dither[i]
-        dither[i] = pad
-        sigma = np.zeros((mt, mt), dtype=complex)
-        sigma[:k, :k] = np.eye(k)
-        sigma[k:, k:] = c_rel + np.diag(pad_var)
-        sigmas[i] = sigma
-        cond_power[i] = np.diag(sigma).real
-        x = np.concatenate([d.symbols[i], w_rel + pad])
-        xs[i] = x
-        ys[i] = sqrt_rho * h11 @ x + d.noise[i]
-
-    side_meas = [None] * n
-    side_cov = [None] * n
-    for j in range(n - l, n):
-        w_close = completions[j] @ xs[j]
-        meas = np.zeros(s, dtype=complex)
-        var = np.zeros(s)
-        for e in range(s):
-            window = (j - (n - l)) * s + e
-            hc = d.closing_channels[window]
-            gain = float(np.sum(np.abs(hc) ** 2))
-            combined_noise = complex(np.einsum("ij,ji->", hc.conj(), d.closing_noise[window]))
-            meas[e] = sqrt_rho * w_close[e] + combined_noise / gain
-            var[e] = 1.0 / gain
-        side_meas[j] = meas
-        side_cov[j] = np.diag(var)
-
-    stream_meas = np.empty((n, k), dtype=complex)
-    cond_cov_sum = np.zeros((mt, mt), dtype=complex)
-    cond_var_stream = np.empty((n, k))
-    for i in range(n - 1, -1, -1):
-        v = side_meas[i] if s else np.zeros(0, dtype=complex)
-        cov_v = side_cov[i] if s else np.zeros((0, 0))
-        h11, h21 = channels[i], completions[i]
-        y_tilde = h11.conj().T @ ys[i] + h21.conj().T @ v
-        cov_z = h11.conj().T @ h11 + h21.conj().T @ (cov_v @ h21)
-        stream_meas[i] = y_tilde[:k]
-        cond_var_stream[i] = np.diag(cov_z).real[:k]
-        cond_cov_sum += cov_z
-        if i >= l:
-            side_meas[i - l] = y_tilde[k:] - sqrt_rho * dither[i]
-            side_cov[i - l] = cov_z[k:, k:]
-
-    ber = None
-    if cfg.modulation == "qpsk":
-        sent, meas = d.symbols.ravel(), stream_meas.ravel()
-        bit_errs = np.sum(np.sign(meas.real) != np.sign(sent.real))
-        bit_errs += np.sum(np.sign(meas.imag) != np.sign(sent.imag))
-        ber = float(bit_errs / (2 * len(sent)))
-    trace = feedback.FrameTrace(
-        channels=channels,
-        completions=completions,
-        transmitted=xs,
-        new_symbols=d.symbols,
-        relay_content=relay_content,
-        dither=dither,
-        cond_mode_power=cond_power,
-    )
-    return SimpleNamespace(
-        per_stream_snr=rho / np.mean(cond_var_stream, axis=0),
-        noise_cov_error=float(np.max(np.abs(cond_cov_sum / n - np.eye(mt)))),
-        ber=ber,
-        trace=trace,
-        sigmas=sigmas,
-    )
-
-
-TRACE_FIELDS = (
-    "channels", "completions", "transmitted", "new_symbols",
-    "relay_content", "dither", "cond_mode_power",
-)
+    assert np.array_equal(rep.trace.transmitted[:, :dims.k], want)
 
 
 REFERENCE_CASES = [
@@ -444,14 +337,25 @@ def test_batched_frame_matches_per_use_reference(dims, overrides):
     # 203 uses: not a multiple of 4, so the last forward and first backward blocks are partial
     cfg = SchemeConfig(dims=dims, n_uses=203, rho=10.0, master_seed=17, **overrides)
     got = run_feedback_scheme(cfg)
-    want = _reference_frame(cfg)
+    want = reference_frame(cfg)
     np.testing.assert_allclose(got.per_stream_snr, want.per_stream_snr, rtol=0, atol=1e-12)
     assert abs(got.noise_cov_error - want.noise_cov_error) < 1e-12
     assert got.ber == want.ber
-    for name in TRACE_FIELDS:
+    for name in (f.name for f in fields(FrameTrace)):
         np.testing.assert_allclose(
             getattr(got.trace, name), getattr(want.trace, name), rtol=0, atol=1e-12, err_msg=name
         )
+
+
+@pytest.mark.parametrize("dims", [ChannelDims(2, 3, 3), DIMS_223, ChannelDims(4, 4, 6)])  # s = 0, 1, 2
+@pytest.mark.parametrize("fresh", [True, False])
+def test_trace_fields_are_views(dims, fresh):
+    # the trace keeps nothing the frame did not compute: each field views one of its arrays
+    cfg = SchemeConfig(dims=dims, n_uses=50, delay=2, fresh_channel_each_use=fresh)
+    trace = run_feedback_scheme(cfg).trace
+    assert [f.name for f in fields(FrameTrace)] == ["channels", "completions", "transmitted", "dither"]
+    for f in fields(FrameTrace):
+        assert getattr(trace, f.name).base is not None, f.name
 
 
 @pytest.mark.parametrize("dims, overrides", REFERENCE_CASES)
@@ -459,7 +363,7 @@ def test_per_use_covariance_is_identity(dims, overrides):
     # the batched frame takes every use's conditional covariance to be I in
     # closed form; the per-use algorithm carries it through the recurrence
     cfg = SchemeConfig(dims=dims, n_uses=203, rho=10.0, master_seed=17, **overrides)
-    sigmas = _reference_frame(cfg).sigmas
+    sigmas = reference_frame(cfg).sigmas
     assert np.max(np.abs(sigmas - np.eye(dims.mt))) < 1e-12
 
 
@@ -468,12 +372,13 @@ def test_null_space_relay_slots_carry_no_pad(dims):
     # mt > mr: the top mt - mr completion rows span the null space of H11 and
     # have unit norm, so their relay slots need no pad at all
     delay, null = 3, dims.mt - dims.mr
-    rep = run_feedback_scheme(SchemeConfig(dims=dims, n_uses=200, delay=delay, master_seed=4))
-    dither = rep.trace.dither
+    cfg = SchemeConfig(dims=dims, n_uses=200, delay=delay, master_seed=4)
+    dither = run_feedback_scheme(cfg).trace.dither
     assert np.all(dither[delay:, :null] == 0.0)
     assert np.all(dither[:delay] != 0.0)  # the first uses relay nothing: unit-variance pad
     assert np.all(dither[delay:, null:] != 0.0)
-    assert np.all(rep.trace.cond_mode_power == 1.0)
+    # a pad-free slot's relay alone is at unit power, up to the rounding of the row's norm
+    assert mode_power_deviation(cfg) < 1e-12
 
 
 def _sequential_scan(g, vec, l):

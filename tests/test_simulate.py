@@ -567,6 +567,20 @@ def test_estimate_has_the_bits_of_numpy_mean_and_std():
     assert (one.value, one.stderr) == (0.7, 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-300])
+def test_stderr_of_a_tiny_sample_does_not_underflow(scale):
+    # the squared deviations of these samples are below 2^-1022, or 0: the
+    # deviation of the sample scaled by a power of two must be the unscaled one's
+    cfg, rng = McConfig(trials=1, master_seed=6), np.random.default_rng(9)
+    for base in (np.array([1.0, 3.0, 2.0]), rng.standard_normal(1000), rng.random(5000)):
+        sample = base * scale
+        est = simulate._estimate(sample, cfg)
+        assert est.value == float(np.mean(sample))
+        want = float(np.std(base, ddof=1)) / math.sqrt(len(base)) * scale
+        assert est.stderr == pytest.approx(want, rel=1e-14), (est.stderr, want)
+    assert np.std([1e-170, 3e-170, 2e-170], ddof=1) == 0.0  # numpy's own std underflows
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 100_003])
 def test_count_estimate_is_the_indicator_estimate(n):
     # the count's mean and standard error are those of the 0/1 array it counts

@@ -11,13 +11,17 @@ they run.  A module's executable lines are those its compiled code objects
 list in ``co_lines()``, nested code objects included.  A function's own
 first line is left out: the enclosing code runs it as the ``def``.  After
 pytest's report, each executable line no test ran goes to standard output
-as ``<module>.py:<line>``, in order, then a count.  Needs nothing beyond
-pytest; the suite takes about 1.5x as long under the tracer.  The exit
-code is pytest's where it did not run the tests (2 and up), else 0.
+as ``<module>.py:<line>``, in order, then a count.  Lines inside a
+module's ``if __name__ == "__main__":`` block run only when the module is
+a script, so they are listed with a ``(__main__ block)`` note and do not
+count.  Needs nothing beyond pytest; the suite takes about 1.5x as long
+under the tracer.  The exit code is pytest's where it did not run the
+tests (2 and up), 1 where any other library line never ran, else 0.
 """
 
 from __future__ import annotations
 
+import ast
 import os
 import sys
 import threading
@@ -38,6 +42,18 @@ def _executable_lines(path: str) -> set[int]:
                 lines.discard(const.co_firstlineno)
                 stack.append(const)
     return lines
+
+
+def _main_block_lines(path: str) -> set[int]:
+    """The lines of the module's top-level ``if __name__ == "__main__":`` blocks."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    return {
+        line
+        for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,14 +88,15 @@ def main(argv: list[str] | None = None) -> int:
         threading.settrace(None)
     if code >= 2:
         return int(code)
-    missed = [
-        f"{modules[path]}:{line}"
-        for path in sorted(modules)
-        for line in sorted(_executable_lines(path) - ran[path])
-    ]
+    missed, counted = [], 0
+    for path in sorted(modules):
+        script = _main_block_lines(path)
+        for line in sorted(_executable_lines(path) - ran[path]):
+            missed.append(f"{modules[path]}:{line}" + (" (__main__ block)" if line in script else ""))
+            counted += line not in script
     print("\n".join(missed))
-    print(f"{len(missed)} library lines never ran")
-    return 0
+    print(f"{len(missed)} library lines never ran, {counted} of them outside a __main__ block")
+    return 1 if counted else 0
 
 
 if __name__ == "__main__":
